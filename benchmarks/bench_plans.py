@@ -7,16 +7,18 @@ as
                                      [--min-reuse-speedup X]
                                      [--min-incremental-speedup Y]
                                      [--min-tape-speedup Z]
+                                     [--min-exact-tape-speedup W]
 
 or through the CLI as ``repro bench plans``.  The recorded artefact,
 ``BENCH_plans.json``, is checked into the repository root and tracks the
 serving-path numbers across PRs: re-evaluating compiled plans under drifting
 probabilities versus PR-1-style ``solve_many`` (float), single-edge
-``plan.update`` versus a full re-solve, and the ``tape_batch`` curve —
+``plan.update`` versus a full re-solve, the ``tape_batch`` curve —
 batched flat-tape evaluation (:mod:`repro.tape`) at batch sizes 1/16/256
-versus one ``plan.evaluate`` call per valuation.  The ``--min-*-speedup``
-flags turn regressions into a non-zero exit code, which CI uses as a smoke
-gate.
+versus one ``plan.evaluate`` call per valuation — and, per route, exact
+evaluation on the object graph versus on the integer tape.  The
+``--min-*-speedup`` flags turn regressions into a non-zero exit code, which
+CI uses as a smoke gate.
 """
 
 from __future__ import annotations

@@ -17,7 +17,10 @@ module measures exactly that, plus the incremental single-edge update path:
   vectorized pass over the plan's flat tape
   (:meth:`repro.plan.CompiledPlan.evaluate_many`, see :mod:`repro.tape`)
   versus one ``plan.evaluate`` call per valuation, across batch sizes
-  1 / 16 / 256.
+  1 / 16 / 256;
+* ``exact_evaluate`` — per workload (one dispatch route each), one exact
+  evaluation on the object graph versus one replay of the plan's tape on
+  integer registers, plus the lowering time that replay amortises.
 
 Every configuration is cross-checked: plan results must be *bit-identical*
 to the one-shot API in exact mode and within ``1e-9`` of exact in float
@@ -39,7 +42,10 @@ from repro.bench import BENCH_SEED, FLOAT_TOLERANCE, _rng, write_report
 from repro.core.solver import PHomSolver
 from repro.graphs.classes import GraphClass
 from repro.graphs.digraph import DiGraph, Edge
+from repro.numeric import EXACT, FAST
+from repro.plan import CompiledPlan, ComponentPlan
 from repro.probability.prob_graph import ProbabilisticGraph
+from repro.tape import compile_plan_tape
 from repro.workloads.generators import attach_random_probabilities, make_instance, make_query
 from repro import __version__
 
@@ -135,6 +141,52 @@ def _time(fn: Callable[[], object]) -> float:
     return time.perf_counter() - start
 
 
+def _object_graph(plan: CompiledPlan, overrides=None, context=EXACT):
+    """The plan's answer from its object-graph evaluators, never its tape."""
+    return plan._evaluate_with(plan._probability_table(overrides, context), context)
+
+
+def measure_exact_evaluate(
+    plans: List[CompiledPlan], instance: ProbabilisticGraph, repeats: int = 5
+) -> Dict[str, object]:
+    """The exact evaluate layer of one route: object graph vs integer tape.
+
+    For every distinct tractable plan, times (best of ``repeats``) one
+    exact object-graph evaluation and one integer replay of a freshly
+    lowered tape, and the lowering itself.  The plans are left untouched
+    (no tape is attached), and the two answers must be bit-identical
+    before anything is recorded.
+    """
+    table = EXACT.instance_probabilities(instance)
+    graph_us: List[float] = []
+    tape_us: List[float] = []
+    lower_ms: List[float] = []
+    distinct = {id(plan): plan for plan in plans if isinstance(plan, ComponentPlan)}
+    for plan in distinct.values():
+        start = time.perf_counter()
+        tape = compile_plan_tape(plan)
+        lower_ms.append((time.perf_counter() - start) * 1e3)
+        if tape.evaluate(table, EXACT) != _object_graph(plan):
+            raise AssertionError(
+                f"integer tape replay diverged from the object graph ({plan.method})"
+            )
+        graph_us.append(
+            min(_time(lambda: _object_graph(plan)) for _ in range(repeats)) * 1e6
+        )
+        tape_us.append(
+            min(_time(lambda: tape.evaluate(table, EXACT)) for _ in range(repeats)) * 1e6
+        )
+    count = max(len(graph_us), 1)
+    return {
+        "plans": len(graph_us),
+        "object_graph_us": round(sum(graph_us) / count, 2),
+        "tape_us": round(sum(tape_us) / count, 2),
+        "lower_ms": round(sum(lower_ms) / count, 3),
+        "speedup": round(sum(graph_us) / sum(tape_us), 2) if tape_us else float("inf"),
+        "bit_identical": True,
+    }
+
+
 def run_plan_workload(workload: PlanWorkload, rounds: int) -> Dict[str, object]:
     """Time plan re-evaluation against PR-1-style ``solve_many`` under drift."""
     instance = workload.instance
@@ -185,6 +237,7 @@ def run_plan_workload(workload: PlanWorkload, rounds: int) -> Dict[str, object]:
     plan_seconds = _time(plan_run)
     evaluations = rounds * len(queries)
     speedup = baseline_seconds / plan_seconds if plan_seconds > 0 else float("inf")
+    exact_evaluate = measure_exact_evaluate(plans, instance)
     return {
         "name": workload.name,
         "description": workload.description,
@@ -208,6 +261,7 @@ def run_plan_workload(workload: PlanWorkload, rounds: int) -> Dict[str, object]:
             },
         },
         "plan_reuse_speedup": round(speedup, 2),
+        "exact_evaluate": exact_evaluate,
     }
 
 
@@ -323,18 +377,19 @@ def run_tape_benchmark(
 
     # Correctness contract, checked before any timing.  Exact mode must be
     # bit-identical to the object-graph evaluator (`==` on Fractions) —
-    # this is the acceptance gate for the tape backend itself.
+    # this is the acceptance gate for the tape backend itself.  The oracle
+    # runs the evaluators directly: plan.evaluate replays the tape too.
     check = batch[: min(largest, 32)]
-    if plan.evaluate_many(check) != [plan.evaluate(overrides) for overrides in check]:
+    if plan.evaluate_many(check) != [_object_graph(plan, overrides) for overrides in check]:
         raise AssertionError(
-            "exact evaluate_many diverged from looped plan.evaluate"
+            "exact evaluate_many diverged from the object-graph evaluator"
         )
-    float_loop = [plan.evaluate(overrides, precision="float") for overrides in check]
+    float_loop = [_object_graph(plan, overrides, FAST) for overrides in check]
     float_many = plan.evaluate_many(check, precision="float")
     drift = max(abs(a - b) for a, b in zip(float_loop, float_many))
     if drift > FLOAT_TOLERANCE:
         raise AssertionError(
-            f"float evaluate_many drifted {drift} from looped plan.evaluate"
+            f"float evaluate_many drifted {drift} from the object-graph evaluator"
         )
 
     curve = []
@@ -413,9 +468,12 @@ def run_plan_benchmarks(
             ),
             "incremental_update_speedup": incremental["incremental_speedup"],
             "tape_batched_speedup": tape_batch["batched_speedup"],
+            "min_exact_tape_speedup": min(
+                w["exact_evaluate"]["speedup"] for w in workload_reports
+            ),
             "contract": (
                 "exact plan results bit-identical to the one-shot API "
-                "(including batched tape evaluation); "
+                "(including batched and integer tape evaluation); "
                 f"float within {FLOAT_TOLERANCE}"
             ),
         },
@@ -427,6 +485,7 @@ def check_plan_thresholds(
     min_reuse_speedup: float = 0.0,
     min_incremental_speedup: float = 0.0,
     min_tape_speedup: float = 0.0,
+    min_exact_tape_speedup: float = 0.0,
 ) -> None:
     """Raise AssertionError when a recorded speedup falls below a threshold."""
     summary = report["summary"]
@@ -447,6 +506,12 @@ def check_plan_thresholds(
             f"batched tape speedup {tape}x is below the required "
             f"{min_tape_speedup}x"
         )
+    exact = summary["min_exact_tape_speedup"]
+    if exact < min_exact_tape_speedup:
+        raise AssertionError(
+            f"exact integer-tape speedup {exact}x over the object graph is below "
+            f"the required {min_exact_tape_speedup}x"
+        )
 
 
 #: Serialise the report to disk — same format as the hot-path benchmark.
@@ -463,6 +528,12 @@ def format_plan_report(report: Dict[str, object]) -> str:
         lines.append(
             f"    plan reuse speedup     {workload['plan_reuse_speedup']}x "
             f"(compile {workload['compile_seconds']}s, amortised)"
+        )
+        exact = workload["exact_evaluate"]
+        lines.append(
+            f"    exact evaluate         {exact['object_graph_us']} us object graph, "
+            f"{exact['tape_us']} us integer tape ({exact['speedup']}x; "
+            f"lowering {exact['lower_ms']} ms)"
         )
     incremental = report["incremental"]
     lines.append(f"  incremental: {incremental['description']}")
@@ -486,5 +557,9 @@ def format_plan_report(report: Dict[str, object]) -> str:
     lines.append(
         f"  batched tape speedup (batch {tape['tape_batch'][-1]['batch']}): "
         f"{summary['tape_batched_speedup']}x"
+    )
+    lines.append(
+        f"  minimum exact integer-tape speedup over the object graph: "
+        f"{summary['min_exact_tape_speedup']}x"
     )
     return "\n".join(lines)

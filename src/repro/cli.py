@@ -388,6 +388,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench.add_argument(
+        "--min-exact-tape-speedup", type=float, default=0.0,
+        help=(
+            "plans: fail when exact evaluation on the integer tape is less "
+            "than this many times faster than on the object graph, on any route"
+        ),
+    )
+    bench.add_argument(
         "--min-sampling-speedup", type=float, default=0.0,
         help=(
             "sampling: fail when the Karp-Luby speedup over brute force on the "
@@ -1017,6 +1024,7 @@ def _run_bench_plans(args, out, err) -> int:
             min_reuse_speedup=args.min_reuse_speedup,
             min_incremental_speedup=args.min_incremental_speedup,
             min_tape_speedup=args.min_tape_speedup,
+            min_exact_tape_speedup=args.min_exact_tape_speedup,
         )
     except AssertionError as exc:
         err.write(f"error: plan benchmark check failed: {exc}\n")

@@ -329,7 +329,10 @@ class PHomSolver:
         query exactly as written.  ``precision`` overrides the solver's
         numeric backend for this call (including ``"approx"``, which
         samples the #P-hard cells with the solver's ``epsilon`` / ``delta``
-        / ``seed``).
+        / ``seed``).  The automatic dispatch evaluates a cached plan on its
+        object graph the first time and lowers it to a flat tape
+        (:meth:`tape_for`, billed in ``tape_compiles``) before its second
+        evaluation, which every later solve then replays.
         """
         query = as_query_graph(query)
         context, approx = self._resolve_precision(precision)
@@ -605,6 +608,10 @@ class PHomSolver:
             )
             probability = plan.evaluate(precision=context, _warn=False)
         else:
+            if plan.evaluations and not plan.has_tape():
+                # A reused plan: lowering costs about one object-graph
+                # evaluation, so it pays only from the second one on.
+                self._lower(query, instance, plan)
             probability = plan.evaluate(precision=context)
         return self._annotate_minimization(self._plan_result(plan, probability), query)
 
@@ -683,14 +690,24 @@ class PHomSolver:
         query = as_query_graph(query)
         self._validate_inputs(query, instance)
         validate_query_graph(query)
-        core = query_core(query) if self.minimize_queries else query
-        plan = self._plan_for(core, instance)
+        plan = self._plan_for(query, instance)
         if not plan.has_tape():
-            plan.tape()
-            if self._plan_cache is not None:
-                key = canonical_query_key(core, minimize=self.minimize_queries)
-                self._plan_cache.note_tape(key, instance, plan)
+            self._lower(query, instance, plan)
         return plan
+
+    def _lower(
+        self, query: DiGraph, instance: ProbabilisticGraph, plan: CompiledPlan
+    ) -> None:
+        """Lower the cached plan of ``query`` to its tape, once.
+
+        Accounted as a tape compile (never a plan compile); a persistent
+        cache tier re-puts the plan so the tape survives restarts.
+        """
+        plan.tape()
+        if self._plan_cache is not None:
+            core = query_core(query) if self.minimize_queries else query
+            key = canonical_query_key(core, minimize=self.minimize_queries)
+            self._plan_cache.note_tape(key, instance, plan)
 
     def evaluate_many(
         self,

@@ -9,7 +9,8 @@ probabilities.  A :class:`CompiledPlan` captures the structural phase once:
 
 * :meth:`CompiledPlan.evaluate` recomputes the probability with *only*
   arithmetic, against the instance's live probabilities or a caller-supplied
-  override table;
+  override table — on the object graph at first, and on the plan's flat
+  tape (:mod:`repro.tape`) once a solver has lowered the reused plan;
 * :meth:`CompiledPlan.update` maintains a serving-side probability table and
   re-evaluates after a single-edge change — incrementally, through the
   reverse-wire indices of :class:`~repro.lineage.ddnnf.CircuitEvaluator`, on
@@ -249,6 +250,15 @@ class CompiledPlan:
     :meth:`update`.
     """
 
+    #: Lazily compiled flat tape (see :meth:`tape`); pickled with the plan
+    #: so it ships to serving workers and the persistent store.  The
+    #: class-level default covers plans pickled before tapes existed.
+    _tape = None
+    #: Evaluations run on the object graph, before a tape existed.  A
+    #: solver lowers a plan to its tape when it is evaluated again (see
+    #: :meth:`repro.core.solver.PHomSolver.solve`).
+    evaluations = 0
+
     def __init__(
         self,
         query: DiGraph,
@@ -268,9 +278,6 @@ class CompiledPlan:
         self.labeled = labeled
         self.notes = notes
         self._default_context = default_context
-        #: Lazily compiled flat tape (see :meth:`tape`); pickled with the
-        #: plan so it ships to serving workers and the persistent store.
-        self._tape = None
 
     # -- evaluation ----------------------------------------------------
     def evaluate(
@@ -283,13 +290,20 @@ class CompiledPlan:
         ``probabilities`` overrides the instance's live table (missing edges
         keep their instance value); keys may be :class:`Edge` objects or
         ``(source, target)`` pairs.  ``precision`` selects the numeric
-        backend, defaulting to the compiling solver's.
+        backend, defaulting to the compiling solver's.  Once the plan has
+        a tape, both precisions replay it (exact mode on integer
+        registers); before that the object-graph evaluators run, and each
+        such evaluation is counted in :attr:`evaluations`.
         """
         with current_tracer().span("plan.evaluate") as span:
             if span:
                 span.attrs["method"] = self.method
             context = self._context(precision)
             table = self._probability_table(probabilities, context)
+            tape = self._tape
+            if tape is not None:
+                return tape.evaluate(table, context)
+            self.evaluations += 1
             return self._evaluate_with(table, context)
 
     # -- tape lowering -------------------------------------------------
@@ -308,7 +322,7 @@ class CompiledPlan:
         in a solver's cache — the solver also accounts the compile in the
         cache statistics and refreshes the persistent store entry.
         """
-        if getattr(self, "_tape", None) is None:
+        if self._tape is None:
             # Imported lazily: repro.tape imports the plan classes, so a
             # module-scope import here would be circular.
             from repro.tape import compile_plan_tape
@@ -321,7 +335,7 @@ class CompiledPlan:
 
     def has_tape(self) -> bool:
         """Whether a tape has been compiled for this plan already."""
-        return getattr(self, "_tape", None) is not None
+        return self._tape is not None
 
     def evaluate_many(
         self,
@@ -335,11 +349,12 @@ class CompiledPlan:
         :meth:`evaluate` (``None`` or ``{}`` for the instance's live
         table); the result list is index-aligned.  Evaluation runs on the
         plan's flat tape (compiled on first use, see :meth:`tape`), which
-        vectorizes every operation across the batch — with numpy on the
-        float backend when available, dependency-free stdlib lists
-        otherwise — instead of re-interpreting the plan per valuation.
-        Exact-mode results are bit-identical to looped :meth:`evaluate`
-        calls; ``backend`` is forwarded to the tape.
+        vectorizes every float operation across the batch — with numpy
+        when available, dependency-free stdlib lists otherwise — and
+        replays each exact valuation on integer registers, instead of
+        re-interpreting the plan per valuation.  Exact-mode results are
+        bit-identical to looped :meth:`evaluate` calls; ``backend`` is
+        forwarded to the tape.
         """
         context = self._context(precision)
         tape = self.tape()
@@ -551,7 +566,7 @@ class ComponentPlan(CompiledPlan):
         context = self._context(precision)
         edge = self._resolve_edge(edge)
         value = context.convert(as_probability(probability))
-        if getattr(self, "_tape", None) is not None and self._serving is None:
+        if self._tape is not None and self._serving is None:
             # Tape slot rewrite instead of evaluator re-runs/circuit re-wires:
             # once a tape exists, updates replay only its dependent ops —
             # incremental on *every* tractable route, and bitwise-identical
@@ -606,14 +621,16 @@ class ComponentPlan(CompiledPlan):
 
         An unpickled plan starts a fresh serving session (its first
         ``update`` reseeds from the shipped instance copy), which is the
-        contract the :mod:`repro.service` workers rely on.  The compiled
-        flat tape ``_tape`` *does* travel — it is structure, and shipping
-        it is what lets store-loaded plans and serving workers batch-
-        evaluate without recompiling the lowering.
+        contract the :mod:`repro.service` workers rely on, and a fresh
+        :attr:`evaluations` count.  The compiled flat tape ``_tape`` *does*
+        travel — it is structure, and shipping it is what lets store-loaded
+        plans and serving workers batch-evaluate without recompiling the
+        lowering.
         """
         state = self.__dict__.copy()
         state["_serving"] = None
         state["_tape_serving"] = None
+        state.pop("evaluations", None)
         return state
 
 

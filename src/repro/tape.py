@@ -21,7 +21,15 @@ hashing, no recursion — and :meth:`PlanTape.evaluate_many` answers a whole
 batch of probability valuations in one structural pass, vectorizing each
 operation across the batch (with numpy when available on the float backend,
 behind the :func:`repro.numeric.numpy_module` seam; a dependency-free
-stdlib-list path otherwise and always in exact mode).
+stdlib-list path otherwise).
+
+Exact mode replays on plain Python integers instead of
+:class:`~fractions.Fraction` registers: with ``D`` the lcm of the input
+and constant denominators, each slot holds an integer ``X`` standing for
+``X / D**e``, where the exponent ``e`` is a static property of the slot
+(1 for inputs and constants, summed by ``mul``, the maximum of the operand
+exponents for ``add``/``sub``).  No operation pays a gcd; one ``Fraction``
+is built at the root, so results are bit-identical to Fraction arithmetic.
 
 How tapes are compiled
 ----------------------
@@ -62,7 +70,9 @@ True
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
+from math import lcm
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import PlanError
@@ -88,6 +98,18 @@ OPCODE_NAMES = {OP_COMPL: "compl", OP_ADD: "add", OP_MUL: "mul", OP_SUB: "sub"}
 
 #: Accepted values of the ``backend=`` keyword on the batched entry points.
 TAPE_BACKENDS = ("auto", "stdlib", "numpy")
+
+#: Opcodes of the exact integer replay: the tape opcodes with the operand
+#: pre-scaling of ``add``/``sub`` resolved statically (``_L``: the left
+#: operand is multiplied by ``D**shift``, ``_R``: the right one).
+_X_MUL, _X_ADD, _X_ADD_L, _X_ADD_R, _X_SUB, _X_SUB_L, _X_SUB_R, _X_COMPL = range(8)
+
+#: Tape ``add``/``sub`` -> its integer opcodes (no scaling, scale left,
+#: scale right).
+_SCALED_OPS = {
+    OP_ADD: (_X_ADD, _X_ADD_L, _X_ADD_R),
+    OP_SUB: (_X_SUB, _X_SUB_L, _X_SUB_R),
+}
 
 
 class _TapeBuilder:
@@ -293,10 +315,10 @@ def compile_plan_tape(plan) -> "PlanTape":
         num_slots=builder.num_slots,
         consts=tuple(builder.consts),
         inputs=tuple(sorted(builder.edge_slots.items(), key=lambda item: item[1])),
-        opcodes=tuple(builder.opcodes),
-        dsts=tuple(builder.dsts),
-        lhs=tuple(builder.lhs),
-        rhs=tuple(builder.rhs),
+        opcodes=array("B", builder.opcodes),
+        dsts=array("I", builder.dsts),
+        lhs=array("I", builder.lhs),
+        rhs=array("I", builder.rhs),
         root=root.slot,
     )
 
@@ -312,8 +334,8 @@ def _resolve_backend(backend: str, context: NumericContext):
     if context.name != "float":
         if backend == "numpy":
             raise PlanError(
-                "the numpy tape backend is float-only; exact mode always "
-                "evaluates with stdlib Fractions (the bit-identity contract)"
+                "the numpy tape backend is float-only; exact mode replays "
+                "each valuation on Python integers (the bit-identity contract)"
             )
         return None, "stdlib"
     np = numpy_module()
@@ -336,15 +358,25 @@ class PlanTape:
     :meth:`evaluate` does.
     """
 
+    #: Derived data, built lazily and dropped from pickles: the level
+    #: segments of the vectorized backend (:meth:`_packed_segments`), the
+    #: edge -> input position map and the exact replay's integer program
+    #: (:meth:`_scaled_program`).  Class-level defaults, so tapes pickled
+    #: without a field still load.
+    _DERIVED = ("_segments", "_input_index", "_scaled")
+    _segments = None
+    _input_index: Optional[Dict[Edge, int]] = None
+    _scaled = None
+
     def __init__(
         self,
         num_slots: int,
         consts: Tuple[Tuple[int, Fraction], ...],
         inputs: Tuple[Tuple[Edge, int], ...],
-        opcodes: Tuple[int, ...],
-        dsts: Tuple[int, ...],
-        lhs: Tuple[int, ...],
-        rhs: Tuple[int, ...],
+        opcodes: Sequence[int],
+        dsts: Sequence[int],
+        lhs: Sequence[int],
+        rhs: Sequence[int],
         root: int,
     ) -> None:
         self.num_slots = num_slots
@@ -355,15 +387,11 @@ class PlanTape:
         self.lhs = lhs
         self.rhs = rhs
         self.root = root
-        #: Lazily packed level segments for the vectorized backend (see
-        #: :meth:`_packed_segments`); derived data, dropped from pickles.
-        self._segments = None
-        self._edge_slot_map: Optional[Dict[Edge, int]] = None
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state["_segments"] = None
-        state["_edge_slot_map"] = None
+        for name in self._DERIVED:
+            state.pop(name, None)
         return state
 
     # ------------------------------------------------------------------
@@ -390,7 +418,7 @@ class PlanTape:
             **counts,
         }
 
-    def _packed_segments(self) -> Tuple[Tuple[int, List[int], List[int], List[int]], ...]:
+    def _packed_segments(self) -> Tuple[Tuple[int, array, array, array], ...]:
         """The ops grouped into data-independent level segments (memoised).
 
         A slot's *level* is 0 for constants and inputs and
@@ -400,17 +428,18 @@ class PlanTape:
         *one* gather/compute/scatter batch regardless of how many ops it
         packs.  This is what keeps the numpy backend's fixed cost
         proportional to the tape's *depth* (a few dozen segments) instead
-        of its length (thousands of ops).
+        of its length (thousands of ops).  The slot lists are ``array("I")``
+        objects, which numpy indexes through the buffer protocol.
         """
         if self._segments is None:
             level = [0] * self.num_slots
-            groups: Dict[Tuple[int, int], Tuple[int, List[int], List[int], List[int]]] = {}
+            groups: Dict[Tuple[int, int], Tuple[int, array, array, array]] = {}
             for opcode, dst, a, b in zip(self.opcodes, self.dsts, self.lhs, self.rhs):
                 depth = 1 + (level[a] if opcode == OP_COMPL else max(level[a], level[b]))
                 level[dst] = depth
                 segment = groups.get((depth, opcode))
                 if segment is None:
-                    segment = (opcode, [], [], [])
+                    segment = (opcode, array("I"), array("I"), array("I"))
                     groups[(depth, opcode)] = segment
                 segment[1].append(dst)
                 segment[2].append(a)
@@ -423,14 +452,26 @@ class PlanTape:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def _load(self, probabilities: Mapping[Edge, Number], context: NumericContext):
-        """Initial register file: constants plus converted edge probabilities."""
+    def _inputs_of(self, probabilities: Mapping[Edge, Number]) -> List[Any]:
+        """The probabilities of the :attr:`inputs` edges, in input order."""
+        return [probabilities[edge] for edge, _slot in self.inputs]
+
+    def _input_positions(self) -> Dict[Edge, int]:
+        """Edge -> its position in :attr:`inputs` (memoised)."""
+        if self._input_index is None:
+            self._input_index = {
+                edge: position for position, (edge, _slot) in enumerate(self.inputs)
+            }
+        return self._input_index
+
+    def _load(self, inputs: Sequence[Any], context: NumericContext) -> List[Any]:
+        """Initial register file: constants plus converted input probabilities."""
         convert = context.convert
         values: List[Any] = [None] * self.num_slots
         for slot, value in self.consts:
             values[slot] = convert(value)
-        for edge, slot in self.inputs:
-            values[slot] = convert(probabilities[edge])
+        for (_edge, slot), value in zip(self.inputs, inputs):
+            values[slot] = convert(value)
         return values
 
     def _run(self, values: List[Any]) -> None:
@@ -445,6 +486,97 @@ class PlanTape:
             else:
                 values[dst] = values[a] - values[b]
 
+    def _replay(self, inputs: Sequence[Any], context: NumericContext) -> Number:
+        """One valuation of the input probabilities (in :attr:`inputs` order)."""
+        if context.name == "exact":
+            return self._replay_exact(inputs)
+        values = self._load(inputs, context)
+        self._run(values)
+        return values[self.root]
+
+    def _scaled_program(self) -> Tuple[array, array, int, int, int]:
+        """The exact replay's static program (memoised, dropped from pickles).
+
+        Returns ``(ops, shifts, root_exp, top, const_den)``.  ``ops`` and
+        ``shifts`` are small-int arrays parallel to :attr:`opcodes`: the
+        integer opcode (``_X_*``) of each operation and the power of ``D``
+        it applies — the pre-scaling of the operand with the smaller
+        exponent for ``add``/``sub``, the operand's exponent ``e`` for
+        ``compl`` (``D**e - X``), 0 for ``mul``.  ``root_exp`` is the root
+        slot's exponent, ``top`` the largest power of ``D`` the replay uses
+        and ``const_den`` the lcm of the constant denominators.
+        """
+        if self._scaled is None:
+            exponents = [1] * self.num_slots
+            ops = array("B")
+            shifts: List[int] = []
+            for opcode, dst, a, b in zip(self.opcodes, self.dsts, self.lhs, self.rhs):
+                left = exponents[a]
+                if opcode == OP_MUL:
+                    code, shift, exponent = _X_MUL, 0, left + exponents[b]
+                elif opcode == OP_COMPL:
+                    code, shift, exponent = _X_COMPL, left, left
+                else:
+                    right = exponents[b]
+                    same, scale_left, scale_right = _SCALED_OPS[opcode]
+                    if left < right:
+                        code, shift, exponent = scale_left, right - left, right
+                    elif right < left:
+                        code, shift, exponent = scale_right, left - right, left
+                    else:
+                        code, shift, exponent = same, 0, left
+                exponents[dst] = exponent
+                ops.append(code)
+                shifts.append(shift)
+            root_exp = exponents[self.root]
+            top = max(shifts + [root_exp])
+            self._scaled = (
+                ops,
+                array("I", shifts),
+                root_exp,
+                top,
+                lcm(*[value.denominator for _slot, value in self.consts]),
+            )
+        return self._scaled
+
+    def _replay_exact(self, inputs: Sequence[Any]) -> Fraction:
+        """One exact valuation on integer registers; one Fraction at the root.
+
+        Register ``X`` of a slot with exponent ``e`` stands for
+        ``X / D**e``, where ``D`` is the lcm of this valuation's input and
+        constant denominators (see :meth:`_scaled_program`), so no
+        operation pays a gcd and the root is normalised once.
+        """
+        ops, shifts, root_exp, top, const_den = self._scaled_program()
+        values = [v if isinstance(v, Fraction) else Fraction(v) for v in inputs]
+        den = lcm(const_den, *[value.denominator for value in values])
+        powers = [1] * (top + 1)
+        for k in range(1, top + 1):
+            powers[k] = powers[k - 1] * den
+        registers = [0] * self.num_slots
+        for slot, value in self.consts:
+            registers[slot] = value.numerator * (den // value.denominator)
+        for (_edge, slot), value in zip(self.inputs, values):
+            registers[slot] = value.numerator * (den // value.denominator)
+        for code, dst, a, b, shift in zip(ops, self.dsts, self.lhs, self.rhs, shifts):
+            if code == _X_MUL:
+                registers[dst] = registers[a] * registers[b]
+            elif code == _X_ADD:
+                registers[dst] = registers[a] + registers[b]
+            elif code == _X_COMPL:
+                registers[dst] = powers[shift] - registers[a]
+            elif code == _X_ADD_L:
+                registers[dst] = registers[a] * powers[shift] + registers[b]
+            elif code == _X_ADD_R:
+                registers[dst] = registers[a] + registers[b] * powers[shift]
+            elif code == _X_SUB:
+                registers[dst] = registers[a] - registers[b]
+            elif code == _X_SUB_L:
+                registers[dst] = registers[a] * powers[shift] - registers[b]
+            else:
+                registers[dst] = registers[a] - registers[b] * powers[shift]
+        return Fraction(registers[self.root], powers[root_exp])
+
     def evaluate(
         self,
         probabilities: Mapping[Edge, Number],
@@ -454,13 +586,12 @@ class PlanTape:
 
         ``probabilities`` must cover every edge in :attr:`inputs` (the
         plan-level :meth:`repro.plan.CompiledPlan.evaluate` builds such
-        tables from the live instance plus overrides).  Exact-mode results
-        are bit-identical to the object-graph evaluator.
+        tables from the live instance plus overrides).  Exact mode replays
+        on integer registers and is bit-identical to the object-graph
+        evaluator.
         """
         context = resolve_context(precision)
-        values = self._load(probabilities, context)
-        self._run(values)
-        return values[self.root]
+        return self._replay(self._inputs_of(probabilities), context)
 
     def evaluate_many(
         self,
@@ -471,21 +602,24 @@ class PlanTape:
         """A batch of valuations in one structural pass over the tape.
 
         Each entry of ``tables`` is a full edge-probability table (as in
-        :meth:`evaluate`); the result list is index-aligned with it.  The
-        pass vectorizes every tape operation across the whole batch: with
-        ``backend="auto"`` the float backend uses numpy when importable
-        (see :func:`repro.numeric.numpy_module`) and stdlib lists
-        otherwise; exact mode always uses stdlib
-        :class:`~fractions.Fraction` lanes, preserving bit-identity.
-        ``backend="numpy"`` forces numpy (raising
-        :class:`~repro.exceptions.PlanError` when unavailable or in exact
-        mode); ``backend="stdlib"`` forces the dependency-free path.
+        :meth:`evaluate`); the result list is index-aligned with it.  On
+        the float backend the pass vectorizes every tape operation across
+        the whole batch: with ``backend="auto"`` it uses numpy when
+        importable (see :func:`repro.numeric.numpy_module`) and stdlib
+        lists otherwise.  Exact mode replays each valuation on scaled
+        Python integers, preserving bit-identity, and a batch of one runs
+        the scalar replay on either backend.  ``backend="numpy"`` forces
+        numpy (raising :class:`~repro.exceptions.PlanError` when
+        unavailable or in exact mode); ``backend="stdlib"`` forces the
+        dependency-free path.
         """
         context = resolve_context(precision)
         np, _name = _resolve_backend(backend, context)
         batch = len(tables)
         if batch == 0:
             return []
+        if batch == 1 or context.name == "exact":
+            return [self._replay(self._inputs_of(table), context) for table in tables]
         convert = context.convert
         if np is not None:
             registers = self._seed_registers(np, batch)
@@ -518,15 +652,40 @@ class PlanTape:
         ignored (they provably cannot affect the result).
         """
         context = resolve_context(precision)
-        np, _name = _resolve_backend(backend, context)
+        np, name = _resolve_backend(backend, context)
         batch = len(overrides)
         if batch == 0:
             return []
+        scalar = batch == 1 or context.name == "exact"
         with current_tracer().span("tape.run") as span:
             if span:
-                span.attrs["backend"] = _name
+                span.attrs["backend"] = "scalar" if scalar else name
                 span.attrs["batch"] = batch
+            if scalar:
+                return [
+                    self._replay(inputs, context)
+                    for inputs in self._lane_inputs(base, overrides)
+                ]
             return self._evaluate_overrides(np, context, base, overrides, batch)
+
+    def _lane_inputs(
+        self,
+        base: Mapping[Edge, Number],
+        overrides: Sequence[Optional[Mapping[Edge, Number]]],
+    ):
+        """Per valuation, its input probabilities: ``base`` plus its overrides."""
+        shared = self._inputs_of(base)
+        positions = self._input_positions()
+        for delta in overrides:
+            if not delta:
+                yield shared
+                continue
+            inputs = list(shared)
+            for edge, value in delta.items():
+                position = positions.get(edge)
+                if position is not None:
+                    inputs[position] = value
+            yield inputs
 
     def _evaluate_overrides(
         self,
@@ -536,38 +695,35 @@ class PlanTape:
         overrides: Sequence[Optional[Mapping[Edge, Number]]],
         batch: int,
     ) -> List[Number]:
-        edge_slots = self._edge_slots()
+        """The float batch over vectorized lanes (numpy or stdlib lists)."""
+        positions = self._input_positions()
+        inputs = self.inputs
         convert = context.convert
         if np is not None:
             registers = self._seed_registers(np, batch)
-            for edge, slot in self.inputs:
+            for edge, slot in inputs:
                 registers[slot] = float(base[edge])
             for lane, delta in enumerate(overrides):
                 if not delta:
                     continue
                 for edge, value in delta.items():
-                    slot = edge_slots.get(edge)
-                    if slot is not None:
-                        registers[slot, lane] = float(value)
+                    position = positions.get(edge)
+                    if position is not None:
+                        registers[inputs[position][1], lane] = float(value)
             return self._replay_segments(np, registers)
         values = self._seed_lanes(convert, batch)
-        for edge, slot in self.inputs:
+        for edge, slot in inputs:
             values[slot] = [convert(base[edge])] * batch
         for lane, delta in enumerate(overrides):
             if not delta:
                 continue
             for edge, value in delta.items():
-                slot = edge_slots.get(edge)
-                if slot is not None:
-                    values[slot][lane] = convert(value)
+                position = positions.get(edge)
+                if position is not None:
+                    values[inputs[position][1]][lane] = convert(value)
         return self._replay_lanes(values)
 
     # -- batched-backend internals -------------------------------------
-    def _edge_slots(self) -> Dict[Edge, int]:
-        if self._edge_slot_map is None:
-            self._edge_slot_map = dict(self.inputs)
-        return self._edge_slot_map
-
     def _seed_registers(self, np, batch: int):
         """A fresh (slots × batch) register matrix with constants filled in."""
         registers = np.empty((self.num_slots, batch), dtype=float)
@@ -646,7 +802,7 @@ class TapeEvaluator:
     ) -> Number:
         """Full pass over ``probabilities``; keeps the register file."""
         context = resolve_context(precision)
-        values = self.tape._load(probabilities, context)
+        values = self.tape._load(self.tape._inputs_of(probabilities), context)
         self.tape._run(values)
         self._values = values
         self.context = context

@@ -31,11 +31,14 @@ from repro.exceptions import (
 from repro.graphs.builders import one_way_path
 from repro.graphs.classes import GraphClass
 from repro.graphs.digraph import Edge
+from repro.numeric import resolve_context
 from repro.plan import ComponentPlan, ConstantPlan, FallbackPlan
+from repro.probability.brute_force import brute_force_phom
 from repro.probability.prob_graph import ProbabilisticGraph
 from repro.tape import (
     OP_COMPL,
     OPCODE_NAMES,
+    PlanTape,
     TapeEvaluator,
     compile_plan_tape,
 )
@@ -52,6 +55,22 @@ PLAN_ROUTES = [
     (GraphClass.DOWNWARD_TREE, GraphClass.POLYTREE, False, {"prefer": "automaton"}),
 ]
 
+#: The five dispatch routes of a tractable plan, each pinned by its method
+#: name: (method, query class, instance class, labeled, solver keywords).
+DISPATCH_ROUTES = [
+    ("labeled-dwt", GraphClass.ONE_WAY_PATH, GraphClass.DOWNWARD_TREE, True, {}),
+    ("connected-2wp", GraphClass.TWO_WAY_PATH, GraphClass.TWO_WAY_PATH, True, {}),
+    (
+        "graded-collapse", GraphClass.DOWNWARD_TREE, GraphClass.UNION_DOWNWARD_TREE,
+        False, {"minimize_queries": False},
+    ),
+    ("polytree-dp", GraphClass.DOWNWARD_TREE, GraphClass.POLYTREE, False, {}),
+    (
+        "polytree-automaton", GraphClass.DOWNWARD_TREE, GraphClass.POLYTREE,
+        False, {"prefer": "automaton"},
+    ),
+]
+
 FLOAT_TOLERANCE = 1e-9
 
 
@@ -63,6 +82,11 @@ def fresh_exact(query, instance):
         return solver.solve(query, instance).probability
 
 
+#: Probabilities with coprime and float-derived denominators, so the exact
+#: replay's lcm scaling sees more than powers of two.
+ODD_PROBABILITIES = (Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(0.1))
+
+
 def random_probability(rng: random.Random) -> Fraction:
     """A random rational in [0, 1], hitting the 0 and 1 boundaries too."""
     roll = rng.random()
@@ -70,7 +94,19 @@ def random_probability(rng: random.Random) -> Fraction:
         return Fraction(0)
     if roll < 0.2:
         return Fraction(1)
+    if roll < 0.4:
+        return rng.choice(ODD_PROBABILITIES)
     return Fraction(rng.randint(1, 15), 16)
+
+
+def object_graph(plan, overrides=None, precision="exact"):
+    """The plan's answer from its object-graph evaluators, never its tape.
+
+    ``plan.evaluate`` replays the tape once the plan has one, so comparing
+    a tape against it would compare the tape with itself.
+    """
+    context = resolve_context(precision)
+    return plan._evaluate_with(plan._probability_table(overrides, context), context)
 
 
 def route_plan(route: int):
@@ -85,6 +121,26 @@ def route_plan(route: int):
     plan = solver.compile(workload.query, workload.instance)
     assert isinstance(plan, (ComponentPlan, ConstantPlan))
     return workload, plan, rng
+
+
+def dispatch_plan(index: int):
+    """A small (workload, plan, rng) triple whose plan runs DISPATCH_ROUTES[index].
+
+    Draws seeded workloads until the solver dispatches one to the pinned
+    method with real arithmetic (not a constant verdict), so every route
+    is covered under every fuzz seed.
+    """
+    method, query_class, instance_class, labeled, solver_kwargs = DISPATCH_ROUTES[index]
+    rng = random.Random(SEED + index)
+    for _ in range(200):
+        workload = workload_for_cell(
+            query_class, instance_class, labeled,
+            query_size=rng.randint(2, 5), instance_size=rng.randint(4, 12), rng=rng,
+        )
+        plan = PHomSolver(**solver_kwargs).compile(workload.query, workload.instance)
+        if plan.method == method and isinstance(plan, ComponentPlan):
+            return workload, plan, rng
+    raise AssertionError(f"no {method} plan in 200 draws")
 
 
 def graded_collapse_plan():
@@ -126,7 +182,7 @@ class TestTapeVsObjectGraph:
         assert plan.has_tape()
         for step, table in enumerate(random_tables(workload.instance, rng, 8)):
             got = tape.evaluate(table)
-            want = plan.evaluate(table)
+            want = object_graph(plan, table)
             assert got == want, f"route {route} diverged on table {step}"
 
     @pytest.mark.parametrize("route", range(len(PLAN_ROUTES)))
@@ -135,7 +191,7 @@ class TestTapeVsObjectGraph:
         tape = plan.tape()
         for table in random_tables(workload.instance, rng, 8):
             got = tape.evaluate(table, precision="float")
-            want = plan.evaluate(table, precision="float")
+            want = object_graph(plan, table, precision="float")
             assert abs(got - want) <= FLOAT_TOLERANCE
 
     @pytest.mark.parametrize("route", range(len(PLAN_ROUTES)))
@@ -151,7 +207,17 @@ class TestTapeVsObjectGraph:
         workload, plan, rng = graded_collapse_plan()
         tape = plan.tape()
         for table in random_tables(workload.instance, rng, 8):
-            assert tape.evaluate(table) == plan.evaluate(table)
+            assert tape.evaluate(table) == object_graph(plan, table)
+
+    @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
+    def test_integer_replay_matches_brute_force(self, index):
+        # The oracle of the paper's definition, independent of every plan:
+        # enumerate the possible worlds of the reweighted instance.
+        workload, plan, rng = dispatch_plan(index)
+        tape = plan.tape()
+        for table in random_tables(workload.instance, rng, 3):
+            world = ProbabilisticGraph(workload.instance.graph, table)
+            assert tape.evaluate(table) == brute_force_phom(workload.query, world)
 
     def test_constant_plan_lowers_to_inputless_tape(self):
         rng = random.Random(SEED)
@@ -198,7 +264,7 @@ class TestEvaluateMany:
             batches.append(overrides)
         batches.extend(random_tables(workload.instance, rng, 3))
         got = plan.evaluate_many(batches)
-        want = [plan.evaluate(overrides) for overrides in batches]
+        want = [object_graph(plan, overrides) for overrides in batches]
         assert got == want
 
     @pytest.mark.parametrize("route", range(len(PLAN_ROUTES)))
@@ -206,8 +272,42 @@ class TestEvaluateMany:
         workload, plan, rng = route_plan(route)
         batches = [None] + random_tables(workload.instance, rng, 6)
         got = plan.evaluate_many(batches, precision="float")
-        want = [plan.evaluate(overrides, precision="float") for overrides in batches]
+        want = [object_graph(plan, overrides, "float") for overrides in batches]
         assert max(abs(a - b) for a, b in zip(got, want)) <= FLOAT_TOLERANCE
+
+    @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
+    def test_override_lanes_with_different_denominators(self, index):
+        # Every lane has its own lcm D: powers of two, coprime primes and a
+        # float-derived 2**55 in one batch, next to the live table.
+        _workload, plan, _rng = dispatch_plan(index)
+        inputs = plan.tape().inputs
+        first, last = inputs[0][0], inputs[-1][0]
+        batches = [None] + [{first: value} for value in ODD_PROBABILITIES] + [
+            {first: Fraction(1, 3), last: Fraction(2, 7)},
+            {first: Fraction(0.1), last: Fraction(5, 11)},
+            {last: Fraction(3, 16)},
+        ]
+        got = plan.evaluate_many(batches)
+        assert got == [object_graph(plan, overrides) for overrides in batches]
+
+    @pytest.mark.parametrize("precision", ["exact", "float"])
+    def test_single_valuation_runs_the_scalar_replay(self, precision, monkeypatch):
+        workload, plan, rng = route_plan(4)
+        (table,) = random_tables(workload.instance, rng, 1)
+        want = object_graph(plan, table, precision)
+
+        def vectorized(*_args):
+            raise AssertionError("a batch of one ran the vectorized lanes")
+
+        monkeypatch.setattr(PlanTape, "_replay_segments", vectorized)
+        monkeypatch.setattr(PlanTape, "_replay_lanes", vectorized)
+        (got,) = plan.evaluate_many([table], precision=precision)
+        (full,) = plan.tape().evaluate_many([table], precision=precision)
+        assert got == full
+        if precision == "exact":
+            assert got == want
+        else:
+            assert abs(got - want) <= FLOAT_TOLERANCE
 
     def test_stdlib_and_numpy_backends_agree(self):
         if repro_numeric.numpy_module() is None:
@@ -430,6 +530,21 @@ class TestTapeStructure:
         for table in random_tables(workload.instance, rng, 3):
             assert clone.evaluate(table) == tape.evaluate(table)
 
+    def test_pickle_drops_the_derived_arrays(self):
+        workload, plan, rng = route_plan(4)
+        tape = plan.tape()
+        tables = random_tables(workload.instance, rng, 3)
+        tape.evaluate_many(tables, precision="float")
+        want = [tape.evaluate(table) for table in tables]
+        assert tape._scaled is not None and tape._segments is not None
+        clone = pickle.loads(pickle.dumps(tape))
+        for name in PlanTape._DERIVED:
+            assert name not in clone.__dict__
+        assert clone._scaled is None and clone._segments is None
+        assert [clone.evaluate(table) for table in tables] == want
+        ops, shifts, *_ = clone._scaled_program()
+        assert len(ops) == len(shifts) == clone.num_ops()
+
     def test_compile_is_memoised_on_the_plan(self):
         _workload, plan, _rng = route_plan(0)
         assert plan.tape() is plan.tape()
@@ -473,3 +588,59 @@ class TestStatsHygiene:
     def test_stats_dict_exposes_tape_compiles(self):
         solver = PHomSolver()
         assert "tape_compiles" in solver.plan_cache.stats
+
+
+# ----------------------------------------------------------------------
+# lowering on reuse
+# ----------------------------------------------------------------------
+class TestLoweringOnReuse:
+    @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
+    def test_second_solve_lowers_once(self, index):
+        workload, _plan, rng = dispatch_plan(index)
+        query, instance = workload.query, workload.instance
+        solver = PHomSolver(**DISPATCH_ROUTES[index][4])
+        first = solver.solve(query, instance).probability
+        plan = solver.compile(query, instance)
+        assert not plan.has_tape() and plan.evaluations == 1
+        assert solver.plan_cache.stats["tape_compiles"] == 0
+        assert solver.solve(query, instance).probability == first
+        assert plan.has_tape()
+        edges = instance.edges()
+        for _ in range(3):
+            instance.set_probability(edges[rng.randrange(len(edges))], random_probability(rng))
+            exact = fresh_exact(query, instance)
+            assert solver.solve(query, instance).probability == exact
+            drifted = solver.solve(query, instance, precision="float").probability
+            assert abs(drifted - float(exact)) <= FLOAT_TOLERANCE
+        # Only the first solve ran the object graph; the rest replayed the tape.
+        assert plan.evaluations == 1
+        stats = solver.plan_cache.stats
+        assert stats["compiles"] == 1
+        assert stats["tape_compiles"] == 1
+
+    def test_uncached_solver_never_lowers(self):
+        workload, _plan, _rng = dispatch_plan(0)
+        solver = PHomSolver(plan_cache_size=0)
+        for _ in range(3):
+            solver.solve(workload.query, workload.instance)
+        assert not solver.compile(workload.query, workload.instance).has_tape()
+
+    def test_store_reput_once_and_warm_restart_skips_lowering(self, tmp_path):
+        workload, _plan, _rng = dispatch_plan(1)
+        store_dir = str(tmp_path / "plans")
+        writer = PHomSolver(plan_store=store_dir)
+        answers = {writer.solve(workload.query, workload.instance).probability for _ in range(4)}
+        assert len(answers) == 1
+        # One put at compile time, one re-put when the second solve lowered.
+        assert writer.plan_store.stats["puts"] == 2
+        (row,) = writer.plan_store.inspect()
+        assert row["tape"] is True
+
+        reader = PHomSolver(plan_store=store_dir)
+        assert reader.solve(workload.query, workload.instance).probability in answers
+        plan = reader.compile(workload.query, workload.instance)
+        assert plan.has_tape() and plan.evaluations == 0  # answered on the tape
+        stats = reader.plan_cache.stats
+        assert stats["compiles"] == 0 and stats["tape_compiles"] == 0
+        assert stats["loads"] == 1
+        assert reader.plan_store.stats["puts"] == 0
