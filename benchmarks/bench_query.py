@@ -5,6 +5,7 @@ either as
 
     python benchmarks/bench_query.py [--smoke] [--output BENCH_query.json]
                                      [--min-minimization-speedup X]
+                                     [--min-core-speedup Y]
 
 or through the CLI as ``repro bench query``.  The recorded artefact,
 ``BENCH_query.json``, is checked into the repository root and tracks the
@@ -13,9 +14,10 @@ dispatch (Chandra–Merlin core + polynomial route) over unminimized solving
 (brute force and Karp–Luby) on redundant-atom queries whose cores are
 tractable, the parse+minimize overhead under plan caching, and the
 service-trace verification that ``canonical_query_key`` coalesces
-syntactically distinct queries with equal cores.  The
-``--min-minimization-speedup`` flag turns regressions into a non-zero exit
-code, which CI uses as a smoke gate.
+syntactically distinct queries with equal cores, and the per-shape cost of
+``query_core`` against the generic fold search.  The
+``--min-minimization-speedup`` and ``--min-core-speedup`` flags turn
+regressions into a non-zero exit code, which CI uses as smoke gates.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ its homomorphic core sits in a polynomial one.  This suite measures what the
   versus the non-minimizing dispatcher's exact brute force and Karp–Luby
   sampling; the minimized exact answer is asserted **equal** (as a bit-exact
   rational) to the unminimized brute-force oracle on every workload;
-* ``overhead`` — the cost of the frontend itself: parse time, fold-search
+* ``overhead`` — the cost of the frontend itself: parse time, minimization
   time, and the steady-state cost of solving a *string* query per call under
   plan caching (parse + minimize + cached-plan evaluate) against the cold
   compile, showing the frontend amortizes;
@@ -20,11 +20,17 @@ its homomorphic core sits in a polynomial one.  This suite measures what the
   with equal cores, replayed through an inline
   :class:`~repro.service.QueryService`: the recorded stats verify that
   :func:`repro.plan.canonical_query_key` merges the variants (distinct
-  computations == distinct cores, not distinct spellings).
+  computations == distinct cores, not distinct spellings);
+* ``core_fast_path`` — per query shape (2WP, single-label DWT, 1WP), the
+  mean cost of :func:`repro.query.query_core` on fresh parses (class
+  recognition included) against the generic fold search
+  (:func:`repro.query.minimize.fold_search_core`) on the same queries; the
+  canonical keys of the two cores are asserted equal on every query.
 
 Results are written to ``BENCH_query.json``; run with ``repro bench query``
 or ``python benchmarks/bench_query.py``.  ``--min-minimization-speedup``
-turns regressions into a non-zero exit code (the CI smoke gate).
+and ``--min-core-speedup`` turn regressions into a non-zero exit code (the
+CI smoke gates).
 """
 
 from __future__ import annotations
@@ -40,11 +46,14 @@ from repro.approx import make_rng
 from repro.core.solver import PHomSolver
 from repro.exceptions import IntractableFallbackWarning
 from repro.graphs.classes import GraphClass, graph_in_class
+from repro.plan import canonical_query_key
 from repro.query import format_query, parse_query_graph, query_core
+from repro.query.minimize import fold_search_core
 from repro.service import QueryService, ServiceRequest
 from repro.workloads.generators import (
     attach_random_probabilities,
     make_instance,
+    make_query,
     redundant_query_workload,
 )
 from repro import __version__
@@ -65,6 +74,24 @@ SMOKE_OVERHEAD_CALLS = 50
 TRACE_CORES = 4
 TRACE_VARIANTS = 3
 TRACE_REPEATS = 5
+
+#: Core fast-path shapes: (name, query class, labeled, size in
+#: :func:`~repro.workloads.generators.make_query` units).  The DWT shape is
+#: the unlabeled Zipf serving query; the 2WP shape sits between the Zipf
+#: (3 edges) and cold-traffic (6 edges) two-way paths.
+CORE_SHAPES = (
+    ("2WP", GraphClass.TWO_WAY_PATH, True, 5),
+    ("DWT", GraphClass.DOWNWARD_TREE, False, 4),
+    ("1WP", GraphClass.ONE_WAY_PATH, True, 3),
+)
+#: Shapes ``--min-core-speedup`` applies to: those with a class-specific
+#: algorithm.  A one-way path returns before any search; its row is the
+#: floor that class recognition alone costs.
+CORE_GATED_SHAPES = ("2WP", "DWT")
+CORE_QUERIES = 40
+SMOKE_CORE_QUERIES = 16
+CORE_ROUNDS = 5
+SMOKE_CORE_ROUNDS = 3
 
 
 def _non_path_dwt_instance(size: int, rng) -> object:
@@ -132,7 +159,7 @@ def run_query_benchmarks(
         )
         sampled_result, sampling_seconds = _timed(lambda: sampler.solve(query, instance))
 
-        # Minimized dispatch (fresh solver: the fold search and plan compile
+        # Minimized dispatch (fresh solver: minimization and plan compile
         # are both paid inside the timing).
         minimizing = PHomSolver()
         minimized_result, minimized_seconds = _timed(
@@ -176,6 +203,7 @@ def run_query_benchmarks(
         SMOKE_OVERHEAD_CALLS if smoke else OVERHEAD_CALLS, seed, smoke
     )
     coalescing = _coalescing_trace(seed, smoke)
+    core_fast_path = _core_fast_path(seed, smoke)
 
     return {
         "suite": "query",
@@ -195,6 +223,7 @@ def run_query_benchmarks(
         "minimization": rows,
         "overhead": overhead,
         "coalescing": coalescing,
+        "core_fast_path": core_fast_path,
     }
 
 
@@ -302,15 +331,72 @@ def _coalescing_trace(seed: int, smoke: bool) -> Dict[str, object]:
     }
 
 
+def _core_fast_path(seed: int, smoke: bool) -> List[Dict[str, object]]:
+    """``query_core`` against the fold search on fresh parses, per shape."""
+    rng = make_rng(seed + 2)
+    count = SMOKE_CORE_QUERIES if smoke else CORE_QUERIES
+    rounds = SMOKE_CORE_ROUNDS if smoke else CORE_ROUNDS
+    rows: List[Dict[str, object]] = []
+    for shape, query_class, labeled, size in CORE_SHAPES:
+        texts = [
+            format_query(make_query(query_class, labeled, size, rng))
+            for _ in range(count)
+        ]
+        folded = 0
+        for text in texts:
+            query = parse_query_graph(text)
+            oracle = fold_search_core(parse_query_graph(text))
+            if canonical_query_key(query) != canonical_query_key(oracle, minimize=False):
+                raise AssertionError(
+                    f"query_core and the fold search disagree on the key of {text!r}"
+                )
+            if query_core(query) is not query:
+                folded += 1
+        fast = fold = 0.0
+        for _ in range(rounds):
+            fast += _core_seconds(texts, query_core)
+            fold += _core_seconds(texts, fold_search_core)
+        calls = rounds * len(texts)
+        rows.append(
+            {
+                "shape": shape,
+                "labeled": labeled,
+                "size": size,
+                "queries": len(texts),
+                "folded": folded,
+                "rounds": rounds,
+                "query_core_us": fast / calls * 1e6,
+                "fold_search_us": fold / calls * 1e6,
+                "speedup": fold / fast if fast else None,
+                "keys_equal": True,
+            }
+        )
+    return rows
+
+
+def _core_seconds(texts: Sequence[str], minimize) -> float:
+    """Total time of ``minimize`` over fresh parses of ``texts``."""
+    total = 0.0
+    for text in texts:
+        graph = parse_query_graph(text)
+        start = time.perf_counter()
+        minimize(graph)
+        total += time.perf_counter() - start
+    return total
+
+
 def check_query_thresholds(
-    report: Dict[str, object], min_minimization_speedup: float = 0.0
+    report: Dict[str, object],
+    min_minimization_speedup: float = 0.0,
+    min_core_speedup: float = 0.0,
 ) -> None:
     """Raise ``AssertionError`` when the recorded run violates the gates.
 
     ``min_minimization_speedup`` applies to the *largest* instance of the
     ladder, against the cheaper of the two unminimized baselines (brute
     force and Karp–Luby) — the honest comparison, since an operator would
-    pick whichever baseline is faster.
+    pick whichever baseline is faster.  ``min_core_speedup`` applies to
+    every shape in :data:`CORE_GATED_SHAPES`.
     """
     rows = report["minimization"]
     for row in rows:
@@ -333,6 +419,14 @@ def check_query_thresholds(
             )
     if not report["coalescing"]["verified"]:
         raise AssertionError("service-trace coalescing was not verified")
+    for row in report["core_fast_path"]:
+        if min_core_speedup > 0 and row["shape"] in CORE_GATED_SHAPES:
+            if (row["speedup"] or 0.0) < min_core_speedup:
+                raise AssertionError(
+                    f"query_core on {row['shape']} queries is "
+                    f"{row['speedup']:.1f}x faster than the fold search, below "
+                    f"the required {min_core_speedup}x"
+                )
 
 
 def format_query_report(report: Dict[str, object]) -> str:
@@ -368,6 +462,12 @@ def format_query_report(report: Dict[str, object]) -> str:
         f"{coalescing['distinct_coalesce_keys']} coalesce key(s), "
         f"{coalescing['coalesced']} request(s) coalesced"
     )
+    for row in report["core_fast_path"]:
+        lines.append(
+            f"  core {row['shape']} (size {row['size']}, {row['folded']}/"
+            f"{row['queries']} fold): query_core {row['query_core_us']:.0f}us vs "
+            f"fold search {row['fold_search_us']:.0f}us = {row['speedup']:.1f}x"
+        )
     return "\n".join(lines)
 
 

@@ -432,6 +432,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench.add_argument(
+        "--min-core-speedup", type=float, default=0.0,
+        help=(
+            "query: fail when query_core on fresh 2WP or single-label DWT "
+            "parses is less than this many times faster than the fold search"
+        ),
+    )
+    bench.add_argument(
         "--max-epsilon-ratio", type=float, default=0.0,
         help=(
             "sampling: fail when |estimate - exact| / exact exceeds this multiple "
@@ -1106,7 +1113,9 @@ def _run_bench_query(args, out, err) -> int:
     try:
         report = run_query_benchmarks(smoke=args.smoke)
         check_query_thresholds(
-            report, min_minimization_speedup=args.min_minimization_speedup
+            report,
+            min_minimization_speedup=args.min_minimization_speedup,
+            min_core_speedup=args.min_core_speedup,
         )
     except AssertionError as exc:
         err.write(f"error: query benchmark check failed: {exc}\n")

@@ -150,6 +150,23 @@ def two_way_path_order(graph: DiGraph) -> List[Vertex]:
     return list(order)
 
 
+def two_way_path_steps(graph: DiGraph) -> Tuple[Tuple[str, str], ...]:
+    """The ``(direction, label)`` steps of a 2WP along :func:`two_way_path_order`.
+
+    Step ``i`` joins ``order[i]`` and ``order[i + 1]``; its direction is
+    ``">"`` when the edge points along the traversal and ``"<"`` when it
+    points back.
+    """
+    order = two_way_path_order(graph)
+    steps = []
+    for left, right in zip(order, order[1:]):
+        if graph.has_edge(left, right):
+            steps.append((">", graph.label_of(left, right)))
+        else:
+            steps.append(("<", graph.label_of(right, left)))
+    return tuple(steps)
+
+
 def is_one_way_path(graph: DiGraph) -> bool:
     """Whether the graph is a one-way path (class 1WP)."""
     order = _undirected_path_order(graph)

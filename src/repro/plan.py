@@ -52,7 +52,7 @@ from repro.graphs.classes import (
     GraphClass,
     graph_class_of,
     is_two_way_path,
-    two_way_path_order,
+    two_way_path_steps,
 )
 from repro.graphs.digraph import DiGraph, Edge, Vertex
 from repro.lineage.builders import match_lineage
@@ -123,15 +123,9 @@ def canonical_query_key(query: DiGraph, minimize: bool = True) -> Hashable:
 
 def _compute_canonical_key(query: DiGraph) -> Hashable:
     if is_two_way_path(query):
-        order = two_way_path_order(query)
-        forward: List[Tuple[str, str]] = []
-        for left, right in zip(order, order[1:]):
-            if query.has_edge(left, right):
-                forward.append((">", query.label_of(left, right)))
-            else:
-                forward.append(("<", query.label_of(right, left)))
-        backward = [(">" if d == "<" else "<", label) for d, label in reversed(forward)]
-        return ("2wp", min(tuple(forward), tuple(backward)))
+        forward = two_way_path_steps(query)
+        backward = tuple((">" if d == "<" else "<", label) for d, label in reversed(forward))
+        return ("2wp", min(forward, backward))
     # Key on the actual (hashable) vertex and edge values: graph semantics
     # are equality-based, and going through repr() would collapse distinct
     # vertices whose reprs collide into the same key.

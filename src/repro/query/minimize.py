@@ -11,20 +11,33 @@ path that the dispatcher answers in polynomial time.  :func:`normalize`
 packages this as a pre-classification pass: validate, minimize, and report
 which class the core lands in.
 
-The fold search is exponential in the query size in the worst case (core
-computation is NP-hard), which is the right trade-off for conjunctive
-queries: they are small, and a successful fold can turn an exponential
-*instance-side* computation into a polynomial one.
+:func:`query_core` picks its algorithm from the query's shape.  A one-way
+path is its own core.  A two-way path folds onto its shortest subpath that
+the whole path maps into, found by a position-set dynamic program over the
+path's steps.  A downward tree with a single label is equivalent to the
+one-way path of its height (Proposition 5.5), so its core is a deepest
+root-to-leaf path.  Every other shape takes the generic fold search
+(:func:`fold_search_core`), which is exponential in the query size in the
+worst case (core computation is NP-hard) — the right trade-off for
+conjunctive queries: they are small, and a successful fold can turn an
+exponential *instance-side* computation into a polynomial one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.exceptions import ClassConstraintError
-from repro.graphs.classes import GraphClass, graph_class_of, is_one_way_path
-from repro.graphs.digraph import DiGraph
+from repro.graphs.classes import (
+    GraphClass,
+    downward_tree_root,
+    graph_class_of,
+    graph_in_class,
+    two_way_path_order,
+    two_way_path_steps,
+)
+from repro.graphs.digraph import DiGraph, Vertex
 from repro.graphs.homomorphism import find_homomorphism
 
 
@@ -79,13 +92,118 @@ def _fold_once(query: DiGraph) -> Optional[DiGraph]:
     return None
 
 
+def fold_search_core(query: DiGraph) -> DiGraph:
+    """The homomorphic core by generic fold search, for a query of any shape.
+
+    Repeatedly folds the query onto a proper retract until no vertex can be
+    dropped, and returns ``query`` itself when it already is a core.  Each
+    fold runs one homomorphism search per candidate vertex.  This is the
+    route :func:`query_core` takes for shapes without a class-specific
+    algorithm, and the oracle its fast paths are tested and benchmarked
+    against.  Nothing is memoised or frozen.
+    """
+    current = query
+    while True:
+        folded = _fold_once(current)
+        if folded is None:
+            return current
+        current = folded
+
+
+def _two_way_path_core(query: DiGraph) -> DiGraph:
+    """The core of a two-way path: its shortest subpath the path maps into.
+
+    The image of a connected query is connected, so a 2WP folds onto a
+    subpath, and the shortest subpath it maps into is its core.  Whether the
+    path maps into the window ``[start, start + length]`` of its own
+    positions is a position-set DP: the positions the walk can occupy after
+    each (direction, label) step, kept as an integer bitset.  Since every
+    proper subpath lies inside one of the two subpaths one edge shorter, the
+    path is a core exactly when it maps into neither; and a window of some
+    length fits only if one of every longer length does, so the core length
+    is binary-searched.  Windows are taken in :func:`two_way_path_order`.
+    """
+    steps = two_way_path_steps(query)
+    length = len(steps)
+    flip = {">": "<", "<": ">"}
+    # Positions from which a query step can move right, resp. left, along
+    # the path: right needs the path step there to equal the query step,
+    # left needs the path step before it reversed.
+    right: Dict[Tuple[str, str], int] = {}
+    left: Dict[Tuple[str, str], int] = {}
+    for position, (direction, label) in enumerate(steps):
+        right[direction, label] = right.get((direction, label), 0) | 1 << position
+        back = (flip[direction], label)
+        left[back] = left.get(back, 0) | 1 << (position + 1)
+
+    def maps_into(start: int, size: int) -> bool:
+        window = ((1 << (size + 1)) - 1) << start
+        reach = window
+        for step in steps:
+            reach = (
+                ((reach & right.get(step, 0)) << 1) | ((reach & left.get(step, 0)) >> 1)
+            ) & window
+            if not reach:
+                return False
+        return True
+
+    def first_window(size: int) -> Optional[int]:
+        return next(
+            (start for start in range(length - size + 1) if maps_into(start, size)),
+            None,
+        )
+
+    best = first_window(length - 1)
+    if best is None:
+        return query
+    low, high = 1, length - 1
+    while low < high:
+        middle = (low + high) // 2
+        start = first_window(middle)
+        if start is None:
+            low = middle + 1
+        else:
+            high, best = middle, start
+    order = two_way_path_order(query)
+    return query.induced_component(order[best : best + high + 1])
+
+
+def _height_path(query: DiGraph) -> DiGraph:
+    """A deepest root-to-leaf path of a downward tree.
+
+    With a single label, a downward tree maps onto the one-way path of its
+    height (send every vertex to its depth) and that path is a subgraph, so
+    the path is the core (Proposition 5.5).  Among the deepest leaves the one
+    with the smallest ``repr`` is taken, so the choice is deterministic.
+    """
+    frontier = [downward_tree_root(query)]
+    parent: Dict[Vertex, Vertex] = {}
+    while True:
+        below = []
+        for vertex in frontier:
+            for child in query.successors(vertex):
+                parent[child] = vertex
+                below.append(child)
+        if not below:
+            break
+        frontier = below
+    vertex = min(frontier, key=repr)
+    path = [vertex]
+    while vertex in parent:
+        vertex = parent[vertex]
+        path.append(vertex)
+    return query.induced_component(path)
+
+
 def query_core(query: DiGraph) -> DiGraph:
     """The homomorphic core of a query graph (Chandra–Merlin minimization).
 
-    Repeatedly folds the query onto proper retracts until no vertex can be
-    dropped; the result is an equivalent query (``core(Q) ≡ Q`` in the
-    homomorphic-equivalence sense of Section 2) of minimum size, with vertex
-    names drawn from the original query.  Minimization is idempotent:
+    The result is an equivalent query (``core(Q) ≡ Q`` in the
+    homomorphic-equivalence sense of Section 2) of minimum size: a subgraph
+    of the query, with vertex names drawn from it.  One-way paths, two-way
+    paths and single-label downward trees are minimized by class-specific
+    algorithms (see the module docstring); every other shape by
+    :func:`fold_search_core`.  Minimization is idempotent:
     ``query_core(query_core(Q))`` equals ``query_core(Q)``.
 
     The result is memoised on the query graph (recomputed after mutation);
@@ -96,27 +214,25 @@ def query_core(query: DiGraph) -> DiGraph:
 
 
 def _compute_core(query: DiGraph) -> DiGraph:
-    # Fast path for the most common serving shape: a one-way path is always
-    # its own core — every walk inside a simple directed path is a subpath,
-    # so the path cannot map into any proper induced subgraph of itself.
-    # This matters operationally: serving workers receive freshly unpickled
-    # query objects (no shared memo), and without the shortcut every request
-    # would pay the quadratic fold search.
-    if is_one_way_path(query):
+    # Serving workers receive freshly unpickled query objects (no shared
+    # memo), so the common path and tree shapes must not pay the fold search.
+    if graph_in_class(query, GraphClass.ONE_WAY_PATH):
+        # Every walk inside a simple directed path is a subpath, so the path
+        # cannot map into any proper subgraph of itself.
         return query
-    current = query
-    while True:
-        folded = _fold_once(current)
-        if folded is None:
-            break
-        current = folded
-    if current is not query:
+    if graph_in_class(query, GraphClass.TWO_WAY_PATH):
+        core = _two_way_path_core(query)
+    elif graph_in_class(query, GraphClass.DOWNWARD_TREE) and query.is_unlabeled():
+        core = _height_path(query)
+    else:
+        core = fold_search_core(query)
+    if core is not query:
         # Fresh core graphs are frozen (their memoised metadata is shared by
         # every cache keyed on them) and pre-seeded as their own core, so
-        # ``query_core(query_core(q))`` never re-runs the fold search.
-        current.freeze()
-        current.cached("query_core", lambda: current)
-    return current
+        # ``query_core(query_core(q))`` never minimizes again.
+        core.freeze()
+        core.cached("query_core", lambda: core)
+    return core
 
 
 @dataclass(frozen=True)
@@ -133,7 +249,7 @@ class NormalizedQuery:
         The Figure 2 class of each; minimization can only move a query
         *down* the lattice or keep it in place, never up.
     folded_vertices / folded_edges:
-        How much the fold search removed; both zero when the query already
+        How much minimization removed; both zero when the query already
         was a core (then ``graph is original``).
     """
 
@@ -167,7 +283,7 @@ def normalize(query: DiGraph) -> NormalizedQuery:
     This is the pass :class:`~repro.core.solver.PHomSolver` runs before
     classification: redundant atoms are collapsed by the graph
     representation itself, two-way atoms were oriented at parse time, and
-    the Chandra–Merlin fold search computes the core — so a query whose
+    :func:`query_core` computes the core — so a query whose
     core is a 1WP/DWT/PT reaches the polynomial dispatch routes even when
     the query *as written* sits in a #P-hard cell.  The verdict is memoised
     on the query graph.

@@ -56,6 +56,7 @@ from repro.approx import ApproxParams
 from repro.core.solver import PHomResult, PHomSolver, requalify_result
 from repro.exceptions import (
     DeadlineExceededError,
+    QueryParseError,
     ServiceError,
     ServiceUnavailableError,
 )
@@ -888,11 +889,12 @@ class QueryService:
         for position, entry in enumerate(requests):
             try:
                 normalized.append(self._normalize(entry))
-            except ServiceError as exc:
+            except (ServiceError, QueryParseError) as exc:
                 if on_error == "raise":
                     raise
                 # A request that cannot even be normalised (unknown instance,
-                # bad entry shape) becomes an error outcome in place.
+                # bad entry shape, unparsable query text) becomes an error
+                # outcome in place.
                 normalized.append(None)
                 request_id = (
                     entry.request_id if isinstance(entry, ServiceRequest) else None

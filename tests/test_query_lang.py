@@ -33,6 +33,7 @@ from repro.exceptions import (
     ReproError,
     ServiceError,
 )
+from repro.core.unlabeled_pt import collapse_query_to_path_length
 from repro.graphs.builders import one_way_path, two_way_path
 from repro.graphs.classes import GraphClass, graph_class_of
 from repro.graphs.digraph import DiGraph, UNLABELED
@@ -52,6 +53,8 @@ from repro.query import (
     query_core,
     validate_query_graph,
 )
+from repro.query import minimize as minimize_module
+from repro.query.minimize import fold_search_core
 from repro.service import QueryService, ServiceRequest, run_jsonl_session
 from repro.service.requests import request_from_json_dict
 from repro.workloads.generators import (
@@ -263,6 +266,71 @@ class TestQueryCore:
         core = query_core(example22_query)
         assert graph_class_of(core) is GraphClass.ONE_WAY_PATH
         assert core.num_edges() == 2
+
+    @pytest.mark.parametrize("index", range(36))
+    def test_fast_core_agrees_with_the_fold_search_oracle(self, index):
+        # index cycles through 3 classes x {labeled, one label} x {as drawn,
+        # with redundant atoms}; each combination is drawn three times.
+        rng = random.Random(SEED + 900 + index)
+        query_class = [
+            GraphClass.ONE_WAY_PATH,
+            GraphClass.TWO_WAY_PATH,
+            GraphClass.DOWNWARD_TREE,
+        ][index % 3]
+        query = make_query(query_class, (index // 3) % 2 == 0, rng.randint(1, 6), rng)
+        if (index // 6) % 2:
+            query = add_redundant_atoms(query, rng.randint(1, 3), rng)
+        core = query_core(query)
+        oracle = fold_search_core(query.copy())
+        assert core.num_vertices() == oracle.num_vertices()
+        assert core.num_edges() == oracle.num_edges()
+        assert core.vertices <= query.vertices and core.edge_set() <= query.edge_set()
+        assert homomorphic_equivalent(query, core)
+        assert canonical_query_key(query) == canonical_query_key(oracle, minimize=False)
+        assert query_core(core) is core
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("R(x, y), R(z, y)", "R(x, y)"),
+            ("R(a, b), R(c, b), R(c, d), R(e, d)", "R(a, b)"),
+        ],
+    )
+    def test_converging_atoms_fold_to_one_edge(self, text, expected):
+        query = parse_query_graph(text)
+        core = query_core(query)
+        # the first minimal window along two_way_path_order
+        assert format_query(core) == expected
+        assert core.edge_set() <= query.edge_set()
+        assert core.frozen and query_core(core) is core
+
+    def test_unlabeled_downward_tree_folds_to_its_height_path(self, monkeypatch):
+        monkeypatch.setattr(minimize_module, "fold_search_core", _forbidden_fold_search)
+        query = DiGraph(edges=[("r", "a"), ("r", "b"), ("a", "c"), ("a", "d")])
+        core = query_core(query)
+        assert graph_class_of(core) is GraphClass.ONE_WAY_PATH
+        assert core.num_edges() == 2 == collapse_query_to_path_length(query)
+        assert core.edge_set() <= query.edge_set()
+        assert homomorphic_equivalent(query, core)
+
+    def test_mixed_label_downward_tree_takes_the_fold_search(self, monkeypatch):
+        routed = []
+
+        def spy(query):
+            routed.append(query)
+            return fold_search_core(query)
+
+        monkeypatch.setattr(minimize_module, "fold_search_core", spy)
+        query = parse_query_graph("R(r, a), R(a, c), S(r, b), R(r, d)")
+        core = query_core(query)
+        assert routed == [query]
+        # d folds onto a; the S branch keeps the core from being a path
+        assert (core.num_vertices(), core.num_edges()) == (4, 3)
+        assert homomorphic_equivalent(query, core)
+
+
+def _forbidden_fold_search(query):
+    raise AssertionError(f"fold search ran on {format_query(query)}")
 
 
 class TestNormalize:

@@ -16,7 +16,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.solver import PHomSolver
-from repro.exceptions import ServiceError
+from repro.exceptions import QueryParseError, ServiceError
 from repro.graphs.builders import one_way_path
 from repro.graphs.classes import GraphClass
 from repro.graphs.digraph import DiGraph
@@ -202,6 +202,17 @@ class TestInlineService:
         assert results[1].error is not None and results[1].result is None
         with pytest.raises(ServiceError, match="bad"):
             results[1].probability
+
+    def test_unparsable_tuple_entry_fails_only_its_position(self, inline_service):
+        instance_id = inline_service.register_instance(build_instance(91))
+        batch = [("R(x, y", instance_id), ("R(x, y)", instance_id)]
+        results = inline_service.submit_many(batch, on_error="return")
+        assert results[0].result is None
+        assert results[0].error_class == "QueryParseError"
+        assert results[1].error is None
+        assert results[1].probability == inline_service.submit("R(x, y)", instance_id).probability
+        with pytest.raises(QueryParseError):
+            inline_service.submit_many(batch)
 
     def test_unseeded_approx_is_never_cached(self, inline_service):
         workload = intractable_workload(8, rng=22)
