@@ -8,6 +8,7 @@ as
                                      [--min-incremental-speedup Y]
                                      [--min-tape-speedup Z]
                                      [--min-exact-tape-speedup W]
+                                     [--min-first-exact-speedup V]
 
 or through the CLI as ``repro bench plans``.  The recorded artefact,
 ``BENCH_plans.json``, is checked into the repository root and tracks the
@@ -16,7 +17,8 @@ probabilities versus PR-1-style ``solve_many`` (float), single-edge
 ``plan.update`` versus a full re-solve, the ``tape_batch`` curve —
 batched flat-tape evaluation (:mod:`repro.tape`) at batch sizes 1/16/256
 versus one ``plan.evaluate`` call per valuation — and, per route, exact
-evaluation on the object graph versus on the integer tape.  The
+evaluation on the object graph versus on the integer tape, both in steady
+state and for a cold plan's first answer (lowering included).  The
 ``--min-*-speedup`` flags turn regressions into a non-zero exit code, which
 CI uses as a smoke gate.
 """

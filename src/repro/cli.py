@@ -395,6 +395,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench.add_argument(
+        "--min-first-exact-speedup", type=float, default=0.0,
+        help=(
+            "plans: fail when lowering plus the first exact integer replay is "
+            "less than this many times faster than one object-graph exact "
+            "evaluation, on any route"
+        ),
+    )
+    bench.add_argument(
         "--min-sampling-speedup", type=float, default=0.0,
         help=(
             "sampling: fail when the Karp-Luby speedup over brute force on the "
@@ -1032,6 +1040,7 @@ def _run_bench_plans(args, out, err) -> int:
             min_incremental_speedup=args.min_incremental_speedup,
             min_tape_speedup=args.min_tape_speedup,
             min_exact_tape_speedup=args.min_exact_tape_speedup,
+            min_first_exact_speedup=args.min_first_exact_speedup,
         )
     except AssertionError as exc:
         err.write(f"error: plan benchmark check failed: {exc}\n")

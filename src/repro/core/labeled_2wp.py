@@ -22,10 +22,12 @@ state is the current run length of consecutively present edges then computes
 the probability that some matching subpath is fully present, in ``O(k²)``
 arithmetic operations.
 
-Tape-lowering contract: :mod:`repro.tape` compiles the interval dynamic
-program to a flat tape by symbolically executing it with slot references in
-place of numbers.  The DP must therefore branch only on structure (which
-subpaths match — decided at compile time), never on probability values.
+Tape-lowering contract: the interval dynamic program does its arithmetic
+through the context's ``mul``/``add``/``compl``, and :mod:`repro.tape` lowers
+it to a flat tape by running it with the tape builder as the context, so
+each operation emits one tape op.  The DP must therefore branch only on
+structure (which subpaths match — decided at compile time), never on
+probability values.
 """
 
 from __future__ import annotations
@@ -149,6 +151,7 @@ def _interval_dp_probability(
     grows past the completion threshold at the current position.
     """
     zero = context.zero
+    mul, add, compl = context.mul, context.add, context.compl
     no_match: List[Number] = [context.one]  # index = current run length
     for position, edge in enumerate(edges, start=1):
         probability = probabilities[edge]
@@ -159,14 +162,17 @@ def _interval_dp_probability(
         updated: List[Number] = [zero] * max(size, 1)
         absent_mass = zero
         for run_length, mass in enumerate(no_match):
-            absent_mass += (1 - probability) * mass
+            absent_mass = add(absent_mass, mul(compl(probability), mass))
             extended = run_length + 1
             if threshold is not None and extended >= threshold:
                 continue  # a matching interval completes: leave the "no match" event
-            updated[extended] += probability * mass
-        updated[0] += absent_mass
+            updated[extended] = add(updated[extended], mul(probability, mass))
+        updated[0] = add(updated[0], absent_mass)
         no_match = updated
-    return 1 - sum(no_match, zero)
+    surviving = zero
+    for mass in no_match:
+        surviving = add(surviving, mass)
+    return compl(surviving)
 
 
 # ----------------------------------------------------------------------

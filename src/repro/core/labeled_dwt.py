@@ -17,12 +17,13 @@ The state space is ``O(|H| · |G|)`` pairs, each processed in constant time
 per child edge, so the overall complexity is ``O(|H| · |G|)`` — the same
 bound as the paper's.
 
-Tape-lowering contract: :mod:`repro.tape` compiles the KMP-automaton dynamic
-program to a flat tape by symbolically executing it with slot references in
-place of numbers.  Automaton transitions depend only on labels (structure),
-so the control flow is probability-independent — keep it that way when
-modifying the DP, or compiled tapes would specialise to the probabilities
-seen at compile time.
+Tape-lowering contract: the KMP-automaton dynamic program does its
+arithmetic through the context's ``mul``/``add``/``compl``, and
+:mod:`repro.tape` lowers it to a flat tape by running it with the tape
+builder as the context.  Automaton transitions depend only on labels
+(structure), so the control flow is probability-independent — keep it that
+way when modifying the DP, or compiled tapes would specialise to the
+probabilities seen at compile time.
 """
 
 from __future__ import annotations
@@ -205,20 +206,23 @@ def evaluate_dwt_path_skeleton(
     order, so exact-mode results are bit-identical to the one-shot route.
     """
     one = context.one
+    mul, add, compl = context.mul, context.add, context.compl
     dense = [probabilities[edge] for edge in skeleton.edges]
-    complements = [1 - probability for probability in dense]
+    complements = [compl(probability) for probability in dense]
     values: List[Number] = []
     append = values.append
     for ops in skeleton.nodes:
         result = one
         for edge_position, absent_node, present_node in ops:
-            absent = complements[edge_position] * values[absent_node]
+            absent = mul(complements[edge_position], values[absent_node])
             if present_node is None:
-                result *= absent  # the 'present' branch completes the pattern: mass 0
+                result = mul(result, absent)  # 'present' completes the pattern: mass 0
             else:
-                result *= absent + dense[edge_position] * values[present_node]
+                result = mul(
+                    result, add(absent, mul(dense[edge_position], values[present_node]))
+                )
         append(result)
-    return 1 - values[skeleton.root_index]
+    return compl(values[skeleton.root_index])
 
 
 # ----------------------------------------------------------------------

@@ -329,10 +329,9 @@ class PHomSolver:
         query exactly as written.  ``precision`` overrides the solver's
         numeric backend for this call (including ``"approx"``, which
         samples the #P-hard cells with the solver's ``epsilon`` / ``delta``
-        / ``seed``).  The automatic dispatch evaluates a cached plan on its
-        object graph the first time and lowers it to a flat tape
-        (:meth:`tape_for`, billed in ``tape_compiles``) before its second
-        evaluation, which every later solve then replays.
+        / ``seed``).  The automatic dispatch answers tractable cells by
+        replaying the plan's flat tape; a caching solver lowers each plan
+        to its tape when it compiles it (billed in ``tape_compiles``).
         """
         query = as_query_graph(query)
         context, approx = self._resolve_precision(precision)
@@ -608,10 +607,6 @@ class PHomSolver:
             )
             probability = plan.evaluate(precision=context, _warn=False)
         else:
-            if plan.evaluations and not plan.has_tape():
-                # A reused plan: lowering costs about one object-graph
-                # evaluation, so it pays only from the second one on.
-                self._lower(query, instance, plan)
             probability = plan.evaluate(precision=context)
         return self._annotate_minimization(self._plan_result(plan, probability), query)
 
@@ -671,43 +666,15 @@ class PHomSolver:
         """The pair's compiled plan lowered to a flat :class:`~repro.tape.PlanTape`.
 
         Compiles (or retrieves from the cache) the plan exactly as
-        :meth:`compile` does, then lowers its arithmetic half to a tape on
-        first request and memoises it on the plan.  Unlike calling
-        ``plan.tape()`` directly, this entry point also notifies the plan
-        cache (:meth:`~repro.plan.PlanCache.note_tape`): the lowering is
-        accounted as a *tape* compile — never as a plan compile — and a
-        persistent cache tier refreshes the plan's store entry so the tape
-        is durable alongside its plan.  Raises
+        :meth:`compile` does and returns its tape.  A caching solver lowers
+        every tractable plan when it compiles it — accounted as a *tape*
+        compile in the cache statistics, never as a plan compile, and
+        written to a persistent tier together with the plan — so only a
+        solver with ``plan_cache_size=0`` lowers here.  Raises
         :class:`~repro.exceptions.PlanError` for brute-force fallback
         plans, which have no arithmetic half to lower.
         """
-        return self._tape_plan_for(query, instance).tape()
-
-    def _tape_plan_for(
-        self, query: QueryLike, instance: ProbabilisticGraph
-    ) -> CompiledPlan:
-        """The cached plan with its tape compiled (and accounted/persisted)."""
-        query = as_query_graph(query)
-        self._validate_inputs(query, instance)
-        validate_query_graph(query)
-        plan = self._plan_for(query, instance)
-        if not plan.has_tape():
-            self._lower(query, instance, plan)
-        return plan
-
-    def _lower(
-        self, query: DiGraph, instance: ProbabilisticGraph, plan: CompiledPlan
-    ) -> None:
-        """Lower the cached plan of ``query`` to its tape, once.
-
-        Accounted as a tape compile (never a plan compile); a persistent
-        cache tier re-puts the plan so the tape survives restarts.
-        """
-        plan.tape()
-        if self._plan_cache is not None:
-            core = query_core(query) if self.minimize_queries else query
-            key = canonical_query_key(core, minimize=self.minimize_queries)
-            self._plan_cache.note_tape(key, instance, plan)
+        return self.compile(query, instance).tape()
 
     def evaluate_many(
         self,
@@ -723,9 +690,9 @@ class PHomSolver:
         :meth:`~repro.plan.CompiledPlan.evaluate` (``None`` / ``{}`` for
         the instance's live table); the result list is index-aligned.  The
         batch runs in one structural pass over the plan's flat tape (see
-        :meth:`tape_for` — compiled and cached on first use), vectorizing
-        every arithmetic operation across the valuations, which is the
-        serving layer's bulk re-evaluation fast path.  ``precision``
+        :meth:`tape_for`), vectorizing every arithmetic operation across the
+        valuations, which is the serving layer's bulk re-evaluation fast
+        path.  ``precision``
         selects the numeric backend as in :meth:`solve` (``"approx"`` is
         rejected: batched evaluation is an exact/float contract);
         ``backend`` is forwarded to
@@ -736,7 +703,7 @@ class PHomSolver:
                 "evaluate_many computes exact/float probabilities; "
                 "precision='approx' does not apply to batched tape evaluation"
             )
-        plan = self._tape_plan_for(query, instance)
+        plan = self.compile(query, instance)
         context, _approx = self._resolve_precision(precision)
         return plan.evaluate_many(batches, precision=context, backend=backend)
 
@@ -774,6 +741,11 @@ class PHomSolver:
                 plan = self._compile_plan(query, instance, allow_fallback)
                 if span:
                     span.attrs["method"] = plan.method
+            if not isinstance(plan, FallbackPlan):
+                # Lowered before it is stored, so its first evaluation
+                # already replays integer registers and a persistent tier
+                # writes one entry that carries the tape.
+                plan.tape()
             self._plan_cache.store(key, instance, plan)
         elif isinstance(plan, FallbackPlan) and not allow_fallback:
             # A FallbackPlan cached by an approx call must not change what a
@@ -820,7 +792,6 @@ class PHomSolver:
                 ]
                 return ComponentPlan(
                     evaluators, always_combine=False,
-                    component_edges=[c.graph.edges() for c in components],
                     method="connected-2wp",
                     proposition="Proposition 4.11 (+ Lemma 3.7)", **metadata,
                 )
@@ -833,7 +804,6 @@ class PHomSolver:
                 ]
                 return ComponentPlan(
                     evaluators, always_combine=False,
-                    component_edges=[c.graph.edges() for c in components],
                     method="labeled-dwt",
                     proposition="Proposition 4.10 (+ Lemma 3.7)", **metadata,
                 )
@@ -858,7 +828,6 @@ class PHomSolver:
             )
             return ComponentPlan(
                 evaluators, always_combine=True,
-                component_edges=[c.graph.edges() for c in components],
                 method="graded-collapse", proposition="Proposition 3.6", **metadata,
             )
 
@@ -873,7 +842,6 @@ class PHomSolver:
             evaluators = self._polytree_evaluators(length, components, method)
             return ComponentPlan(
                 evaluators, always_combine=False,
-                component_edges=[c.graph.edges() for c in components],
                 method="polytree-" + method,
                 proposition="Propositions 5.4 / 5.5 (+ Lemma 3.7)", **metadata,
             )

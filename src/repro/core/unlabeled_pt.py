@@ -16,10 +16,11 @@ Both an automaton route and a direct message-passing dynamic program over the
 original polytree are provided; they implement the same state space
 (⟨up, down, best⟩ capped at ``m``) and are cross-checked in the tests.
 
-Tape-lowering contract: :mod:`repro.tape` compiles both routes (the d-DNNF
-evaluation and the message-passing DP) to flat tapes by symbolically
-executing them with slot references in place of numbers.  Their control flow
-— automaton transitions, state-vector indexing, message schedules — depends
+Tape-lowering contract: both routes (the d-DNNF evaluation and the
+message-passing DP) do their arithmetic through the context's
+``mul``/``add``/``compl``, and :mod:`repro.tape` lowers them to flat tapes by
+running them with the tape builder as the context.  Their control flow —
+automaton transitions, state-vector indexing, message schedules — depends
 only on graph structure, never on probability values; preserve that
 invariant when modifying either route.
 """
@@ -119,6 +120,7 @@ def evaluate_polytree_dp_skeleton(
     """The arithmetic half: fold ⟨up, down, best⟩ distributions bottom-up."""
     m = skeleton.path_length
     zero = context.zero
+    mul, add, compl = context.mul, context.add, context.compl
 
     def cap(value: int) -> int:
         return min(m, value)
@@ -132,11 +134,11 @@ def evaluate_polytree_dp_skeleton(
             updated: Dict[Tuple[int, int, int], Number] = {}
             for (up, down, best), mass in dist.items():
                 for (c_up, c_down, c_best), c_mass in child_dist.items():
-                    weight = mass * c_mass
+                    weight = mul(mass, c_mass)
                     # Edge absent: only the child's internal best survives.
                     absent_state = (up, down, cap(max(best, c_best)))
-                    updated[absent_state] = (
-                        updated.get(absent_state, zero) + weight * (1 - probability)
+                    updated[absent_state] = add(
+                        updated.get(absent_state, zero), mul(weight, compl(probability))
                     )
                     # Edge present: extend paths through the current vertex.
                     if direction == LABEL_UP:
@@ -148,16 +150,17 @@ def evaluate_polytree_dp_skeleton(
                         new_up = up
                         new_best = cap(max(best, c_best, new_down, up + 1 + c_down))
                     present_state = (new_up, new_down, new_best)
-                    updated[present_state] = (
-                        updated.get(present_state, zero) + weight * probability
+                    updated[present_state] = add(
+                        updated.get(present_state, zero), mul(weight, probability)
                     )
             dist = updated
         distributions[vertex] = dist
 
-    final = distributions[skeleton.order[-1]]
-    return sum(
-        (mass for (_up, _down, best), mass in final.items() if best >= m), zero
-    )
+    total = zero
+    for (_up, _down, best), mass in distributions[skeleton.order[-1]].items():
+        if best >= m:
+            total = add(total, mass)
+    return total
 
 
 def _direct_dp_probability(

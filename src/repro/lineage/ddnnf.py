@@ -23,11 +23,12 @@ small supports) so the test suite can verify that the circuits produced by
 Tape-lowering contract
 ----------------------
 
-:mod:`repro.tape` compiles circuit evaluation to a flat postfix tape by
-*symbolically executing* :meth:`DDNNF.probability` with slot references in
-place of numbers.  That is sound because the bottom-up pass branches only on
-circuit *structure* (gate kinds and wires), never on the probability values
-flowing through it; keep it that way — a value-dependent branch (e.g. a
+The plans' circuit pass (``CircuitEvaluator._pass``) does its arithmetic
+through the context's ``mul``/``add``/``compl``, and :mod:`repro.tape`
+lowers it to a flat postfix tape by running it with the tape builder as the
+context.  That is sound because the bottom-up pass branches only on circuit
+*structure* (gate kinds and wires), never on the probability values flowing
+through it; keep it that way — a value-dependent branch (e.g. a
 short-circuit on ``p == 0``) would silently specialise compiled tapes to the
 probabilities seen at compile time.
 """
@@ -82,7 +83,7 @@ class DDNNF:
         self._literal_cache: Dict[Tuple[bool, Variable], int] = {}
         self._constant_cache: Dict[GateKind, int] = {}
         self._root: Optional[int] = None
-        #: Memoised derived data (supports, wire indices), keyed by the gate
+        #: Memoised derived data (supports, literal index), keyed by the gate
         #: count at computation time so adding gates invalidates lazily.
         self._derived: Dict[str, Tuple[int, Any]] = {}
 
@@ -203,25 +204,8 @@ class DDNNF:
         return supports
 
     # ------------------------------------------------------------------
-    # wire indices (the compile-time half of incremental evaluation)
+    # literal index
     # ------------------------------------------------------------------
-    def parent_index(self) -> Tuple[Tuple[int, ...], ...]:
-        """For every gate, the gates that have it as a child (reverse wires, memoised).
-
-        Gate identifiers are topological (children are created before their
-        parents), so walking an ancestor set in increasing identifier order
-        always sees children before parents — the property the incremental
-        :class:`CircuitEvaluator` relies on.
-        """
-        return self._cached_derived("parents", self._compute_parent_index)
-
-    def _compute_parent_index(self) -> Tuple[Tuple[int, ...], ...]:
-        parents: List[List[int]] = [[] for _ in self._gates]
-        for gate_id, gate in enumerate(self._gates):
-            for child in gate.children:
-                parents[child].append(gate_id)
-        return tuple(tuple(p) for p in parents)
-
     def literal_index(self) -> Dict[Variable, Tuple[int, ...]]:
         """Variable → identifiers of its literal gates (VAR and NOT; memoised)."""
         return self._cached_derived("literals", self._compute_literal_index)
@@ -266,7 +250,9 @@ class DDNNF:
         hand should validate them with :meth:`is_decomposable` and
         :meth:`is_deterministic`.  ``context`` selects the numeric backend
         (exact :class:`~fractions.Fraction` by default, floats via
-        :data:`repro.numeric.FAST`).
+        :data:`repro.numeric.FAST`).  This gate-by-gate walk is the
+        reference the precompiled :class:`CircuitEvaluator` is tested
+        against.
         """
         convert = context.convert
         one = context.one
@@ -373,30 +359,16 @@ class DDNNF:
 
 
 class CircuitEvaluator:
-    """Stateful d-DNNF probability evaluator with incremental updates.
-
-    A full :meth:`evaluate` pass computes and *keeps* the value of every
-    gate.  A subsequent :meth:`update` of one variable then recomputes only
-    the literal gates of that variable and their ancestors — found through
-    the circuit's reverse-wire :meth:`DDNNF.parent_index` — instead of
-    re-walking the whole arena.  On a circuit with ``n`` gates and a
-    variable whose ancestor cone has ``a`` gates, an update costs ``O(a)``
-    arithmetic operations instead of ``O(n)``.
+    """A d-DNNF probability evaluator over a precompiled gate program.
 
     The evaluator is the arithmetic half of the compiled polytree plans
     (:mod:`repro.plan`): the circuit is the probability-independent
-    structure, the evaluator state is the per-probability part.
+    structure, and :meth:`probability` is one bottom-up pass over it.
     """
 
     def __init__(self, circuit: DDNNF) -> None:
         self._circuit = circuit
-        self._parents = circuit.parent_index()
         self._literals = circuit.literal_index()
-        #: Ancestor cones are memoised per variable across updates.
-        self._ancestors: Dict[Variable, Tuple[int, ...]] = {}
-        self._values: Optional[List[Number]] = None
-        self._probabilities: Dict[Variable, Number] = {}
-        self._context: NumericContext = EXACT
         # Precompiled evaluation program: literal/constant slots plus the
         # internal gates in ascending (topological) identifier order —
         # avoids per-gate kind dispatch on every full pass.
@@ -421,126 +393,58 @@ class CircuitEvaluator:
         """The underlying circuit (structure; shared, not copied)."""
         return self._circuit
 
-    def _run(
+    def probability(
         self,
         probabilities: Mapping[Variable, Number],
-        context: NumericContext,
-    ) -> Tuple[List[Number], Dict[Variable, Number]]:
-        """One bottom-up pass over the precompiled slots; returns all gate values."""
+        context: NumericContext = EXACT,
+    ) -> Number:
+        """One bottom-up pass over the precompiled slots.
+
+        Same values as :meth:`DDNNF.probability` (identical arena order);
+        the probabilities are converted to ``context`` first.
+        """
         convert = context.convert
+        return self._pass(
+            {variable: convert(probabilities[variable]) for variable in self._literals},
+            context,
+        )
+
+    #: Alias of :meth:`probability`.
+    evaluate = probability
+
+    def _pass(self, probabilities: Mapping[Variable, Number], context) -> Number:
+        """The pass over probabilities that are numbers of ``context`` already.
+
+        The plans' entry point: their tables are converted, and the tape
+        builder of :mod:`repro.tape` (whose numbers are slot indices) lowers
+        this same pass, since its arithmetic runs through the context's
+        ``mul``/``add``/``compl``.
+        """
         one = context.one
         zero = context.zero
-        table: Dict[Variable, Number] = {
-            variable: convert(probabilities[variable]) for variable in self._literals
-        }
+        mul, add, compl = context.mul, context.add, context.compl
+        # Every read happens here, in literal-index order: a tape numbers
+        # its input slots in the order the pass reads the edges.
+        table = {variable: probabilities[variable] for variable in self._literals}
         values: List[Number] = [zero] * len(self._circuit._gates)
         for gate_id, variable in self._var_slots:
             values[gate_id] = table[variable]
         for gate_id, variable in self._not_slots:
-            values[gate_id] = one - table[variable]
+            values[gate_id] = compl(table[variable])
         for gate_id in self._true_slots:
             values[gate_id] = one
         for is_and, gate_id, children in self._op_slots:
             if is_and:
                 term = one
                 for child in children:
-                    term *= values[child]
+                    term = mul(term, values[child])
                 values[gate_id] = term
             else:
                 total = zero
                 for child in children:
-                    total += values[child]
+                    total = add(total, values[child])
                 values[gate_id] = total
-        return values, table
-
-    def probability(
-        self,
-        probabilities: Mapping[Variable, Number],
-        context: NumericContext = EXACT,
-    ) -> Number:
-        """One-off probability through the precompiled slots, retaining nothing.
-
-        Same values as :meth:`DDNNF.probability` (identical arena order) but
-        faster on repeated calls; use :meth:`evaluate` instead when
-        incremental :meth:`update` calls will follow.
-        """
-        values, _table = self._run(probabilities, context)
         return values[self._circuit.root]
-
-    def evaluate(
-        self,
-        probabilities: Mapping[Variable, Number],
-        context: NumericContext = EXACT,
-    ) -> Number:
-        """Full bottom-up pass; stores every gate value for later updates."""
-        values, table = self._run(probabilities, context)
-        self._values = values
-        self._probabilities = table
-        self._context = context
-        return values[self._circuit.root]
-
-    def update(self, variable: Variable, probability: Number) -> Number:
-        """Set one variable's probability and recompute only its ancestors.
-
-        ``probability`` must already be in the evaluator's numeric backend
-        (the backend of the last :meth:`evaluate` call).  Returns the new
-        root value.  A variable absent from the circuit leaves the value
-        unchanged (the circuit does not depend on it).
-        """
-        if self._values is None:
-            raise LineageError("call evaluate() before update()")
-        values = self._values
-        circuit = self._circuit
-        literal_gates = self._literals.get(variable, ())
-        self._probabilities[variable] = probability
-        if not literal_gates:
-            return values[circuit.root]
-        one = self._context.one
-        zero = self._context.zero
-        for gate_id in literal_gates:
-            gate = circuit._gates[gate_id]
-            if gate.kind is GateKind.VAR:
-                values[gate_id] = probability
-            else:
-                values[gate_id] = one - probability
-        for gate_id in self._ancestors_of(variable):
-            gate = circuit._gates[gate_id]
-            if gate.kind is GateKind.AND:
-                term = one
-                for child in gate.children:
-                    term *= values[child]
-                values[gate_id] = term
-            else:
-                total = zero
-                for child in gate.children:
-                    total += values[child]
-                values[gate_id] = total
-        return values[circuit.root]
-
-    def _ancestors_of(self, variable: Variable) -> Tuple[int, ...]:
-        """Proper ancestors of the variable's literal gates, ascending (memoised)."""
-        cached = self._ancestors.get(variable)
-        if cached is not None:
-            return cached
-        seen: Set[int] = set()
-        stack: List[int] = []
-        for gate_id in self._literals.get(variable, ()):
-            stack.extend(self._parents[gate_id])
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(self._parents[current])
-        result = tuple(sorted(seen))
-        self._ancestors[variable] = result
-        return result
-
-    def current_value(self) -> Number:
-        """The root value from the last evaluate/update pass."""
-        if self._values is None:
-            raise LineageError("call evaluate() before current_value()")
-        return self._values[self._circuit.root]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CircuitEvaluator({self._circuit!r})"

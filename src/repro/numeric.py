@@ -25,6 +25,7 @@ float table in fast mode.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Union
@@ -35,9 +36,14 @@ from repro.exceptions import ReproError
 Number = Union[Fraction, float]
 
 
+def _complement(value: Any) -> Any:
+    """The complement ``1 - value`` (``compl`` of the numeric backends)."""
+    return 1 - value
+
+
 @dataclass(frozen=True)
 class NumericContext:
-    """One numeric backend: its constants and its conversion function.
+    """One numeric backend: its constants, conversion and three operations.
 
     Attributes
     ----------
@@ -51,12 +57,20 @@ class NumericContext:
         the backend type.  Exact mode wraps in ``Fraction`` (a no-op for
         Fractions, matching the seed behaviour); fast mode truncates to
         ``float``.
+    mul / add / compl:
+        The semiring operations ``x * y``, ``x + y`` and the complement
+        ``1 - x``.  The probability kernels call these instead of the
+        operators, so the tape builder of :mod:`repro.tape` can stand in
+        for a context and lower a kernel by running it.
     """
 
     name: str
     zero: Number
     one: Number
     convert: Callable[[Any], Number]
+    mul: Callable[[Any, Any], Number] = operator.mul
+    add: Callable[[Any, Any], Number] = operator.add
+    compl: Callable[[Any], Number] = _complement
 
     def instance_probabilities(self, instance) -> Mapping[Any, Number]:
         """The edge-probability table of ``instance`` in this backend.

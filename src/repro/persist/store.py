@@ -158,22 +158,18 @@ class PlanStore:
         structure_digest: str,
         namespace: str,
         plan: CompiledPlan,
-        replace: bool = False,
     ) -> Optional[str]:
         """Persist one compiled plan; returns its digest, or ``None``.
 
         Idempotent (an existing entry is left untouched) and atomic (temp
-        file + ``os.replace``).  Pass ``replace=True`` to overwrite an
-        existing entry — used when a cached plan gains a compiled tape, so
-        the refreshed pickle ships the tape to future loads.  A write
-        failure — disk full, injected or real — is counted in
-        ``put_errors`` and returns ``None``: losing durability for one
-        plan must never take serving down.
+        file + ``os.replace``).  A write failure — disk full, injected or
+        real — is counted in ``put_errors`` and returns ``None``: losing
+        durability for one plan must never take serving down.
         """
         with current_tracer().span("store.put") as span:
             digest = plan_store_key(query_key, structure_digest, namespace)
             path = self.entry_path(digest)
-            if os.path.exists(path) and not replace:
+            if os.path.exists(path):
                 return digest
             payload = pickle.dumps(
                 {
@@ -454,25 +450,6 @@ class PersistentPlanCache(PlanCache):
         super().store(query_key, instance, plan)
         self.plan_store.put(
             query_key, self._structure_digest(instance), self.namespace, plan
-        )
-
-    def note_tape(
-        self, query_key: Hashable, instance: ProbabilisticGraph, plan: CompiledPlan
-    ) -> None:
-        """Record a tape compile and refresh the plan's store entry.
-
-        The plan was already persisted when it was compiled; now that it
-        carries a tape (tapes pickle with their plan), re-put with
-        ``replace=True`` so a warm restart loads the tape instead of
-        recompiling it.
-        """
-        super().note_tape(query_key, instance, plan)
-        self.plan_store.put(
-            query_key,
-            self._structure_digest(instance),
-            self.namespace,
-            plan,
-            replace=True,
         )
 
     def warm(self, instance: ProbabilisticGraph) -> int:

@@ -9,12 +9,10 @@ probabilities.  A :class:`CompiledPlan` captures the structural phase once:
 
 * :meth:`CompiledPlan.evaluate` recomputes the probability with *only*
   arithmetic, against the instance's live probabilities or a caller-supplied
-  override table — on the object graph at first, and on the plan's flat
-  tape (:mod:`repro.tape`) once a solver has lowered the reused plan;
+  override table, by replaying the plan's flat tape (:mod:`repro.tape`);
 * :meth:`CompiledPlan.update` maintains a serving-side probability table and
-  re-evaluates after a single-edge change — incrementally, through the
-  reverse-wire indices of :class:`~repro.lineage.ddnnf.CircuitEvaluator`, on
-  d-DNNF-backed plans;
+  re-evaluates after a single-edge change, replaying only the tape
+  operations that depend on the changed edge;
 * :class:`PlanCache` is a small LRU keyed on the *canonical query form* and
   the (frozen) instance identity, wired into
   :meth:`~repro.core.solver.PHomSolver.solve` /
@@ -23,7 +21,8 @@ probabilities.  A :class:`CompiledPlan` captures the structural phase once:
 
 Exact-mode plan evaluations are bit-identical to the one-shot API: the
 arithmetic halves perform the same operations in the same order as the
-functions they were split out of.
+functions they were split out of, and a tape is those arithmetic halves
+run once against the tape builder.
 
 Invalidation contract
 ---------------------
@@ -136,29 +135,14 @@ def _compute_canonical_key(query: DiGraph) -> Hashable:
 # per-component evaluators (the arithmetic half, one instance component each)
 # ----------------------------------------------------------------------
 class ComponentEvaluator:
-    """One component's arithmetic: evaluate against a probability table."""
+    """One component's arithmetic: evaluate against a probability table.
 
-    #: Whether :meth:`update_edge` re-evaluates incrementally.
-    incremental = False
+    ``context`` is a :class:`~repro.numeric.NumericContext`, or the tape
+    builder when the plan is lowered (see :mod:`repro.tape`).
+    """
 
     def evaluate(self, probabilities: Mapping[Edge, Number], context: NumericContext) -> Number:
         raise NotImplementedError
-
-    def start_serving(
-        self, probabilities: Mapping[Edge, Number], context: NumericContext
-    ) -> Number:
-        """Full evaluation that may retain state for incremental updates."""
-        return self.evaluate(probabilities, context)
-
-    def update_edge(
-        self,
-        edge: Edge,
-        value: Number,
-        probabilities: Mapping[Edge, Number],
-        context: NumericContext,
-    ) -> Number:
-        """Re-evaluate after ``probabilities[edge]`` changed to ``value``."""
-        return self.evaluate(probabilities, context)
 
 
 class IntervalEvaluator(ComponentEvaluator):
@@ -192,44 +176,24 @@ class PolytreeDPEvaluator(ComponentEvaluator):
 
 
 class CircuitComponentEvaluator(ComponentEvaluator):
-    """Proposition 5.4 (automaton route): a compiled d-DNNF lineage circuit.
+    """Proposition 5.4 (automaton route): a compiled d-DNNF lineage circuit."""
 
-    Supports true incremental updates: after :meth:`start_serving`, a
-    single-edge change recomputes only the ancestors of the touched variable
-    through the circuit's reverse-wire index.
-    """
-
-    incremental = True
+    #: The circuit's precompiled slot program, built on first use.
+    _evaluator: Optional[CircuitEvaluator] = None
 
     def __init__(self, circuit: DDNNF) -> None:
         self.circuit = circuit
-        # Two evaluators so a stateless evaluate() between updates cannot
-        # clobber the gate values the serving-side incremental path relies on.
-        self._stateless: Optional[CircuitEvaluator] = None
-        self._serving: Optional[CircuitEvaluator] = None
 
     def __getstate__(self):
-        """Pickle the circuit only; evaluators are per-process scratch state."""
+        """Pickle the circuit only; the slot program is rebuilt on demand."""
         state = self.__dict__.copy()
-        state["_stateless"] = None
-        state["_serving"] = None
+        state.pop("_evaluator", None)
         return state
 
     def evaluate(self, probabilities, context):
-        if self._stateless is None:
-            self._stateless = CircuitEvaluator(self.circuit)
-        # probability() runs the precompiled slots without retaining the
-        # O(gates) value table the incremental path would need.
-        return self._stateless.probability(probabilities, context)
-
-    def start_serving(self, probabilities, context):
-        self._serving = CircuitEvaluator(self.circuit)
-        return self._serving.evaluate(probabilities, context)
-
-    def update_edge(self, edge, value, probabilities, context):
-        if self._serving is None:  # pragma: no cover - guarded by ComponentPlan
-            return self.start_serving(probabilities, context)
-        return self._serving.update(edge, value)
+        if self._evaluator is None:
+            self._evaluator = CircuitEvaluator(self.circuit)
+        return self._evaluator._pass(probabilities, context)
 
 
 # ----------------------------------------------------------------------
@@ -244,14 +208,11 @@ class CompiledPlan:
     :meth:`update`.
     """
 
-    #: Lazily compiled flat tape (see :meth:`tape`); pickled with the plan
-    #: so it ships to serving workers and the persistent store.  The
-    #: class-level default covers plans pickled before tapes existed.
+    #: The flat tape (see :meth:`tape`); a caching solver lowers every
+    #: tractable plan when it compiles it, and the tape is pickled with
+    #: the plan so it ships to serving workers and the persistent store.
+    #: The class-level default covers plans pickled before tapes existed.
     _tape = None
-    #: Evaluations run on the object graph, before a tape existed.  A
-    #: solver lowers a plan to its tape when it is evaluated again (see
-    #: :meth:`repro.core.solver.PHomSolver.solve`).
-    evaluations = 0
 
     def __init__(
         self,
@@ -284,37 +245,34 @@ class CompiledPlan:
         ``probabilities`` overrides the instance's live table (missing edges
         keep their instance value); keys may be :class:`Edge` objects or
         ``(source, target)`` pairs.  ``precision`` selects the numeric
-        backend, defaulting to the compiling solver's.  Once the plan has
-        a tape, both precisions replay it (exact mode on integer
-        registers); before that the object-graph evaluators run, and each
-        such evaluation is counted in :attr:`evaluations`.
+        backend, defaulting to the compiling solver's.  Both precisions
+        replay the plan's tape (exact mode on integer registers); a plan
+        that arrives without one is lowered here first.
         """
         with current_tracer().span("plan.evaluate") as span:
             if span:
                 span.attrs["method"] = self.method
             context = self._context(precision)
             table = self._probability_table(probabilities, context)
-            tape = self._tape
-            if tape is not None:
-                return tape.evaluate(table, context)
-            self.evaluations += 1
-            return self._evaluate_with(table, context)
+            return self.tape().evaluate(table, context)
 
     # -- tape lowering -------------------------------------------------
     def tape(self):
-        """The plan's flat-tape lowering (compiled lazily, memoised).
+        """The plan's flat-tape lowering (memoised; lowered on first request).
 
         Returns a :class:`~repro.tape.PlanTape`: the arithmetic half
         flattened to parallel opcode/operand arrays evaluated in one
         non-recursive loop, with a batched
         :meth:`~repro.tape.PlanTape.evaluate_many` entry point.  The tape
-        performs the same operations as :meth:`evaluate`, so exact-mode
-        results are bit-identical.  Raises
+        performs the same operations as the plan's arithmetic half, so
+        exact-mode results are bit-identical to it.  Raises
         :class:`~repro.exceptions.PlanError` on brute-force fallback plans
-        (no arithmetic half to lower).  Prefer
-        :meth:`~repro.core.solver.PHomSolver.tape_for` when the plan lives
-        in a solver's cache — the solver also accounts the compile in the
-        cache statistics and refreshes the persistent store entry.
+        (no arithmetic half to lower).  Plans compiled by a caching solver
+        already carry their tape: the solver lowers them at compile time
+        and accounts the lowering in ``tape_compiles``.  A plan without
+        one (compiled by a solver with ``plan_cache_size=0``, or loaded
+        from a store written before plans were lowered at compile time)
+        is lowered here, on first use.
         """
         if self._tape is None:
             # Imported lazily: repro.tape imports the plan classes, so a
@@ -360,9 +318,10 @@ class CompiledPlan:
             # the per-entry setup cost scales with the overridden edges,
             # which is what makes large batches an order of magnitude
             # cheaper than looped evaluate() calls.
+            resolve = self.instance._resolve_edge
             deltas = [
                 {
-                    self._resolve_edge(key): context.convert(as_probability(value))
+                    resolve(key): context.convert(as_probability(value))
                     for key, value in overrides.items()
                 }
                 if overrides
@@ -405,17 +364,19 @@ class CompiledPlan:
     ) -> Number:
         """Set one edge's probability in the plan's serving table and re-evaluate.
 
-        The serving table is seeded from the instance on the first call and
-        lives *on the plan* — the instance is never mutated, and because
-        :meth:`PHomSolver.compile` serves cached plan objects, callers that
-        compiled the same canonical query against the same instance share
-        one serving table (use :meth:`ComponentPlan.reset_serving`, or a
-        solver with ``plan_cache_size=0``, for an independent session).
-        Switching ``precision`` mid-serving raises :class:`PlanError`
-        instead of silently discarding the accumulated updates.  d-DNNF-
-        backed plans recompute only the ancestors of the touched variable;
-        other plan kinds redo their (arithmetic-only) evaluation.  Returns
-        the new probability.
+        The serving table is a register file over the plan's tape
+        (a :class:`~repro.tape.TapeEvaluator`), seeded from the instance on
+        the first call; each update rewrites the edge's input slot and
+        replays only the tape operations that depend on it, on every
+        tractable route.  The table lives *on the plan* — the instance is
+        never mutated, and because :meth:`PHomSolver.compile` serves cached
+        plan objects, callers that compiled the same canonical query against
+        the same instance share one serving table (use
+        :meth:`ComponentPlan.reset_serving`, or a solver with
+        ``plan_cache_size=0``, for an independent session).  Switching
+        ``precision`` mid-serving raises :class:`PlanError` instead of
+        silently discarding the accumulated updates.  Returns the new
+        probability.
         """
         raise PlanError(f"{type(self).__name__} does not support update()")
 
@@ -453,21 +414,15 @@ class CompiledPlan:
             return self._default_context
         return resolve_context(precision)
 
-    def _resolve_edge(self, key) -> Edge:
-        if isinstance(key, Edge):
-            return self.instance.graph.get_edge(key.source, key.target)
-        if isinstance(key, tuple) and len(key) == 2:
-            return self.instance.graph.get_edge(key[0], key[1])
-        raise PlanError(f"cannot interpret {key!r} as an edge of the instance")
-
     def _probability_table(
         self, probabilities: Optional[Mapping], context: NumericContext
     ) -> Mapping[Edge, Number]:
         if probabilities is None:
             return context.instance_probabilities(self.instance)
         table: Dict[Edge, Number] = dict(context.instance_probabilities(self.instance))
+        resolve = self.instance._resolve_edge
         for key, value in probabilities.items():
-            table[self._resolve_edge(key)] = context.convert(as_probability(value))
+            table[resolve(key)] = context.convert(as_probability(value))
         return table
 
     def _evaluate_with(
@@ -499,7 +454,7 @@ class ConstantPlan(CompiledPlan):
             # here exactly as it would on any other plan kind; validate just
             # the supplied entries instead of materialising the full table.
             for key, value in probabilities.items():
-                self._resolve_edge(key)
+                self.instance._resolve_edge(key)
                 as_probability(value)
         return context.one if self._value_is_one else context.zero
 
@@ -507,7 +462,7 @@ class ConstantPlan(CompiledPlan):
         # The verdict does not depend on any edge; resolve the edge and
         # validate the probability anyway, so a bad update fails here with a
         # clear error rather than silently succeeding on constant plans only.
-        self._resolve_edge(edge)
+        self.instance._resolve_edge(edge)
         as_probability(probability)
         return self.evaluate(precision=precision)
 
@@ -520,27 +475,18 @@ class ComponentPlan(CompiledPlan):
     ``_per_component`` routes skip it on connected instances.
     """
 
+    #: The serving session of :meth:`update`: a bound tape evaluator.
+    _tape_serving = None
+
     def __init__(
         self,
         evaluators: Sequence[ComponentEvaluator],
         always_combine: bool,
-        component_edges: Sequence[Sequence[Edge]],
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
         self._evaluators = list(evaluators)
         self._always_combine = always_combine
-        self._edge_to_component: Dict[Edge, int] = {}
-        for index, edges in enumerate(component_edges):
-            for edge in edges:
-                self._edge_to_component[edge] = index
-        # Serving state for update(): (context, table, per-component values).
-        self._serving: Optional[
-            Tuple[NumericContext, Dict[Edge, Number], List[Number]]
-        ] = None
-        # Tape-backed serving state (used instead of the evaluator path when
-        # a tape has been compiled): single-slot rewrites on the flat tape.
-        self._tape_serving = None
 
     def _evaluate_with(self, table, context):
         return self._combine(
@@ -551,48 +497,19 @@ class ComponentPlan(CompiledPlan):
     def _combine(self, values: Sequence[Number], context: NumericContext) -> Number:
         if len(values) == 1 and not self._always_combine:
             return values[0]
+        mul, compl = context.mul, context.compl
         survival = context.one
         for value in values:
-            survival *= 1 - value
-        return 1 - survival
+            survival = mul(survival, compl(value))
+        return compl(survival)
 
     def update(self, edge, probability, precision=None):
-        context = self._context(precision)
-        edge = self._resolve_edge(edge)
-        value = context.convert(as_probability(probability))
-        if self._tape is not None and self._serving is None:
-            # Tape slot rewrite instead of evaluator re-runs/circuit re-wires:
-            # once a tape exists, updates replay only its dependent ops —
-            # incremental on *every* tractable route, and bitwise-identical
-            # to the evaluator path (same operations, same order).  A legacy
-            # serving session opened before the tape was compiled keeps using
-            # the evaluator path below: its drifted table must not be lost.
-            return self._tape_update(edge, value, context)
-        if self._serving is not None and self._serving[0] is not context:
-            raise PlanError(
-                f"the serving table was built with precision "
-                f"{self._serving[0].name!r} but update() was called with "
-                f"{context.name!r}; call reset_serving() to switch backends"
-            )
-        if self._serving is None:
-            table = dict(context.instance_probabilities(self.instance))
-            values = [
-                evaluator.start_serving(table, context)
-                for evaluator in self._evaluators
-            ]
-            self._serving = (context, table, values)
-        _, table, values = self._serving
-        table[edge] = value
-        component = self._edge_to_component.get(edge)
-        if component is not None:
-            evaluator = self._evaluators[component]
-            values[component] = evaluator.update_edge(edge, value, table, context)
-        return self._combine(values, context)
-
-    def _tape_update(self, edge: Edge, value: Number, context: NumericContext) -> Number:
         from repro.tape import TapeEvaluator
 
-        serving = getattr(self, "_tape_serving", None)
+        context = self._context(precision)
+        edge = self.instance._resolve_edge(edge)
+        value = context.convert(as_probability(probability))
+        serving = self._tape_serving
         if serving is not None and serving.context is not context:
             raise PlanError(
                 f"the serving table was built with precision "
@@ -600,14 +517,13 @@ class ComponentPlan(CompiledPlan):
                 f"{context.name!r}; call reset_serving() to switch backends"
             )
         if serving is None:
-            serving = TapeEvaluator(self._tape)
-            serving.bind(dict(context.instance_probabilities(self.instance)), context)
+            serving = TapeEvaluator(self.tape())
+            serving.bind(context.instance_probabilities(self.instance), context)
             self._tape_serving = serving
         return serving.update(edge, value)
 
     def reset_serving(self) -> None:
         """Drop the serving table; the next update() reseeds from the instance."""
-        self._serving = None
         self._tape_serving = None
 
     def __getstate__(self):
@@ -615,16 +531,13 @@ class ComponentPlan(CompiledPlan):
 
         An unpickled plan starts a fresh serving session (its first
         ``update`` reseeds from the shipped instance copy), which is the
-        contract the :mod:`repro.service` workers rely on, and a fresh
-        :attr:`evaluations` count.  The compiled flat tape ``_tape`` *does*
-        travel — it is structure, and shipping it is what lets store-loaded
-        plans and serving workers batch-evaluate without recompiling the
-        lowering.
+        contract the :mod:`repro.service` workers rely on.  The flat tape
+        ``_tape`` *does* travel — it is structure, and shipping it is what
+        lets store-loaded plans and serving workers evaluate without
+        lowering again.
         """
         state = self.__dict__.copy()
-        state["_serving"] = None
-        state["_tape_serving"] = None
-        state.pop("evaluations", None)
+        state.pop("_tape_serving", None)
         return state
 
 
@@ -751,31 +664,22 @@ class PlanCache:
     def store(
         self, query_key: Hashable, instance: ProbabilisticGraph, plan: CompiledPlan
     ) -> None:
-        """Insert a freshly compiled plan, evicting LRU entries over capacity."""
+        """Insert a freshly compiled plan, evicting LRU entries over capacity.
+
+        Counts one compile, and one tape compile when the plan arrives
+        lowered (a solver lowers every tractable plan before storing it).
+        """
         key = (query_key, id(instance))
         self._entries[key] = plan
         self._entries.move_to_end(key)
         self.compiles += 1
+        if plan.has_tape():
+            self.tape_compiles += 1
         while len(self._entries) > self.maxsize:
             evicted_key, evicted_plan = self._entries.popitem(last=False)
             self.evictions += 1
             if self.on_evict is not None:
                 self.on_evict(evicted_key, evicted_plan)
-
-    def note_tape(
-        self, query_key: Hashable, instance: ProbabilisticGraph, plan: CompiledPlan
-    ) -> None:
-        """Account one tape lowering of an already-cached plan.
-
-        Tapes are a second compilation tier: lowering a plan's arithmetic
-        to a flat tape is *not* a plan compile (the structural phase ran
-        exactly once, at :meth:`store` time), so it is counted in
-        ``tape_compiles`` and must never inflate ``compiles`` — the
-        invariant the stats-hygiene regression tests pin down.  The
-        persistent subclass also refreshes the plan's store entry here so
-        the lowered tape survives restarts alongside its plan.
-        """
-        self.tape_compiles += 1
 
     def clear(self) -> None:
         """Drop every entry (statistics are kept)."""

@@ -1,12 +1,12 @@
 """Flat postfix tapes: compiled plans lowered to array programs.
 
-A :class:`~repro.plan.CompiledPlan` already separates the structural phase
-from the arithmetic, but its arithmetic half still *interprets* Python
-object graphs per evaluation — circuit arenas, skeleton tuples, dict-keyed
-distributions — and the serving layer's dominant access pattern (one plan,
-many drifted probability tables) pays that interpretation per valuation.
-This module lowers a plan one level further, to a :class:`PlanTape`: a flat
-register program over parallel arrays
+A :class:`~repro.plan.CompiledPlan` separates the structural phase from
+the arithmetic, but its arithmetic half is written over Python object
+graphs — circuit arenas, skeleton tuples, dict-keyed distributions — and
+the serving layer's dominant access pattern (one plan, many drifted
+probability tables) would pay that interpretation per valuation.  This
+module lowers a plan one level further, to a :class:`PlanTape`, the only
+runtime a plan evaluates on: a flat register program over parallel arrays
 
 * ``opcodes`` / ``dsts`` / ``lhs`` / ``rhs`` — one entry per operation, in
   dependency (topological) order, over a semiring-with-complement opcode set
@@ -34,25 +34,29 @@ is built at the root, so results are bit-identical to Fraction arithmetic.
 How tapes are compiled
 ----------------------
 
-The compiler performs *symbolic execution* of the plan's own arithmetic
-half: it calls ``plan._evaluate_with`` with a :class:`NumericContext` whose
-numbers are :class:`SlotRef` handles that record every ``*``, ``+`` and
-``1 - x`` into a tape builder, and with a lazy probability table that
-allocates an input register the first time an edge's probability is read.
-Every arithmetic route — the interval DP of Proposition 4.11, the KMP DP of
-Proposition 4.10, the polytree distribution fold and the d-DNNF circuit of
-Proposition 5.4, and the Lemma 3.7 survival product over components — is
-thereby lowered *by running it*, with zero duplicated logic: the tape
-performs the same operations in the same order as the object-graph
-evaluator, so exact-mode results are bit-identical by construction.  (The
-DP evaluators branch only on *structural* data — interval thresholds, KMP
-states, distribution keys — never on probability values, which is what
-makes symbolic execution sound.)
+Every probability kernel — the interval DP of Proposition 4.11, the KMP DP
+of Proposition 4.10, the polytree distribution fold and the d-DNNF circuit
+of Proposition 5.4, and the Lemma 3.7 survival product over components —
+does its arithmetic through a context's ``mul``, ``add`` and ``compl``
+(``1 - x``) rather than through operators.  With a
+:class:`~repro.numeric.NumericContext` it computes a number; the compiler
+instead calls ``plan._evaluate_with`` with the tape builder as the context,
+whose numbers are slot indices and whose operations append tape ops, and
+with a lazy probability table that allocates an input slot the first time
+an edge's probability is read.  Every route is thereby lowered *by running
+it* (direct emission), with zero duplicated logic: the tape performs the
+same operations in the same order as the numeric evaluation, so exact-mode
+results are bit-identical by construction.  (The kernels branch only on
+*structural* data — interval thresholds, KMP states, distribution keys —
+never on probability values, which is what makes this sound.)
 
 The only rewrites applied are identity peepholes (``0 + x → x``,
 ``1 * x → x``, ``0 * x → 0``, ``1 - x`` folded to one complement op, and
 complement sharing), all of which are bitwise-exact on both backends for
-the non-negative finite values probabilities produce.
+the non-negative finite values probabilities produce.  A caching
+:class:`~repro.core.solver.PHomSolver` lowers every tractable plan when it
+compiles it, so plans reach the evaluator, the serving workers and the
+persistent store with their tape.
 
 Brute-force :class:`~repro.plan.FallbackPlan` objects have no arithmetic
 half, so they cannot be lowered: :func:`compile_plan_tape` raises
@@ -88,6 +92,8 @@ from repro.obs.trace import current_tracer
 
 #: Opcodes of the tape instruction set.  ``COMPL`` is the semiring
 #: complement ``dst = 1 - lhs`` (``rhs`` unused); the rest are binary.
+#: The lowering never emits ``SUB`` (every kernel subtracts only as
+#: ``1 - x``); the replay loops still accept it in hand-built tapes.
 OP_COMPL = 0
 OP_ADD = 1
 OP_MUL = 2
@@ -112,50 +118,56 @@ _SCALED_OPS = {
 }
 
 
+#: The builder interns the constants 0 and 1 before anything else, so they
+#: always sit in these slots; the peepholes compare against them.
+_ZERO_SLOT, _ONE_SLOT = 0, 1
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 class _TapeBuilder:
-    """Accumulates slots, constants, inputs and operations during lowering."""
+    """Accumulates slots, constants and operations during lowering.
+
+    The builder is the lowering's numeric context: it has the
+    :class:`~repro.numeric.NumericContext` members the kernels use
+    (``zero``, ``one``, ``convert``, ``mul``, ``add``, ``compl``),
+    its numbers are slot indices, and each operation emits one tape op or
+    folds through an identity peephole.
+    """
+
+    name = "tape"
 
     def __init__(self) -> None:
-        self.num_slots = 0
-        self._const_slots: Dict[Fraction, int] = {}
-        self.consts: List[Tuple[int, Fraction]] = []
-        self.edge_slots: Dict[Edge, int] = {}
+        self.num_slots = 2
+        self._const_slots: Dict[Fraction, int] = {_ZERO: _ZERO_SLOT, _ONE: _ONE_SLOT}
+        self.consts: List[Tuple[int, Fraction]] = [(_ZERO_SLOT, _ZERO), (_ONE_SLOT, _ONE)]
+        # Plain int lists: a lowering allocates no GC-tracked object per op
+        # (a tuple per op would trigger collections of the whole heap).
         self.opcodes: List[int] = []
         self.dsts: List[int] = []
         self.lhs: List[int] = []
         self.rhs: List[int] = []
         #: Complement sharing: operand slot -> slot holding ``1 - operand``.
         self._compl_cache: Dict[int, int] = {}
-        self.zero_slot = self.const_slot(Fraction(0))
-        self.one_slot = self.const_slot(Fraction(1))
+        self.zero, self.one = _ZERO_SLOT, _ONE_SLOT
 
-    # -- slot allocation ----------------------------------------------
-    def _new_slot(self) -> int:
+    def new_slot(self) -> int:
         slot = self.num_slots
-        self.num_slots += 1
+        self.num_slots = slot + 1
         return slot
 
-    def const_slot(self, value: Fraction) -> int:
+    def convert(self, value: Any) -> int:
         """The (deduplicated) constant-pool slot holding ``value``."""
         value = Fraction(value)
         slot = self._const_slots.get(value)
         if slot is None:
-            slot = self._new_slot()
-            self._const_slots[value] = slot
+            slot = self._const_slots[value] = self.new_slot()
             self.consts.append((slot, value))
-        return slot
-
-    def input_slot(self, edge: Edge) -> int:
-        """The input slot an edge's probability is loaded into (one per edge)."""
-        slot = self.edge_slots.get(edge)
-        if slot is None:
-            slot = self._new_slot()
-            self.edge_slots[edge] = slot
         return slot
 
     # -- op emission (with identity peepholes) ------------------------
     def _emit(self, opcode: int, a: int, b: int) -> int:
-        dst = self._new_slot()
+        dst = self.num_slots
+        self.num_slots = dst + 1
         self.opcodes.append(opcode)
         self.dsts.append(dst)
         self.lhs.append(a)
@@ -163,95 +175,30 @@ class _TapeBuilder:
         return dst
 
     def add(self, a: int, b: int) -> int:
-        if a == self.zero_slot:
+        if a == _ZERO_SLOT:
             return b
-        if b == self.zero_slot:
+        if b == _ZERO_SLOT:
             return a
         return self._emit(OP_ADD, a, b)
 
     def mul(self, a: int, b: int) -> int:
-        if a == self.one_slot:
+        if a == _ONE_SLOT:
             return b
-        if b == self.one_slot:
+        if b == _ONE_SLOT:
             return a
-        if a == self.zero_slot or b == self.zero_slot:
-            return self.zero_slot
+        if a == _ZERO_SLOT or b == _ZERO_SLOT:
+            return _ZERO_SLOT
         return self._emit(OP_MUL, a, b)
 
     def compl(self, a: int) -> int:
-        if a == self.zero_slot:
-            return self.one_slot
-        if a == self.one_slot:
-            return self.zero_slot
+        if a == _ZERO_SLOT:
+            return _ONE_SLOT
+        if a == _ONE_SLOT:
+            return _ZERO_SLOT
         cached = self._compl_cache.get(a)
         if cached is None:
-            cached = self._emit(OP_COMPL, a, a)
-            self._compl_cache[a] = cached
+            cached = self._compl_cache[a] = self._emit(OP_COMPL, a, a)
         return cached
-
-    def sub(self, a: int, b: int) -> int:
-        if a == self.one_slot:
-            return self.compl(b)
-        if b == self.zero_slot:
-            return a
-        return self._emit(OP_SUB, a, b)
-
-    # -- SlotRef plumbing ---------------------------------------------
-    def ref(self, slot: int) -> "SlotRef":
-        return SlotRef(self, slot)
-
-    def as_ref(self, value: Any) -> Optional["SlotRef"]:
-        """Coerce a symbolic or literal operand to a :class:`SlotRef`."""
-        if isinstance(value, SlotRef):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return self.ref(self.const_slot(Fraction(value)))
-        return None
-
-
-class SlotRef:
-    """A symbolic number: arithmetic on it records tape operations.
-
-    Instances stand in for probabilities during lowering; ``*``, ``+``,
-    ``-`` and the ``1 - x`` complement emit ops into the owning
-    :class:`_TapeBuilder` and return new references.  Plain ``int`` /
-    :class:`~fractions.Fraction` operands are interned into the constant
-    pool, so mixed expressions like ``1 - p`` lower transparently.
-    """
-
-    __slots__ = ("builder", "slot")
-
-    def __init__(self, builder: _TapeBuilder, slot: int) -> None:
-        self.builder = builder
-        self.slot = slot
-
-    def _binary(self, other: Any, emit) -> "SlotRef":
-        coerced = self.builder.as_ref(other)
-        if coerced is None:
-            return NotImplemented
-        return self.builder.ref(emit(self.slot, coerced.slot))
-
-    def __mul__(self, other: Any) -> "SlotRef":
-        return self._binary(other, self.builder.mul)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: Any) -> "SlotRef":
-        return self._binary(other, self.builder.add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Any) -> "SlotRef":
-        return self._binary(other, self.builder.sub)
-
-    def __rsub__(self, other: Any) -> "SlotRef":
-        coerced = self.builder.as_ref(other)
-        if coerced is None:
-            return NotImplemented
-        return self.builder.ref(self.builder.sub(coerced.slot, self.slot))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SlotRef({self.slot})"
 
 
 class _SymbolicTable(dict):
@@ -261,30 +208,9 @@ class _SymbolicTable(dict):
         super().__init__()
         self.builder = builder
 
-    def __missing__(self, edge: Edge) -> SlotRef:
-        ref = self.builder.ref(self.builder.input_slot(edge))
-        self[edge] = ref
-        return ref
-
-
-def _symbolic_context(builder: _TapeBuilder) -> NumericContext:
-    """A :class:`NumericContext` whose numbers are tape slot references."""
-
-    def convert(value: Any) -> SlotRef:
-        ref = builder.as_ref(value)
-        if ref is None:
-            raise PlanError(
-                f"cannot lower value {value!r} of type {type(value).__name__} "
-                "to a tape slot"
-            )
-        return ref
-
-    return NumericContext(
-        name="symbolic",
-        zero=builder.ref(builder.zero_slot),
-        one=builder.ref(builder.one_slot),
-        convert=convert,
-    )
+    def __missing__(self, edge: Edge) -> int:
+        slot = self[edge] = self.builder.new_slot()
+        return slot
 
 
 def compile_plan_tape(plan) -> "PlanTape":
@@ -305,21 +231,17 @@ def compile_plan_tape(plan) -> "PlanTape":
             "a tape; use plan.estimate(...) to sample them instead"
         )
     builder = _TapeBuilder()
-    context = _symbolic_context(builder)
     table = _SymbolicTable(builder)
-    result = plan._evaluate_with(table, context)
-    root = builder.as_ref(result)
-    if root is None:  # pragma: no cover - every evaluator returns numbers
-        raise PlanError(f"plan evaluation produced a non-numeric {result!r}")
+    root = plan._evaluate_with(table, builder)
     return PlanTape(
         num_slots=builder.num_slots,
         consts=tuple(builder.consts),
-        inputs=tuple(sorted(builder.edge_slots.items(), key=lambda item: item[1])),
+        inputs=tuple(table.items()),
         opcodes=array("B", builder.opcodes),
         dsts=array("I", builder.dsts),
         lhs=array("I", builder.lhs),
         rhs=array("I", builder.rhs),
-        root=root.slot,
+        root=root,
     )
 
 
@@ -778,10 +700,10 @@ class PlanTape:
 class TapeEvaluator:
     """Stateful tape evaluation with incremental single-edge updates.
 
-    The tape analogue of :class:`~repro.lineage.ddnnf.CircuitEvaluator`,
-    but for *every* tractable plan kind: after :meth:`bind` performs one
-    full pass and keeps the register file, :meth:`update` rewrites one
-    input slot and replays only the operations transitively reading it.
+    The serving session behind :meth:`repro.plan.CompiledPlan.update`, on
+    *every* tractable plan kind: after :meth:`bind` performs one full pass
+    and keeps the register file, :meth:`update` rewrites one input slot
+    and replays only the operations transitively reading it.
     The affected-op lists are discovered with one linear scan per edge and
     memoised, and because replayed ops recompute from identical operand
     values, an update stream is bitwise-identical (both backends) to

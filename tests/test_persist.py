@@ -412,21 +412,31 @@ class TestTapePersistence:
         clone.rebind(instance)
         assert clone.evaluate_many(batches) == expected
 
-    def test_note_tape_refreshes_store_entry(self, tmp_path):
+    def test_one_store_put_carries_the_tape(self, tmp_path):
         instance = build_instance(161)
         query = build_query(162)
         writer = PHomSolver(plan_store=str(tmp_path / "plans"))
         writer.compile(query, instance)
         store = writer.plan_cache.plan_store
         (row,) = store.inspect()
-        assert row["tape"] is False
-        puts_before = store.stats["puts"]
-
+        assert row["tape"] is True  # lowered at compile, before the one put
+        assert store.stats["puts"] == 1
         writer.tape_for(query, instance)
-        (row,) = store.inspect()
-        assert row["tape"] is True  # the entry was re-put with the tape
-        assert store.stats["puts"] == puts_before + 1
-        assert len(entry_files(tmp_path / "plans")) == 1  # refreshed, not duplicated
+        assert store.stats["puts"] == 1
+        assert len(entry_files(tmp_path / "plans")) == 1
+
+        # An entry written without a tape (as stores did before plans were
+        # lowered at compile time) still answers: it is lowered on first use.
+        (entry,) = store.entries()
+        stale = pickle.loads(pickle.dumps(entry["plan"]))
+        stale._tape = None
+        PlanStore(str(tmp_path / "old")).put(
+            entry["query_key"], entry["instance_digest"], entry["namespace"], stale
+        )
+        reader = PHomSolver(plan_store=str(tmp_path / "old"))
+        assert reader.solve(query, instance).probability == writer.solve(query, instance).probability
+        assert reader.compile(query, instance).has_tape()
+        assert reader.plan_cache.stats["compiles"] == 0
 
     def test_warm_restart_loads_tape_without_recompiling(self, tmp_path):
         instance = build_instance(171)

@@ -4,8 +4,9 @@ Random drift sequences exercise the three ways probabilities reach a plan —
 ``plan.update`` serving streams, ``instance.set_probability`` drift under a
 live plan cache (including across cache-eviction boundaries), and override
 tables — and assert the results stay *bit-identical* (exact Fractions) to a
-fresh ``solve()`` after every step.  Seeds are pinned (``REPRO_FUZZ_SEED``
-overrides), so failures reproduce deterministically.
+freshly compiled plan's kernels run on Fractions (never a tape) after every
+step.  Seeds are pinned (``REPRO_FUZZ_SEED`` overrides), so failures
+reproduce deterministically.
 
 Also home to the mutation-time validation contract: plans must reject
 out-of-range (or non-finite) probabilities at the call that introduces
@@ -25,7 +26,9 @@ from repro.core.solver import PHomSolver
 from repro.exceptions import IntractableFallbackWarning, PlanError, ProbabilityError
 from repro.graphs.builders import one_way_path
 from repro.graphs.classes import GraphClass
+from repro.numeric import EXACT
 from repro.plan import ComponentPlan, ConstantPlan, FallbackPlan
+from repro.probability.brute_force import brute_force_phom
 from repro.probability.prob_graph import ProbabilisticGraph
 from repro.workloads.generators import intractable_workload, workload_for_cell
 
@@ -44,11 +47,17 @@ PLAN_ROUTES = [
 
 
 def fresh_exact(query, instance):
-    """The ground truth: a cache-less exact solve."""
-    solver = PHomSolver(plan_cache_size=0)
+    """The ground truth, computed without any tape.
+
+    A cache-less solver compiles a fresh plan (it lowers nothing) and its
+    arithmetic half runs on Fractions; #P-hard cells use brute force.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntractableFallbackWarning)
-        return solver.solve(query, instance).probability
+        plan = PHomSolver(plan_cache_size=0).compile(query, instance)
+    if isinstance(plan, FallbackPlan):
+        return brute_force_phom(query, instance)
+    return plan._evaluate_with(EXACT.instance_probabilities(instance), EXACT)
 
 
 def random_probability(rng: random.Random) -> Fraction:

@@ -4,7 +4,8 @@ cache, batch deduplication, and incremental updates.
 The contract under test: ``PHomSolver.compile(query, instance)`` captures
 everything probability-independent, ``plan.evaluate`` is bit-identical to
 the one-shot API in exact mode (and 1e-9-close in float mode), and
-``plan.update`` matches a full re-solve after every single-edge change.
+``plan.update`` matches a fresh plan's full re-evaluation after every
+single-edge change.
 """
 
 import random
@@ -16,9 +17,9 @@ import pytest
 from repro.exceptions import GraphError, IntractableFallbackWarning, PlanError
 from repro.graphs.builders import one_way_path, unlabeled_path
 from repro.graphs.classes import GraphClass
-from repro.graphs.digraph import DiGraph
+from repro.graphs.digraph import DiGraph, Edge
 from repro.lineage.ddnnf import DDNNF, CircuitEvaluator
-from repro.numeric import EXACT, FAST
+from repro.numeric import resolve_context
 from repro.plan import ComponentPlan, ConstantPlan, FallbackPlan, PlanCache, canonical_query_key
 from repro.probability.prob_graph import ProbabilisticGraph
 from repro.core.solver import PHomSolver
@@ -45,6 +46,17 @@ def _workload(query_class, instance_class, labeled, seed, query_size=3, instance
     )
 
 
+def _kernel_probability(query, instance, precision="exact", **solver_kwargs):
+    """The pair's probability computed without any tape: the ground truth.
+
+    A cache-less solver compiles a fresh plan (it lowers nothing) and the
+    plan's arithmetic half runs on the numeric context itself.
+    """
+    plan = PHomSolver(plan_cache_size=0, **solver_kwargs).compile(query, instance)
+    context = resolve_context(precision)
+    return plan._evaluate_with(context.instance_probabilities(instance), context)
+
+
 class TestCompileEvaluateMatchesOneShot:
     @pytest.mark.parametrize("query_class,instance_class,labeled", TRACTABLE_CELLS)
     @pytest.mark.parametrize("seed", [1, 2])
@@ -57,7 +69,9 @@ class TestCompileEvaluateMatchesOneShot:
         baseline = PHomSolver(prefer=prefer, plan_cache_size=0)
         plan = solver.compile(workload.query, workload.instance)
         exact = baseline.solve(workload.query, workload.instance)
-        assert plan.evaluate() == exact.probability
+        assert plan.evaluate() == exact.probability == _kernel_probability(
+            workload.query, workload.instance, prefer=prefer
+        )
         assert plan.method == exact.method
         assert plan.proposition == exact.proposition
         fast = plan.evaluate(precision="float")
@@ -245,7 +259,6 @@ class TestIncrementalUpdate:
 
     def test_update_matches_full_resolve_exact(self):
         workload, plan = self._polytree_setup()
-        baseline = PHomSolver(prefer="automaton", plan_cache_size=0)
         rng = random.Random(3)
         edges = workload.instance.edges()
         for _ in range(10):
@@ -253,12 +266,13 @@ class TestIncrementalUpdate:
             probability = Fraction(rng.randint(0, 8), 8)
             updated = plan.update(edge, probability)
             workload.instance.set_probability(edge, probability)
-            full = baseline.solve(workload.query, workload.instance).probability
+            full = _kernel_probability(
+                workload.query, workload.instance, prefer="automaton"
+            )
             assert updated == full  # exact mode: bit-identical
 
     def test_update_matches_full_resolve_float(self):
         workload, plan = self._polytree_setup(seed=10)
-        baseline = PHomSolver(prefer="automaton", plan_cache_size=0)
         rng = random.Random(4)
         edges = workload.instance.edges()
         for _ in range(10):
@@ -266,9 +280,9 @@ class TestIncrementalUpdate:
             probability = Fraction(rng.randint(0, 16), 16)
             updated = plan.update(edge, probability, precision="float")
             workload.instance.set_probability(edge, probability)
-            full = baseline.solve(
-                workload.query, workload.instance, precision="float"
-            ).probability
+            full = _kernel_probability(
+                workload.query, workload.instance, "float", prefer="automaton"
+            )
             assert abs(updated - full) <= TOLERANCE
 
     def test_update_does_not_mutate_the_instance(self):
@@ -288,13 +302,10 @@ class TestIncrementalUpdate:
         # ...must not disturb the serving table of subsequent updates.
         updated = plan.update(edges[0], Fraction(2, 3))
         instance.set_probability(edges[0], Fraction(2, 3))
-        full = PHomSolver(prefer="automaton", plan_cache_size=0).solve(
-            workload.query, instance
-        ).probability
-        assert updated == full
+        assert updated == _kernel_probability(workload.query, instance, prefer="automaton")
 
     def test_update_on_dp_plans_recomputes_arithmetic(self):
-        # Non-circuit plans fall back to a full (arithmetic-only) re-evaluation.
+        # DP-backed plans update through the same tape session as circuits.
         workload = _workload(GraphClass.TWO_WAY_PATH, GraphClass.TWO_WAY_PATH, True, 13)
         solver = PHomSolver()
         plan = solver.compile(workload.query, workload.instance)
@@ -302,10 +313,7 @@ class TestIncrementalUpdate:
         edge = workload.instance.edges()[0]
         updated = plan.update(edge, Fraction(1, 5))
         workload.instance.set_probability(edge, Fraction(1, 5))
-        full = PHomSolver(plan_cache_size=0).solve(
-            workload.query, workload.instance
-        ).probability
-        assert updated == full
+        assert updated == _kernel_probability(workload.query, workload.instance)
 
     def test_update_unknown_edge_raises(self):
         _workload_, plan = self._polytree_setup(seed=14)
@@ -321,10 +329,9 @@ class TestIncrementalUpdate:
         plan.reset_serving()
         updated = plan.update(edge, Fraction(1, 2))  # fresh exact session
         workload.instance.set_probability(edge, Fraction(1, 2))
-        full = PHomSolver(prefer="automaton", plan_cache_size=0).solve(
-            workload.query, workload.instance
-        ).probability
-        assert updated == full
+        assert updated == _kernel_probability(
+            workload.query, workload.instance, prefer="automaton"
+        )
 
     def test_compile_returns_shared_cached_plan(self):
         workload, plan = self._polytree_setup(seed=16)
@@ -333,6 +340,23 @@ class TestIncrementalUpdate:
         second = solver.compile(workload.query, workload.instance)
         assert first is second  # documented: serving state is shared
         assert solver.plan_cache.stats["compiles"] == 1
+
+
+class TestEdgeKeys:
+    def test_edge_key_with_wrong_label_is_rejected(self):
+        graph = DiGraph(edges=[("a", "b", "R"), ("b", "c", "S")])
+        instance = ProbabilisticGraph(graph, {("a", "b"): "1/2", ("b", "c"): "1/3"})
+        plan = PHomSolver().compile("R(x, y), S(y, z)", instance)
+        right, wrong = Edge("a", "b", "R"), Edge("a", "b", "S")
+        assert plan.evaluate({right: "1"}) == plan.evaluate({("a", "b"): "1"}) == Fraction(1, 3)
+        # The instance's own resolver rejects the label, as set_probability does.
+        with pytest.raises(GraphError, match="does not match the instance edge"):
+            plan.evaluate({wrong: "1"})
+        with pytest.raises(GraphError, match="does not match the instance edge"):
+            plan.evaluate_many([None, {wrong: "1"}])
+        with pytest.raises(GraphError, match="does not match the instance edge"):
+            plan.update(wrong, "1")
+        assert plan.update(right, "1") == Fraction(1, 3)
 
 
 class TestCircuitEvaluator:
@@ -351,38 +375,12 @@ class TestCircuitEvaluator:
         evaluator = CircuitEvaluator(circuit)
         assert evaluator.evaluate(table) == circuit.probability(table)
 
-    def test_update_matches_fresh_evaluation(self):
+    def test_probability_converts_its_inputs(self):
         circuit = self._circuit()
-        table = {"x": Fraction(1, 3), "y": Fraction(1, 4)}
-        evaluator = CircuitEvaluator(circuit)
-        evaluator.evaluate(table)
-        updated = evaluator.update("x", Fraction(5, 6))
-        assert updated == circuit.probability({"x": Fraction(5, 6), "y": Fraction(1, 4)})
-        updated = evaluator.update("y", Fraction(0))
-        assert updated == circuit.probability({"x": Fraction(5, 6), "y": Fraction(0)})
-        assert evaluator.current_value() == updated
-
-    def test_update_of_absent_variable_is_a_noop(self):
-        circuit = self._circuit()
-        table = {"x": Fraction(1, 2), "y": Fraction(1, 2)}
-        evaluator = CircuitEvaluator(circuit)
-        before = evaluator.evaluate(table)
-        assert evaluator.update("z", Fraction(1)) == before
-
-    def test_update_before_evaluate_raises(self):
-        from repro.exceptions import LineageError
-
-        evaluator = CircuitEvaluator(self._circuit())
-        with pytest.raises(LineageError):
-            evaluator.update("x", Fraction(1, 2))
-
-    def test_float_context_update(self):
-        circuit = self._circuit()
-        evaluator = CircuitEvaluator(circuit)
-        evaluator.evaluate({"x": 0.25, "y": 0.75}, context=FAST)
-        updated = evaluator.update("x", 0.5)
-        expected = circuit.probability({"x": 0.5, "y": 0.75}, context=FAST)
-        assert abs(updated - expected) <= TOLERANCE
+        table = {"x": "1/3", "y": 0.25}
+        value = CircuitEvaluator(circuit).probability(table)
+        assert isinstance(value, Fraction)
+        assert value == circuit.probability(table) == Fraction(7, 12)
 
 
 class TestDDNNFMemoisation:
@@ -397,14 +395,11 @@ class TestDDNNFMemoisation:
         circuit.add_var("z")
         assert len(circuit._supports()) == 3
 
-    def test_parent_index_and_literal_index(self):
+    def test_literal_index(self):
         circuit = DDNNF()
         x, y = circuit.add_var("x"), circuit.add_var("y")
         gate = circuit.add_and([x, y])
         circuit.set_root(gate)
-        parents = circuit.parent_index()
-        assert gate in parents[x] and gate in parents[y]
-        assert parents[gate] == ()
         assert circuit.literal_index() == {"x": (x,), "y": (y,)}
 
     def test_is_deterministic_still_detects_overlap(self):

@@ -1,9 +1,10 @@
 """Differential tests for flat-tape compilation (:mod:`repro.tape`).
 
 The tape backend re-implements nothing: it lowers each plan's own
-arithmetic by symbolic execution, so its one correctness obligation is
-*equivalence* — tape evaluation must be bit-identical (exact mode) or
-ulp-close (float mode) to the object-graph evaluator on every plan route,
+arithmetic by running its kernels with the tape builder as the numeric
+context, so its one correctness obligation is *equivalence* — tape
+evaluation must be bit-identical (exact mode) or ulp-close (float mode)
+to the same kernels run on numbers (the object graph) on every plan route,
 under randomized instances, randomized probability tables, batched
 evaluation, and incremental-update streams.  This suite asserts exactly
 that, extending the :mod:`tests.test_plan_fuzz` idiom: seeds are pinned
@@ -16,6 +17,7 @@ import os
 import pickle
 import random
 import warnings
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -31,7 +33,7 @@ from repro.exceptions import (
 from repro.graphs.builders import one_way_path
 from repro.graphs.classes import GraphClass
 from repro.graphs.digraph import Edge
-from repro.numeric import resolve_context
+from repro.numeric import EXACT, resolve_context
 from repro.plan import ComponentPlan, ConstantPlan, FallbackPlan
 from repro.probability.brute_force import brute_force_phom
 from repro.probability.prob_graph import ProbabilisticGraph
@@ -73,13 +75,105 @@ DISPATCH_ROUTES = [
 
 FLOAT_TOLERANCE = 1e-9
 
+#: The seed of the golden tape shapes: fixed, so REPRO_FUZZ_SEED cannot move them.
+GOLDEN_SEED = 20170514
+
+#: The tape of ``dispatch_plan(index, GOLDEN_SEED)`` per dispatch route, as
+#: lowered when the golden shapes were recorded: ``describe()``, the root
+#: slot, the input slots as (source, target, slot) and the
+#: :func:`program_digest` of the op arrays and constant pool.
+GOLDEN_TAPES = {
+    "labeled-dwt": {
+        "describe": {"slots": 57, "inputs": 10, "consts": 2, "ops": 45, "compl": 11, "add": 15, "mul": 19, "sub": 0},
+        "root": 56,
+        "inputs": [
+            ("q2", "q5", 2),
+            ("q7", "q8", 3),
+            ("q7", "q9", 4),
+            ("q2", "q7", 5),
+            ("q1", "q2", 6),
+            ("q0", "q1", 7),
+            ("q4", "q10", 8),
+            ("q4", "q6", 9),
+            ("q3", "q4", 10),
+            ("q0", "q3", 11),
+        ],
+        "digest": 4055198512,
+    },
+    "connected-2wp": {
+        "describe": {"slots": 116, "inputs": 12, "consts": 2, "ops": 102, "compl": 13, "add": 27, "mul": 62, "sub": 0},
+        "root": 115,
+        "inputs": [
+            ("q0", "q1", 2),
+            ("q1", "q2", 4),
+            ("q2", "q3", 11),
+            ("q4", "q3", 21),
+            ("q5", "q4", 34),
+            ("q6", "q5", 50),
+            ("q7", "q6", 64),
+            ("q7", "q8", 71),
+            ("q8", "q9", 81),
+            ("q10", "q9", 91),
+            ("q11", "q10", 98),
+            ("q11", "q12", 106),
+        ],
+        "digest": 3178184940,
+    },
+    "graded-collapse": {
+        "describe": {"slots": 68, "inputs": 9, "consts": 2, "ops": 57, "compl": 12, "add": 12, "mul": 33, "sub": 0},
+        "root": 67,
+        "inputs": [
+            (("c0", "t1"), ("c0", "t3"), 2),
+            (("c0", "t0"), ("c0", "t1"), 4),
+            (("c0", "t0"), ("c0", "t2"), 10),
+            (("c1", "t0"), ("c1", "t1"), 24),
+            (("c1", "t0"), ("c1", "t2"), 26),
+            (("c1", "t0"), ("c1", "t3"), 34),
+            (("c2", "t2"), ("c2", "t3"), 42),
+            (("c2", "t0"), ("c2", "t1"), 44),
+            (("c2", "t0"), ("c2", "t2"), 46),
+        ],
+        "digest": 1121634866,
+    },
+    "polytree-dp": {
+        "describe": {"slots": 90, "inputs": 6, "consts": 2, "ops": 82, "compl": 6, "add": 24, "mul": 52, "sub": 0},
+        "root": 89,
+        "inputs": [
+            ("q6", "q2", 2),
+            ("q5", "q3", 4),
+            ("q2", "q1", 6),
+            ("q1", "q3", 12),
+            ("q1", "q0", 47),
+            ("q4", "q0", 72),
+        ],
+        "digest": 3316536298,
+    },
+    "polytree-automaton": {
+        "describe": {"slots": 57, "inputs": 4, "consts": 2, "ops": 51, "compl": 4, "add": 11, "mul": 36, "sub": 0},
+        "root": 56,
+        "inputs": [
+            ("q0", "q1", 2),
+            ("q2", "q1", 3),
+            ("q1", "q3", 4),
+            ("q4", "q0", 5),
+        ],
+        "digest": 2160217405,
+    },
+}
+
 
 def fresh_exact(query, instance):
-    """The ground truth: a cache-less exact solve."""
-    solver = PHomSolver(plan_cache_size=0)
+    """The ground truth, computed without any tape.
+
+    A cache-less solver compiles a fresh plan (it lowers nothing) and its
+    arithmetic half runs on Fractions; #P-hard cells use brute force.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntractableFallbackWarning)
-        return solver.solve(query, instance).probability
+        plan = PHomSolver(plan_cache_size=0).compile(query, instance)
+    if isinstance(plan, FallbackPlan):
+        return brute_force_phom(query, instance)
+    return plan._evaluate_with(EXACT.instance_probabilities(instance), EXACT)
 
 
 #: Probabilities with coprime and float-derived denominators, so the exact
@@ -102,8 +196,8 @@ def random_probability(rng: random.Random) -> Fraction:
 def object_graph(plan, overrides=None, precision="exact"):
     """The plan's answer from its object-graph evaluators, never its tape.
 
-    ``plan.evaluate`` replays the tape once the plan has one, so comparing
-    a tape against it would compare the tape with itself.
+    ``plan.evaluate`` always replays the tape, so comparing a tape
+    against it would compare the tape with itself.
     """
     context = resolve_context(precision)
     return plan._evaluate_with(plan._probability_table(overrides, context), context)
@@ -123,7 +217,7 @@ def route_plan(route: int):
     return workload, plan, rng
 
 
-def dispatch_plan(index: int):
+def dispatch_plan(index: int, seed: int = SEED):
     """A small (workload, plan, rng) triple whose plan runs DISPATCH_ROUTES[index].
 
     Draws seeded workloads until the solver dispatches one to the pinned
@@ -131,7 +225,7 @@ def dispatch_plan(index: int):
     is covered under every fuzz seed.
     """
     method, query_class, instance_class, labeled, solver_kwargs = DISPATCH_ROUTES[index]
-    rng = random.Random(SEED + index)
+    rng = random.Random(seed + index)
     for _ in range(200):
         workload = workload_for_cell(
             query_class, instance_class, labeled,
@@ -161,6 +255,15 @@ def graded_collapse_plan():
     plan = solver.compile(workload.query, workload.instance)
     assert plan.method == "graded-collapse"
     return workload, plan, rng
+
+
+def program_digest(tape) -> int:
+    """CRC-32 of a tape's op arrays and constant pool."""
+    program = (
+        list(tape.opcodes), list(tape.dsts), list(tape.lhs), list(tape.rhs),
+        [(slot, str(value)) for slot, value in tape.consts],
+    )
+    return zlib.crc32(repr(program).encode())
 
 
 def random_tables(instance, rng, count):
@@ -196,8 +299,8 @@ class TestTapeVsObjectGraph:
 
     @pytest.mark.parametrize("route", range(len(PLAN_ROUTES)))
     def test_tape_matches_fresh_solve(self, route):
-        # Transitivity guard: the tape must agree with a from-scratch exact
-        # solve, not merely with the (shared-ancestry) object-graph plan.
+        # Transitivity guard: the tape must agree with the kernels of a
+        # freshly compiled plan, not merely with its own plan's object graph.
         workload, plan, _rng = route_plan(route)
         tape = plan.tape()
         table = dict(workload.instance.probabilities_view())
@@ -388,7 +491,6 @@ class TestTapeUpdateStream:
     @pytest.mark.parametrize("route", range(len(PLAN_ROUTES)))
     def test_update_stream_matches_fresh_solve(self, route):
         workload, plan, rng = route_plan(route)
-        plan.tape()  # route update() through the tape serving path
         mirror = ProbabilisticGraph(
             workload.instance.graph, workload.instance.probabilities()
         )
@@ -421,9 +523,9 @@ class TestTapeUpdateStream:
 
     def test_update_of_unread_edge_keeps_value(self):
         # An edge the tape has no input slot for cannot affect the result:
-        # the evaluator returns the current root unchanged (mirroring
-        # CircuitEvaluator's contract), while the plan-level path rejects
-        # edges that are not part of the instance at all.
+        # the evaluator returns the current root unchanged, while the
+        # plan-level path rejects edges that are not part of the instance
+        # at all.
         workload, plan, _rng = route_plan(0)
         tape = plan.tape()
         foreign = Edge("tape-test-x", "tape-test-y", "R")
@@ -454,19 +556,20 @@ class TestTapeUpdateStream:
         drifted = plan.update(edge, Fraction(1, 4), precision="float")
         assert isinstance(drifted, float)
 
-    def test_legacy_serving_session_is_not_hijacked(self):
-        # A serving session started before the tape existed has drifted
-        # state in the evaluator table; compiling a tape mid-session must
-        # not silently discard it.
-        workload, plan, rng = route_plan(0)
+    def test_plan_without_tape_lowers_on_first_update(self):
+        # A cache-less solver stores nothing, so it lowers nothing: the
+        # plan's first update lowers it and opens the tape session.
+        workload, _plan, rng = route_plan(0)
+        plan = PHomSolver(plan_cache_size=0).compile(workload.query, workload.instance)
+        assert not plan.has_tape()
         mirror = ProbabilisticGraph(
             workload.instance.graph, workload.instance.probabilities()
         )
         edges = workload.instance.edges()
-        edge = edges[0]
-        plan.update(edge, Fraction(1, 5))
-        mirror.set_probability(edge, Fraction(1, 5))
-        plan.tape()
+        served = plan.update(edges[0], Fraction(1, 5))
+        mirror.set_probability(edges[0], Fraction(1, 5))
+        assert plan.has_tape()
+        assert served == fresh_exact(workload.query, mirror)
         for step in range(5):
             drift_edge = edges[rng.randrange(len(edges))]
             value = random_probability(rng)
@@ -551,6 +654,25 @@ class TestTapeStructure:
 
 
 # ----------------------------------------------------------------------
+# golden tape shapes
+# ----------------------------------------------------------------------
+class TestGoldenTapeShapes:
+    """Plan-store entries carry tapes, so a drift in any route's op stream
+    (order, operands, peepholes, input slots) must fail loudly here."""
+
+    @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
+    def test_tape_shape_is_pinned(self, index):
+        golden = GOLDEN_TAPES[DISPATCH_ROUTES[index][0]]
+        _workload, plan, _rng = dispatch_plan(index, seed=GOLDEN_SEED)
+        tape = plan.tape()
+        assert tape.describe() == golden["describe"]
+        assert tape.root == golden["root"]
+        inputs = [(edge.source, edge.target, slot) for edge, slot in tape.inputs]
+        assert inputs == golden["inputs"]
+        assert program_digest(tape) == golden["digest"]
+
+
+# ----------------------------------------------------------------------
 # cache statistics hygiene
 # ----------------------------------------------------------------------
 class TestStatsHygiene:
@@ -560,7 +682,7 @@ class TestStatsHygiene:
         solver.compile(workload.query, workload.instance)
         stats = solver.plan_cache.stats
         assert stats["compiles"] == 1
-        assert stats["tape_compiles"] == 0
+        assert stats["tape_compiles"] == 1  # lowered once, at compile
         solver.tape_for(workload.query, workload.instance)
         stats = solver.plan_cache.stats
         assert stats["compiles"] == 1, "tape compile double-counted as plan compile"
@@ -591,20 +713,28 @@ class TestStatsHygiene:
 
 
 # ----------------------------------------------------------------------
-# lowering on reuse
+# lowering at compile, never again on reuse
 # ----------------------------------------------------------------------
 class TestLoweringOnReuse:
     @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
-    def test_second_solve_lowers_once(self, index):
+    def test_compile_lowers_once(self, index, monkeypatch):
+        # The one lowering happens at compile: the first solve already
+        # replays the tape, and no later solve lowers again.
         workload, _plan, rng = dispatch_plan(index)
         query, instance = workload.query, workload.instance
         solver = PHomSolver(**DISPATCH_ROUTES[index][4])
-        first = solver.solve(query, instance).probability
         plan = solver.compile(query, instance)
-        assert not plan.has_tape() and plan.evaluations == 1
-        assert solver.plan_cache.stats["tape_compiles"] == 0
-        assert solver.solve(query, instance).probability == first
         assert plan.has_tape()
+        stats = solver.plan_cache.stats
+        assert stats["compiles"] == 1 and stats["tape_compiles"] == 1
+
+        def object_graph_run(*_args):
+            raise AssertionError("a solve ran the object graph")
+
+        want = fresh_exact(query, instance)
+        monkeypatch.setattr(plan, "_evaluate_with", object_graph_run)
+        assert solver.solve(query, instance).probability == want
+        assert solver.solve(query, instance).probability == want
         edges = instance.edges()
         for _ in range(3):
             instance.set_probability(edges[rng.randrange(len(edges))], random_probability(rng))
@@ -612,8 +742,6 @@ class TestLoweringOnReuse:
             assert solver.solve(query, instance).probability == exact
             drifted = solver.solve(query, instance, precision="float").probability
             assert abs(drifted - float(exact)) <= FLOAT_TOLERANCE
-        # Only the first solve ran the object graph; the rest replayed the tape.
-        assert plan.evaluations == 1
         stats = solver.plan_cache.stats
         assert stats["compiles"] == 1
         assert stats["tape_compiles"] == 1
@@ -625,21 +753,22 @@ class TestLoweringOnReuse:
             solver.solve(workload.query, workload.instance)
         assert not solver.compile(workload.query, workload.instance).has_tape()
 
-    def test_store_reput_once_and_warm_restart_skips_lowering(self, tmp_path):
+    def test_one_store_put_and_warm_restart_skips_lowering(self, tmp_path):
         workload, _plan, _rng = dispatch_plan(1)
         store_dir = str(tmp_path / "plans")
         writer = PHomSolver(plan_store=store_dir)
         answers = {writer.solve(workload.query, workload.instance).probability for _ in range(4)}
         assert len(answers) == 1
-        # One put at compile time, one re-put when the second solve lowered.
-        assert writer.plan_store.stats["puts"] == 2
+        # One put, at compile time, and it already carries the tape.
+        assert writer.plan_store.stats["puts"] == 1
         (row,) = writer.plan_store.inspect()
         assert row["tape"] is True
+        stats = writer.plan_cache.stats
+        assert stats["compiles"] == 1 and stats["tape_compiles"] == 1
 
         reader = PHomSolver(plan_store=store_dir)
         assert reader.solve(workload.query, workload.instance).probability in answers
-        plan = reader.compile(workload.query, workload.instance)
-        assert plan.has_tape() and plan.evaluations == 0  # answered on the tape
+        assert reader.compile(workload.query, workload.instance).has_tape()
         stats = reader.plan_cache.stats
         assert stats["compiles"] == 0 and stats["tape_compiles"] == 0
         assert stats["loads"] == 1
