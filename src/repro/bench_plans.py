@@ -24,7 +24,11 @@ module measures exactly that, plus the incremental single-edge update path:
   integer registers, plus the lowering time that replay amortises;
 * ``first_exact`` — per workload, what a cold plan's first exact answer
   costs: lowering plus the first integer replay (which builds the replay's
-  exponent program) versus one exact evaluation on the object graph.
+  exponent program) versus one exact evaluation on the object graph;
+* ``interval_match`` — on the connected-2wp workload, Proposition 4.11's
+  structural phase per query and instance component: the bitset interval
+  matcher of ``compile_connected_on_2wp`` versus the same sweep deciding
+  each interval by Theorem 4.13 on the induced subpath graph.
 
 Every configuration is cross-checked: plan results must be *bit-identical*
 to the one-shot API in exact mode and within ``1e-9`` of exact in float
@@ -43,8 +47,14 @@ from typing import Callable, Dict, List, Tuple
 # Seed, float contract, rng and report serialisation are shared with the
 # hot-path benchmark so the two recorded artefacts can never desynchronise.
 from repro.bench import BENCH_SEED, FLOAT_TOLERANCE, _rng, write_report
+from repro.core.labeled_2wp import (
+    TwoWayPathSkeleton,
+    _shortest_match_lengths,
+    compile_connected_on_2wp,
+)
 from repro.core.solver import PHomSolver
-from repro.graphs.classes import GraphClass
+from repro.csp.xproperty import x_property_has_homomorphism
+from repro.graphs.classes import GraphClass, two_way_path_order
 from repro.graphs.digraph import DiGraph, Edge
 from repro.numeric import EXACT, FAST
 from repro.plan import CompiledPlan, ComponentPlan
@@ -64,6 +74,8 @@ class PlanWorkload:
     queries: List[DiGraph]
     #: Solver keyword overrides (e.g. ``prefer="automaton"`` for the d-DNNF route).
     solver_kwargs: Dict[str, object] = field(default_factory=dict)
+    #: Whether to time Proposition 4.11's interval matching (2WP instances only).
+    interval_match: bool = False
 
 
 def build_plan_workloads(instance_size: int, num_queries: int) -> List[PlanWorkload]:
@@ -99,6 +111,7 @@ def build_plan_workloads(instance_size: int, num_queries: int) -> List[PlanWorkl
                 make_query(GraphClass.TWO_WAY_PATH, True, 2 + (i % 2), rng)
                 for i in range(num_queries)
             ],
+            interval_match=True,
         )
     )
 
@@ -215,6 +228,75 @@ def measure_exact_evaluate(
     return exact_evaluate, first_exact
 
 
+def _x_property_compile(
+    query: DiGraph, graph: DiGraph, subpaths: Dict[Tuple[int, int], DiGraph]
+) -> TwoWayPathSkeleton:
+    """Proposition 4.11's structural phase with every interval decided by Theorem 4.13.
+
+    The same two-pointer sweep as :func:`compile_connected_on_2wp`, but each
+    interval runs :func:`x_property_has_homomorphism` on its induced subpath
+    graph, taken from ``subpaths`` (built on first use and kept, as the
+    instance-side memo of that route did).
+    """
+    order = two_way_path_order(graph)
+    edges = tuple(
+        graph.get_edge(left, right) if graph.has_edge(left, right) else graph.get_edge(right, left)
+        for left, right in zip(order, order[1:])
+    )
+
+    def matches(start: int, end: int) -> bool:
+        vertices = order[start - 1 : end + 1]
+        subpath = subpaths.get((start, end))
+        if subpath is None:
+            subpath = subpaths[(start, end)] = graph.induced_component(vertices).freeze()
+        return x_property_has_homomorphism(query, subpath, vertices)
+
+    shortest = _shortest_match_lengths(len(edges), matches)
+    return TwoWayPathSkeleton(edges=edges, shortest=tuple(shortest))
+
+
+def measure_interval_match(
+    queries: List[DiGraph], instance: ProbabilisticGraph, repeats: int = 15
+) -> Dict[str, object]:
+    """Per query and instance component: bitset interval matching vs the X-property sweep.
+
+    Times (best of ``repeats``, alternating) one ``compile_connected_on_2wp``
+    against :func:`_x_property_compile` on the component's graph.  Both run
+    warm, as a serving instance does: the bitset route's label masks are
+    memoised on the graph after the first compile, and the X-property
+    route's subpath graphs are built before timing.  The two skeletons
+    must be identical before anything is recorded.
+    """
+    bitset_us: List[float] = []
+    x_property_us: List[float] = []
+    for component in instance.connected_components():
+        graph = component.graph
+        subpaths: Dict[Tuple[int, int], DiGraph] = {}
+        for query in queries:
+            if _x_property_compile(query, graph, subpaths) != compile_connected_on_2wp(
+                query, graph
+            ):
+                raise AssertionError(
+                    "bitset interval matching diverged from the X-property sweep"
+                )
+            reference, bitset = [], []
+            for _ in range(repeats):
+                reference.append(_time(lambda: _x_property_compile(query, graph, subpaths)))
+                bitset.append(_time(lambda: compile_connected_on_2wp(query, graph)))
+            x_property_us.append(min(reference) * 1e6)
+            bitset_us.append(min(bitset) * 1e6)
+    count = max(len(bitset_us), 1)
+    return {
+        "pairs": len(bitset_us),
+        "x_property_us": round(sum(x_property_us) / count, 2),
+        "bitset_us": round(sum(bitset_us) / count, 2),
+        "speedup": round(sum(x_property_us) / sum(bitset_us), 2)
+        if bitset_us
+        else float("inf"),
+        "identical_skeletons": True,
+    }
+
+
 def run_plan_workload(workload: PlanWorkload, rounds: int) -> Dict[str, object]:
     """Time plan re-evaluation against PR-1-style ``solve_many`` under drift."""
     instance = workload.instance
@@ -272,7 +354,7 @@ def run_plan_workload(workload: PlanWorkload, rounds: int) -> Dict[str, object]:
     evaluations = rounds * len(queries)
     speedup = baseline_seconds / plan_seconds if plan_seconds > 0 else float("inf")
     exact_evaluate, first_exact = measure_exact_evaluate(plans, instance)
-    return {
+    report: Dict[str, object] = {
         "name": workload.name,
         "description": workload.description,
         "num_queries": len(queries),
@@ -298,6 +380,9 @@ def run_plan_workload(workload: PlanWorkload, rounds: int) -> Dict[str, object]:
         "exact_evaluate": exact_evaluate,
         "first_exact": first_exact,
     }
+    if workload.interval_match:
+        report["interval_match"] = measure_interval_match(queries, instance)
+    return report
 
 
 def run_incremental_benchmark(instance_size: int, updates: int) -> Dict[str, object]:
@@ -517,6 +602,11 @@ def run_plan_benchmarks(
             "min_first_exact_speedup": min(
                 w["first_exact"]["speedup"] for w in workload_reports
             ),
+            "interval_match_speedup": min(
+                w["interval_match"]["speedup"]
+                for w in workload_reports
+                if "interval_match" in w
+            ),
             "contract": (
                 "exact plan results bit-identical to the one-shot API "
                 "(including batched and integer tape evaluation); "
@@ -533,6 +623,7 @@ def check_plan_thresholds(
     min_tape_speedup: float = 0.0,
     min_exact_tape_speedup: float = 0.0,
     min_first_exact_speedup: float = 0.0,
+    min_interval_match_speedup: float = 0.0,
 ) -> None:
     """Raise AssertionError when a recorded speedup falls below a threshold."""
     summary = report["summary"]
@@ -566,6 +657,12 @@ def check_plan_thresholds(
             f"{first}x faster than the object graph, below the required "
             f"{min_first_exact_speedup}x"
         )
+    interval = summary["interval_match_speedup"]
+    if interval < min_interval_match_speedup:
+        raise AssertionError(
+            f"bitset interval matching is {interval}x faster than the X-property "
+            f"sweep, below the required {min_interval_match_speedup}x"
+        )
 
 
 #: Serialise the report to disk — same format as the hot-path benchmark.
@@ -595,6 +692,12 @@ def format_plan_report(report: Dict[str, object]) -> str:
             f"{first['lower_and_first_replay_us']} us lowering + first replay "
             f"({first['speedup']}x)"
         )
+        interval = workload.get("interval_match")
+        if interval is not None:
+            lines.append(
+                f"    interval match         {interval['x_property_us']} us X-property sweep, "
+                f"{interval['bitset_us']} us bitset ({interval['speedup']}x)"
+            )
     incremental = report["incremental"]
     lines.append(f"  incremental: {incremental['description']}")
     for name, numbers in incremental["modes"].items():
@@ -625,5 +728,9 @@ def format_plan_report(report: Dict[str, object]) -> str:
     lines.append(
         f"  minimum first-exact speedup (lowering + first replay): "
         f"{summary['min_first_exact_speedup']}x"
+    )
+    lines.append(
+        f"  interval matching speedup over the X-property sweep: "
+        f"{summary['interval_match_speedup']}x"
     )
     return "\n".join(lines)

@@ -403,6 +403,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench.add_argument(
+        "--min-interval-match-speedup", type=float, default=0.0,
+        help=(
+            "plans: fail when Proposition 4.11's bitset interval matching is "
+            "less than this many times faster than the X-property sweep"
+        ),
+    )
+    bench.add_argument(
         "--min-sampling-speedup", type=float, default=0.0,
         help=(
             "sampling: fail when the Karp-Luby speedup over brute force on the "
@@ -1041,6 +1048,7 @@ def _run_bench_plans(args, out, err) -> int:
             min_tape_speedup=args.min_tape_speedup,
             min_exact_tape_speedup=args.min_exact_tape_speedup,
             min_first_exact_speedup=args.min_first_exact_speedup,
+            min_interval_match_speedup=args.min_interval_match_speedup,
         )
     except AssertionError as exc:
         err.write(f"error: plan benchmark check failed: {exc}\n")

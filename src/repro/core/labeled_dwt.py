@@ -34,7 +34,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ClassConstraintError
 from repro.graphs.builders import path_query_labels
-from repro.graphs.classes import downward_tree_root, is_downward_tree, is_one_way_path
+from repro.graphs.classes import GraphClass, graph_in_class, is_downward_tree, is_one_way_path
 from repro.graphs.digraph import DiGraph, Edge, Vertex
 from repro.lineage.dnf import PositiveDNF
 from repro.numeric import EXACT, Number, NumericContext
@@ -151,16 +151,34 @@ class DWTPathSkeleton:
     root_index: int
 
 
+def _downward_tree_structure(
+    graph: DiGraph,
+) -> Tuple[Vertex, Dict[Vertex, Tuple[Edge, ...]]]:
+    """The root of a downward tree and every vertex's out-edges in traversal order.
+
+    Memoised on the (frozen) instance graph, so every query compiled
+    against the instance walks the tree without rescanning it for the root
+    or re-listing a vertex's children.
+    """
+
+    def compute() -> Tuple[Vertex, Dict[Vertex, Tuple[Edge, ...]]]:
+        root = next(vertex for vertex in graph.vertices if graph.in_degree(vertex) == 0)
+        children = {vertex: tuple(graph.out_edges(vertex)) for vertex in graph.vertices}
+        return root, children
+
+    return graph.cached("dwt_structure", compute)
+
+
 def compile_labeled_path_on_dwt(
     query_labels: Sequence[str], graph: DiGraph
 ) -> DWTPathSkeleton:
     """Compile the structural half of the KMP dynamic program on a DWT."""
-    if not is_downward_tree(graph):
+    if not graph_in_class(graph, GraphClass.DOWNWARD_TREE):
         raise ClassConstraintError("Proposition 4.10 requires a downward-tree instance")
     pattern = list(query_labels)
     m = len(pattern)
     table = kmp_transition_table(pattern, sorted(graph.labels()))
-    root = downward_tree_root(graph)
+    root, children = _downward_tree_structure(graph)
     edges: List[Edge] = []
     edge_index: Dict[Edge, int] = {}
     index: Dict[Tuple[Vertex, int], int] = {}
@@ -180,7 +198,7 @@ def compile_labeled_path_on_dwt(
         if existing is not None:
             return existing
         ops: List[Tuple[int, int, Optional[int]]] = []
-        for edge in graph.out_edges(vertex):
+        for edge in children[vertex]:
             child = edge.target
             absent_node = build(child, 0)
             next_state = table[(state, edge.label)]
@@ -252,7 +270,7 @@ def phom_labeled_path_on_dwt(
     if not is_one_way_path(query):
         raise ClassConstraintError("Proposition 4.10 requires a one-way path query")
     graph = instance.graph
-    if not is_downward_tree(graph):
+    if not graph_in_class(graph, GraphClass.DOWNWARD_TREE):
         raise ClassConstraintError("Proposition 4.10 requires a downward-tree instance")
     labels = path_query_labels(query)
     if not labels:

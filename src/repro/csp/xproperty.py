@@ -17,7 +17,9 @@ consistency gives supporters ``(min D(u), y)`` and ``(x, min D(v))`` in the
 
 Proposition 4.11 applies this with ``H`` a connected subpath of a two-way
 path, which has the X-property vacuously (the premise of the implication can
-never hold on a simple path without multi-edges).
+never hold on a simple path without multi-edges).  Its solver
+(:mod:`repro.core.labeled_2wp`) runs the same consistency on int bitsets
+over the path positions; the set-based functions here are its reference.
 """
 
 from __future__ import annotations

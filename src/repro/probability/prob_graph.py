@@ -182,6 +182,8 @@ class ProbabilisticGraph:
         """Update the probability of one edge."""
         self._probabilities[self._resolve_edge(edge)] = as_probability(value)
         self._float_probabilities = None
+        # Only the component wrappers and their tables go: the component
+        # graphs stay memoised on the frozen instance graph.
         self._components = None
         if self._component_owner is not None:
             # This instance was shared through a parent's component cache;
@@ -262,27 +264,40 @@ class ProbabilisticGraph:
         Edge probabilities are preserved.  Used to split a disconnected
         instance into its connected components (Lemma 3.7).
         """
-        component = self._graph.induced_component(vertices)
-        # Edges compare by value, so the component's edges index the parent's
-        # probability table directly — no per-edge get_edge round trip.
-        probabilities = {
-            edge: self._probabilities[edge] for edge in component.edge_set()
-        }
-        return ProbabilisticGraph(component, probabilities)
+        return self._restricted(self._graph.induced_component(vertices).freeze())
+
+    def _restricted(self, subgraph: DiGraph) -> "ProbabilisticGraph":
+        """This instance's probabilities on a frozen subgraph, which is shared, not copied.
+
+        The private constructor of the component split: it bypasses
+        :meth:`__init__`'s graph copy and probability validation, because
+        the subgraph is frozen and this instance's table is already valid.
+        """
+        # Edges compare by value, so the subgraph's edges index this
+        # instance's probability table directly — no per-edge get_edge
+        # round trip.
+        probabilities = {edge: self._probabilities[edge] for edge in subgraph.edge_set()}
+        restricted = ProbabilisticGraph.__new__(ProbabilisticGraph)
+        restricted.__setstate__({"_graph": subgraph, "_probabilities": probabilities})
+        return restricted
 
     def connected_components(self) -> List["ProbabilisticGraph"]:
         """The probabilistic graphs induced by each weakly connected component.
 
-        The split is memoised: repeated queries against the same instance
-        (for instance through :meth:`PHomSolver.solve_many`) share one set of
-        component instances instead of re-running the BFS and re-copying the
-        probability tables per query.  The cache is dropped on
-        :meth:`set_probability`.
+        The component graphs are memoised on the frozen instance graph
+        (:meth:`DiGraph.connected_component_graphs`), so they and every
+        structural memo on them (class verdicts, path orders, a 2WP's label
+        bitmasks, a DWT's children) live as long as the instance.  The wrappers around them
+        carry a snapshot of the current probabilities and are memoised too:
+        repeated queries against the same instance (for instance through
+        :meth:`PHomSolver.solve_many`) share one set of component instances.
+        :meth:`set_probability` drops only the wrappers; the next call wraps
+        the same graphs around fresh tables, and components handed out
+        earlier keep their snapshot.
         """
         if self._components is None:
             components = [
-                self.restrict_to_component(component)
-                for component in self._graph.weakly_connected_components()
+                self._restricted(graph) for graph in self._graph.connected_component_graphs()
             ]
             for component in components:
                 component._component_owner = self

@@ -239,7 +239,10 @@ class DiskFaultInjector:
             fault for fault in plan.faults if fault.kind in DISK_FAULT_KINDS
         ]
         self._pending_truncation = 0
-        self._rng = random.Random(hash((plan.seed, "disk")))
+        # A string seed is hashed by ``random`` itself (SHA-512), not by
+        # ``hash()``, whose value for a str varies with PYTHONHASHSEED:
+        # payloads are reproducible across processes.
+        self._rng = random.Random(f"{plan.seed}:disk")
 
     def _take_firing(self) -> List[Fault]:
         firing = [f for f in self._armed if f.after_messages < self.writes]

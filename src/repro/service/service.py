@@ -48,6 +48,7 @@ import pickle
 import random
 import time
 import warnings
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
@@ -394,10 +395,11 @@ class QueryService:
         # currently holding a stolen copy of its journal state).
         self._assignment: Dict[str, int] = {}
         self._replicas: Dict[str, set] = {}
-        # Dispatch-frame cache: coalesce key -> (pickled request bytes, the
-        # query object the frame was built from — identity-compared to flag
-        # positions whose answer needs coordinator-side requalification).
-        self._frame_cache: "OrderedDict[Hashable, Tuple[bytes, Any]]" = OrderedDict()
+        # Dispatch-frame cache: coalesce key -> (pickled request bytes, a
+        # weak reference to the query object the frame was built from —
+        # identity-compared to flag positions whose answer needs
+        # coordinator-side requalification).
+        self._frame_cache: "OrderedDict[Hashable, Tuple[bytes, weakref.ref]]" = OrderedDict()
         # The coordinator's telemetry registry is the single source of the
         # service-level counters: stats() reads them back from one snapshot,
         # so the ServiceStats totals and the per-worker rows cannot disagree
@@ -1201,17 +1203,20 @@ class QueryService:
         carry an *equivalent spelling* of this position's query (coalesce
         keys merge isomorphic spellings); such positions are added to
         ``requalify`` so :meth:`_consume_solve` re-describes the answer for
-        the spelling actually submitted.
+        the spelling actually submitted.  The cache holds that query only
+        weakly, so it never keeps a caller's parsed graph (and its memo)
+        alive; once the graph is gone every hit requalifies, which is
+        always correct.
         """
         cached = self._frame_cache.get(key)
         if cached is not None:
             self._frame_cache.move_to_end(key)
             frame, source_query = cached
-            if source_query is not request.query:
+            if source_query() is not request.query:
                 requalify.add(position)
             return frame
         frame = pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL)
-        self._frame_cache[key] = (frame, request.query)
+        self._frame_cache[key] = (frame, weakref.ref(request.query))
         while len(self._frame_cache) > FRAME_CACHE_LIMIT:
             self._frame_cache.popitem(last=False)
         return frame

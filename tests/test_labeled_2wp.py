@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import os
+import random
 from fractions import Fraction
 
 import pytest
 
 from repro.exceptions import ClassConstraintError
-from repro.core.labeled_2wp import phom_connected_on_2wp, two_way_path_lineage
+from repro.core.labeled_2wp import (
+    compile_connected_on_2wp,
+    phom_connected_on_2wp,
+    two_way_path_lineage,
+)
+from repro.csp.xproperty import x_property_has_homomorphism
 from repro.graphs.builders import disjoint_union, one_way_path, star_tree, two_way_path
+from repro.graphs.classes import two_way_path_order
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import (
     random_connected_graph,
@@ -20,6 +28,29 @@ from repro.lineage.builders import lineage_captures_query
 from repro.probability.brute_force import brute_force_phom
 from repro.probability.prob_graph import ProbabilisticGraph
 from repro.workloads import attach_random_probabilities
+
+#: Pinned seed of the randomized differential test (``REPRO_FUZZ_SEED`` overrides).
+SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20170514"))
+
+
+def x_property_shortest(query: DiGraph, graph: DiGraph) -> tuple:
+    """The reference for ``compile_connected_on_2wp(...).shortest``.
+
+    For every right end ``j`` the edge intervals ``[i, j]`` are scanned from
+    the shortest up, each decided by Theorem 4.13 on the induced subpath
+    (:func:`repro.csp.xproperty.x_property_has_homomorphism`); the first
+    match is the shortest one, because matching is monotone in the interval.
+    """
+    order = two_way_path_order(graph)
+    shortest = [None] * len(order)
+    for j in range(1, len(order)):
+        for i in range(j, 0, -1):
+            vertices = order[i - 1 : j + 1]
+            subpath = graph.induced_component(vertices)
+            if x_property_has_homomorphism(query, subpath, vertices):
+                shortest[j] = j - i + 1
+                break
+    return tuple(shortest)
 
 
 class TestLineageConstruction:
@@ -114,3 +145,42 @@ class TestSolver:
         instance = ProbabilisticGraph(DiGraph(vertices=["only"]))
         query = one_way_path(["R"], prefix="q")
         assert phom_connected_on_2wp(query, instance) == 0
+
+
+class TestBitsetIntervalMatching:
+    """The bitset arc consistency of Proposition 4.11 against the X-property route."""
+
+    @staticmethod
+    def _query(kind: str, rng: random.Random) -> DiGraph:
+        # One query in four may use T, which no instance edge carries.
+        labels = ("R", "S", "T") if rng.random() < 0.25 else ("R", "S")
+        size = rng.randint(2, 5)
+        if kind == "2wp":
+            return random_two_way_path(size - 1, labels, rng, prefix="q")
+        if kind == "branching":
+            return random_downward_tree(size, labels, rng, prefix="q")
+        if kind == "polytree":
+            return random_polytree(size, labels, rng, prefix="q")
+        return random_connected_graph(size, 0.4, labels, rng, prefix="q")
+
+    @pytest.mark.parametrize("kind", ["2wp", "branching", "polytree", "cyclic"])
+    def test_shortest_matches_equal_the_x_property_sweep(self, kind):
+        rng = random.Random(f"{SEED}:{kind}")
+        for _ in range(60):
+            alphabet = ("R",) if rng.random() < 0.25 else ("R", "S")
+            graph = random_two_way_path(rng.randint(1, 14), alphabet, rng).freeze()
+            query = self._query(kind, rng)
+            skeleton = compile_connected_on_2wp(query, graph)
+            assert skeleton.shortest == x_property_shortest(query, graph)
+
+    def test_self_loop_query_never_matches(self):
+        graph = two_way_path([("R", "forward"), ("R", "backward"), ("R", "forward")])
+        query = DiGraph(edges=[("x", "y", "R"), ("y", "y", "R")])
+        shortest = compile_connected_on_2wp(query, graph).shortest
+        assert shortest == x_property_shortest(query, graph) == (None,) * 4
+
+    def test_single_vertex_query_matches_every_edge(self):
+        graph = random_two_way_path(5, ("R", "S"), random.Random(SEED))
+        query = DiGraph(vertices=["lonely"])
+        shortest = compile_connected_on_2wp(query, graph).shortest
+        assert shortest == x_property_shortest(query, graph) == (None,) + (1,) * 5

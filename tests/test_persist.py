@@ -14,10 +14,13 @@ from __future__ import annotations
 import errno
 import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import repro
 from repro.core.solver import PHomSolver
 from repro.exceptions import PersistenceError, PlanError
 from repro.graphs.classes import GraphClass
@@ -520,6 +523,31 @@ class TestDiskFaultInjector:
 
         assert mutated(5) == mutated(5)
         assert mutated(5) != mutated(6)
+
+    def test_deterministic_across_interpreters(self):
+        # hash() of a str differs between interpreters started with
+        # different PYTHONHASHSEED values; the injected bytes must not.
+        script = (
+            "import sys\n"
+            "from repro.service import DiskFaultInjector, Fault, FaultPlan\n"
+            "faults = (Fault(kind='torn-write'), Fault(kind='bit-flip', after_messages=1))\n"
+            "chaos = DiskFaultInjector(FaultPlan(faults=faults, seed=5))\n"
+            "data = bytes(range(200))\n"
+            "sys.stdout.write(chaos.mutate_write(data).hex() + ' ' + chaos.mutate_write(data).hex())\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True, timeout=60,
+            )
+            outputs.append(completed.stdout)
+        torn, flipped = outputs[0].split()
+        assert 0 < len(torn) < 400 and len(flipped) == 400  # both faults fired
+        assert outputs[0] == outputs[1]
 
     def test_header_magic_constant(self):
         # The on-disk format is pinned: changing the magic breaks every

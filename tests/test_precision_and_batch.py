@@ -267,6 +267,25 @@ class TestProbabilisticGraphCaches:
         cd = [c for c in refreshed if c.graph.has_edge("c", "d")][0]
         assert cd.probability(("c", "d")) == Fraction(1, 8)
 
+    def test_component_graphs_survive_parent_updates(self):
+        # The component graphs (and every structural memo on them) are
+        # memoised on the frozen instance graph; an update rebuilds only the
+        # probability wrappers around them.
+        instance = self._instance()
+        before = instance.connected_components()
+        cd = [c for c in before if c.graph.has_edge("c", "d")][0]
+        cd.graph.cached("probe", lambda: "structural memo")
+        instance.set_probability(("c", "d"), "0.125")
+        after = instance.connected_components()
+        assert [c.graph for c in after] == [c.graph for c in before]
+        assert all(new.graph is old.graph for new, old in zip(after, before))
+        fresh = [c for c in after if c.graph.has_edge("c", "d")][0]
+        assert fresh is not cd
+        assert fresh.graph.cached("probe", lambda: "recomputed") == "structural memo"
+        assert fresh.probability(("c", "d")) == Fraction(1, 8)
+        # The component handed out before the update keeps its snapshot.
+        assert cd.probability(("c", "d")) == Fraction(1, 2)
+
     def test_mutating_shared_component_does_not_corrupt_parent(self):
         # Regression: components are shared through the parent's cache, so a
         # caller mutating one must detach the cache, not poison the parent.

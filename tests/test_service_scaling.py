@@ -12,7 +12,9 @@ entries that fail normalization.
 
 from __future__ import annotations
 
+import gc
 import pickle
+import weakref
 
 import pytest
 
@@ -155,6 +157,22 @@ class TestStealingEquivalence:
             str(r.probability) for r in second
         ]
         assert not any(r.error for r in first) and not any(r.error for r in second)
+
+    def test_frame_cache_does_not_keep_query_graphs_alive(self):
+        # The frame cache compares the submitted query by identity only, so
+        # it must hold it weakly: a strong reference kept every cold query
+        # graph (and its memo) alive for the life of the cache.
+        instances = [build_instance(seed) for seed in (74, 75)]
+        with QueryService(num_workers=2) as service:
+            ids = [service.register_instance(inst) for inst in instances]
+            requests = skewed_batch(ids, trace_queries(76, 6))
+            graphs = [weakref.ref(request.query) for request in requests]
+            results = service.submit_many(requests)
+            assert len(service._frame_cache) > 0
+            del requests
+            gc.collect()
+            assert [graph() for graph in graphs] == [None] * len(graphs)
+        assert not any(result.error for result in results)
 
 
 class TestThiefRecovery:
