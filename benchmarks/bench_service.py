@@ -26,7 +26,7 @@ smaller box cannot honestly show parallel speedup).
 
 The report also records a ``throughput_vs_workers`` curve: a balanced
 multi-instance trace replayed at 1/2/4 workers with p50/p99 batch
-latencies, steal counts and the per-worker instance map.  The curve's
+latencies and the per-worker instance map.  The curve's
 machine-independent invariants — exact answers bit-identical across
 worker counts, no registered shard leaving a worker idle — are asserted
 on every run; ``--min-worker-scaling X`` gates 4-worker throughput at

@@ -292,8 +292,6 @@ def replay_service(
         "dedupe_hit_rate": stats.dedupe_hit_rate(),
         "coalesced": stats.coalesced,
         "dispatched": stats.dispatched,
-        "steals": stats.steals,
-        "replicas_shipped": stats.replicas_shipped,
         "result_cache_hits": stats.result_cache_hits(),
         # Keyed by worker index (JSON object keys are strings), so an idle
         # shard is attributable to its worker instead of being an anonymous
@@ -382,10 +380,10 @@ def measure_throughput_vs_workers(
 
     Each worker count reports throughput plus p50/p99 latency percentiles
     over the per-tick ``submit_many`` wall times (the latency a batching
-    client observes under sustained load), the steal/replica counters, and
-    the instance-to-worker assignment — asserting that no worker is left
-    idle while instances outnumber workers, and that exact answers stay
-    bit-identical to the 1-worker run at every count.
+    client observes under sustained load) and the instance-to-worker
+    assignment — asserting that no worker is left idle while instances
+    outnumber workers, and that exact answers stay bit-identical to the
+    1-worker run at every count.
 
     ``scaling_gate_enforceable`` records whether this machine can honestly
     show parallel speedup: with fewer CPU cores than the largest worker
@@ -429,8 +427,6 @@ def measure_throughput_vs_workers(
             "scaling_vs_1_worker": round(throughput / base_throughput, 2),
             "p50_ms": round(_percentile(latencies, 50), 2),
             "p99_ms": round(_percentile(latencies, 99), 2),
-            "steals": stats["steals"],
-            "replicas_shipped": stats["replicas_shipped"],
             "dedupe_hit_rate": round(stats["dedupe_hit_rate"], 4),
             "instances_by_worker": assignment,
             "no_idle_workers": not idle,
@@ -1089,7 +1085,6 @@ def run_service_benchmarks(
                 service_stats[max_workers]["dedupe_hit_rate"], 4
             ),
             "result_cache_hits": service_stats[max_workers]["result_cache_hits"],
-            "steals_at_max_workers": service_stats[max_workers]["steals"],
             "exact_bit_identical": True,
             "approx_seed_reproducible": True,
             "contract": (
@@ -1268,8 +1263,7 @@ def format_service_report(report: Dict[str, object]) -> str:
             lines.append(
                 f"    {count} worker(s): {entry['requests_per_sec']:>8.1f} req/sec "
                 f"({entry['scaling_vs_1_worker']}x vs 1), "
-                f"p50 {entry['p50_ms']} ms, p99 {entry['p99_ms']} ms, "
-                f"{entry['steals']} steal(s)"
+                f"p50 {entry['p50_ms']} ms, p99 {entry['p99_ms']} ms"
             )
     approx = report["approx_reproducibility"]
     lines.append(

@@ -298,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "serving dashboard from a metrics snapshot: per-route request "
             "counts and latency percentiles, cache hit rates, sampler "
-            "volume, steal/restart counters"
+            "volume, restart/retry counters"
         ),
     )
     top.add_argument(
@@ -854,8 +854,7 @@ def _format_top(snapshot, previous=None, elapsed: Optional[float] = None) -> str
         f"sampler: {total('repro_sampler_samples_total')} sample(s) drawn"
     )
     lines.append(
-        f"pool: {total('repro_service_steals_total')} steal(s), "
-        f"{total('repro_service_restarts_total')} restart(s), "
+        f"pool: {total('repro_service_restarts_total')} restart(s), "
         f"{total('repro_service_retries_total')} retried dispatch(es), "
         f"{total('repro_service_deadline_hits_total')} deadline hit(s), "
         f"{total('repro_service_degraded_total')} degraded answer(s)"

@@ -175,11 +175,9 @@ class ServiceResult:
 
     ``attempts`` counts dispatches including supervision retries (1 for a
     first-try answer); ``degraded`` marks answers re-routed through the
-    approximate tier after a missed deadline; ``stolen`` marks answers
-    computed on a worker other than the instance's owner (the coordinator's
-    work-stealing tier — same answer by contract, different shard);
-    ``error_class`` names the exception type behind ``error`` so callers
-    can branch without string matching (see :attr:`retryable`).
+    approximate tier after a missed deadline; ``error_class`` names the
+    exception type behind ``error`` so callers can branch without string
+    matching (see :attr:`retryable`).
 
     ``duration_ms`` is the worker-side wall time of the answering solve
     (``None`` for failures and for answers computed before the worker
@@ -194,7 +192,6 @@ class ServiceResult:
     worker: int = 0
     cached: bool = False
     coalesced: bool = False
-    stolen: bool = False
     error: Optional[str] = None
     error_class: Optional[str] = None
     attempts: int = 1
@@ -340,8 +337,6 @@ def result_to_json_dict(outcome: ServiceResult) -> Dict[str, Any]:
         payload["attempts"] = outcome.attempts
     if outcome.degraded:
         payload["degraded"] = True
-    if outcome.stolen:
-        payload["stolen"] = True
     if result.notes:
         payload["notes"] = result.notes
     return payload

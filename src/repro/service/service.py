@@ -5,17 +5,14 @@
 (:mod:`repro.plan`) and the ``(ε, δ)`` samplers (:mod:`repro.approx`) — into
 one servable system:
 
-* **Two-level sharding: balanced affinity plus work stealing.**  Every
-  registered instance is *owned* by exactly one worker process — assigned
-  least-loaded at registration time, so K instances always spread over
-  ``min(K, num_workers)`` workers — and that worker's frozen instance
-  graph, memoised metadata and compiled-plan cache stay warm across the
-  whole request stream.  On top of the affinity tier, the coordinator
-  steals work per batch: when one shard's queue is lopsided while another
-  worker sits idle, independent requests move to the idle worker, shipping
-  the instance's journal snapshot bytes on the first steal and keeping the
-  stolen replica warm afterwards (replicas are soft state, invalidated by
-  :meth:`QueryService.update_probability` and dropped on worker restart).
+* **Sharding by ownership.**  Every registered instance is *owned* by
+  exactly one worker process — assigned least-loaded at registration time,
+  so K instances always spread over ``min(K, num_workers)`` workers — and
+  every request on it goes to that owner, so the owner's frozen instance
+  graph, memoised metadata, compiled-plan cache and result cache stay warm
+  across the whole request stream.  Each op is pickled once, on the
+  calling thread, before it is tracked: a payload that cannot cross the
+  process boundary fails at once with a typed error.
 * **Request coalescing.**  Duplicate requests — same instance, same
   canonical query form (:func:`repro.plan.canonical_query_key`), same
   options — are detected *before* dispatch; each distinct computation runs
@@ -48,7 +45,6 @@ import pickle
 import random
 import time
 import warnings
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
@@ -80,18 +76,6 @@ RESTART_LOG_LIMIT = 256
 #: state (folding last-write-wins updates into fresh snapshots).
 WAL_COMPACT_AFTER = 4096
 
-#: Capacity of the coordinator's dispatch-frame cache (coalesce key ->
-#: pickled request bytes): hot queries on a Zipf trace are re-submitted
-#: every tick, and re-pickling their graphs per request dominates dispatch
-#: once the worker caches are warm.
-FRAME_CACHE_LIMIT = 4096
-
-#: Minimum per-batch difference between the busiest worker's *cold* request
-#: count (coalesce keys never dispatched before) and the idlest worker's
-#: queue length before the coordinator steals a request (a difference of 1
-#: cannot be improved by moving work).
-STEAL_IMBALANCE = 2
-
 #: Cap on :attr:`QueryService.slow_queries` entries kept in memory; older
 #: entries are dropped, newest last.
 SLOW_QUERY_LOG_LIMIT = 256
@@ -107,8 +91,6 @@ _SERVICE_COUNTERS = (
     ("retries", "Request re-dispatches after a worker failure."),
     ("deadline_hits", "Requests that missed their deadline."),
     ("degraded", "Deadline misses answered by the approximate tier."),
-    ("steals", "Requests moved off their owning shard."),
-    ("replicas_shipped", "Instance snapshots shipped for stealing."),
 )
 
 
@@ -119,20 +101,19 @@ class ServiceStats:
     ``requests`` counts every *normalisable* request submitted (entries that
     fail normalization under ``on_error="return"`` are counted in
     ``rejected`` instead, so they cannot skew :meth:`dedupe_hit_rate`);
-    ``dispatched`` counts the distinct computations actually sent to workers
-    after coalescing, so ``coalesced == requests - dispatched`` duplicates
-    never crossed the dispatch boundary.  ``steals`` counts requests the
-    coordinator moved off their owning shard onto an idle worker, and
-    ``replicas_shipped`` the instance snapshots shipped to make that
-    possible.  ``workers`` holds one per-worker dictionary — keyed by its
-    ``"worker"`` index, in index order — with the worker's serving counters,
-    its plan-cache statistics (hits, misses, compiles, evictions — see
-    :attr:`repro.plan.PlanCache.stats`), its telemetry snapshot (under
-    ``"metrics"``) and its share of the coordinator's ``dispatched``
-    counter, so an idle shard is visible as that worker's zeroed counters
-    rather than as an anonymous entry.  Every number is read back from the
-    telemetry registries (see :meth:`QueryService.stats`), so the pool
-    totals always equal the sum of the per-worker rows.
+    ``dispatched`` counts the distinct computations left after coalescing
+    (each routed to its instance's owner), so
+    ``coalesced == requests - dispatched`` duplicates never crossed the
+    dispatch boundary.  ``workers`` holds one per-worker dictionary — keyed
+    by its ``"worker"`` index, in index order — with the worker's serving
+    counters, its instances, its plan-cache statistics (hits, misses,
+    compiles, evictions — see :attr:`repro.plan.PlanCache.stats`), its
+    telemetry snapshot (under ``"metrics"``) and its share of the
+    coordinator's ``dispatched`` counter, so an idle shard is visible as
+    that worker's zeroed counters rather than as an anonymous entry.  Every
+    number is read back from the telemetry registries (see
+    :meth:`QueryService.stats`), so the pool totals always equal the sum of
+    the per-worker rows.
 
     The reliability counters record supervision activity: ``restarts``
     (worker processes respawned after a crash or hang), ``retries``
@@ -151,8 +132,8 @@ class ServiceStats:
     retries: int = 0
     deadline_hits: int = 0
     degraded: int = 0
+    #: Always 0, as every request runs on its owner; perfbench's ledger reads it.
     steals: int = 0
-    replicas_shipped: int = 0
     workers: List[Dict[str, Any]] = field(default_factory=list)
 
     def dedupe_hit_rate(self) -> float:
@@ -192,9 +173,6 @@ class _PendingOp:
     op is genuinely in flight); ``deadline`` is the monotonic instant the
     op's request budget expires; ``history`` accumulates one line per failed
     attempt for :class:`~repro.exceptions.ServiceUnavailableError` notes.
-    ``instance_ids`` names the instances the op's requests touch, so a
-    retry onto a freshly restarted worker can re-ship any stolen replicas
-    the old incarnation held before the op is resent.
     """
 
     op_id: int
@@ -207,7 +185,6 @@ class _PendingOp:
     retry_at: Optional[float] = None
     deadline: Optional[float] = None
     history: List[str] = field(default_factory=list)
-    instance_ids: Tuple[str, ...] = ()
     #: The root span's ``(trace_id, span_id)`` when the op's batch is being
     #: traced — each dispatch *attempt* gets its own detached span under it.
     trace_parent: Optional[Tuple[str, str]] = None
@@ -249,12 +226,6 @@ class QueryService:
     poll_interval:
         Granularity (seconds) of the supervision loop's liveness, deadline
         and backoff checks while waiting for replies.
-    work_stealing:
-        Enable the second sharding tier: per-batch coordinator-side work
-        stealing (see :meth:`_steal_balance`).  ``False`` pins every
-        request to its instance's owning worker — pure affinity routing,
-        the knob the routing-equivalence tests flip to show answers do not
-        depend on which worker ran them.
     fault_plan:
         Optional :class:`~repro.service.faults.FaultPlan` shipped to every
         worker incarnation — the chaos-testing hook; ``None`` in production.
@@ -315,7 +286,6 @@ class QueryService:
         backoff_base: float = 0.05,
         backoff_cap: float = 1.0,
         poll_interval: float = 0.05,
-        work_stealing: bool = True,
         fault_plan: Optional[FaultPlan] = None,
         state_dir: Optional[str] = None,
         wal_fsync: str = "batch",
@@ -346,7 +316,6 @@ class QueryService:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.poll_interval = poll_interval
-        self.work_stealing = work_stealing
         self.fault_plan = fault_plan
         if journal_update_limit <= 0:
             raise ServiceError(
@@ -389,17 +358,9 @@ class QueryService:
         self._degrade_solver: Optional[PHomSolver] = None
         self._next_instance = itertools.count()
         self._next_op = itertools.count()
-        # Two-level sharding state: the affinity map (instance id -> owning
-        # worker, assigned least-loaded and stable for the id's lifetime)
-        # and the soft replica map (instance id -> non-owner workers
-        # currently holding a stolen copy of its journal state).
+        # The ownership map: instance id -> owning worker, assigned
+        # least-loaded and stable for the id's lifetime.
         self._assignment: Dict[str, int] = {}
-        self._replicas: Dict[str, set] = {}
-        # Dispatch-frame cache: coalesce key -> (pickled request bytes, a
-        # weak reference to the query object the frame was built from —
-        # identity-compared to flag positions whose answer needs
-        # coordinator-side requalification).
-        self._frame_cache: "OrderedDict[Hashable, Tuple[bytes, weakref.ref]]" = OrderedDict()
         # The coordinator's telemetry registry is the single source of the
         # service-level counters: stats() reads them back from one snapshot,
         # so the ServiceStats totals and the per-worker rows cannot disagree
@@ -769,8 +730,6 @@ class QueryService:
         # cannot desynchronise the worker's result cache (go through
         # update_probability, as with a real pool).
         self._call(self._worker_for(instance_id), "register", (instance_id, snapshot))
-        # A replaced instance invalidates any stolen replicas of its id.
-        self._replicas.pop(instance_id, None)
         # Journal the acknowledged registration: the snapshot is the state
         # the worker holds *now*, so replaying it (plus later journaled
         # updates) reconstructs the shard exactly on a respawned worker.
@@ -923,7 +882,6 @@ class QueryService:
         representative: Dict[Hashable, int] = {}
         unique_indices: List[int] = []
         source_of: List[int] = []
-        key_of: Dict[int, Hashable] = {}
         for position, request in enumerate(normalized):
             if request is None:
                 source_of.append(position)
@@ -934,18 +892,16 @@ class QueryService:
                 representative[key] = position
                 unique_indices.append(position)
                 source_of.append(position)
-                key_of[position] = key
             else:
                 source_of.append(first)
-        # ``dispatched`` is counted per worker at actual dispatch time (after
-        # stealing), so the pool total is structurally the sum of the
-        # per-worker rows in :meth:`stats`.
+        # ``dispatched`` is counted per worker at dispatch time, so the pool
+        # total is structurally the sum of the per-worker rows in
+        # :meth:`stats`.
 
-        # Shard the distinct requests by instance affinity, then let idle
-        # workers steal from lopsided shards.  Requests with a deadline
-        # dispatch as single-request ops so each can be abandoned (and
-        # degraded) on its own; unconstrained requests batch per worker —
-        # one queue message per worker per call.
+        # Shard the distinct requests to their instances' owners.  Requests
+        # with a deadline dispatch as single-request ops so each can be
+        # abandoned (and degraded) on its own; unconstrained requests batch
+        # per worker — one queue message per worker per call.
         by_worker: Dict[int, List[int]] = {}
         solo: List[int] = []
         for position in unique_indices:
@@ -955,10 +911,8 @@ class QueryService:
             else:
                 worker = self._worker_for(request.instance_id)
                 by_worker.setdefault(worker, []).append(position)
-        self._steal_balance(by_worker, normalized, key_of)
 
         histories: Dict[int, Tuple[str, ...]] = {}
-        requalify: set = set()
         if self._inline is not None:
             for worker, positions in by_worker.items():
                 payload = [normalized[p] for p in positions]
@@ -975,48 +929,36 @@ class QueryService:
             )
             ops: Dict[int, _PendingOp] = {}
             op_positions: Dict[int, List[int]] = {}
-            for worker, positions in by_worker.items():
-                frames = [
-                    self._request_frame(normalized[p], key_of[p], p, requalify)
-                    for p in positions
-                ]
+            start = time.monotonic()
+            shards = list(by_worker.items()) + [
+                (self._worker_for(normalized[p].instance_id), [p]) for p in solo
+            ]
+            for worker, positions in shards:
                 self._dispatched.labels(worker).inc(len(positions))
-                op = self._dispatch_op(
-                    worker,
-                    frames,
-                    root_context,
-                    instance_ids=tuple(
-                        dict.fromkeys(normalized[p].instance_id for p in positions)
-                    ),
-                )
+                # Only the single-request ops of ``solo`` carry a budget.
+                budget = normalized[positions[0]].deadline_ms
+                try:
+                    op = self._dispatch_op(
+                        worker,
+                        [normalized[p] for p in positions],
+                        root_context,
+                        deadline=None if budget is None else start + budget / 1000.0,
+                    )
+                except ServiceError as exc:
+                    # The op could not be pickled, so nothing was sent: its
+                    # positions fail now, and the rest of the batch runs.
+                    self._fail_positions(
+                        positions, normalized, answered, str(exc), "ServiceError"
+                    )
+                    continue
                 ops[op.op_id] = op
                 op_positions[op.op_id] = positions
-            start = time.monotonic()
-            for position in solo:
-                request = normalized[position]
-                worker = self._worker_for(request.instance_id)
-                self._dispatched.labels(worker).inc()
-                op = self._dispatch_op(
-                    worker,
-                    [request],
-                    root_context,
-                    deadline=start + request.deadline_ms / 1000.0,
-                    instance_ids=(request.instance_id,),
-                )
-                ops[op.op_id] = op
-                op_positions[op.op_id] = [position]
             for op_id, outcome in self._supervise(ops).items():
                 positions = op_positions[op_id]
                 if outcome[0] == "reply":
                     _, worker, reply, attempts = outcome
                     self._consume_solve(
-                        reply,
-                        worker,
-                        positions,
-                        normalized,
-                        answered,
-                        attempts,
-                        requalify,
+                        reply, worker, positions, normalized, answered, attempts
                     )
                 elif outcome[0] == "timeout":
                     _, elapsed_ms, attempts = outcome
@@ -1026,22 +968,17 @@ class QueryService:
                     )
                 else:  # "unavailable"
                     _, history = outcome
-                    message = (
-                        f"request could not be answered after "
-                        f"{len(history)} attempt(s)"
-                    )
                     for position in positions:
                         histories[position] = tuple(history)
-                        answered[position] = (
-                            ServiceResult(
-                                result=None,
-                                request_id=normalized[position].request_id,
-                                error=message,
-                                error_class="ServiceUnavailableError",
-                                attempts=len(history),
-                            ),
-                            message,
-                        )
+                    self._fail_positions(
+                        positions,
+                        normalized,
+                        answered,
+                        f"request could not be answered after "
+                        f"{len(history)} attempt(s)",
+                        "ServiceUnavailableError",
+                        attempts=len(history),
+                    )
 
         failures = [
             (p, answered[p][0], message)
@@ -1110,116 +1047,27 @@ class QueryService:
             )
         return request
 
-    def _steal_balance(
-        self,
-        by_worker: Dict[int, List[int]],
-        normalized: List[Optional[ServiceRequest]],
-        key_of: Dict[int, Hashable],
+    @staticmethod
+    def _fail_positions(
+        positions: List[int],
+        normalized: List[ServiceRequest],
+        answered: Dict[int, Tuple[ServiceResult, str]],
+        message: str,
+        error_class: str,
+        attempts: int = 1,
     ) -> None:
-        """Per-batch work stealing: rebalance lopsided shard queues in place.
-
-        Balance is measured in *cold* requests — coalesce keys never
-        dispatched before (absent from the frame cache).  A previously
-        dispatched key is almost certainly a result-cache hit on its owner,
-        so moving it to another worker re-runs a computation the pool
-        already has; only genuinely new work is worth shipping.  While the
-        busiest worker's cold count exceeds the idlest worker's total queue
-        by at least ``STEAL_IMBALANCE``, one cold request moves to the idle
-        worker — preferring one whose instance already has a warm replica
-        there, otherwise taking from the tail.  The first steal of an
-        instance onto a worker ships the instance's journal state ahead of
-        the batch (:meth:`_ensure_replica`); the queue is FIFO, so the
-        replica is installed before the stolen request runs.  Coalescing
-        already guaranteed the moved requests are independent computations.
-        """
-        if self.num_workers <= 1 or not self.work_stealing:
-            return
-        cold: Dict[int, List[int]] = {w: [] for w in range(self.num_workers)}
-        loads = {w: len(by_worker.get(w, ())) for w in range(self.num_workers)}
-        for worker, positions in by_worker.items():
-            for position in positions:
-                if key_of[position] not in self._frame_cache:
-                    cold[worker].append(position)
-        while True:
-            busiest = max(cold, key=lambda w: (len(cold[w]), -w))
-            idlest = min(loads, key=lambda w: (loads[w], w))
-            if len(cold[busiest]) - loads[idlest] < STEAL_IMBALANCE:
-                return
-            candidates = cold[busiest]
-            pick = len(candidates) - 1
-            for i in range(len(candidates) - 1, -1, -1):
-                iid = normalized[candidates[i]].instance_id
-                if idlest in self._replicas.get(iid, ()):
-                    pick = i
-                    break
-            position = candidates.pop(pick)
-            by_worker[busiest].remove(position)
-            self._ensure_replica(idlest, normalized[position].instance_id)
-            by_worker.setdefault(idlest, []).append(position)
-            self._counters["steals"].inc()
-            loads[busiest] -= 1
-            loads[idlest] += 1
-
-    def _ensure_replica(self, worker: int, instance_id: str) -> None:
-        """Ship an instance's journal state to a non-owner worker, once.
-
-        The replica is soft state: re-shipped only after
-        :meth:`update_probability` invalidates it or a restart drops the
-        holding worker, and sent fire-and-forget (tracked in
-        ``_background``) so stealing never blocks on the install ack.
-        """
-        if worker == self._worker_for(instance_id):
-            return
-        holders = self._replicas.setdefault(instance_id, set())
-        if worker in holders:
-            return
-        journal = self._journal.get(instance_id)
-        if journal is None:  # pragma: no cover - registration always journals
-            return
-        op_id = self._send(
-            worker,
-            "register",
-            (instance_id, journal.snapshot, tuple(journal.updates.items())),
-        )
-        self._background[op_id] = worker
-        holders.add(worker)
-        self._counters["replicas_shipped"].inc()
-
-    def _request_frame(
-        self,
-        request: ServiceRequest,
-        key: Hashable,
-        position: int,
-        requalify: set,
-    ) -> bytes:
-        """The pickled dispatch frame for one request, cached by coalesce key.
-
-        Hot queries on a skewed trace are re-submitted every tick, and
-        pickling their query graphs per dispatch dominates the coordinator
-        once the worker caches answer everything else; the frame bytes are
-        therefore LRU-cached on the coalesce key (every answer-affecting
-        field is folded into that key, and workers never read
-        ``request_id`` — answers map back by position).  A cached frame may
-        carry an *equivalent spelling* of this position's query (coalesce
-        keys merge isomorphic spellings); such positions are added to
-        ``requalify`` so :meth:`_consume_solve` re-describes the answer for
-        the spelling actually submitted.  The cache holds that query only
-        weakly, so it never keeps a caller's parsed graph (and its memo)
-        alive; once the graph is gone every hit requalifies, which is
-        always correct.
-        """
-        cached = self._frame_cache.get(key)
-        if cached is not None:
-            self._frame_cache.move_to_end(key)
-            frame, source_query = cached
-            if source_query() is not request.query:
-                requalify.add(position)
-            return frame
-        frame = pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL)
-        self._frame_cache[key] = (frame, weakref.ref(request.query))
-        while len(self._frame_cache) > FRAME_CACHE_LIMIT:
-            self._frame_cache.popitem(last=False)
-        return frame
+        """Record one failure for every request position of a failed op."""
+        for position in positions:
+            answered[position] = (
+                ServiceResult(
+                    result=None,
+                    request_id=normalized[position].request_id,
+                    error=message,
+                    error_class=error_class,
+                    attempts=attempts,
+                ),
+                message,
+            )
 
     def _consume_solve(
         self,
@@ -1229,7 +1077,6 @@ class QueryService:
         normalized: List[ServiceRequest],
         answered: Dict[int, Tuple[ServiceResult, str]],
         attempts: int = 1,
-        requalify: Optional[set] = None,
     ) -> None:
         status, value = reply
         if status != "ok":
@@ -1246,20 +1093,12 @@ class QueryService:
                 _, result, cached = outcome[:3]
                 duration_ms = outcome[3] if len(outcome) > 3 else None
                 timing = outcome[4] if len(outcome) > 4 else None
-                if requalify and position in requalify:
-                    # The dispatch frame carried an equivalent spelling;
-                    # re-describe the answer for the one actually asked.
-                    result = requalify_result(
-                        result, request.query, minimize=request.method == "auto"
-                    )
-                stolen = worker != self._worker_for(request.instance_id)
                 answered[position] = (
                     ServiceResult(
                         result=result,
                         request_id=request.request_id,
                         worker=worker,
                         cached=cached,
-                        stolen=stolen,
                         attempts=attempts,
                         duration_ms=duration_ms,
                         timing=timing,
@@ -1272,8 +1111,7 @@ class QueryService:
                     and duration_ms >= self.slow_query_ms
                 ):
                     self._record_slow_query(
-                        request, result, worker, duration_ms, cached, stolen,
-                        attempts,
+                        request, result, worker, duration_ms, cached, attempts
                     )
             else:
                 message = outcome[1]
@@ -1298,14 +1136,13 @@ class QueryService:
         worker: int,
         duration_ms: float,
         cached: bool,
-        stolen: bool,
         attempts: int,
     ) -> None:
         """Append one slow-request record (bounded, newest last).
 
         The record carries the dispatch provenance an operator needs to see
         *why* the request was slow — which worker ran it, whether it was
-        stolen or retried, and which dichotomy route answered it.
+        retried, and which dichotomy route answered it.
         """
         self.slow_queries.append(
             {
@@ -1315,7 +1152,6 @@ class QueryService:
                 "duration_ms": duration_ms,
                 "worker": worker,
                 "cached": cached,
-                "stolen": stolen,
                 "attempts": attempts,
             }
         )
@@ -1521,11 +1357,6 @@ class QueryService:
             "update",
             (instance_id, endpoints, probability),
         )
-        # Replicas are soft state: invalidate them so the next steal of this
-        # instance re-ships the updated journal instead of answering from a
-        # stale copy (the re-shipped register also drops the thief's cached
-        # results for the instance).
-        self._replicas.pop(instance_id, None)
         journal = self._journal.get(instance_id)
         if journal is not None:
             # Last-write-wins compaction: replay order only matters per
@@ -1580,8 +1411,8 @@ class QueryService:
         Every number is read back from one snapshot of the coordinator's
         telemetry registry; in particular ``dispatched`` is the sum of the
         per-worker ``dispatched`` series injected into the worker rows, so
-        the pool total and the rows cannot disagree — not under stealing,
-        not across restarts.
+        the pool total and the rows cannot disagree, not even across
+        restarts.
         """
         self._check_open()
         if self._inline is not None:
@@ -1633,8 +1464,6 @@ class QueryService:
             retries=totals["retries"],
             deadline_hits=totals["deadline_hits"],
             degraded=totals["degraded"],
-            steals=totals["steals"],
-            replicas_shipped=totals["replicas_shipped"],
             workers=workers,
         )
 
@@ -1658,9 +1487,28 @@ class QueryService:
     # ------------------------------------------------------------------
     # message plumbing and supervision
     # ------------------------------------------------------------------
-    def _send(self, worker: int, op: str, payload: Any) -> int:
-        op_id = next(self._next_op)
-        self._queues[worker].put((op_id, op, payload))
+    def _send(
+        self, worker: int, op: str, payload: Any, op_id: Optional[int] = None
+    ) -> int:
+        """Pickle one op on the calling thread and queue its bytes.
+
+        Every op leaves through here, retry resends included (they pass
+        their ``op_id``).  Pickling here, rather than in the queue's feeder
+        thread, serialises each request once and makes a payload that
+        cannot cross the process boundary raise :class:`ServiceError` at
+        once — before the op is tracked — instead of being dropped by the
+        feeder and waited on like a hung worker.
+        """
+        if op_id is None:
+            op_id = next(self._next_op)
+        try:
+            frame = pickle.dumps((op_id, op, payload), protocol=pickle.HIGHEST_PROTOCOL)
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            raise ServiceError(
+                f"{op} payload cannot be sent to worker {worker}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+        self._queues[worker].put(frame)
         return op_id
 
     def _make_op(
@@ -1669,7 +1517,6 @@ class QueryService:
         op: str,
         payload: Any,
         deadline: Optional[float] = None,
-        instance_ids: Tuple[str, ...] = (),
     ) -> _PendingOp:
         """Dispatch one op and return its supervision record."""
         now = time.monotonic()
@@ -1681,16 +1528,14 @@ class QueryService:
             created_at=now,
             sent_at=now,
             deadline=deadline,
-            instance_ids=instance_ids,
         )
 
     def _dispatch_op(
         self,
         worker: int,
-        entries: List[Any],
+        entries: List[ServiceRequest],
         root_context: Optional[Tuple[str, str]],
         deadline: Optional[float] = None,
-        instance_ids: Tuple[str, ...] = (),
     ) -> _PendingOp:
         """Dispatch one solve op, opening its per-attempt dispatch span.
 
@@ -1708,13 +1553,12 @@ class QueryService:
             span.attrs["requests"] = len(entries)
             span.attrs["attempt"] = 1
             context = (span.trace_id, span.span_id)
-        op = self._make_op(
-            worker,
-            "solve",
-            (entries, context),
-            deadline=deadline,
-            instance_ids=instance_ids,
-        )
+        try:
+            op = self._make_op(worker, "solve", (entries, context), deadline=deadline)
+        except ServiceError:
+            if span is not None:
+                self._tracer.end(span, "error")
+            raise
         op.trace_parent = root_context
         if span is not None:
             self._op_spans[op.op_id] = span
@@ -1790,16 +1634,11 @@ class QueryService:
                 if op.retry_at is not None and now >= op.retry_at:
                     # The worker was restarted (and its journal replayed)
                     # when the failure was detected; the queue is FIFO, so
-                    # this resend lands after the replay ops.  Stolen
-                    # instances are not part of that replay — re-ship their
-                    # replicas ahead of the resend (the restart dropped the
-                    # worker from every holder set, so this is a real send).
-                    for instance_id in op.instance_ids:
-                        self._ensure_replica(op.worker, instance_id)
+                    # this resend lands after the replay ops.
                     op.retry_at = None
                     op.sent_at = now
                     self._reopen_op_span(op)
-                    self._queues[op.worker].put((op.op_id, op.op, op.payload))
+                    self._send(op.worker, op.op, op.payload, op.op_id)
             for message in self._drain(self.poll_interval):
                 if not (isinstance(message, tuple) and len(message) in (3, 4)):
                     continue  # pragma: no cover - unattributable corruption
@@ -1978,10 +1817,6 @@ class QueryService:
         self._incarnations[worker] += 1
         self._queues[worker] = self._context.Queue()
         self._processes[worker] = self._spawn_worker(worker)
-        # Any stolen replicas died with the old incarnation; forget them so
-        # the next steal (or a retried op naming them) re-ships fresh state.
-        for holders in self._replicas.values():
-            holders.discard(worker)
         replayed = 0
         for instance_id, journal in self._journal.items():
             if self._worker_for(instance_id) != worker:

@@ -16,9 +16,9 @@ from a child process (requests arrive on a queue, replies leave on a pipe
 this worker alone writes — no cross-worker locks, so a crashed or
 terminated worker can never wedge its siblings' replies), and the service's
 inline mode (``num_workers=0``) calls it directly in-process.  Messages are
-``(op_id, op, payload)`` tuples; every message gets exactly one reply
-``(worker_index, op_id, reply)`` where ``reply`` is ``("ok", value)`` or
-``("error", message)``.
+``(op_id, op, payload)`` tuples, pickled by the coordinator before they are
+queued; every message gets exactly one reply ``(worker_index, op_id,
+reply)`` where ``reply`` is ``("ok", value)`` or ``("error", message)``.
 """
 
 from __future__ import annotations
@@ -129,11 +129,13 @@ class WorkerState:
     ) -> int:
         """Install (or replace) an instance; returns its edge count.
 
-        ``instance`` is a :class:`ProbabilisticGraph` or its pickled bytes
-        (the coordinator ships its journal snapshot verbatim — serialized
-        once, unpickled here — for registrations, restart replays and
-        stolen-shard replicas alike); ``updates`` is the journal's folded
-        ``(endpoints, probability)`` tail, applied on top of the snapshot.
+        The coordinator registers an instance only on its owner, so a
+        worker holds exactly the instances it owns.  ``instance`` is a
+        :class:`ProbabilisticGraph` or its pickled bytes (the coordinator
+        ships its journal snapshot verbatim — serialized once, unpickled
+        here — for registrations and restart replays alike); ``updates`` is
+        the journal's folded ``(endpoints, probability)`` tail, applied on
+        top of the snapshot.
         """
         if isinstance(instance, (bytes, bytearray)):
             instance = pickle.loads(instance)
@@ -381,23 +383,12 @@ def handle_message(state: WorkerState, op: str, payload: Any) -> Tuple[str, Any]
     """Dispatch one protocol message against a worker state."""
     try:
         if op == "solve":
-            # Payload is the entry list, optionally paired with a remote
-            # trace context ``(entries, (trace_id, span_id) | None)`` — the
-            # context rides the payload (never the cached frames, which are
-            # shared across requests).  Entries are ServiceRequest objects
-            # or pickled frames (the coordinator's frame cache ships hot
-            # requests as bytes so their query graphs are serialized once,
-            # not per dispatch).
+            # Payload is the request list, optionally paired with a remote
+            # trace context ``(requests, (trace_id, span_id) | None)``.
             if isinstance(payload, tuple):
-                entries, trace_context = payload
+                requests, trace_context = payload
             else:
-                entries, trace_context = payload, None
-            requests = [
-                pickle.loads(entry)
-                if isinstance(entry, (bytes, bytearray))
-                else entry
-                for entry in entries
-            ]
+                requests, trace_context = payload, None
             tracer = current_tracer()
             token = tracer.adopt(trace_context)
             try:
@@ -479,7 +470,8 @@ def worker_loop(
         message = request_queue.get()
         if message is None:
             break
-        op_id, op, payload = message
+        # The coordinator pickles each op itself (see QueryService._send).
+        op_id, op, payload = pickle.loads(message)
         drop_reply = False
         corrupt_reply = False
         if injector is not None:

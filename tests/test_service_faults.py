@@ -23,6 +23,7 @@ from repro.exceptions import (
     ServiceUnavailableError,
 )
 from repro.graphs.classes import GraphClass
+from repro.graphs.digraph import DiGraph
 from repro.service import (
     Fault,
     FaultPlan,
@@ -55,6 +56,26 @@ def trace_queries(seed: int, count: int = 8):
 def exact_answers(queries, instance):
     solver = PHomSolver()
     return [str(solver.solve(query, instance).probability) for query in queries]
+
+
+class Opaque:
+    """A query vertex that cannot be pickled, so it cannot reach a worker."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __hash__(self):
+        return hash(self.name)
+
+    def __eq__(self, other):
+        return isinstance(other, Opaque) and other.name == self.name
+
+    def __reduce__(self):
+        raise TypeError("Opaque vertices cannot be pickled")
+
+
+def unpicklable_query():
+    return DiGraph(edges=[(Opaque("x"), Opaque("y"), "R")])
 
 
 class TestFaultPlan:
@@ -350,6 +371,71 @@ class TestPoolRecovery:
             service.close()
         with pytest.raises(ServiceError):
             service.submit(trace_queries(46, 1)[0], instance)
+
+
+class TestUnpicklablePayloads:
+    """A payload that cannot be pickled fails at once, never as a hang.
+
+    Nothing was sent, so waiting for a reply would end only in a worker
+    timeout and restart for a plain call, or in a false deadline miss for a
+    request with a budget.
+    """
+
+    def _service(self, num_workers):
+        return QueryService(num_workers=num_workers, timeout=3.0, max_retries=0)
+
+    def test_batched_op_fails_typed_and_alone(self):
+        instances = [build_instance(seed) for seed in (47, 48)]
+        queries = trace_queries(47, 4)
+        with self._service(2) as service:
+            ids = [service.register_instance(inst) for inst in instances]
+            assert service._worker_for(ids[0]) != service._worker_for(ids[1])
+            # The first two requests share an op on ids[0]'s owner; the
+            # rest run on the other worker.
+            batch = [
+                ServiceRequest(unpicklable_query(), ids[0]),
+                ServiceRequest(queries[0], ids[0]),
+            ] + [ServiceRequest(query, ids[1]) for query in queries]
+            results = service.submit_many(batch, on_error="return")
+            with pytest.raises(ServiceError) as excinfo:
+                service.submit_many(batch)
+            stats = service.stats()
+        assert type(excinfo.value) is ServiceError
+        assert "cannot be pickled" in str(excinfo.value)
+        assert [r.error_class for r in results[:2]] == ["ServiceError"] * 2
+        assert not any(r.retryable for r in results[:2])
+        assert [str(r.probability) for r in results[2:]] == exact_answers(
+            queries, instances[1]
+        )
+        assert stats.restarts == 0 and stats.retries == 0
+
+    def test_deadline_request_fails_typed_not_as_a_deadline_miss(self):
+        instance = build_instance(49)
+        with self._service(1) as service:
+            instance_id = service.register_instance(instance)
+            with pytest.raises(ServiceError) as excinfo:
+                service.submit(unpicklable_query(), instance_id, deadline_ms=500)
+            query = trace_queries(49, 1)[0]
+            healthy = service.submit(query, instance_id, deadline_ms=5000)
+            stats = service.stats()
+        assert type(excinfo.value) is ServiceError
+        assert "cannot be pickled" in str(excinfo.value)
+        assert str(healthy.probability) == exact_answers([query], instance)[0]
+        assert stats.restarts == 0 and stats.deadline_hits == 0
+
+    def test_evaluate_many_fails_typed_without_a_restart(self):
+        instance = build_instance(50)
+        with self._service(1) as service:
+            instance_id = service.register_instance(instance)
+            with pytest.raises(ServiceError) as excinfo:
+                service.evaluate_many(instance_id, unpicklable_query(), [None])
+            query = trace_queries(50, 1)[0]
+            (value,) = service.evaluate_many(instance_id, query, [None])
+            stats = service.stats()
+        assert type(excinfo.value) is ServiceError
+        assert "cannot be pickled" in str(excinfo.value)
+        assert str(value) == exact_answers([query], instance)[0]
+        assert stats.restarts == 0
 
 
 class TestFailureRecords:

@@ -2,8 +2,8 @@
 
 Covers the traced request path (per-phase timing on results, the span
 forest on disk, dispatch→solve parenting across the worker pipes), the
-registry-backed ``ServiceStats`` consistency guarantee under stealing and
-restarts, chaos tracing (killed workers close their in-flight dispatch
+registry-backed ``ServiceStats`` consistency guarantee under restarts,
+chaos tracing (killed workers close their in-flight dispatch
 spans ``retried`` and retries parent cleanly), the JSONL result schema,
 the slow-query log, and the ``repro metrics`` / ``trace`` / ``top`` CLI.
 """
@@ -56,7 +56,7 @@ def trace_queries(seed: int, count: int = 8):
 
 
 def skewed_batch(ids, queries):
-    """All-cold batch concentrating work on ``ids[0]`` — trips stealing."""
+    """All-cold batch concentrating work on ``ids[0]``."""
     requests = [ServiceRequest(query, ids[0]) for query in queries]
     requests += [ServiceRequest(queries[0], inst) for inst in ids[1:]]
     return requests
@@ -175,12 +175,11 @@ class TestTracedService:
 
 
 class TestStatsConsistency:
-    def test_totals_equal_worker_rows_under_steals_and_restarts(self):
+    def test_totals_equal_worker_rows_under_restarts(self):
         # Satellite regression: ServiceStats and the per-worker rows are
-        # two renderings of one registry snapshot.  Stealing moves work
-        # off the owning shard and a kill forces a restart + retries —
-        # the exact history that used to let independently-kept tallies
-        # drift apart.
+        # two renderings of one registry snapshot.  A kill forces a
+        # restart + retries — the history that used to let
+        # independently-kept tallies drift apart.
         queries = trace_queries(31, 10)
         plan = FaultPlan(
             faults=(Fault(kind="kill", worker=1, after_messages=1),), seed=7
@@ -192,7 +191,6 @@ class TestStatsConsistency:
             results = service.submit_many(skewed_batch(ids, queries))
             stats = service.stats()
         assert not any(result.error for result in results)
-        assert stats.steals >= 1
         assert stats.restarts >= 1
         rows = {row["worker"]: row for row in stats.workers}
         assert sorted(rows) == [0, 1]
@@ -329,7 +327,7 @@ class TestSlowQueryLog:
         for entry in entries:
             assert entry["worker"] == 0
             assert entry["duration_ms"] >= 0.0
-            assert {"method", "instance", "cached", "stolen", "attempts"} <= set(
+            assert {"method", "instance", "cached", "attempts"} <= set(
                 entry
             )
 

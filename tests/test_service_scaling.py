@@ -1,12 +1,12 @@
-"""Regression tests for balanced sharding, work stealing and lean dispatch.
+"""Regression tests for balanced sharding, owner routing and lean dispatch.
 
 The bugfix tier behind these tests: the coordinator must spread K
 registered instances over ``min(K, num_workers)`` workers (the old
 ``crc32 % num_workers`` hash could park every instance on one shard and
-leave whole workers idle), stealing must never change an answer (exact
-results bit-identical across worker counts, pinned-seed estimates
-identical with stealing on or off), a SIGKILLed thief must recover with
-zero lost requests, and the batch statistics must not be skewed by
+leave whole workers idle), every request must run on its instance's owner
+and no worker may hold an instance it does not own, answers must not
+depend on the worker count (exact results bit-identical, pinned-seed
+estimates identical), and the batch statistics must not be skewed by
 entries that fail normalization.
 """
 
@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.solver import PHomSolver
 from repro.graphs.classes import GraphClass
-from repro.service import Fault, FaultPlan, QueryService, ServiceRequest
+from repro.service import QueryService, ServiceRequest
 from repro.service.worker import WorkerState, handle_message
 from repro.workloads.generators import (
     attach_random_probabilities,
@@ -46,8 +46,7 @@ def skewed_batch(ids, queries):
     """An all-cold batch that concentrates work on the first instance.
 
     Every query targets ``ids[0]``, so its owning shard is the hot one
-    while the other owners see a single request each — exactly the shape
-    whose cold-count imbalance trips the coordinator's steal trigger.
+    while the other owners see a single request each.
     """
     requests = [ServiceRequest(query, ids[0]) for query in queries]
     requests += [ServiceRequest(queries[0], instance_id) for instance_id in ids[1:]]
@@ -85,8 +84,34 @@ class TestBalancedSharding:
             again = {instance_id: service._worker_for(instance_id) for instance_id in ids}
             assert first == again
 
+    def test_workers_hold_only_the_instances_they_own(self):
+        # An unbalanced batch must not leave a copy of the hot instance on
+        # the idle worker, before or after an update.
+        queries = trace_queries(65, 10)
+        instances = [build_instance(seed) for seed in (66, 67)]
+        with QueryService(num_workers=2) as service:
+            ids = [service.register_instance(inst) for inst in instances]
+            owner = {instance_id: service._worker_for(instance_id) for instance_id in ids}
+            batch = skewed_batch(ids, queries)
+            results = service.submit_many(batch)
+            edge = sorted(instances[0].uncertain_edges())[0]
+            service.update_probability(ids[0], edge, "1/3")
+            updated = service.submit_many(batch)
+            stats = service.stats()
+        for row in stats.workers:
+            owned = sorted(i for i in ids if owner[i] == row["worker"])
+            assert row["instances"] == owned
+        for result, request in zip(results + updated, batch * 2):
+            assert result.worker == owner[request.instance_id]
+        by_id = dict(zip(ids, instances))
+        solver = PHomSolver()
+        assert [str(result.probability) for result in updated] == [
+            str(solver.solve(request.query, by_id[request.instance_id]).probability)
+            for request in batch
+        ]
 
-class TestStealingEquivalence:
+
+class TestRoutingEquivalence:
     def test_exact_answers_bit_identical_across_worker_counts(self):
         queries = trace_queries(61, 10)
         solver = PHomSolver()
@@ -96,14 +121,7 @@ class TestStealingEquivalence:
             with QueryService(num_workers=num_workers) as service:
                 ids = [service.register_instance(inst) for inst in instances]
                 results = service.submit_many(skewed_batch(ids, queries))
-                stats = service.stats()
             answers = [str(result.probability) for result in results]
-            if num_workers > 1:
-                # The skewed batch must actually exercise the steal path,
-                # otherwise this test proves nothing about it.
-                assert stats.steals >= 1
-                assert stats.replicas_shipped >= 1
-                assert any(result.stolen for result in results)
             if reference is None:
                 reference = answers
                 expected = [
@@ -114,16 +132,15 @@ class TestStealingEquivalence:
             else:
                 assert answers == reference
 
-    def test_pinned_seed_estimates_unchanged_by_steal_routing(self):
+    def test_pinned_seed_estimates_identical_across_worker_counts(self):
         workload = intractable_workload(8, rng=45)
         estimates = {}
-        for stealing in (True, False):
-            with QueryService(num_workers=2, work_stealing=stealing) as service:
+        for num_workers in (0, 1, 2):
+            with QueryService(num_workers=num_workers) as service:
                 instance = pickle.loads(pickle.dumps(workload.instance))
                 instance_id = service.register_instance(instance)
-                # Distinct pinned seeds make distinct coalesce keys: all
-                # cold, all on one shard, so stealing (when enabled) must
-                # move some of them — without changing a single estimate.
+                # Distinct pinned seeds make distinct coalesce keys, so each
+                # request runs its own sampler.
                 requests = [
                     ServiceRequest(
                         workload.query,
@@ -136,69 +153,36 @@ class TestStealingEquivalence:
                     for seed in range(5)
                 ]
                 results = service.submit_many(requests)
-                stats = service.stats()
-            assert stats.steals >= (1 if stealing else 0)
-            if not stealing:
-                assert stats.steals == 0
-            estimates[stealing] = [float(result) for result in results]
-        assert estimates[True] == estimates[False]
+            estimates[num_workers] = [float(result) for result in results]
+        assert estimates[0] == estimates[1] == estimates[2]
 
-    def test_repeated_batches_hit_the_frame_cache(self):
+    def test_reparsed_spellings_answer_identically(self):
         instances = [build_instance(seed) for seed in (71, 72)]
         with QueryService(num_workers=2) as service:
             ids = [service.register_instance(inst) for inst in instances]
             first = service.submit_many(skewed_batch(ids, trace_queries(73, 6)))
             # Rebuild the queries from the same seed: equal coalesce keys,
-            # different objects — the cached frames answer, and each result
-            # is requalified against the spelling actually submitted.
+            # different objects — the workers' result caches answer, and
+            # each result describes the spelling actually submitted.
             second = service.submit_many(skewed_batch(ids, trace_queries(73, 6)))
-            assert len(service._frame_cache) > 0
-        assert [str(r.probability) for r in first] == [
-            str(r.probability) for r in second
-        ]
         assert not any(r.error for r in first) and not any(r.error for r in second)
+        assert all(r.cached for r in second)
+        for before, after in zip(first, second):
+            assert str(after.probability) == str(before.probability)
+            assert after.method == before.method
+            assert after.result.query_class == before.result.query_class
 
-    def test_frame_cache_does_not_keep_query_graphs_alive(self):
-        # The frame cache compares the submitted query by identity only, so
-        # it must hold it weakly: a strong reference kept every cold query
-        # graph (and its memo) alive for the life of the cache.
+    def test_submit_many_keeps_no_query_graph_alive(self):
         instances = [build_instance(seed) for seed in (74, 75)]
         with QueryService(num_workers=2) as service:
             ids = [service.register_instance(inst) for inst in instances]
             requests = skewed_batch(ids, trace_queries(76, 6))
             graphs = [weakref.ref(request.query) for request in requests]
             results = service.submit_many(requests)
-            assert len(service._frame_cache) > 0
             del requests
             gc.collect()
             assert [graph() for graph in graphs] == [None] * len(graphs)
         assert not any(result.error for result in results)
-
-
-class TestThiefRecovery:
-    def test_killed_thief_loses_no_requests(self):
-        queries = trace_queries(81, 10)
-        instances = [build_instance(seed) for seed in (51, 52)]
-        solver = PHomSolver()
-        expected = [str(solver.solve(q, instances[0]).probability) for q in queries]
-        # Worker 1 is the idle shard of the skewed batch, hence the thief;
-        # the kill fires on its second message — right when the stolen
-        # replica and work arrive — so supervision must restart it, replay
-        # its journal, and re-ship the stolen shard before re-dispatching.
-        plan = FaultPlan(
-            faults=(Fault(kind="kill", worker=1, after_messages=1),), seed=7
-        )
-        with QueryService(
-            num_workers=2, fault_plan=plan, backoff_base=0.01
-        ) as service:
-            ids = [service.register_instance(inst) for inst in instances]
-            results = service.submit_many(skewed_batch(ids, queries))
-            stats = service.stats()
-        assert not any(result.error for result in results)
-        answers = [str(result.probability) for result in results[: len(queries)]]
-        assert answers == expected
-        assert stats.steals >= 1
-        assert stats.restarts >= 1
 
 
 class TestBatchStatsHygiene:
