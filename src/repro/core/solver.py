@@ -682,7 +682,6 @@ class PHomSolver:
         instance: ProbabilisticGraph,
         batches: Sequence[Optional[dict]],
         precision: PrecisionLike = None,
-        backend: str = "auto",
     ) -> List[Number]:
         """Answer one query under a whole batch of probability valuations.
 
@@ -692,11 +691,10 @@ class PHomSolver:
         batch runs in one structural pass over the plan's flat tape (see
         :meth:`tape_for`), vectorizing every arithmetic operation across the
         valuations, which is the serving layer's bulk re-evaluation fast
-        path.  ``precision``
-        selects the numeric backend as in :meth:`solve` (``"approx"`` is
-        rejected: batched evaluation is an exact/float contract);
-        ``backend`` is forwarded to
-        :meth:`~repro.tape.PlanTape.evaluate_many`.
+        path.  ``precision`` selects the numeric backend as in
+        :meth:`solve` (``"approx"`` is rejected: batched evaluation is an
+        exact/float contract); the tape picks its executor from the
+        precision, the batch size and whether numpy is importable.
         """
         if _is_approx(precision):
             raise ReproError(
@@ -705,7 +703,7 @@ class PHomSolver:
             )
         plan = self.compile(query, instance)
         context, _approx = self._resolve_precision(precision)
-        return plan.evaluate_many(batches, precision=context, backend=backend)
+        return plan.evaluate_many(batches, precision=context)
 
     def _plan_for(
         self,

@@ -67,9 +67,15 @@ def instance_digest(instance: ProbabilisticGraph) -> str:
     compiled plans separate structure from arithmetic: the structural
     skeleton is reusable across probability tables, and serving re-seeds
     probabilities from the live instance (see
-    :meth:`repro.plan.CompiledPlan.rebind`).
+    :meth:`repro.plan.CompiledPlan.rebind`).  The digest is memoised on
+    the instance's frozen graph, so it lives exactly as long as the graph.
     """
     graph = instance.graph
+    return graph.cached("instance_digest", lambda: _hash_structure(graph))
+
+
+def _hash_structure(graph) -> str:
+    """The uncached :func:`instance_digest` of ``graph``."""
     hasher = hashlib.sha256()
     for vertex in sorted(str(v) for v in graph.vertices):
         hasher.update(b"v\x00" + vertex.encode("utf-8") + b"\x00")
@@ -401,30 +407,13 @@ class PersistentPlanCache(PlanCache):
         self.plan_store = plan_store
         self.namespace = namespace
         self.loads = 0
-        self._digests: Dict[int, str] = {}
-
-    def _structure_digest(self, instance: ProbabilisticGraph) -> str:
-        # Memoised per instance identity; valid because the PR-2 update
-        # path never mutates structure, only probabilities.
-        digest = self._digests.get(id(instance))
-        if digest is None:
-            digest = instance_digest(instance)
-            self._digests[id(instance)] = digest
-        return digest
 
     def _insert_loaded(
         self, query_key: Hashable, instance: ProbabilisticGraph, plan: CompiledPlan
     ) -> None:
         """Insert a store-loaded plan without counting a compile."""
-        key = (query_key, id(instance))
-        self._entries[key] = plan
-        self._entries.move_to_end(key)
         self.loads += 1
-        while len(self._entries) > self.maxsize:
-            evicted_key, evicted_plan = self._entries.popitem(last=False)
-            self.evictions += 1
-            if self.on_evict is not None:
-                self.on_evict(evicted_key, evicted_plan)
+        self._insert(query_key, instance, plan)
 
     def lookup(
         self, query_key: Hashable, instance: ProbabilisticGraph
@@ -435,7 +424,7 @@ class PersistentPlanCache(PlanCache):
         if plan is not None:
             return plan
         stored = self.plan_store.get(
-            query_key, self._structure_digest(instance), self.namespace
+            query_key, instance_digest(instance), self.namespace
         )
         if stored is None:
             return None
@@ -449,7 +438,7 @@ class PersistentPlanCache(PlanCache):
         """Count the compile, cache in memory, and write through to disk."""
         super().store(query_key, instance, plan)
         self.plan_store.put(
-            query_key, self._structure_digest(instance), self.namespace, plan
+            query_key, instance_digest(instance), self.namespace, plan
         )
 
     def warm(self, instance: ProbabilisticGraph) -> int:
@@ -461,7 +450,7 @@ class PersistentPlanCache(PlanCache):
         read-through tier alone would also find it, but warming moves the
         disk reads out of the request path.
         """
-        digest = self._structure_digest(instance)
+        digest = instance_digest(instance)
         loaded = 0
         for entry in self.plan_store.entries():
             if entry.get("instance_digest") != digest:

@@ -293,7 +293,6 @@ class CompiledPlan:
         self,
         batches: Sequence[Optional[Mapping]],
         precision: PrecisionLike = None,
-        backend: str = "auto",
     ) -> List[Number]:
         """Answer a whole batch of probability valuations in one pass.
 
@@ -301,12 +300,11 @@ class CompiledPlan:
         :meth:`evaluate` (``None`` or ``{}`` for the instance's live
         table); the result list is index-aligned.  Evaluation runs on the
         plan's flat tape (compiled on first use, see :meth:`tape`), which
-        vectorizes every float operation across the batch — with numpy
-        when available, dependency-free stdlib lists otherwise — and
-        replays each exact valuation on integer registers, instead of
-        re-interpreting the plan per valuation.  Exact-mode results are
-        bit-identical to looped :meth:`evaluate` calls; ``backend`` is
-        forwarded to the tape.
+        vectorizes every float operation across the batch — on numpy when
+        :func:`repro.numeric.numpy_module` returns it, on stdlib lists
+        otherwise — and replays each exact valuation on integer registers,
+        instead of re-interpreting the plan per valuation.  Exact-mode
+        results are bit-identical to looped :meth:`evaluate` calls.
         """
         context = self._context(precision)
         tape = self.tape()
@@ -332,29 +330,7 @@ class CompiledPlan:
                 context.instance_probabilities(self.instance),
                 deltas,
                 precision=context,
-                backend=backend,
             )
-
-    def tape_evaluator(
-        self,
-        probabilities: Optional[Mapping] = None,
-        precision: PrecisionLike = None,
-    ):
-        """A bound :class:`~repro.tape.TapeEvaluator` over the plan's tape.
-
-        Seeds a fresh register file from the instance's live table (plus
-        ``probabilities`` overrides, as in :meth:`evaluate`) and returns
-        the evaluator, ready for incremental
-        :meth:`~repro.tape.TapeEvaluator.update` calls — single-edge slot
-        rewrites that replay only the dependent tape operations, on every
-        tractable plan kind.
-        """
-        from repro.tape import TapeEvaluator
-
-        context = self._context(precision)
-        evaluator = TapeEvaluator(self.tape())
-        evaluator.bind(self._probability_table(probabilities, context), context)
-        return evaluator
 
     def update(
         self,
@@ -669,12 +645,18 @@ class PlanCache:
         Counts one compile, and one tape compile when the plan arrives
         lowered (a solver lowers every tractable plan before storing it).
         """
-        key = (query_key, id(instance))
-        self._entries[key] = plan
-        self._entries.move_to_end(key)
         self.compiles += 1
         if plan.has_tape():
             self.tape_compiles += 1
+        self._insert(query_key, instance, plan)
+
+    def _insert(
+        self, query_key: Hashable, instance: ProbabilisticGraph, plan: CompiledPlan
+    ) -> None:
+        """Make ``plan`` the most recent entry; evict LRU entries over capacity."""
+        key = (query_key, id(instance))
+        self._entries[key] = plan
+        self._entries.move_to_end(key)
         while len(self._entries) > self.maxsize:
             evicted_key, evicted_plan = self._entries.popitem(last=False)
             self.evictions += 1

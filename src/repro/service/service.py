@@ -1383,7 +1383,6 @@ class QueryService:
         query,
         batches,
         precision: Optional[str] = None,
-        backend: str = "auto",
     ) -> List:
         """Batch-evaluate one query under many probability valuations.
 
@@ -1402,7 +1401,7 @@ class QueryService:
         return self._call(
             self._worker_for(instance_id),
             "evaluate_many",
-            (instance_id, query, list(batches), precision, backend),
+            (instance_id, query, list(batches), precision),
         )
 
     def stats(self) -> ServiceStats:

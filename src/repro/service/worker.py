@@ -172,7 +172,6 @@ class WorkerState:
         query: Any,
         batches: List,
         precision: Optional[str] = None,
-        backend: str = "auto",
     ) -> List:
         """Answer many probability valuations of one query in one pass.
 
@@ -192,7 +191,7 @@ class WorkerState:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             values = self.solver.evaluate_many(
-                query, instance, batches, precision=precision, backend=backend
+                query, instance, batches, precision=precision
             )
         self._latency.labels("tape-batch").observe(
             (time.perf_counter() - start) * 1000.0
@@ -403,11 +402,8 @@ def handle_message(state: WorkerState, op: str, payload: Any) -> Tuple[str, Any]
             state.update(instance_id, endpoints, probability)
             return ("ok", None)
         if op == "evaluate_many":
-            instance_id, query, batches, precision, backend = payload
-            return (
-                "ok",
-                state.evaluate_many(instance_id, query, batches, precision, backend),
-            )
+            instance_id, query, batches, precision = payload
+            return ("ok", state.evaluate_many(instance_id, query, batches, precision))
         if op == "warm":
             return ("ok", state.warm(payload))
         if op == "stats":

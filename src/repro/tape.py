@@ -10,7 +10,7 @@ runtime a plan evaluates on: a flat register program over parallel arrays
 
 * ``opcodes`` / ``dsts`` / ``lhs`` / ``rhs`` — one entry per operation, in
   dependency (topological) order, over a semiring-with-complement opcode set
-  (:data:`OP_COMPL`, :data:`OP_ADD`, :data:`OP_MUL`, :data:`OP_SUB`);
+  (:data:`OP_COMPL`, :data:`OP_ADD`, :data:`OP_MUL`);
 * a *constant pool* mapping register slots to exact
   :class:`~fractions.Fraction` constants;
 * an *edge-slot indirection*: which input register each instance edge's
@@ -18,17 +18,19 @@ runtime a plan evaluates on: a flat register program over parallel arrays
 
 Evaluation is a single non-recursive loop — no gate dispatch, no dict
 hashing, no recursion — and :meth:`PlanTape.evaluate_many` answers a whole
-batch of probability valuations in one structural pass, vectorizing each
-operation across the batch (with numpy when available on the float backend,
-behind the :func:`repro.numeric.numpy_module` seam; a dependency-free
-stdlib-list path otherwise).
+batch of probability valuations in one structural pass.  The executor is
+picked from what the batch is, never by the caller: one valuation, or an
+exact batch, replays the scalar loop per valuation; a float batch
+vectorizes each operation across its lanes, on numpy when
+:func:`repro.numeric.numpy_module` returns it and on stdlib lists
+otherwise.
 
 Exact mode replays on plain Python integers instead of
 :class:`~fractions.Fraction` registers: with ``D`` the lcm of the input
 and constant denominators, each slot holds an integer ``X`` standing for
 ``X / D**e``, where the exponent ``e`` is a static property of the slot
 (1 for inputs and constants, summed by ``mul``, the maximum of the operand
-exponents for ``add``/``sub``).  No operation pays a gcd; one ``Fraction``
+exponents for ``add``).  No operation pays a gcd; one ``Fraction``
 is built at the root, so results are bit-identical to Fraction arithmetic.
 
 How tapes are compiled
@@ -52,7 +54,7 @@ never on probability values, which is what makes this sound.)
 
 The only rewrites applied are identity peepholes (``0 + x → x``,
 ``1 * x → x``, ``0 * x → 0``, ``1 - x`` folded to one complement op, and
-complement sharing), all of which are bitwise-exact on both backends for
+complement sharing), all of which are bitwise-exact in both precisions for
 the non-negative finite values probabilities produce.  A caching
 :class:`~repro.core.solver.PHomSolver` lowers every tractable plan when it
 compiles it, so plans reach the evaluator, the serving workers and the
@@ -81,42 +83,23 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import PlanError
 from repro.graphs.digraph import Edge
-from repro.numeric import (
-    EXACT,
-    Number,
-    NumericContext,
-    numpy_module,
-    resolve_context,
-)
+from repro.numeric import Number, NumericContext, numpy_module, resolve_context
 from repro.obs.trace import current_tracer
 
 #: Opcodes of the tape instruction set.  ``COMPL`` is the semiring
 #: complement ``dst = 1 - lhs`` (``rhs`` unused); the rest are binary.
-#: The lowering never emits ``SUB`` (every kernel subtracts only as
-#: ``1 - x``); the replay loops still accept it in hand-built tapes.
+#: Every kernel subtracts only as ``1 - x``, so these three suffice.
 OP_COMPL = 0
 OP_ADD = 1
 OP_MUL = 2
-OP_SUB = 3
 
 #: Human-readable opcode names (docs, ``describe()``, error messages).
-OPCODE_NAMES = {OP_COMPL: "compl", OP_ADD: "add", OP_MUL: "mul", OP_SUB: "sub"}
-
-#: Accepted values of the ``backend=`` keyword on the batched entry points.
-TAPE_BACKENDS = ("auto", "stdlib", "numpy")
+OPCODE_NAMES = {OP_COMPL: "compl", OP_ADD: "add", OP_MUL: "mul"}
 
 #: Opcodes of the exact integer replay: the tape opcodes with the operand
-#: pre-scaling of ``add``/``sub`` resolved statically (``_L``: the left
-#: operand is multiplied by ``D**shift``, ``_R``: the right one).
-_X_MUL, _X_ADD, _X_ADD_L, _X_ADD_R, _X_SUB, _X_SUB_L, _X_SUB_R, _X_COMPL = range(8)
-
-#: Tape ``add``/``sub`` -> its integer opcodes (no scaling, scale left,
-#: scale right).
-_SCALED_OPS = {
-    OP_ADD: (_X_ADD, _X_ADD_L, _X_ADD_R),
-    OP_SUB: (_X_SUB, _X_SUB_L, _X_SUB_R),
-}
-
+#: pre-scaling of ``add`` resolved statically (``_L``: the left operand is
+#: multiplied by ``D**shift``, ``_R``: the right one).
+_X_MUL, _X_ADD, _X_ADD_L, _X_ADD_R, _X_COMPL = range(5)
 
 #: The builder interns the constants 0 and 1 before anything else, so they
 #: always sit in these slots; the peepholes compare against them.
@@ -245,29 +228,6 @@ def compile_plan_tape(plan) -> "PlanTape":
     )
 
 
-def _resolve_backend(backend: str, context: NumericContext):
-    """The (numpy-or-None, name) pair actually used for a batched pass."""
-    if backend not in TAPE_BACKENDS:
-        raise PlanError(
-            f"unknown tape backend {backend!r}; expected one of {TAPE_BACKENDS}"
-        )
-    if backend == "stdlib":
-        return None, "stdlib"
-    if context.name != "float":
-        if backend == "numpy":
-            raise PlanError(
-                "the numpy tape backend is float-only; exact mode replays "
-                "each valuation on Python integers (the bit-identity contract)"
-            )
-        return None, "stdlib"
-    np = numpy_module()
-    if np is None:
-        if backend == "numpy":
-            raise PlanError("backend='numpy' requested but numpy is not importable")
-        return None, "stdlib"
-    return np, "numpy"
-
-
 class PlanTape:
     """A compiled plan's arithmetic, flattened to a register program.
 
@@ -281,7 +241,7 @@ class PlanTape:
     """
 
     #: Derived data, built lazily and dropped from pickles: the level
-    #: segments of the vectorized backend (:meth:`_packed_segments`), the
+    #: segments of the numpy lanes (:meth:`_packed_segments`), the
     #: edge -> input position map and the exact replay's integer program
     #: (:meth:`_scaled_program`).  Class-level defaults, so tapes pickled
     #: without a field still load.
@@ -301,6 +261,13 @@ class PlanTape:
         rhs: Sequence[int],
         root: int,
     ) -> None:
+        # The replay loops run every opcode other than mul and add as compl.
+        unknown = set(opcodes).difference(OPCODE_NAMES)
+        if unknown:
+            raise PlanError(
+                f"unknown tape opcode(s) {sorted(unknown)}; "
+                f"expected one of {OPCODE_NAMES}"
+            )
         self.num_slots = num_slots
         self.consts = consts
         self.inputs = inputs
@@ -348,7 +315,7 @@ class PlanTape:
         of one level read only slots computed at strictly earlier levels —
         a segment ``(opcode, dsts, lhs, rhs)`` can therefore be executed as
         *one* gather/compute/scatter batch regardless of how many ops it
-        packs.  This is what keeps the numpy backend's fixed cost
+        packs.  This is what keeps the numpy lanes' fixed cost
         proportional to the tape's *depth* (a few dozen segments) instead
         of its length (thousands of ops).  The slot lists are ``array("I")``
         objects, which numpy indexes through the buffer protocol.
@@ -403,10 +370,8 @@ class PlanTape:
                 values[dst] = values[a] * values[b]
             elif opcode == OP_ADD:
                 values[dst] = values[a] + values[b]
-            elif opcode == OP_COMPL:
-                values[dst] = 1 - values[a]
             else:
-                values[dst] = values[a] - values[b]
+                values[dst] = 1 - values[a]
 
     def _replay(self, inputs: Sequence[Any], context: NumericContext) -> Number:
         """One valuation of the input probabilities (in :attr:`inputs` order)."""
@@ -423,7 +388,7 @@ class PlanTape:
         ``shifts`` are small-int arrays parallel to :attr:`opcodes`: the
         integer opcode (``_X_*``) of each operation and the power of ``D``
         it applies — the pre-scaling of the operand with the smaller
-        exponent for ``add``/``sub``, the operand's exponent ``e`` for
+        exponent for ``add``, the operand's exponent ``e`` for
         ``compl`` (``D**e - X``), 0 for ``mul``.  ``root_exp`` is the root
         slot's exponent, ``top`` the largest power of ``D`` the replay uses
         and ``const_den`` the lcm of the constant denominators.
@@ -436,17 +401,16 @@ class PlanTape:
                 left = exponents[a]
                 if opcode == OP_MUL:
                     code, shift, exponent = _X_MUL, 0, left + exponents[b]
-                elif opcode == OP_COMPL:
-                    code, shift, exponent = _X_COMPL, left, left
-                else:
+                elif opcode == OP_ADD:
                     right = exponents[b]
-                    same, scale_left, scale_right = _SCALED_OPS[opcode]
                     if left < right:
-                        code, shift, exponent = scale_left, right - left, right
+                        code, shift, exponent = _X_ADD_L, right - left, right
                     elif right < left:
-                        code, shift, exponent = scale_right, left - right, left
+                        code, shift, exponent = _X_ADD_R, left - right, left
                     else:
-                        code, shift, exponent = same, 0, left
+                        code, shift, exponent = _X_ADD, 0, left
+                else:
+                    code, shift, exponent = _X_COMPL, left, left
                 exponents[dst] = exponent
                 ops.append(code)
                 shifts.append(shift)
@@ -489,14 +453,8 @@ class PlanTape:
                 registers[dst] = powers[shift] - registers[a]
             elif code == _X_ADD_L:
                 registers[dst] = registers[a] * powers[shift] + registers[b]
-            elif code == _X_ADD_R:
-                registers[dst] = registers[a] + registers[b] * powers[shift]
-            elif code == _X_SUB:
-                registers[dst] = registers[a] - registers[b]
-            elif code == _X_SUB_L:
-                registers[dst] = registers[a] * powers[shift] - registers[b]
             else:
-                registers[dst] = registers[a] - registers[b] * powers[shift]
+                registers[dst] = registers[a] + registers[b] * powers[shift]
         return Fraction(registers[self.root], powers[root_exp])
 
     def evaluate(
@@ -519,30 +477,24 @@ class PlanTape:
         self,
         tables: Sequence[Mapping[Edge, Number]],
         precision: Any = None,
-        backend: str = "auto",
     ) -> List[Number]:
         """A batch of valuations in one structural pass over the tape.
 
         Each entry of ``tables`` is a full edge-probability table (as in
-        :meth:`evaluate`); the result list is index-aligned with it.  On
-        the float backend the pass vectorizes every tape operation across
-        the whole batch: with ``backend="auto"`` it uses numpy when
-        importable (see :func:`repro.numeric.numpy_module`) and stdlib
-        lists otherwise.  Exact mode replays each valuation on scaled
-        Python integers, preserving bit-identity, and a batch of one runs
-        the scalar replay on either backend.  ``backend="numpy"`` forces
-        numpy (raising :class:`~repro.exceptions.PlanError` when
-        unavailable or in exact mode); ``backend="stdlib"`` forces the
-        dependency-free path.
+        :meth:`evaluate`); the result list is index-aligned with it.  A
+        float batch of several valuations vectorizes every tape operation
+        across the whole batch, on numpy when
+        :func:`repro.numeric.numpy_module` returns it and on stdlib lists
+        otherwise.  Exact mode replays each valuation on scaled Python
+        integers, preserving bit-identity, and a batch of one runs the
+        scalar replay in either precision.
         """
         context = resolve_context(precision)
-        np, _name = _resolve_backend(backend, context)
         batch = len(tables)
-        if batch == 0:
-            return []
-        if batch == 1 or context.name == "exact":
+        if batch <= 1 or context.name == "exact":
             return [self._replay(self._inputs_of(table), context) for table in tables]
         convert = context.convert
+        np = numpy_module()
         if np is not None:
             registers = self._seed_registers(np, batch)
             for edge, slot in self.inputs:
@@ -558,30 +510,33 @@ class PlanTape:
         base: Mapping[Edge, Number],
         overrides: Sequence[Optional[Mapping[Edge, Number]]],
         precision: Any = None,
-        backend: str = "auto",
     ) -> List[Number]:
         """A batch of valuations given as deltas against one base table.
 
         The serving-shaped variant of :meth:`evaluate_many`: ``base`` is a
         full edge-probability table and each batch entry is an override
         mapping (``None``/``{}`` for "just the base") whose values are
-        already in the backend's number type.  Each input row is seeded
+        already in the precision's number type.  Each input row is seeded
         once from ``base`` and only the overridden cells are rewritten, so
         the per-valuation setup cost scales with the number of overridden
         edges instead of the instance size.  Results are identical to
         building the full per-valuation tables and calling
         :meth:`evaluate_many`; overridden edges the tape never reads are
-        ignored (they provably cannot affect the result).
+        ignored (they provably cannot affect the result).  The ``tape.run``
+        span's ``backend`` attribute records the executor the batch ran on:
+        ``"scalar"``, ``"numpy"`` or ``"stdlib"``.
         """
         context = resolve_context(precision)
-        np, name = _resolve_backend(backend, context)
         batch = len(overrides)
         if batch == 0:
             return []
         scalar = batch == 1 or context.name == "exact"
+        np = None if scalar else numpy_module()
         with current_tracer().span("tape.run") as span:
             if span:
-                span.attrs["backend"] = "scalar" if scalar else name
+                span.attrs["backend"] = (
+                    "scalar" if scalar else "stdlib" if np is None else "numpy"
+                )
                 span.attrs["batch"] = batch
             if scalar:
                 return [
@@ -645,7 +600,7 @@ class PlanTape:
                     values[inputs[position][1]][lane] = convert(value)
         return self._replay_lanes(values)
 
-    # -- batched-backend internals -------------------------------------
+    # -- vectorized-lane internals -------------------------------------
     def _seed_registers(self, np, batch: int):
         """A fresh (slots × batch) register matrix with constants filled in."""
         registers = np.empty((self.num_slots, batch), dtype=float)
@@ -671,10 +626,8 @@ class PlanTape:
                 registers[dsts] = registers[lhs] * registers[rhs]
             elif opcode == OP_ADD:
                 registers[dsts] = registers[lhs] + registers[rhs]
-            elif opcode == OP_COMPL:
-                registers[dsts] = 1.0 - registers[lhs]
             else:
-                registers[dsts] = registers[lhs] - registers[rhs]
+                registers[dsts] = 1.0 - registers[lhs]
         return registers[self.root].tolist()
 
     def _replay_lanes(self, values: List[Any]) -> List[Number]:
@@ -684,10 +637,8 @@ class PlanTape:
                 values[dst] = [x * y for x, y in zip(values[a], values[b])]
             elif opcode == OP_ADD:
                 values[dst] = [x + y for x, y in zip(values[a], values[b])]
-            elif opcode == OP_COMPL:
-                values[dst] = [1 - x for x in values[a]]
             else:
-                values[dst] = [x - y for x, y in zip(values[a], values[b])]
+                values[dst] = [1 - x for x in values[a]]
         return list(values[self.root])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -706,7 +657,7 @@ class TapeEvaluator:
     and replays only the operations transitively reading it.
     The affected-op lists are discovered with one linear scan per edge and
     memoised, and because replayed ops recompute from identical operand
-    values, an update stream is bitwise-identical (both backends) to
+    values, an update stream is bitwise-identical (in both precisions) to
     re-running the full tape after each change.
     """
 
@@ -773,10 +724,8 @@ class TapeEvaluator:
                 values[dst] = values[a] * values[b]
             elif opcode == OP_ADD:
                 values[dst] = values[a] + values[b]
-            elif opcode == OP_COMPL:
-                values[dst] = 1 - values[a]
             else:
-                values[dst] = values[a] - values[b]
+                values[dst] = 1 - values[a]
         return values[tape.root]
 
     def current_value(self) -> Number:

@@ -23,6 +23,7 @@ import pytest
 import repro
 from repro.core.solver import PHomSolver
 from repro.exceptions import PersistenceError, PlanError
+from repro.graphs.builders import one_way_path
 from repro.graphs.classes import GraphClass
 from repro.persist import (
     FSYNC_POLICIES,
@@ -330,6 +331,36 @@ class TestPersistentPlanCache:
         reader.compile(query, instance)
         assert reader.plan_cache.stats["hits"] == 1
         assert reader.plan_cache.stats["compiles"] == 0
+
+    def test_digest_is_never_inherited_through_a_recycled_id(
+        self, tmp_path, monkeypatch
+    ):
+        # CPython hands a freed instance's id() to later objects.  Shadowing
+        # id() in the store module with a constant makes every instance
+        # collide at once, as a freed instance and its successor would: a
+        # digest memo keyed by id() then files one instance's plans under
+        # another's structure, and the wrong entry outlives the process.
+        import repro.persist.store as store_module
+
+        monkeypatch.setattr(store_module, "id", lambda _obj: 0, raising=False)
+        query = one_way_path(["R", "R"], prefix="q")
+        short, long = (
+            attach_random_probabilities(one_way_path(["R"] * n, prefix="i"), n)
+            for n in (3, 5)
+        )
+        oracle = PHomSolver()
+        root = str(tmp_path / "plans")
+        solver = PHomSolver(plan_store=root, plan_cache_size=1)
+        for instance in (short, long, short):
+            want = oracle.solve(query, instance).probability
+            assert solver.solve(query, instance).probability == want
+        digests = {entry["instance_digest"] for entry in PlanStore(root).entries()}
+        assert digests == {instance_digest(short), instance_digest(long)}
+        restarted = PHomSolver(plan_store=root, plan_cache_size=1)
+        for instance in (long, short):
+            want = oracle.solve(query, instance).probability
+            assert restarted.solve(query, instance).probability == want
+        assert restarted.plan_cache.stats["compiles"] == 0
 
     def test_solver_rejects_store_without_cache(self, tmp_path):
         with pytest.raises(ValueError):

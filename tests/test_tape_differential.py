@@ -34,6 +34,7 @@ from repro.graphs.builders import one_way_path
 from repro.graphs.classes import GraphClass
 from repro.graphs.digraph import Edge
 from repro.numeric import EXACT, resolve_context
+from repro.obs.trace import Tracer, set_tracer
 from repro.plan import ComponentPlan, ConstantPlan, FallbackPlan
 from repro.probability.brute_force import brute_force_phom
 from repro.probability.prob_graph import ProbabilisticGraph
@@ -84,7 +85,7 @@ GOLDEN_SEED = 20170514
 #: :func:`program_digest` of the op arrays and constant pool.
 GOLDEN_TAPES = {
     "labeled-dwt": {
-        "describe": {"slots": 57, "inputs": 10, "consts": 2, "ops": 45, "compl": 11, "add": 15, "mul": 19, "sub": 0},
+        "describe": {"slots": 57, "inputs": 10, "consts": 2, "ops": 45, "compl": 11, "add": 15, "mul": 19},
         "root": 56,
         "inputs": [
             ("q2", "q5", 2),
@@ -101,7 +102,7 @@ GOLDEN_TAPES = {
         "digest": 4055198512,
     },
     "connected-2wp": {
-        "describe": {"slots": 116, "inputs": 12, "consts": 2, "ops": 102, "compl": 13, "add": 27, "mul": 62, "sub": 0},
+        "describe": {"slots": 116, "inputs": 12, "consts": 2, "ops": 102, "compl": 13, "add": 27, "mul": 62},
         "root": 115,
         "inputs": [
             ("q0", "q1", 2),
@@ -120,7 +121,7 @@ GOLDEN_TAPES = {
         "digest": 3178184940,
     },
     "graded-collapse": {
-        "describe": {"slots": 68, "inputs": 9, "consts": 2, "ops": 57, "compl": 12, "add": 12, "mul": 33, "sub": 0},
+        "describe": {"slots": 68, "inputs": 9, "consts": 2, "ops": 57, "compl": 12, "add": 12, "mul": 33},
         "root": 67,
         "inputs": [
             (("c0", "t1"), ("c0", "t3"), 2),
@@ -136,7 +137,7 @@ GOLDEN_TAPES = {
         "digest": 1121634866,
     },
     "polytree-dp": {
-        "describe": {"slots": 90, "inputs": 6, "consts": 2, "ops": 82, "compl": 6, "add": 24, "mul": 52, "sub": 0},
+        "describe": {"slots": 90, "inputs": 6, "consts": 2, "ops": 82, "compl": 6, "add": 24, "mul": 52},
         "root": 89,
         "inputs": [
             ("q6", "q2", 2),
@@ -149,7 +150,7 @@ GOLDEN_TAPES = {
         "digest": 3316536298,
     },
     "polytree-automaton": {
-        "describe": {"slots": 57, "inputs": 4, "consts": 2, "ops": 51, "compl": 4, "add": 11, "mul": 36, "sub": 0},
+        "describe": {"slots": 57, "inputs": 4, "consts": 2, "ops": 51, "compl": 4, "add": 11, "mul": 36},
         "root": 56,
         "inputs": [
             ("q0", "q1", 2),
@@ -255,6 +256,22 @@ def graded_collapse_plan():
     plan = solver.compile(workload.query, workload.instance)
     assert plan.method == "graded-collapse"
     return workload, plan, rng
+
+
+def traced_evaluate_many(plan, batches, precision):
+    """``plan.evaluate_many`` plus the executor each ``tape.run`` span reports."""
+    tracer = Tracer(sample_rate=1.0)
+    previous = set_tracer(tracer)
+    try:
+        values = plan.evaluate_many(batches, precision=precision)
+    finally:
+        set_tracer(previous)
+    executors = [
+        record["attrs"]["backend"]
+        for record in tracer.drain()
+        if record["name"] == "tape.run"
+    ]
+    return values, executors
 
 
 def program_digest(tape) -> int:
@@ -393,59 +410,61 @@ class TestEvaluateMany:
         got = plan.evaluate_many(batches)
         assert got == [object_graph(plan, overrides) for overrides in batches]
 
-    @pytest.mark.parametrize("precision", ["exact", "float"])
-    def test_single_valuation_runs_the_scalar_replay(self, precision, monkeypatch):
+    @pytest.mark.parametrize(
+        "precision, lanes",
+        [
+            pytest.param("exact", 1, id="exact"),
+            pytest.param("float", 1, id="float"),
+            # Exact batches of any size replay each valuation on integers.
+            pytest.param("exact", 4, id="exact-batch"),
+        ],
+    )
+    def test_single_valuation_runs_the_scalar_replay(
+        self, precision, lanes, monkeypatch
+    ):
         workload, plan, rng = route_plan(4)
-        (table,) = random_tables(workload.instance, rng, 1)
-        want = object_graph(plan, table, precision)
+        tables = random_tables(workload.instance, rng, lanes)
+        want = [object_graph(plan, table, precision) for table in tables]
 
         def vectorized(*_args):
-            raise AssertionError("a batch of one ran the vectorized lanes")
+            raise AssertionError("a scalar batch ran the vectorized lanes")
 
         monkeypatch.setattr(PlanTape, "_replay_segments", vectorized)
         monkeypatch.setattr(PlanTape, "_replay_lanes", vectorized)
-        (got,) = plan.evaluate_many([table], precision=precision)
-        (full,) = plan.tape().evaluate_many([table], precision=precision)
-        assert got == full
+        got, executors = traced_evaluate_many(plan, tables, precision)
+        assert executors == ["scalar"]
+        assert got == plan.tape().evaluate_many(tables, precision=precision)
         if precision == "exact":
             assert got == want
         else:
-            assert abs(got - want) <= FLOAT_TOLERANCE
+            assert max(abs(g - w) for g, w in zip(got, want)) <= FLOAT_TOLERANCE
 
-    def test_stdlib_and_numpy_backends_agree(self):
+    def test_stdlib_and_numpy_backends_agree(self, monkeypatch):
         if repro_numeric.numpy_module() is None:
             pytest.skip("numpy is not importable in this environment")
         workload, plan, rng = route_plan(4)
         batches = random_tables(workload.instance, rng, 6)
-        via_numpy = plan.evaluate_many(batches, precision="float", backend="numpy")
-        via_stdlib = plan.evaluate_many(batches, precision="float", backend="stdlib")
+        via_numpy, executors = traced_evaluate_many(plan, batches, "float")
+        assert executors == ["numpy"]
+        monkeypatch.setattr(repro_numeric, "_numpy_cache", None)
+        via_stdlib, executors = traced_evaluate_many(plan, batches, "float")
+        assert executors == ["stdlib"]
         assert max(abs(a - b) for a, b in zip(via_numpy, via_stdlib)) <= FLOAT_TOLERANCE
 
     def test_empty_batch(self):
         _workload, plan, _rng = route_plan(0)
         assert plan.evaluate_many([]) == []
 
-    def test_numpy_backend_rejected_in_exact_mode(self):
-        _workload, plan, _rng = route_plan(0)
-        with pytest.raises(PlanError):
-            plan.evaluate_many([None], precision="exact", backend="numpy")
-
-    def test_unknown_backend_rejected(self):
-        _workload, plan, _rng = route_plan(0)
-        with pytest.raises(PlanError):
-            plan.evaluate_many([None], precision="float", backend="fortran")
-
     def test_numpy_absence_falls_back_to_stdlib(self, monkeypatch):
-        # Stub the numpy seam: "auto" must degrade silently, "numpy" must
-        # fail loudly, and the stdlib results must stay correct.
+        # Stub the numpy seam: a float batch degrades silently to stdlib
+        # lanes, and their results stay correct.
         monkeypatch.setattr(repro_numeric, "_numpy_cache", None)
         workload, plan, rng = route_plan(1)
         batches = random_tables(workload.instance, rng, 4)
         want = [plan.evaluate(overrides, precision="float") for overrides in batches]
-        got = plan.evaluate_many(batches, precision="float", backend="auto")
+        got, executors = traced_evaluate_many(plan, batches, "float")
+        assert executors == ["stdlib"]
         assert max(abs(a - b) for a, b in zip(got, want)) <= FLOAT_TOLERANCE
-        with pytest.raises(PlanError):
-            plan.evaluate_many(batches, precision="float", backend="numpy")
 
     def test_solver_entry_point_matches_plan(self):
         workload, plan, rng = route_plan(0)
@@ -638,6 +657,7 @@ class TestTapeStructure:
         tape = plan.tape()
         tables = random_tables(workload.instance, rng, 3)
         tape.evaluate_many(tables, precision="float")
+        tape._packed_segments()  # numpy lanes build it; stdlib lanes do not
         want = [tape.evaluate(table) for table in tables]
         assert tape._scaled is not None and tape._segments is not None
         clone = pickle.loads(pickle.dumps(tape))
@@ -647,6 +667,22 @@ class TestTapeStructure:
         assert [clone.evaluate(table) for table in tables] == want
         ops, shifts, *_ = clone._scaled_program()
         assert len(ops) == len(shifts) == clone.num_ops()
+
+    def test_unknown_opcode_is_rejected_at_construction(self):
+        # The replay loops run every opcode other than mul and add as
+        # compl, so an unknown opcode (3 was once ``sub``) must fail at
+        # construction instead of replaying as ``1 - lhs``.
+        with pytest.raises(PlanError):
+            PlanTape(
+                num_slots=4,
+                consts=((0, Fraction(0)), (1, Fraction(1))),
+                inputs=(),
+                opcodes=[3],
+                dsts=[3],
+                lhs=[1],
+                rhs=[0],
+                root=3,
+            )
 
     def test_compile_is_memoised_on_the_plan(self):
         _workload, plan, _rng = route_plan(0)
