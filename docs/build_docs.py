@@ -86,7 +86,7 @@ API_SECTIONS: List[Tuple[str, str, List[str]]] = [
         "EXACT", "FAST", "NumericContext", "resolve_context",
     ]),
     ("Lineage", "repro", [
-        "PositiveDNF", "DDNNF", "CircuitEvaluator", "match_lineage",
+        "PositiveDNF", "DDNNF", "match_lineage",
     ]),
     ("Solving", "repro", [
         "PHomSolver", "PHomResult", "phom_probability",

@@ -91,7 +91,7 @@ from repro.approx import (
 )
 from repro.numeric import EXACT, FAST, NumericContext, resolve_context
 from repro.probability import ProbabilisticGraph, brute_force_phom
-from repro.lineage import PositiveDNF, DDNNF, CircuitEvaluator, match_lineage
+from repro.lineage import PositiveDNF, DDNNF, match_lineage
 from repro.core import PHomSolver, PHomResult, phom_probability
 from repro.plan import CompiledPlan, PlanCache, canonical_query_key
 from repro.tape import PlanTape, TapeEvaluator, compile_plan_tape
@@ -170,7 +170,6 @@ __all__ = [
     "brute_force_phom",
     "PositiveDNF",
     "DDNNF",
-    "CircuitEvaluator",
     "match_lineage",
     "PHomSolver",
     "PHomResult",

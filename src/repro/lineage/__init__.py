@@ -21,7 +21,7 @@ polynomial time:
 from repro.lineage.dnf import PositiveDNF
 from repro.lineage.hypergraph import Hypergraph, beta_elimination_order, is_beta_acyclic
 from repro.lineage.builders import match_lineage
-from repro.lineage.ddnnf import CircuitEvaluator, DDNNF, GateKind
+from repro.lineage.ddnnf import DDNNF, GateKind
 
 __all__ = [
     "PositiveDNF",
@@ -29,7 +29,6 @@ __all__ = [
     "beta_elimination_order",
     "is_beta_acyclic",
     "match_lineage",
-    "CircuitEvaluator",
     "DDNNF",
     "GateKind",
 ]

@@ -23,7 +23,7 @@ small supports) so the test suite can verify that the circuits produced by
 Tape-lowering contract
 ----------------------
 
-The plans' circuit pass (``CircuitEvaluator._pass``) does its arithmetic
+The plans' circuit pass (:meth:`DDNNF.evaluate_with`) does its arithmetic
 through the context's ``mul``/``add``/``compl``, and :mod:`repro.tape`
 lowers it to a flat postfix tape by running it with the tape builder as the
 context.  That is sound because the bottom-up pass branches only on circuit
@@ -83,9 +83,16 @@ class DDNNF:
         self._literal_cache: Dict[Tuple[bool, Variable], int] = {}
         self._constant_cache: Dict[GateKind, int] = {}
         self._root: Optional[int] = None
-        #: Memoised derived data (supports, literal index), keyed by the gate
-        #: count at computation time so adding gates invalidates lazily.
+        #: Memoised derived data (supports, literal index, the slot program
+        #: of :meth:`evaluate_with`), keyed by the gate count at computation
+        #: time so adding gates invalidates lazily.
         self._derived: Dict[str, Tuple[int, Any]] = {}
+
+    def __getstate__(self):
+        """Pickle the gates only; derived data is rebuilt on first use."""
+        state = self.__dict__.copy()
+        state["_derived"] = {}
+        return state
 
     def _cached_derived(self, key: str, compute: Callable[[], Any]) -> Any:
         """Memoise ``compute()`` until the arena grows (gates are append-only)."""
@@ -251,8 +258,7 @@ class DDNNF:
         :meth:`is_deterministic`.  ``context`` selects the numeric backend
         (exact :class:`~fractions.Fraction` by default, floats via
         :data:`repro.numeric.FAST`).  This gate-by-gate walk is the
-        reference the precompiled :class:`CircuitEvaluator` is tested
-        against.
+        reference :meth:`evaluate_with` is tested against.
         """
         convert = context.convert
         one = context.one
@@ -278,6 +284,61 @@ class DDNNF:
                     total += values[child]
                 values.append(total)
         return values[self.root]
+
+    def evaluate_with(
+        self, probabilities: Mapping[Variable, Number], context
+    ) -> Number:
+        """The pass plans evaluate and lower, on numbers of ``context`` already.
+
+        Same values as :meth:`probability` (identical gate order), over a
+        slot program memoised on the circuit, with every operation going
+        through the context's ``mul``/``add``/``compl``: the tape builder of
+        :mod:`repro.tape`, whose numbers are slot indices, lowers this very
+        pass.
+        """
+        var_slots, not_slots, true_slots, op_slots = self._cached_derived(
+            "program", self._compute_program
+        )
+        one = context.one
+        zero = context.zero
+        mul, add, compl = context.mul, context.add, context.compl
+        # Every read happens here, in literal-index order: a tape numbers
+        # its input slots in the order the pass reads the edges.
+        table = {variable: probabilities[variable] for variable in self.literal_index()}
+        values: List[Number] = [zero] * len(self._gates)
+        for gate_id, variable in var_slots:
+            values[gate_id] = table[variable]
+        for gate_id, variable in not_slots:
+            values[gate_id] = compl(table[variable])
+        for gate_id in true_slots:
+            values[gate_id] = one
+        for is_and, gate_id, children in op_slots:
+            if is_and:
+                term = one
+                for child in children:
+                    term = mul(term, values[child])
+                values[gate_id] = term
+            else:
+                total = zero
+                for child in children:
+                    total = add(total, values[child])
+                values[gate_id] = total
+        return values[self.root]
+
+    def _compute_program(self) -> Tuple[List, List, List, List]:
+        # Literal and constant-true slots, then the AND/OR gates in ascending
+        # (topological) order: a pass needs no per-gate kind dispatch.
+        var_slots, not_slots, true_slots, op_slots = [], [], [], []
+        for gate_id, gate in enumerate(self._gates):
+            if gate.kind is GateKind.VAR:
+                var_slots.append((gate_id, gate.variable))
+            elif gate.kind is GateKind.NOT:
+                not_slots.append((gate_id, gate.variable))
+            elif gate.kind is GateKind.TRUE:
+                true_slots.append(gate_id)
+            elif gate.kind in (GateKind.AND, GateKind.OR):
+                op_slots.append((gate.kind is GateKind.AND, gate_id, gate.children))
+        return var_slots, not_slots, true_slots, op_slots
 
     # ------------------------------------------------------------------
     # property checkers (used by the test suite)
@@ -356,95 +417,3 @@ class DDNNF:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DDNNF(gates={self.num_gates()}, wires={self.num_wires()}, vars={len(self.variables())})"
-
-
-class CircuitEvaluator:
-    """A d-DNNF probability evaluator over a precompiled gate program.
-
-    The evaluator is the arithmetic half of the compiled polytree plans
-    (:mod:`repro.plan`): the circuit is the probability-independent
-    structure, and :meth:`probability` is one bottom-up pass over it.
-    """
-
-    def __init__(self, circuit: DDNNF) -> None:
-        self._circuit = circuit
-        self._literals = circuit.literal_index()
-        # Precompiled evaluation program: literal/constant slots plus the
-        # internal gates in ascending (topological) identifier order —
-        # avoids per-gate kind dispatch on every full pass.
-        self._var_slots: List[Tuple[int, Variable]] = []
-        self._not_slots: List[Tuple[int, Variable]] = []
-        self._true_slots: List[int] = []
-        self._op_slots: List[Tuple[bool, int, Tuple[int, ...]]] = []
-        for gate_id, gate in enumerate(circuit._gates):
-            if gate.kind is GateKind.VAR:
-                self._var_slots.append((gate_id, gate.variable))
-            elif gate.kind is GateKind.NOT:
-                self._not_slots.append((gate_id, gate.variable))
-            elif gate.kind is GateKind.TRUE:
-                self._true_slots.append(gate_id)
-            elif gate.kind in (GateKind.AND, GateKind.OR):
-                self._op_slots.append(
-                    (gate.kind is GateKind.AND, gate_id, gate.children)
-                )
-
-    @property
-    def circuit(self) -> DDNNF:
-        """The underlying circuit (structure; shared, not copied)."""
-        return self._circuit
-
-    def probability(
-        self,
-        probabilities: Mapping[Variable, Number],
-        context: NumericContext = EXACT,
-    ) -> Number:
-        """One bottom-up pass over the precompiled slots.
-
-        Same values as :meth:`DDNNF.probability` (identical arena order);
-        the probabilities are converted to ``context`` first.
-        """
-        convert = context.convert
-        return self._pass(
-            {variable: convert(probabilities[variable]) for variable in self._literals},
-            context,
-        )
-
-    #: Alias of :meth:`probability`.
-    evaluate = probability
-
-    def _pass(self, probabilities: Mapping[Variable, Number], context) -> Number:
-        """The pass over probabilities that are numbers of ``context`` already.
-
-        The plans' entry point: their tables are converted, and the tape
-        builder of :mod:`repro.tape` (whose numbers are slot indices) lowers
-        this same pass, since its arithmetic runs through the context's
-        ``mul``/``add``/``compl``.
-        """
-        one = context.one
-        zero = context.zero
-        mul, add, compl = context.mul, context.add, context.compl
-        # Every read happens here, in literal-index order: a tape numbers
-        # its input slots in the order the pass reads the edges.
-        table = {variable: probabilities[variable] for variable in self._literals}
-        values: List[Number] = [zero] * len(self._circuit._gates)
-        for gate_id, variable in self._var_slots:
-            values[gate_id] = table[variable]
-        for gate_id, variable in self._not_slots:
-            values[gate_id] = compl(table[variable])
-        for gate_id in self._true_slots:
-            values[gate_id] = one
-        for is_and, gate_id, children in self._op_slots:
-            if is_and:
-                term = one
-                for child in children:
-                    term = mul(term, values[child])
-                values[gate_id] = term
-            else:
-                total = zero
-                for child in children:
-                    total = add(total, values[child])
-                values[gate_id] = total
-        return values[self._circuit.root]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CircuitEvaluator({self._circuit!r})"

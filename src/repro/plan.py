@@ -55,7 +55,7 @@ from repro.graphs.classes import (
 )
 from repro.graphs.digraph import DiGraph, Edge, Vertex
 from repro.lineage.builders import match_lineage
-from repro.lineage.ddnnf import CircuitEvaluator, DDNNF
+from repro.lineage.ddnnf import DDNNF
 from repro.lineage.dnf import PositiveDNF
 from repro.numeric import EXACT, FAST, Number, NumericContext, resolve_context
 from repro.obs.trace import current_tracer
@@ -178,22 +178,11 @@ class PolytreeDPEvaluator(ComponentEvaluator):
 class CircuitComponentEvaluator(ComponentEvaluator):
     """Proposition 5.4 (automaton route): a compiled d-DNNF lineage circuit."""
 
-    #: The circuit's precompiled slot program, built on first use.
-    _evaluator: Optional[CircuitEvaluator] = None
-
     def __init__(self, circuit: DDNNF) -> None:
         self.circuit = circuit
 
-    def __getstate__(self):
-        """Pickle the circuit only; the slot program is rebuilt on demand."""
-        state = self.__dict__.copy()
-        state.pop("_evaluator", None)
-        return state
-
     def evaluate(self, probabilities, context):
-        if self._evaluator is None:
-            self._evaluator = CircuitEvaluator(self.circuit)
-        return self._evaluator._pass(probabilities, context)
+        return self.circuit.evaluate_with(probabilities, context)
 
 
 # ----------------------------------------------------------------------

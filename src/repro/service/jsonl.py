@@ -157,13 +157,16 @@ def run_jsonl_session(
             continue
         try:
             data = json.loads(line)
-        except json.JSONDecodeError as exc:
+            if not isinstance(data, dict):
+                kind = type(data).__name__
+                raise ServiceError(f"expected a JSON object, got {kind}")
+        except (json.JSONDecodeError, ServiceError) as exc:
             failures += flush()
             failures += 1
-            _emit(
-                out,
-                failure_record(f"invalid JSON: {exc}", "JSONDecodeError", line_number),
-            )
+            message = str(exc)
+            if isinstance(exc, json.JSONDecodeError):
+                message = f"invalid JSON: {message}"
+            _emit(out, failure_record(message, type(exc).__name__, line_number))
             continue
         op = data.get("op", "solve")
         request_id = str(data["id"]) if "id" in data else None
@@ -194,7 +197,9 @@ def run_jsonl_session(
 
 
 def _handle_register(service: QueryService, data: Dict[str, Any]) -> str:
-    instance_id: Optional[str] = data.get("id")
+    # Ids are strings everywhere else on the wire (``solve`` and ``update``
+    # coerce their ``"instance"``), so a numeric id must name the same key.
+    instance_id = None if data.get("id") is None else str(data["id"])
     if "instance" in data:
         instance = probabilistic_graph_from_dict(data["instance"])
     elif "path" in data:

@@ -22,6 +22,7 @@ The module also defines the JSONL wire format used by ``repro serve
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, Hashable, Optional, Tuple, Union
@@ -69,10 +70,12 @@ class ServiceRequest:
     request_id:
         Optional caller-supplied correlation id, echoed on the result.
     deadline_ms:
-        Optional latency budget in milliseconds.  ``None`` (the default)
-        means the request waits as long as the service-level ``timeout``
-        allows.  A finite deadline is enforced by the coordinator without
-        blocking unrelated requests that share the worker.
+        Optional latency budget in milliseconds, a finite positive number
+        (anything else raises :class:`~repro.exceptions.ServiceError`).
+        ``None`` (the default) means the request waits as long as the
+        service-level ``timeout`` allows.  A deadline is enforced by the
+        coordinator without blocking unrelated requests that share the
+        worker.
     on_deadline:
         What a missed deadline means — ``"error"`` (default) raises
         :class:`~repro.exceptions.DeadlineExceededError`; ``"degrade"``
@@ -108,9 +111,14 @@ class ServiceRequest:
                 f"unknown deadline policy {self.on_deadline!r}; expected one "
                 f"of {DEADLINE_POLICIES}"
             )
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
+        # NaN fails every comparison and +inf never expires: both would run
+        # the request without a deadline.
+        if self.deadline_ms is not None and not (
+            math.isfinite(self.deadline_ms) and self.deadline_ms > 0
+        ):
             raise ServiceError(
-                f"deadline_ms must be positive, got {self.deadline_ms}"
+                "deadline_ms must be a finite positive number, "
+                f"got {self.deadline_ms}"
             )
 
     def resolved_precision(self, default: str) -> str:

@@ -76,6 +76,19 @@ RESTART_LOG_LIMIT = 256
 #: state (folding last-write-wins updates into fresh snapshots).
 WAL_COMPACT_AFTER = 4096
 
+#: Distinct updated edges an instance journal holds before it folds them
+#: into a fresh snapshot, so the in-memory journal stays bounded under
+#: sustained updates (the durable log compacts on its own cadence,
+#: ``WAL_COMPACT_AFTER`` appends).
+JOURNAL_FOLD_AFTER = 256
+
+#: Granularity (seconds) of the supervision loop's liveness, deadline and
+#: backoff checks while it waits for replies.
+POLL_INTERVAL = 0.05
+
+#: Cap (seconds) on the exponential backoff between retry dispatches.
+BACKOFF_CAP = 1.0
+
 #: Cap on :attr:`QueryService.slow_queries` entries kept in memory; older
 #: entries are dropped, newest last.
 SLOW_QUERY_LOG_LIMIT = 256
@@ -147,21 +160,56 @@ class ServiceStats:
         return sum(w.get("result_cache_hits", 0) for w in self.workers)
 
 
-@dataclass
 class _InstanceJournal:
-    """Coordinator-side record of one shard instance, for worker replay.
+    """The coordinator's record of one instance: a snapshot plus updates.
 
-    ``snapshot`` is the instance pickled at registration time;
-    ``updates`` is the compacted (last-write-wins) sequence of probability
-    updates applied since.  Replaying ``snapshot + updates`` reconstructs
-    the worker-side state exactly — including its isolation from direct
-    mutations of the caller's instance object.  ``version`` changes on
-    every state change, so degraded-answer reconstructions can be memoised.
+    ``snapshot`` is the instance pickled at registration (or at the last
+    fold); ``updates`` holds the probability updates applied since, last
+    write wins per edge.  Replaying ``snapshot + updates`` reconstructs the
+    worker-side state exactly — including its isolation from direct
+    mutations of the caller's instance object.  No other code reads the
+    format: worker registrations and restarts take
+    :meth:`register_payload`, the durable log :meth:`folded_snapshot` and
+    the degrade tier :meth:`current`.
     """
 
-    snapshot: bytes
-    updates: "OrderedDict[Tuple, Any]" = field(default_factory=OrderedDict)
-    version: int = 0
+    def __init__(self, snapshot: bytes) -> None:
+        self.snapshot = snapshot
+        self.updates: "OrderedDict[Tuple, Any]" = OrderedDict()
+        # The degrade tier's rebuilt instance, dropped on every update.
+        self._current: Optional[ProbabilisticGraph] = None
+
+    def record(self, endpoints: Tuple, probability: Any) -> None:
+        """Journal one update, folding at ``JOURNAL_FOLD_AFTER`` distinct edges."""
+        # Replay order only matters per edge, so re-updating an edge moves
+        # it to the tail instead of growing the journal.
+        self.updates[endpoints] = probability
+        self.updates.move_to_end(endpoints)
+        self._current = None
+        if len(self.updates) >= JOURNAL_FOLD_AFTER:
+            self.snapshot = self.folded_snapshot()
+            self.updates.clear()
+
+    def rebuild(self) -> ProbabilisticGraph:
+        """A fresh worker-view instance: the snapshot with the updates applied."""
+        instance = pickle.loads(self.snapshot)
+        for endpoints, probability in self.updates.items():
+            instance.set_probability(endpoints, probability)
+        return instance
+
+    def folded_snapshot(self) -> bytes:
+        """The journaled state as one snapshot, with no updates to replay."""
+        return pickle.dumps(self.rebuild()) if self.updates else self.snapshot
+
+    def current(self) -> ProbabilisticGraph:
+        """The rebuilt instance, kept until the next update."""
+        if self._current is None:
+            self._current = self.rebuild()
+        return self._current
+
+    def register_payload(self, instance_id: str) -> Tuple:
+        """The worker's ``register`` payload: the journal bytes, untouched."""
+        return (instance_id, self.snapshot, tuple(self.updates.items()))
 
 
 @dataclass
@@ -207,9 +255,6 @@ class QueryService:
     result_cache_size:
         Capacity of each worker's result cache (``0`` disables result
         caching; coalescing within a batch still applies).
-    start_method:
-        Multiprocessing start method (``"fork"`` / ``"spawn"`` / ...);
-        ``None`` picks ``fork`` where available, else the platform default.
     timeout:
         Seconds without a reply before a worker is declared unresponsive.
         An unresponsive (or dead) worker is restarted, its shard state is
@@ -219,13 +264,10 @@ class QueryService:
         Re-dispatches allowed per request after a worker failure before the
         request fails with :class:`~repro.exceptions.ServiceUnavailableError`
         (so a request is attempted at most ``1 + max_retries`` times).
-    backoff_base / backoff_cap:
+    backoff_base:
         Capped exponential backoff between retry dispatches, in seconds:
-        attempt ``k`` waits ``min(cap, base * 2**(k-1))`` scaled by a seeded
-        jitter factor in ``[0.5, 1.0)``.
-    poll_interval:
-        Granularity (seconds) of the supervision loop's liveness, deadline
-        and backoff checks while waiting for replies.
+        attempt ``k`` waits ``min(BACKOFF_CAP, base * 2**(k-1))`` scaled by
+        a seeded jitter factor in ``[0.5, 1.0)``.
     fault_plan:
         Optional :class:`~repro.service.faults.FaultPlan` shipped to every
         worker incarnation — the chaos-testing hook; ``None`` in production.
@@ -246,11 +288,6 @@ class QueryService:
         The write-ahead log's durability policy: ``"always"`` fsyncs every
         append, ``"batch"`` (default) flushes per append and fsyncs on
         compaction and close, ``"never"`` leaves flushing to the OS.
-    journal_update_limit:
-        Per-instance bound on the in-memory update journal: once an
-        instance accumulates this many distinct updated edges, the journal
-        folds them into a fresh snapshot (the durable log compacts on its
-        own cadence, ``WAL_COMPACT_AFTER`` appends).
     trace_sample_rate:
         Probability that one ``submit_many`` call is traced end to end
         (``0.0``, the default, disables tracing entirely — the hooks hit a
@@ -280,16 +317,12 @@ class QueryService:
         epsilon: float = 0.05,
         delta: float = 0.01,
         seed: Optional[int] = None,
-        start_method: Optional[str] = None,
         timeout: float = 300.0,
         max_retries: int = 2,
         backoff_base: float = 0.05,
-        backoff_cap: float = 1.0,
-        poll_interval: float = 0.05,
         fault_plan: Optional[FaultPlan] = None,
         state_dir: Optional[str] = None,
         wal_fsync: str = "batch",
-        journal_update_limit: int = 256,
         trace_sample_rate: float = 0.0,
         trace_path: Optional[str] = None,
         slow_query_ms: Optional[float] = None,
@@ -314,15 +347,8 @@ class QueryService:
             raise ServiceError(f"max_retries must be >= 0, got {max_retries}")
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.poll_interval = poll_interval
         self.fault_plan = fault_plan
-        if journal_update_limit <= 0:
-            raise ServiceError(
-                f"journal_update_limit must be positive, got {journal_update_limit}"
-            )
         self.state_dir = state_dir
-        self.journal_update_limit = journal_update_limit
         #: Appends rejected by the disk (ENOSPC and friends) — each one is a
         #: state change that stayed in memory but lost durability.
         self.wal_errors = 0
@@ -354,7 +380,6 @@ class QueryService:
         self._instances: Dict[str, ProbabilisticGraph] = {}
         self._ids_by_identity: Dict[int, str] = {}
         self._journal: Dict[str, _InstanceJournal] = {}
-        self._degrade_memo: Dict[str, Tuple[int, ProbabilisticGraph]] = {}
         self._degrade_solver: Optional[PHomSolver] = None
         self._next_instance = itertools.count()
         self._next_op = itertools.count()
@@ -403,8 +428,7 @@ class QueryService:
         # Reply bookkeeping: op_ids whose reply must be discarded on arrival
         # (deadline-abandoned requests / fire-and-forget journal replays),
         # mapped to the worker they were sent to so restarts can prune them.
-        self._abandoned: Dict[int, int] = {}
-        self._background: Dict[int, int] = {}
+        self._discard: Dict[int, int] = {}
         # Seeded jitter so chaos runs back off identically run to run.
         self._backoff_rng = random.Random(seed if seed is not None else 0)
         self._result_cache_size = result_cache_size
@@ -439,10 +463,10 @@ class QueryService:
             self._recover_from_state()
             return
         self._inline = None
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._context = multiprocessing.get_context(start_method)
+        methods = multiprocessing.get_all_start_methods()
+        self._context = multiprocessing.get_context(
+            "fork" if "fork" in methods else methods[0]
+        )
         self._queues = [self._context.Queue() for _ in range(num_workers)]
         # One reply pipe per worker incarnation, never shared: a worker
         # terminated mid-send can wedge only its own channel (discarded on
@@ -491,51 +515,35 @@ class QueryService:
         Runs once, at the end of ``__init__`` (after the worker pool — or
         the inline state — exists).  Replay folds the log into per-instance
         journals (a later registration supersedes everything before it, and
-        updates are last-write-wins per edge, exactly like the in-memory
-        journal), re-registers each restored instance with its owning
+        updates go through :meth:`_InstanceJournal.record`, exactly like
+        live ones), re-registers each restored instance with its owning
         worker, and asks that worker to pre-load the instance's stored
         plans.  The result is recorded in :attr:`recovery`.
         """
         if self._wal is None:
             return
-        folded: "OrderedDict[str, _InstanceJournal]" = OrderedDict()
+        journals: "OrderedDict[str, _InstanceJournal]" = OrderedDict()
         for record in self._wal.replay():
             if not (isinstance(record, tuple) and len(record) >= 2):
                 continue  # unknown record shapes are skipped, not fatal
-            kind = record[0]
+            kind, instance_id = record[0], record[1]
+            if not isinstance(instance_id, str):
+                continue  # nor is a non-string id, which older logs may hold
             if kind == "register" and len(record) == 3:
-                instance_id, snapshot = record[1], record[2]
-                previous = folded.pop(instance_id, None)
-                folded[instance_id] = _InstanceJournal(
-                    snapshot=snapshot,
-                    version=(previous.version + 1) if previous is not None else 0,
-                )
-            elif kind == "update" and len(record) == 4:
-                journal = folded.get(record[1])
-                if journal is not None:
-                    endpoints, probability = record[2], record[3]
-                    journal.updates[endpoints] = probability
-                    journal.updates.move_to_end(endpoints)
-                    journal.version += 1
+                journals.pop(instance_id, None)
+                journals[instance_id] = _InstanceJournal(record[2])
+            elif kind == "update" and len(record) == 4 and instance_id in journals:
+                journals[instance_id].record(record[2], record[3])
         restored = 0
         warmed = 0
         highest_numbered = -1
-        for instance_id, journal in folded.items():
-            instance = pickle.loads(journal.snapshot)
-            for endpoints, probability in journal.updates.items():
-                instance.set_probability(endpoints, probability)
+        for instance_id, journal in journals.items():
+            instance = journal.rebuild()
             self._journal[instance_id] = journal
             self._instances[instance_id] = instance
             self._ids_by_identity[id(instance)] = instance_id
             worker = self._worker_for(instance_id)
-            # Ship the journal bytes as-is (snapshot plus folded updates);
-            # the worker unpickles and applies them, so recovery never
-            # re-pickles a restored instance just to cross the queue.
-            self._call(
-                worker,
-                "register",
-                (instance_id, journal.snapshot, tuple(journal.updates.items())),
-            )
+            self._call(worker, "register", journal.register_payload(instance_id))
             warmed += self._call(worker, "warm", instance_id)
             restored += 1
             # Keep auto-generated ids ("instance-N") unique across restarts.
@@ -580,16 +588,10 @@ class QueryService:
         """
         if self._wal is None:
             return
-        records: List[Tuple] = []
-        for instance_id, journal in self._journal.items():
-            if journal.updates:
-                instance = pickle.loads(journal.snapshot)
-                for endpoints, probability in journal.updates.items():
-                    instance.set_probability(endpoints, probability)
-                snapshot = pickle.dumps(instance)
-            else:
-                snapshot = journal.snapshot
-            records.append(("register", instance_id, snapshot))
+        records = [
+            ("register", instance_id, journal.folded_snapshot())
+            for instance_id, journal in self._journal.items()
+        ]
         try:
             self._wal.compact(records)
         except OSError:  # pragma: no cover - compaction needs disk space
@@ -706,6 +708,10 @@ class QueryService:
             raise ServiceError(
                 f"expected a ProbabilisticGraph, got {type(instance).__name__}"
             )
+        if instance_id is not None and not isinstance(instance_id, str):
+            raise ServiceError(
+                f"instance id must be a string, got {type(instance_id).__name__}"
+            )
         known = self._ids_by_identity.get(id(instance))
         if (
             known is not None
@@ -722,23 +728,19 @@ class QueryService:
             self._ids_by_identity.pop(id(replaced), None)
         self._instances[instance_id] = instance
         self._ids_by_identity[id(instance)] = instance_id
-        snapshot = pickle.dumps(instance)
         # The worker unpickles the snapshot bytes itself — one serialization
-        # total (the old path materialised a copy only for the queue to
-        # pickle it again), and in both deployment shapes the worker holds
-        # its own instance, so a direct mutation of the caller's object
-        # cannot desynchronise the worker's result cache (go through
-        # update_probability, as with a real pool).
-        self._call(self._worker_for(instance_id), "register", (instance_id, snapshot))
+        # total — and in both deployment shapes holds its own instance, so
+        # a direct mutation of the caller's object cannot desynchronise the
+        # worker's result cache (go through update_probability, as with a
+        # real pool).
+        journal = _InstanceJournal(pickle.dumps(instance))
+        worker = self._worker_for(instance_id)
+        self._call(worker, "register", journal.register_payload(instance_id))
         # Journal the acknowledged registration: the snapshot is the state
         # the worker holds *now*, so replaying it (plus later journaled
         # updates) reconstructs the shard exactly on a respawned worker.
-        previous = self._journal.get(instance_id)
-        self._journal[instance_id] = _InstanceJournal(
-            snapshot=snapshot,
-            version=(previous.version + 1) if previous is not None else 0,
-        )
-        self._wal_append(("register", instance_id, snapshot))
+        self._journal[instance_id] = journal
+        self._wal_append(("register", instance_id, journal.snapshot))
         return instance_id
 
     def _worker_for(self, instance_id: str) -> int:
@@ -915,7 +917,7 @@ class QueryService:
         histories: Dict[int, Tuple[str, ...]] = {}
         if self._inline is not None:
             for worker, positions in by_worker.items():
-                payload = [normalized[p] for p in positions]
+                payload = ([normalized[p] for p in positions], None)
                 self._dispatched.labels(worker).inc(len(positions))
                 self._inline_fire()
                 reply = handle_message(self._inline, "solve", payload)
@@ -1088,11 +1090,7 @@ class QueryService:
         for position, outcome in zip(positions, value):
             request = normalized[position]
             if outcome[0] == "ok":
-                # Workers answer ("ok", result, cached, duration_ms, timing);
-                # the short 3-tuple form is tolerated for robustness.
-                _, result, cached = outcome[:3]
-                duration_ms = outcome[3] if len(outcome) > 3 else None
-                timing = outcome[4] if len(outcome) > 4 else None
+                _, result, cached, duration_ms, timing = outcome
                 answered[position] = (
                     ServiceResult(
                         result=result,
@@ -1105,11 +1103,7 @@ class QueryService:
                     ),
                     "",
                 )
-                if (
-                    self.slow_query_ms is not None
-                    and duration_ms is not None
-                    and duration_ms >= self.slow_query_ms
-                ):
+                if self.slow_query_ms is not None and duration_ms >= self.slow_query_ms:
                     self._record_slow_query(
                         request, result, worker, duration_ms, cached, attempts
                     )
@@ -1241,7 +1235,10 @@ class QueryService:
         and the request's ``(δ, seed)`` contract, so a pinned seed keeps
         even the degraded answer reproducible.
         """
-        instance = self._journal_instance(request.instance_id)
+        journal = self._journal.get(request.instance_id)
+        if journal is None:
+            raise ServiceError(f"instance {request.instance_id!r} has no journal entry")
+        instance = journal.current()
         if self._degrade_solver is None:
             self._degrade_solver = self._make_solver()
         solver = self._degrade_solver
@@ -1274,20 +1271,6 @@ class QueryService:
         )
         return result
 
-    def _journal_instance(self, instance_id: str) -> ProbabilisticGraph:
-        """The worker-view instance, rebuilt from the journal (memoised)."""
-        journal = self._journal.get(instance_id)
-        if journal is None:
-            raise ServiceError(f"instance {instance_id!r} has no journal entry")
-        memo = self._degrade_memo.get(instance_id)
-        if memo is not None and memo[0] == journal.version:
-            return memo[1]
-        instance = pickle.loads(journal.snapshot)
-        for endpoints, probability in journal.updates.items():
-            instance.set_probability(endpoints, probability)
-        self._degrade_memo[instance_id] = (journal.version, instance)
-        return instance
-
     def _solve_inline_solo(
         self,
         position: int,
@@ -1305,7 +1288,7 @@ class QueryService:
         request = normalized[position]
         start = time.monotonic()
         self._inline_fire()
-        reply = handle_message(self._inline, "solve", [request])
+        reply = handle_message(self._inline, "solve", ([request], None))
         elapsed_ms = (time.monotonic() - start) * 1000.0
         if elapsed_ms > request.deadline_ms:
             self._apply_deadline(position, request, elapsed_ms, 1, answered)
@@ -1359,22 +1342,7 @@ class QueryService:
         )
         journal = self._journal.get(instance_id)
         if journal is not None:
-            # Last-write-wins compaction: replay order only matters per
-            # edge, so re-updating an edge moves it to the tail instead of
-            # growing the journal without bound.
-            journal.updates[endpoints] = probability
-            journal.updates.move_to_end(endpoints)
-            journal.version += 1
-            if len(journal.updates) >= self.journal_update_limit:
-                # Fold the accumulated updates into a fresh snapshot so the
-                # in-memory journal stays bounded under sustained update
-                # traffic against many distinct edges.  The folded state is
-                # identical, so the version (the degrade-memo key) holds.
-                folded = pickle.loads(journal.snapshot)
-                for folded_endpoints, folded_probability in journal.updates.items():
-                    folded.set_probability(folded_endpoints, folded_probability)
-                journal.snapshot = pickle.dumps(folded)
-                journal.updates.clear()
+            journal.record(endpoints, probability)
         self._wal_append(("update", instance_id, endpoints, probability))
 
     def evaluate_many(
@@ -1580,7 +1548,7 @@ class QueryService:
         span.attrs["worker"] = op.worker
         span.attrs["attempt"] = op.attempts
         self._op_spans[op.op_id] = span
-        if op.op == "solve" and isinstance(op.payload, tuple):
+        if op.op == "solve":
             op.payload = (op.payload[0], (span.trace_id, span.span_id))
 
     def _call(self, worker: int, op: str, payload: Any) -> Any:
@@ -1638,7 +1606,7 @@ class QueryService:
                     op.sent_at = now
                     self._reopen_op_span(op)
                     self._send(op.worker, op.op, op.payload, op.op_id)
-            for message in self._drain(self.poll_interval):
+            for message in self._drain(POLL_INTERVAL):
                 if not (isinstance(message, tuple) and len(message) in (3, 4)):
                     continue  # pragma: no cover - unattributable corruption
                 if len(message) == 4:
@@ -1651,11 +1619,7 @@ class QueryService:
                     worker, op_id, reply = message
                 if not isinstance(op_id, int):
                     continue  # pragma: no cover - unattributable corruption
-                if op_id in self._abandoned:
-                    self._abandoned.pop(op_id, None)
-                    continue
-                if op_id in self._background:
-                    self._background.pop(op_id, None)
+                if self._discard.pop(op_id, None) is not None:
                     continue
                 op = pending.get(op_id)
                 if op is None or op.retry_at is not None:
@@ -1679,7 +1643,7 @@ class QueryService:
                     if op.retry_at is None:
                         # Still in flight: the worker may answer later;
                         # remember to discard that late reply.
-                        self._abandoned[op.op_id] = op.worker
+                        self._discard[op.op_id] = op.worker
                     self._close_op_span(op.op_id, "timeout")
                     outcomes[op.op_id] = (
                         "timeout",
@@ -1769,9 +1733,7 @@ class QueryService:
             else:
                 op.attempts += 1
                 self._counters["retries"].inc()
-                delay = min(
-                    self.backoff_cap, self.backoff_base * 2 ** (op.attempts - 2)
-                )
+                delay = min(BACKOFF_CAP, self.backoff_base * 2 ** (op.attempts - 2))
                 delay *= 0.5 + 0.5 * self._backoff_rng.random()
                 op.retry_at = now + delay
 
@@ -1810,9 +1772,8 @@ class QueryService:
                 pass
             self._readers[worker] = None
         # Replies from the dead incarnation can never arrive now; prune the
-        # discard sets so they do not grow across restarts.
-        self._abandoned = {i: w for i, w in self._abandoned.items() if w != worker}
-        self._background = {i: w for i, w in self._background.items() if w != worker}
+        # discard map so it does not grow across restarts.
+        self._discard = {i: w for i, w in self._discard.items() if w != worker}
         self._incarnations[worker] += 1
         self._queues[worker] = self._context.Queue()
         self._processes[worker] = self._spawn_worker(worker)
@@ -1820,20 +1781,13 @@ class QueryService:
         for instance_id, journal in self._journal.items():
             if self._worker_for(instance_id) != worker:
                 continue
-            # The journal bytes cross the queue untouched; the fresh
-            # incarnation unpickles the snapshot and folds the updates.
-            op_id = self._send(
-                worker,
-                "register",
-                (instance_id, journal.snapshot, tuple(journal.updates.items())),
-            )
-            self._background[op_id] = worker
+            register = journal.register_payload(instance_id)
+            self._discard[self._send(worker, "register", register)] = worker
             if self._plan_store is not None:
                 # Fire-and-forget warm-up: the respawned incarnation loads
                 # the shard's stored plans off the request path instead of
                 # recompiling them on first use.
-                warm_id = self._send(worker, "warm", instance_id)
-                self._background[warm_id] = worker
+                self._discard[self._send(worker, "warm", instance_id)] = worker
             replayed += 1
         self._counters["restarts"].inc()
         self.restart_log.append(

@@ -382,12 +382,9 @@ def handle_message(state: WorkerState, op: str, payload: Any) -> Tuple[str, Any]
     """Dispatch one protocol message against a worker state."""
     try:
         if op == "solve":
-            # Payload is the request list, optionally paired with a remote
-            # trace context ``(requests, (trace_id, span_id) | None)``.
-            if isinstance(payload, tuple):
-                requests, trace_context = payload
-            else:
-                requests, trace_context = payload, None
+            # ``(requests, trace_context)``: the context is the remote
+            # ``(trace_id, span_id)`` pair of a traced dispatch, else None.
+            requests, trace_context = payload
             tracer = current_tracer()
             token = tracer.adopt(trace_context)
             try:

@@ -363,9 +363,18 @@ class PlanTape:
             values[slot] = convert(value)
         return values
 
-    def _run(self, values: List[Any]) -> None:
-        """Replay the op arrays over a scalar register file, in place."""
-        for opcode, dst, a, b in zip(self.opcodes, self.dsts, self.lhs, self.rhs):
+    def _run(
+        self, values: List[Any], program: Optional[Tuple[Sequence[int], ...]] = None
+    ) -> None:
+        """Replay op arrays over a scalar register file, in place.
+
+        ``program`` is an ``(opcodes, dsts, lhs, rhs)`` subsequence of the
+        tape's ops (an update's, see :class:`TapeEvaluator`); the whole tape
+        by default.
+        """
+        if program is None:
+            program = (self.opcodes, self.dsts, self.lhs, self.rhs)
+        for opcode, dst, a, b in zip(*program):
             if opcode == OP_MUL:
                 values[dst] = values[a] * values[b]
             elif opcode == OP_ADD:
@@ -654,17 +663,18 @@ class TapeEvaluator:
     The serving session behind :meth:`repro.plan.CompiledPlan.update`, on
     *every* tractable plan kind: after :meth:`bind` performs one full pass
     and keeps the register file, :meth:`update` rewrites one input slot
-    and replays only the operations transitively reading it.
-    The affected-op lists are discovered with one linear scan per edge and
-    memoised, and because replayed ops recompute from identical operand
-    values, an update stream is bitwise-identical (in both precisions) to
-    re-running the full tape after each change.
+    and replays, through the same loop as a full pass
+    (:meth:`PlanTape._run`), the sub-program of the operations
+    transitively reading it.  Each edge's sub-program is cut with one
+    linear scan and memoised, and because replayed ops recompute from
+    identical operand values, an update stream is bitwise-identical (in
+    both precisions) to re-running the full tape after each change.
     """
 
     def __init__(self, tape: PlanTape) -> None:
         self.tape = tape
         self._edge_slots: Dict[Edge, int] = dict(tape.inputs)
-        self._dependents: Dict[int, Tuple[int, ...]] = {}
+        self._programs: Dict[int, Tuple[array, array, array, array]] = {}
         self._values: Optional[List[Any]] = None
         self.context: Optional[NumericContext] = None
 
@@ -681,23 +691,23 @@ class TapeEvaluator:
         self.context = context
         return values[self.tape.root]
 
-    def _dependent_ops(self, slot: int) -> Tuple[int, ...]:
-        """Op positions transitively reading ``slot`` (memoised linear scan)."""
-        cached = self._dependents.get(slot)
-        if cached is not None:
-            return cached
-        tape = self.tape
-        affected = {slot}
-        positions: List[int] = []
-        for index, (opcode, dst, a, b) in enumerate(
-            zip(tape.opcodes, tape.dsts, tape.lhs, tape.rhs)
-        ):
-            if a in affected or (opcode != OP_COMPL and b in affected):
-                affected.add(dst)
-                positions.append(index)
-        result = tuple(positions)
-        self._dependents[slot] = result
-        return result
+    def _program_for(self, slot: int) -> Tuple[array, array, array, array]:
+        """The ops transitively reading ``slot``, in tape order (memoised)."""
+        program = self._programs.get(slot)
+        if program is None:
+            tape = self.tape
+            affected = {slot}
+            program = (array("B"), array("I"), array("I"), array("I"))
+            opcodes, dsts, lhs, rhs = program
+            for opcode, dst, a, b in zip(tape.opcodes, tape.dsts, tape.lhs, tape.rhs):
+                if a in affected or (opcode != OP_COMPL and b in affected):
+                    affected.add(dst)
+                    opcodes.append(opcode)
+                    dsts.append(dst)
+                    lhs.append(a)
+                    rhs.append(b)
+            self._programs[slot] = program
+        return program
 
     def update(self, edge: Edge, probability: Number) -> Number:
         """Set one edge's probability and replay only the ops depending on it.
@@ -711,22 +721,10 @@ class TapeEvaluator:
         if self._values is None:
             raise PlanError("call bind() before update()")
         slot = self._edge_slots.get(edge)
-        if slot is None:
-            return self._values[self.tape.root]
-        values = self._values
-        values[slot] = probability
-        tape = self.tape
-        opcodes, dsts, lhs, rhs = tape.opcodes, tape.dsts, tape.lhs, tape.rhs
-        for index in self._dependent_ops(slot):
-            opcode = opcodes[index]
-            dst, a, b = dsts[index], lhs[index], rhs[index]
-            if opcode == OP_MUL:
-                values[dst] = values[a] * values[b]
-            elif opcode == OP_ADD:
-                values[dst] = values[a] + values[b]
-            else:
-                values[dst] = 1 - values[a]
-        return values[tape.root]
+        if slot is not None:
+            self._values[slot] = probability
+            self.tape._run(self._values, self._program_for(slot))
+        return self._values[self.tape.root]
 
     def current_value(self) -> Number:
         """The root value from the last bind/update."""

@@ -8,6 +8,7 @@ the one-shot API in exact mode (and 1e-9-close in float mode), and
 single-edge change.
 """
 
+import pickle
 import random
 import warnings
 from fractions import Fraction
@@ -18,7 +19,7 @@ from repro.exceptions import GraphError, IntractableFallbackWarning, PlanError
 from repro.graphs.builders import one_way_path, unlabeled_path
 from repro.graphs.classes import GraphClass
 from repro.graphs.digraph import DiGraph, Edge
-from repro.lineage.ddnnf import DDNNF, CircuitEvaluator
+from repro.lineage.ddnnf import DDNNF
 from repro.numeric import resolve_context
 from repro.plan import ComponentPlan, ConstantPlan, FallbackPlan, PlanCache, canonical_query_key
 from repro.probability.prob_graph import ProbabilisticGraph
@@ -359,7 +360,7 @@ class TestEdgeKeys:
         assert plan.update(right, "1") == Fraction(1, 3)
 
 
-class TestCircuitEvaluator:
+class TestCircuitPass:
     def _circuit(self):
         circuit = DDNNF()
         x, y = circuit.add_var("x"), circuit.add_var("y")
@@ -369,18 +370,30 @@ class TestCircuitEvaluator:
         circuit.set_root(circuit.add_or([both, neither]))
         return circuit
 
-    def test_evaluate_matches_probability(self):
+    @pytest.mark.parametrize("precision", ["exact", "float"])
+    def test_pass_matches_probability(self, precision):
+        # The pass plans lower is checked against the gate-by-gate walk.
+        context = resolve_context(precision)
         circuit = self._circuit()
         table = {"x": Fraction(1, 3), "y": Fraction(1, 4)}
-        evaluator = CircuitEvaluator(circuit)
-        assert evaluator.evaluate(table) == circuit.probability(table)
+        converted = {variable: context.convert(p) for variable, p in table.items()}
+        value = circuit.evaluate_with(converted, context)
+        assert type(value) is type(context.one)
+        assert value == circuit.probability(table, context)
+
+    def test_pickle_drops_the_slot_program(self):
+        circuit = self._circuit()
+        table = {"x": Fraction(1, 3), "y": Fraction(1, 4)}
+        value = circuit.evaluate_with(table, resolve_context("exact"))
+        copy = pickle.loads(pickle.dumps(circuit))
+        assert copy._derived == {}  # rebuilt on first use, never shipped
+        assert copy.evaluate_with(table, resolve_context("exact")) == value
 
     def test_probability_converts_its_inputs(self):
         circuit = self._circuit()
-        table = {"x": "1/3", "y": 0.25}
-        value = CircuitEvaluator(circuit).probability(table)
+        value = circuit.probability({"x": "1/3", "y": 0.25})
         assert isinstance(value, Fraction)
-        assert value == circuit.probability(table) == Fraction(7, 12)
+        assert value == Fraction(7, 12)
 
 
 class TestDDNNFMemoisation:

@@ -269,6 +269,12 @@ class TestInlineService:
         with pytest.raises(ServiceError, match="closed"):
             service.register_instance(build_instance(10))
 
+    def test_register_instance_rejects_a_non_string_id(self):
+        with QueryService(num_workers=0) as service:
+            with pytest.raises(ServiceError, match="must be a string"):
+                service.register_instance(build_instance(68), 6)
+            assert service._instances == {}
+
 
 class TestMultiprocessService:
     def test_exact_answers_bit_identical_to_solve_many(self):
@@ -394,6 +400,64 @@ class TestJsonlProtocol:
         assert len(errors) == 2
         solved = [line for line in parsed if line.get("id") in ("r1", "r2")]
         assert len(solved) == 2
+
+    def test_lines_that_are_not_objects_fail_in_place(self):
+        instance = build_instance(56)
+        query = trace_queries(58, 1)[0]
+        lines = self.make_lines(instance, query)
+        lines[2:2] = ["[1, 2]", '"text"', "7"]
+        out = io.StringIO()
+        with QueryService(num_workers=0) as service:
+            code = run_jsonl_session(lines, out, service)
+        assert code == 1
+        parsed = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert parsed[0] == {"ok": True, "op": "register", "instance": "inst"}
+        # The pending solve is answered before the failures, in line order.
+        assert parsed[1]["id"] == "r1" and "error" not in parsed[1]
+        assert [(r["line"], r["error_class"]) for r in parsed[2:5]] == [
+            (3, "ServiceError"), (4, "ServiceError"), (5, "ServiceError")
+        ]
+        assert parsed[5]["id"] == "r2" and "error" not in parsed[5]
+
+    def test_numeric_instance_id_names_its_string(self):
+        instance = build_instance(60)
+        query = graph_to_dict(trace_queries(62, 1)[0])
+        lines = [
+            json.dumps(
+                {"op": "register", "id": 5,
+                 "instance": probabilistic_graph_to_dict(instance)}
+            ),
+            json.dumps({"op": "solve", "id": "a", "instance": 5, "query": query}),
+            json.dumps({"op": "solve", "id": "b", "instance": "5", "query": query}),
+        ]
+        out = io.StringIO()
+        with QueryService(num_workers=0) as service:
+            code = run_jsonl_session(lines, out, service)
+        assert code == 0
+        parsed = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert parsed[0] == {"ok": True, "op": "register", "instance": "5"}
+        assert [r["id"] for r in parsed[1:]] == ["a", "b"]
+        assert all("error" not in r for r in parsed)
+
+    def test_non_finite_deadline_is_a_failure_record(self):
+        instance = build_instance(64)
+        query = trace_queries(66, 1)[0]
+        bad = json.dumps(
+            {"op": "solve", "id": "nan", "instance": "inst",
+             "query": graph_to_dict(query), "deadline_ms": float("nan")}
+        )
+        assert "NaN" in bad  # Python's json writes and reads the literal
+        lines = self.make_lines(instance, query)
+        lines.insert(2, bad)
+        out = io.StringIO()
+        with QueryService(num_workers=0) as service:
+            code = run_jsonl_session(lines, out, service)
+        assert code == 1
+        parsed = [json.loads(line) for line in out.getvalue().splitlines()]
+        by_id = {record["id"]: record for record in parsed if "id" in record}
+        assert by_id["nan"]["error_class"] == "ServiceError"
+        assert by_id["nan"]["line"] == 3
+        assert "error" not in by_id["r1"] and "error" not in by_id["r2"]
 
     def test_cli_serve_batch(self, tmp_path):
         instance = build_instance(59)

@@ -31,6 +31,7 @@ from repro.service import (
     ServiceRequest,
     epsilon_for_budget,
 )
+import repro.service.service as service_module
 from repro.service.jsonl import RETRYABLE_ERROR_CLASSES, failure_record
 from repro.service.worker import FAULT_KILL_EXIT_CODE
 from repro.workloads.generators import (
@@ -145,6 +146,12 @@ class TestDeadlinePolicies:
         )
         return QueryService(num_workers=0, fault_plan=plan, seed=5, **kwargs)
 
+    @pytest.mark.parametrize("deadline_ms", [float("nan"), float("inf")])
+    def test_non_finite_deadline_is_rejected(self, deadline_ms):
+        query = trace_queries(20, 1)[0]
+        with pytest.raises(ServiceError, match="finite positive"):
+            ServiceRequest(query, "any", deadline_ms=deadline_ms)
+
     def test_error_policy_raises_typed_deadline_error(self):
         instance = build_instance(21)
         with self._delayed_service() as service:
@@ -226,6 +233,44 @@ class TestDeadlinePolicies:
         assert exact > 0
         assert abs(estimate - exact) / exact <= epsilon
         assert stats.deadline_hits == 1 and stats.degraded == 1
+
+    def test_degraded_answers_follow_updates_through_folds(self, monkeypatch):
+        # Degraded answers before and after five updates against a fold
+        # threshold of two: the second runs on a twice-folded snapshot plus
+        # one replayed update.  The two delays land on the two solves.
+        monkeypatch.setattr(service_module, "JOURNAL_FOLD_AFTER", 2)
+        workload = intractable_workload(8, rng=35)
+        instance = pickle.loads(pickle.dumps(workload.instance))
+        epsilon = epsilon_for_budget(50.0)
+        delays = tuple(
+            Fault(kind="delay", seconds=0.08, after_messages=n) for n in (1, 7)
+        )
+        estimates, oracles = [], []
+        with QueryService(
+            num_workers=0, fault_plan=FaultPlan(faults=delays, seed=5), seed=5
+        ) as service:
+            instance_id = service.register_instance(instance, "hard")
+            for edges in ([], sorted(instance.uncertain_edges())[:5]):
+                for edge in edges:
+                    service.update_probability(instance_id, edge, "1/16")
+                outcome = service.submit(
+                    workload.query,
+                    instance_id,
+                    deadline_ms=50.0,
+                    on_deadline="degrade",
+                    seed=1234,
+                )
+                assert outcome.degraded and outcome.worker == -1
+                estimates.append(float(outcome.result.probability))
+                # update_probability mutated the registered object too.
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    exact = PHomSolver().solve(workload.query, instance).probability
+                oracles.append(float(exact))
+            assert len(service._journal[instance_id].updates) == 1
+        assert abs(oracles[0] - oracles[1]) / oracles[1] > epsilon  # updates matter
+        for estimate, exact in zip(estimates, oracles):
+            assert abs(estimate - exact) / exact <= epsilon
 
     def test_degraded_answers_are_seed_reproducible(self):
         workload = intractable_workload(8, rng=33)

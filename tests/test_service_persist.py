@@ -23,13 +23,14 @@ import pytest
 from repro.core.solver import PHomSolver
 from repro.exceptions import ServiceError
 from repro.graphs.classes import GraphClass
-from repro.persist import scan_wal
+from repro.persist import WriteAheadLog, scan_wal
 from repro.service import (
     DISK_FAULT_KINDS,
     Fault,
     FaultPlan,
     QueryService,
 )
+import repro.service.service as service_module
 from repro.service.service import RESTART_LOG_LIMIT
 from repro.workloads.generators import attach_random_probabilities, make_instance
 
@@ -108,6 +109,24 @@ def test_restored_auto_ids_do_not_collide(tmp_path):
     with QueryService(num_workers=0, state_dir=state) as service:
         assert service.register_instance(second) != auto_id
         assert sorted(service._instances) == ["instance-0", "instance-1"]
+
+
+def test_non_string_ids_in_the_wal_are_skipped(tmp_path):
+    state = str(tmp_path / "state")
+    instance = build_instance(SEED + 12, size=10)
+    query = build_query(SEED + 13)
+    snapshot = pickle.dumps(instance)
+    wal = WriteAheadLog(os.path.join(state, "wal"))
+    wal.append(("register", 5, snapshot))
+    wal.append(("register", "good", snapshot))
+    edge = sorted(instance.graph.edges())[0]
+    wal.append(("update", 5, (edge.source, edge.target), "1/2"))
+    wal.close()
+    with QueryService(num_workers=0, state_dir=state) as service:
+        assert service.recovery["instances_restored"] == 1
+        assert sorted(service._instances) == ["good"]
+        answer = service.submit(query, "good").result.probability
+    assert answer == oracle(instance, [], [query])[0]
 
 
 def test_state_dir_must_be_a_directory(tmp_path):
@@ -233,16 +252,15 @@ def test_disk_fault_detected_and_recovered(tmp_path, kind):
 # ----------------------------------------------------------------------
 # Bounded in-memory growth
 # ----------------------------------------------------------------------
-def test_journal_stays_bounded_under_sustained_updates(tmp_path):
+def test_journal_stays_bounded_under_sustained_updates(tmp_path, monkeypatch):
     state = str(tmp_path / "state")
     instance = build_instance(SEED + 40, size=24)
     query = build_query(SEED + 41)
     limit = 4
+    monkeypatch.setattr(service_module, "JOURNAL_FOLD_AFTER", limit)
     edges = sorted(instance.graph.edges())
     assert len(edges) > 3 * limit
-    with QueryService(
-        num_workers=0, state_dir=state, journal_update_limit=limit
-    ) as service:
+    with QueryService(num_workers=0, state_dir=state) as service:
         service.register_instance(pickle.loads(pickle.dumps(instance)), "busy")
         applied = []
         for index, edge in enumerate(edges):
@@ -258,11 +276,6 @@ def test_journal_stays_bounded_under_sustained_updates(tmp_path):
     with QueryService(num_workers=0, state_dir=state) as service:
         recovered = service.submit(query, "busy").result.probability
     assert recovered == live
-
-
-def test_journal_update_limit_validated():
-    with pytest.raises(ServiceError):
-        QueryService(num_workers=0, journal_update_limit=0)
 
 
 def test_restart_log_is_capped(tmp_path):
