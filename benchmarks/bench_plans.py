@@ -10,6 +10,7 @@ as
                                      [--min-exact-tape-speedup W]
                                      [--min-first-exact-speedup V]
                                      [--min-interval-match-speedup U]
+                                     [--min-live-speedup T]
 
 or through the CLI as ``repro bench plans``.  The recorded artefact,
 ``BENCH_plans.json``, is checked into the repository root and tracks the
@@ -19,8 +20,10 @@ probabilities versus PR-1-style ``solve_many`` (float), single-edge
 batched flat-tape evaluation (:mod:`repro.tape`) at batch sizes 1/16/256
 versus one ``plan.evaluate`` call per valuation — and, per route, exact
 evaluation on the object graph versus on the integer tape, both in steady
-state and for a cold plan's first answer (lowering included), and
-Proposition 4.11's bitset interval matching versus the X-property sweep.  The
+state and for a cold plan's first answer (lowering included),
+Proposition 4.11's bitset interval matching versus the X-property sweep,
+and a live ``plan.evaluate()`` catch-up after one ``set_probability``
+versus a full tape replay (the ``live`` row).  The
 ``--min-*-speedup`` flags turn regressions into a non-zero exit code, which
 CI uses as a smoke gate.
 """

@@ -13,7 +13,12 @@ module measures exactly that, plus the incremental single-edge update path:
   ``plan.evaluate`` per round;
 * ``incremental`` — a stream of single-edge probability updates answered by
   ``plan.update`` (a replay of the tape operations depending on the edge)
-  versus a full re-solve per update;
+  versus a full re-solve per update, in float and in exact mode;
+* ``live`` — per route, plus a disjoint union of 8 labeled downward trees
+  shaped like the repository benchmark's Zipf instances:
+  ``instance.set_probability`` followed by ``plan.evaluate()``, which
+  catches the plan's live session up with the change, versus the same
+  change followed by a full tape replay, in exact and float mode;
 * ``tape_batch`` — a batch of probability valuations answered in one
   vectorized pass over the plan's flat tape
   (:meth:`repro.plan.CompiledPlan.evaluate_many`, see :mod:`repro.tape`)
@@ -56,7 +61,8 @@ from repro.core.solver import PHomSolver
 from repro.csp.xproperty import x_property_has_homomorphism
 from repro.graphs.classes import GraphClass, two_way_path_order
 from repro.graphs.digraph import DiGraph, Edge
-from repro.numeric import EXACT, FAST
+from repro.graphs.generators import DEFAULT_ALPHABET, random_disjoint_union
+from repro.numeric import EXACT, FAST, resolve_context
 from repro.plan import CompiledPlan, ComponentPlan
 from repro.probability.prob_graph import ProbabilisticGraph
 from repro.tape import compile_plan_tape
@@ -390,7 +396,9 @@ def run_incremental_benchmark(instance_size: int, updates: int) -> Dict[str, obj
 
     Uses the d-DNNF route (``prefer="automaton"``); ``plan.update``
     rewrites the edge's input slot on the plan's tape and replays only the
-    operations that depend on it.
+    operations that depend on it.  The float stream is timed against the
+    float re-solve; the exact stream, on the integer registers of an exact
+    session, is recorded beside it.
     """
     rng = _rng(7)
     graph = make_instance(GraphClass.POLYTREE, False, max(instance_size, 6), rng)
@@ -436,15 +444,23 @@ def run_incremental_benchmark(instance_size: int, updates: int) -> Dict[str, obj
             instance.set_probability(edge, probability)
             baseline_solver.solve(query, instance, precision="float")
 
-    def incremental_run() -> None:
+    def incremental_run(precision: str) -> None:
         for edge, probability in schedule:
-            plan.update(edge, probability, precision="float")
+            plan.update(edge, probability, precision=precision)
 
     full_seconds = _time(full_run)
-    incremental_seconds = _time(incremental_run)
+    incremental_seconds = _time(lambda: incremental_run("float"))
     speedup = (
         full_seconds / incremental_seconds if incremental_seconds > 0 else float("inf")
     )
+    # The exact what-if session, on integer registers: checked against the
+    # plan's kernels on Fractions over a prefix of the stream, then timed.
+    plan.reset_serving()
+    for edge, probability in schedule[:check]:
+        instance.set_probability(edge, probability)
+        if plan.update(edge, probability, precision="exact") != _object_graph(plan):
+            raise AssertionError("exact plan.update diverged from the plan's kernels")
+    exact_seconds = _time(lambda: incremental_run("exact"))
     return {
         "description": (
             f"single-edge updates on a {graph.num_vertices()}-vertex polytree, "
@@ -466,9 +482,122 @@ def run_incremental_benchmark(instance_size: int, updates: int) -> Dict[str, obj
                 if incremental_seconds > 0
                 else float("inf"),
             },
+            "plan_update_exact": {
+                "seconds": round(exact_seconds, 6),
+                "updates_per_sec": round(updates / exact_seconds, 2)
+                if exact_seconds > 0
+                else float("inf"),
+            },
         },
         "incremental_speedup": round(speedup, 2),
         "float_max_abs_error": max_error,
+    }
+
+
+#: Component shape of the ``live`` row's union instance, as in the
+#: repository benchmark's labeled DWT Zipf instances: 8 components of 10
+#: vertices, one-way path queries of 3 edges.
+LIVE_UNION_COMPONENTS = 8
+LIVE_UNION_COMPONENT_SIZE = 10
+
+
+def _live_union_workload() -> PlanWorkload:
+    """A disjoint union of labeled downward trees (the gated ``live`` case)."""
+    rng = _rng(17)
+    graph = random_disjoint_union(
+        [LIVE_UNION_COMPONENT_SIZE] * LIVE_UNION_COMPONENTS, "DWT", DEFAULT_ALPHABET, rng
+    )
+    return PlanWorkload(
+        name="union-dwt",
+        description=(
+            f"labeled 1WP query on a union of {LIVE_UNION_COMPONENTS} "
+            f"{LIVE_UNION_COMPONENT_SIZE}-vertex downward trees"
+        ),
+        instance=attach_random_probabilities(graph, rng, certain_fraction=0.2),
+        queries=[make_query(GraphClass.ONE_WAY_PATH, True, 3, rng)],
+    )
+
+
+def measure_live(
+    workload: PlanWorkload, changes: int, repeats: int = 3
+) -> Dict[str, object]:
+    """``set_probability`` + live ``plan.evaluate()`` vs a full tape replay per change.
+
+    The plan of the workload's first query is evaluated twice per
+    precision first, so its live session is bound, as on a hot serving
+    plan.  Each change sets one uncertain edge to ``k/8`` (the serving
+    denominators).  Before timing, the live answer after every change must
+    equal a full replay of the tape over the live table, bit for bit and in
+    type.  Timed rounds alternate the two sides.
+    """
+    instance = workload.instance
+    plan = PHomSolver(**workload.solver_kwargs).compile(workload.queries[0], instance)
+    tape = plan.tape()
+    rng = _rng(23)
+    edges = instance.uncertain_edges() or instance.edges()
+    schedule = [
+        (rng.choice(edges), Fraction(rng.randint(1, 7), 8)) for _ in range(changes)
+    ]
+    row: Dict[str, object] = {
+        "name": workload.name,
+        "description": workload.description,
+        "method": plan.method,
+        "tape_ops": tape.num_ops(),
+        "tape_inputs": tape.num_inputs(),
+        "changes": changes,
+    }
+    for precision in ("exact", "float"):
+        context = resolve_context(precision)
+
+        def live_run() -> None:
+            for edge, probability in schedule:
+                instance.set_probability(edge, probability)
+                plan.evaluate(precision=context)
+
+        def full_run() -> None:
+            for edge, probability in schedule:
+                instance.set_probability(edge, probability)
+                tape.evaluate(context.instance_probabilities(instance), context)
+
+        plan.evaluate(precision=context)
+        plan.evaluate(precision=context)
+        for edge, probability in schedule:
+            instance.set_probability(edge, probability)
+            live = plan.evaluate(precision=context)
+            full = tape.evaluate(context.instance_probabilities(instance), context)
+            if type(live) is not type(full) or live != full:
+                raise AssertionError(
+                    f"live {precision} plan.evaluate diverged from a full tape "
+                    f"replay on {workload.name}"
+                )
+        live_seconds, full_seconds = [], []
+        for _ in range(repeats):
+            full_seconds.append(_time(full_run))
+            live_seconds.append(_time(live_run))
+        live_best, full_best = min(live_seconds), min(full_seconds)
+        row[precision] = {
+            "full_replay_us": round(full_best / changes * 1e6, 2),
+            "catch_up_us": round(live_best / changes * 1e6, 2),
+            "speedup": round(full_best / live_best, 2) if live_best > 0 else float("inf"),
+        }
+    row["bit_identical"] = True
+    return row
+
+
+def run_live_benchmark(instance_size: int, changes: int) -> Dict[str, object]:
+    """The ``live`` row: every route's workload plus the union instance."""
+    routes = [
+        measure_live(workload, changes)
+        for workload in build_plan_workloads(instance_size, 1)
+    ]
+    union = measure_live(_live_union_workload(), changes)
+    return {
+        "description": (
+            "set_probability + live plan.evaluate() (session catch-up) vs the "
+            "same change + a full tape replay, per change"
+        ),
+        "routes": routes,
+        "union": union,
     }
 
 
@@ -574,6 +703,7 @@ def run_plan_benchmarks(
         for workload in build_plan_workloads(instance_size, num_queries)
     ]
     incremental = run_incremental_benchmark(max(instance_size // 2, 6), updates)
+    live = run_live_benchmark(instance_size, updates)
     tape_batch = run_tape_benchmark(instance_size)
     return {
         "benchmark": "plans",
@@ -589,12 +719,16 @@ def run_plan_benchmarks(
         },
         "workloads": workload_reports,
         "incremental": incremental,
+        "live": live,
         "tape": tape_batch,
         "summary": {
             "min_plan_reuse_speedup": min(
                 w["plan_reuse_speedup"] for w in workload_reports
             ),
             "incremental_update_speedup": incremental["incremental_speedup"],
+            "live_union_speedup": min(
+                live["union"][precision]["speedup"] for precision in ("exact", "float")
+            ),
             "tape_batched_speedup": tape_batch["batched_speedup"],
             "min_exact_tape_speedup": min(
                 w["exact_evaluate"]["speedup"] for w in workload_reports
@@ -624,6 +758,7 @@ def check_plan_thresholds(
     min_exact_tape_speedup: float = 0.0,
     min_first_exact_speedup: float = 0.0,
     min_interval_match_speedup: float = 0.0,
+    min_live_speedup: float = 0.0,
 ) -> None:
     """Raise AssertionError when a recorded speedup falls below a threshold."""
     summary = report["summary"]
@@ -662,6 +797,12 @@ def check_plan_thresholds(
         raise AssertionError(
             f"bitset interval matching is {interval}x faster than the X-property "
             f"sweep, below the required {min_interval_match_speedup}x"
+        )
+    live = summary["live_union_speedup"]
+    if live < min_live_speedup:
+        raise AssertionError(
+            f"live plan.evaluate catch-up on the union instance is {live}x faster "
+            f"than a full tape replay, below the required {min_live_speedup}x"
         )
 
 
@@ -705,6 +846,17 @@ def format_plan_report(report: Dict[str, object]) -> str:
     lines.append(
         f"    incremental speedup    {incremental['incremental_speedup']}x vs full re-solve"
     )
+    live = report["live"]
+    lines.append(f"  live: {live['description']}")
+    for row in live["routes"] + [live["union"]]:
+        lines.append(
+            f"    {row['name']:<24} ({row['tape_ops']} ops) "
+            + ", ".join(
+                f"{precision} {row[precision]['full_replay_us']} -> "
+                f"{row[precision]['catch_up_us']} us ({row[precision]['speedup']}x)"
+                for precision in ("exact", "float")
+            )
+        )
     tape = report["tape"]
     lines.append(f"  tape: {tape['description']} ({tape['backend']} backend)")
     for point in tape["tape_batch"]:
@@ -732,5 +884,9 @@ def format_plan_report(report: Dict[str, object]) -> str:
     lines.append(
         f"  interval matching speedup over the X-property sweep: "
         f"{summary['interval_match_speedup']}x"
+    )
+    lines.append(
+        f"  live catch-up speedup over a full replay (union instance): "
+        f"{summary['live_union_speedup']}x"
     )
     return "\n".join(lines)

@@ -410,6 +410,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench.add_argument(
+        "--min-live-speedup", type=float, default=0.0,
+        help=(
+            "plans: fail when set_probability plus a live plan.evaluate() "
+            "catch-up is less than this many times faster than a full tape "
+            "replay on the union instance, in either precision"
+        ),
+    )
+    bench.add_argument(
         "--min-sampling-speedup", type=float, default=0.0,
         help=(
             "sampling: fail when the Karp-Luby speedup over brute force on the "
@@ -1048,6 +1056,7 @@ def _run_bench_plans(args, out, err) -> int:
             min_exact_tape_speedup=args.min_exact_tape_speedup,
             min_first_exact_speedup=args.min_first_exact_speedup,
             min_interval_match_speedup=args.min_interval_match_speedup,
+            min_live_speedup=args.min_live_speedup,
         )
     except AssertionError as exc:
         err.write(f"error: plan benchmark check failed: {exc}\n")

@@ -10,7 +10,9 @@ probabilities.  A :class:`CompiledPlan` captures the structural phase once:
 * :meth:`CompiledPlan.evaluate` recomputes the probability with *only*
   arithmetic, against the instance's live probabilities or a caller-supplied
   override table, by replaying the plan's flat tape (:mod:`repro.tape`);
-* :meth:`CompiledPlan.update` maintains a serving-side probability table and
+  against the live table, a hot plan replays only the operations downstream
+  of the edges changed since its previous call;
+* :meth:`CompiledPlan.update` maintains a what-if probability table and
   re-evaluates after a single-edge change, replaying only the tape
   operations that depend on the changed edge;
 * :class:`PlanCache` is a small LRU keyed on the *canonical query form* and
@@ -30,7 +32,19 @@ Invalidation contract
 Plans capture *structure only*, so:
 
 * mutating a probability (``instance.set_probability``) does **not** stale a
-  plan — the next :meth:`~CompiledPlan.evaluate` reads the live table;
+  plan — the next :meth:`~CompiledPlan.evaluate` reads the live table.  A
+  plan's second live evaluation in a precision binds a
+  :class:`~repro.tape.TapeEvaluator` session over the instance; each
+  ``set_probability`` advances the instance's ``version`` and logs the edge,
+  and the session's next call replays only the sub-programs of the edges
+  logged since (none, when nothing changed).  A session rebinds with one
+  full replay when the bounded log no longer reaches back to it, and an
+  exact session when a new denominator does not divide its ``D``.  Sessions
+  are process-local: pickles and :meth:`~CompiledPlan.rebind` drop them, and
+  override tables never touch them;
+* the what-if table of :meth:`~CompiledPlan.update` is seeded from the
+  instance once and never reads it again: later ``set_probability`` changes
+  do not reach it, and its updates do not reach :meth:`~CompiledPlan.evaluate`;
 * instance graphs are frozen, so their structure cannot change under a plan;
 * query graphs may be mutable — the cache keys on the canonical *content* of
   the query (recomputed after any mutation), so an edited query simply maps
@@ -62,6 +76,7 @@ from repro.obs.trace import current_tracer
 from repro.probability.brute_force import brute_force_phom
 from repro.probability.prob_graph import ProbabilisticGraph, as_probability
 from repro.query.minimize import query_core
+from repro.tape import TapeEvaluator, compile_plan_tape
 from repro.core.labeled_2wp import (
     TwoWayPathSkeleton,
     compile_connected_on_2wp,
@@ -203,6 +218,12 @@ class CompiledPlan:
     #: The class-level default covers plans pickled before tapes existed.
     _tape = None
 
+    #: The live sessions of :meth:`evaluate`, per precision name: ``None``
+    #: after the first live call (it only replays), a bound
+    #: :class:`~repro.tape.TapeEvaluator` from the second on.
+    #: Process-local: pickles and :meth:`rebind` drop them.
+    _live_sessions: Optional[Dict[str, Optional[TapeEvaluator]]] = None
+
     def __init__(
         self,
         query: DiGraph,
@@ -237,13 +258,40 @@ class CompiledPlan:
         backend, defaulting to the compiling solver's.  Both precisions
         replay the plan's tape (exact mode on integer registers); a plan
         that arrives without one is lowered here first.
+
+        Against the live table, the second call in a precision binds a
+        :class:`~repro.tape.TapeEvaluator` session, and later calls replay
+        only the operations downstream of the edges set since the previous
+        call (see the invalidation contract in :mod:`repro.plan`).  The
+        ``plan.evaluate`` span records the ``path`` taken (``replay``,
+        ``bind`` or ``catch_up``) and the ``ops`` replayed.
         """
         with current_tracer().span("plan.evaluate") as span:
             if span:
                 span.attrs["method"] = self.method
             context = self._context(precision)
-            table = self._probability_table(probabilities, context)
-            return self.tape().evaluate(table, context)
+            tape = self.tape()
+            sessions = self._live_sessions
+            if probabilities is None and sessions is not None and context.name in sessions:
+                session = sessions[context.name]
+                if session is None:
+                    session = sessions[context.name] = TapeEvaluator(tape)
+                value = session.follow(self.instance, context)
+                path, ops = session.path, session.replayed
+            else:
+                if probabilities is None:
+                    # Score, select, then build: the first live call only
+                    # replays, so a one-shot plan never holds registers.
+                    if sessions is None:
+                        sessions = self._live_sessions = {}
+                    sessions[context.name] = None
+                table = self._probability_table(probabilities, context)
+                value = tape.evaluate(table, context)
+                path, ops = "replay", tape.num_ops()
+            if span:
+                span.attrs["path"] = path
+                span.attrs["ops"] = ops
+            return value
 
     # -- tape lowering -------------------------------------------------
     def tape(self):
@@ -264,10 +312,6 @@ class CompiledPlan:
         is lowered here, on first use.
         """
         if self._tape is None:
-            # Imported lazily: repro.tape imports the plan classes, so a
-            # module-scope import here would be circular.
-            from repro.tape import compile_plan_tape
-
             with current_tracer().span("tape.compile") as span:
                 self._tape = compile_plan_tape(self)
                 if span:
@@ -327,13 +371,14 @@ class CompiledPlan:
         probability,
         precision: PrecisionLike = None,
     ) -> Number:
-        """Set one edge's probability in the plan's serving table and re-evaluate.
+        """Set one edge's probability in the plan's what-if table and re-evaluate.
 
-        The serving table is a register file over the plan's tape
+        The what-if table is a register file over the plan's tape
         (a :class:`~repro.tape.TapeEvaluator`), seeded from the instance on
         the first call; each update rewrites the edge's input slot and
         replays only the tape operations that depend on it, on every
-        tractable route.  The table lives *on the plan* — the instance is
+        tractable route.  The table lives *on the plan* and is separate from
+        the live sessions of :meth:`evaluate` — the instance is
         never mutated, and because :meth:`PHomSolver.compile` serves cached
         plan objects, callers that compiled the same canonical query against
         the same instance share one serving table (use
@@ -360,8 +405,9 @@ class CompiledPlan:
         with the same vertices and the same labelled edges — the
         probabilities are re-read from the new instance at evaluation
         time.  Raises :class:`PlanError` when the structures differ, and
-        drops any serving-side state (the unpickled instance's updates are
-        not this instance's updates).
+        drops the live sessions of :meth:`evaluate` and any serving-side
+        state (the unpickled instance's updates are not this instance's
+        updates).
         """
         if (
             instance.graph.vertices != self.instance.graph.vertices
@@ -371,7 +417,23 @@ class CompiledPlan:
                 "cannot rebind a plan to a structurally different instance"
             )
         self.instance = instance
+        self._live_sessions = None
         self.reset_serving()
+
+    def __getstate__(self):
+        """Pickle the structure only; sessions are process-local state.
+
+        An unpickled plan starts without live sessions and without a
+        serving table (its first ``update`` reseeds from the shipped
+        instance copy), which is the contract the :mod:`repro.service`
+        workers rely on.  The flat tape ``_tape`` *does* travel — it is
+        structure, and shipping it is what lets store-loaded plans and
+        serving workers evaluate without lowering again.
+        """
+        state = self.__dict__.copy()
+        state.pop("_live_sessions", None)
+        state.pop("_tape_serving", None)
+        return state
 
     # -- helpers -------------------------------------------------------
     def _context(self, precision: PrecisionLike) -> NumericContext:
@@ -469,11 +531,8 @@ class ComponentPlan(CompiledPlan):
         return compl(survival)
 
     def update(self, edge, probability, precision=None):
-        from repro.tape import TapeEvaluator
-
         context = self._context(precision)
         edge = self.instance._resolve_edge(edge)
-        value = context.convert(as_probability(probability))
         serving = self._tape_serving
         if serving is not None and serving.context is not context:
             raise PlanError(
@@ -483,27 +542,13 @@ class ComponentPlan(CompiledPlan):
             )
         if serving is None:
             serving = TapeEvaluator(self.tape())
-            serving.bind(context.instance_probabilities(self.instance), context)
+            serving.bind(self.instance.probabilities_view(), context)
             self._tape_serving = serving
-        return serving.update(edge, value)
+        return serving.update(edge, probability)
 
     def reset_serving(self) -> None:
         """Drop the serving table; the next update() reseeds from the instance."""
         self._tape_serving = None
-
-    def __getstate__(self):
-        """Pickle the structure only; the serving table is process-local state.
-
-        An unpickled plan starts a fresh serving session (its first
-        ``update`` reseeds from the shipped instance copy), which is the
-        contract the :mod:`repro.service` workers rely on.  The flat tape
-        ``_tape`` *does* travel — it is structure, and shipping it is what
-        lets store-loaded plans and serving workers evaluate without
-        lowering again.
-        """
-        state = self.__dict__.copy()
-        state.pop("_tape_serving", None)
-        return state
 
 
 class FallbackPlan(CompiledPlan):

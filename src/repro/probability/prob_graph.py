@@ -19,6 +19,7 @@ rather than with numerical tolerances.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -29,6 +30,11 @@ from repro.exceptions import GraphError, ProbabilityError
 from repro.graphs.digraph import DiGraph, Edge, Vertex
 
 ProbabilityLike = Union[int, float, str, Fraction]
+
+#: How many recent :meth:`ProbabilisticGraph.set_probability` changes an
+#: instance remembers.  A live tape session further behind than this
+#: rebinds with one full replay (see :class:`repro.tape.TapeEvaluator`).
+CHANGE_LOG_LIMIT = 64
 
 
 def as_probability(value: ProbabilityLike) -> Fraction:
@@ -111,6 +117,7 @@ class ProbabilisticGraph:
         #: cache, so mutating a shared component detaches the parent's cache
         #: instead of silently corrupting the parent's future answers.
         self._component_owner: Optional["ProbabilisticGraph"] = None
+        self._reset_change_log()
 
     def __getstate__(self) -> Dict[str, object]:
         """Pickle only the graph and the exact probability table.
@@ -119,7 +126,8 @@ class ProbabilisticGraph:
         memoised float table and the component split are all rebuilt lazily
         on the receiving side, and the component-owner backlink is dropped —
         an unpickled instance is an independent copy, not a live component of
-        its original parent.
+        its original parent.  The change log stays behind too: an unpickled
+        instance starts at version 0 with an empty log.
         """
         return {"_graph": self._graph, "_probabilities": self._probabilities}
 
@@ -130,6 +138,11 @@ class ProbabilisticGraph:
         self._float_probabilities = None
         self._components = None
         self._component_owner = None
+        self._reset_change_log()
+
+    def _reset_change_log(self) -> None:
+        self._version = 0
+        self._changes: "deque[Edge]" = deque(maxlen=CHANGE_LOG_LIMIT)
 
     def _resolve_edge(self, key) -> Edge:
         if isinstance(key, Edge):
@@ -179,8 +192,15 @@ class ProbabilisticGraph:
         return self._float_probabilities
 
     def set_probability(self, edge, value: ProbabilityLike) -> None:
-        """Update the probability of one edge."""
-        self._probabilities[self._resolve_edge(edge)] = as_probability(value)
+        """Update the probability of one edge.
+
+        Every call advances :attr:`version` and appends the edge to the
+        bounded change log read by :meth:`changes_since`.
+        """
+        edge = self._resolve_edge(edge)
+        self._probabilities[edge] = as_probability(value)
+        self._version += 1
+        self._changes.append(edge)
         self._float_probabilities = None
         # Only the component wrappers and their tables go: the component
         # graphs stay memoised on the frozen instance graph.
@@ -190,6 +210,24 @@ class ProbabilisticGraph:
             # detach so the parent rebuilds fresh components next time.
             self._component_owner._components = None
             self._component_owner = None
+
+    @property
+    def version(self) -> int:
+        """How many :meth:`set_probability` calls this object has seen."""
+        return self._version
+
+    def changes_since(self, version: int) -> Optional[List[Edge]]:
+        """The edges set since ``version``, newest first, or ``None``.
+
+        ``None`` means the bounded change log (the last
+        :data:`CHANGE_LOG_LIMIT` changes) no longer reaches back to
+        ``version``.  An edge set twice is listed twice.
+        """
+        behind = self._version - version
+        changes = self._changes
+        if behind < 0 or behind > len(changes):
+            return None
+        return [changes[-index] for index in range(1, behind + 1)]
 
     def edges(self) -> List[Edge]:
         """All edges of the instance, in a deterministic order."""

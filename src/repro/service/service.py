@@ -1331,9 +1331,10 @@ class QueryService:
             endpoints = edge
         else:
             raise ServiceError(f"cannot interpret {edge!r} as an edge")
-        # Validate (and normalise) locally first: a bad update must fail
-        # without desynchronising the worker copy.
-        local.set_probability(endpoints, probability)
+        # Validate (and normalise) locally first, with the edge as given (an
+        # Edge's label must match the instance edge's): a bad update must
+        # fail without desynchronising the worker copy.
+        local.set_probability(edge, probability)
         self._counters["updates"].inc()
         self._call(
             self._worker_for(instance_id),

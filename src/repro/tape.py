@@ -79,12 +79,13 @@ from __future__ import annotations
 from array import array
 from fractions import Fraction
 from math import lcm
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import PlanError
 from repro.graphs.digraph import Edge
 from repro.numeric import Number, NumericContext, numpy_module, resolve_context
 from repro.obs.trace import current_tracer
+from repro.probability.prob_graph import ProbabilisticGraph, as_probability
 
 #: Opcodes of the tape instruction set.  ``COMPL`` is the semiring
 #: complement ``dst = 1 - lhs`` (``rhs`` unused); the rest are binary.
@@ -105,6 +106,11 @@ _X_MUL, _X_ADD, _X_ADD_L, _X_ADD_R, _X_COMPL = range(5)
 #: always sit in these slots; the peepholes compare against them.
 _ZERO_SLOT, _ONE_SLOT = 0, 1
 _ZERO, _ONE = Fraction(0), Fraction(1)
+
+#: A session replays the whole tape instead of an input's sub-program when
+#: the sub-program holds more than this fraction of the tape's ops: the
+#: indexed loop costs about 1.5x the zip loop per op.
+FULL_REPLAY_FRACTION = 0.5
 
 
 class _TapeBuilder:
@@ -242,13 +248,15 @@ class PlanTape:
 
     #: Derived data, built lazily and dropped from pickles: the level
     #: segments of the numpy lanes (:meth:`_packed_segments`), the
-    #: edge -> input position map and the exact replay's integer program
-    #: (:meth:`_scaled_program`).  Class-level defaults, so tapes pickled
-    #: without a field still load.
-    _DERIVED = ("_segments", "_input_index", "_scaled")
+    #: edge -> input position map, the exact replay's integer program
+    #: (:meth:`_scaled_program`) and the per-input sub-programs of the
+    #: sessions (:meth:`_sub_programs`).  Class-level defaults, so tapes
+    #: pickled without a field still load.
+    _DERIVED = ("_segments", "_input_index", "_scaled", "_programs")
     _segments = None
     _input_index: Optional[Dict[Edge, int]] = None
     _scaled = None
+    _programs: Optional[List[Optional[array]]] = None
 
     def __init__(
         self,
@@ -363,24 +371,74 @@ class PlanTape:
             values[slot] = convert(value)
         return values
 
-    def _run(
-        self, values: List[Any], program: Optional[Tuple[Sequence[int], ...]] = None
-    ) -> None:
-        """Replay op arrays over a scalar register file, in place.
-
-        ``program`` is an ``(opcodes, dsts, lhs, rhs)`` subsequence of the
-        tape's ops (an update's, see :class:`TapeEvaluator`); the whole tape
-        by default.
-        """
-        if program is None:
-            program = (self.opcodes, self.dsts, self.lhs, self.rhs)
-        for opcode, dst, a, b in zip(*program):
+    def _run(self, values: List[Any]) -> None:
+        """Replay the whole tape over a scalar register file, in place."""
+        for opcode, dst, a, b in zip(self.opcodes, self.dsts, self.lhs, self.rhs):
             if opcode == OP_MUL:
                 values[dst] = values[a] * values[b]
             elif opcode == OP_ADD:
                 values[dst] = values[a] + values[b]
             else:
                 values[dst] = 1 - values[a]
+
+    def _run_indexed(self, values: List[Any], program: Sequence[int]) -> None:
+        """Replay the ops at the indices ``program`` (ascending), in place."""
+        opcodes, dsts, lhs, rhs = self.opcodes, self.dsts, self.lhs, self.rhs
+        for index in program:
+            opcode = opcodes[index]
+            if opcode == OP_MUL:
+                values[dsts[index]] = values[lhs[index]] * values[rhs[index]]
+            elif opcode == OP_ADD:
+                values[dsts[index]] = values[lhs[index]] + values[rhs[index]]
+            else:
+                values[dsts[index]] = 1 - values[lhs[index]]
+
+    def _sub_programs(self) -> List[Optional[array]]:
+        """Per input, the indices of the ops transitively reading it.
+
+        Built for every input in one pass over the tape, with an int
+        bitmask per slot of the inputs it depends on, and memoised on the
+        tape, so every session of the tape shares them.  An input whose
+        ops number more than :data:`FULL_REPLAY_FRACTION` of the tape gets
+        ``None``: the indexed loop would cost more than replaying
+        everything.
+        """
+        if self._programs is None:
+            masks = [0] * self.num_slots
+            for position, (_edge, slot) in enumerate(self.inputs):
+                masks[slot] = 1 << position
+            programs = [array("I") for _ in self.inputs]
+            for index, (opcode, dst, a, b) in enumerate(
+                zip(self.opcodes, self.dsts, self.lhs, self.rhs)
+            ):
+                mask = masks[a] if opcode == OP_COMPL else masks[a] | masks[b]
+                masks[dst] = mask
+                while mask:
+                    low = mask & -mask
+                    programs[low.bit_length() - 1].append(index)
+                    mask ^= low
+            limit = FULL_REPLAY_FRACTION * len(self.opcodes)
+            self._programs = [
+                None if len(program) > limit else program for program in programs
+            ]
+        return self._programs
+
+    def _catch_up_program(self, positions: Iterable[int]) -> Optional[Sequence[int]]:
+        """The ops reading any of the inputs ``positions``, ascending.
+
+        ``None`` means "replay the whole tape": one input's sub-program, or
+        their union, is longer than :data:`FULL_REPLAY_FRACTION` of it.
+        """
+        every = self._sub_programs()
+        programs = [every[position] for position in positions]
+        if None in programs:
+            return None
+        if len(programs) == 1:
+            return programs[0]
+        union = sorted(set().union(*programs))
+        if len(union) > FULL_REPLAY_FRACTION * len(self.opcodes):
+            return None
+        return union
 
     def _replay(self, inputs: Sequence[Any], context: NumericContext) -> Number:
         """One valuation of the input probabilities (in :attr:`inputs` order)."""
@@ -434,15 +492,17 @@ class PlanTape:
             )
         return self._scaled
 
-    def _replay_exact(self, inputs: Sequence[Any]) -> Fraction:
-        """One exact valuation on integer registers; one Fraction at the root.
+    def _exact_registers(
+        self, inputs: Sequence[Any]
+    ) -> Tuple[int, List[int], List[int]]:
+        """A full exact pass: ``(D, powers of D, integer registers)``.
 
         Register ``X`` of a slot with exponent ``e`` stands for
-        ``X / D**e``, where ``D`` is the lcm of this valuation's input and
-        constant denominators (see :meth:`_scaled_program`), so no
-        operation pays a gcd and the root is normalised once.
+        ``X / D**e``, where ``D`` is the lcm of the input and constant
+        denominators (see :meth:`_scaled_program`), so no operation pays a
+        gcd.
         """
-        ops, shifts, root_exp, top, const_den = self._scaled_program()
+        top, const_den = self._scaled_program()[3:]
         values = [v if isinstance(v, Fraction) else Fraction(v) for v in inputs]
         den = lcm(const_den, *[value.denominator for value in values])
         powers = [1] * (top + 1)
@@ -453,6 +513,12 @@ class PlanTape:
             registers[slot] = value.numerator * (den // value.denominator)
         for (_edge, slot), value in zip(self.inputs, values):
             registers[slot] = value.numerator * (den // value.denominator)
+        self._run_exact(registers, powers)
+        return den, powers, registers
+
+    def _run_exact(self, registers: List[int], powers: List[int]) -> None:
+        """Replay the whole tape on integer registers, in place."""
+        ops, shifts = self._scaled_program()[:2]
         for code, dst, a, b, shift in zip(ops, self.dsts, self.lhs, self.rhs, shifts):
             if code == _X_MUL:
                 registers[dst] = registers[a] * registers[b]
@@ -464,7 +530,38 @@ class PlanTape:
                 registers[dst] = registers[a] * powers[shift] + registers[b]
             else:
                 registers[dst] = registers[a] + registers[b] * powers[shift]
-        return Fraction(registers[self.root], powers[root_exp])
+
+    def _run_exact_indexed(
+        self, registers: List[int], powers: List[int], program: Sequence[int]
+    ) -> None:
+        """Replay the ops at the indices ``program`` on integer registers."""
+        ops, shifts = self._scaled_program()[:2]
+        dsts, lhs, rhs = self.dsts, self.lhs, self.rhs
+        for index in program:
+            code = ops[index]
+            if code == _X_MUL:
+                registers[dsts[index]] = registers[lhs[index]] * registers[rhs[index]]
+            elif code == _X_ADD:
+                registers[dsts[index]] = registers[lhs[index]] + registers[rhs[index]]
+            elif code == _X_COMPL:
+                registers[dsts[index]] = powers[shifts[index]] - registers[lhs[index]]
+            elif code == _X_ADD_L:
+                registers[dsts[index]] = (
+                    registers[lhs[index]] * powers[shifts[index]] + registers[rhs[index]]
+                )
+            else:
+                registers[dsts[index]] = (
+                    registers[lhs[index]] + registers[rhs[index]] * powers[shifts[index]]
+                )
+
+    def _exact_root(self, registers: List[int], powers: List[int]) -> Fraction:
+        """The root register as one normalised Fraction."""
+        return Fraction(registers[self.root], powers[self._scaled_program()[2]])
+
+    def _replay_exact(self, inputs: Sequence[Any]) -> Fraction:
+        """One exact valuation on integer registers; one Fraction at the root."""
+        _den, powers, registers = self._exact_registers(inputs)
+        return self._exact_root(registers, powers)
 
     def evaluate(
         self,
@@ -658,25 +755,43 @@ class PlanTape:
 
 
 class TapeEvaluator:
-    """Stateful tape evaluation with incremental single-edge updates.
+    """A register-file session over one tape: one full pass, then catch-ups.
 
-    The serving session behind :meth:`repro.plan.CompiledPlan.update`, on
-    *every* tractable plan kind: after :meth:`bind` performs one full pass
-    and keeps the register file, :meth:`update` rewrites one input slot
-    and replays, through the same loop as a full pass
-    (:meth:`PlanTape._run`), the sub-program of the operations
-    transitively reading it.  Each edge's sub-program is cut with one
-    linear scan and memoised, and because replayed ops recompute from
-    identical operand values, an update stream is bitwise-identical (in
-    both precisions) to re-running the full tape after each change.
+    :meth:`bind` replays the whole tape once and keeps its registers.
+    After that, :meth:`update` (one what-if change) and :meth:`follow` (the
+    changes a live instance logged since the last call) rewrite the
+    changed input slots and replay only the operations transitively
+    reading them: the per-input sub-programs memoised on the tape
+    (:meth:`PlanTape._sub_programs`), merged in tape order.  A merged
+    program longer than :data:`FULL_REPLAY_FRACTION` of the tape replays
+    the whole tape instead.
+
+    A float session keeps float registers.  Replayed ops recompute from
+    identical operands, so its answers are bitwise-identical to a full
+    replay.  An exact session keeps the integer registers of the exact
+    replay over a ``D`` fixed at bind time, and builds one
+    :class:`~fractions.Fraction` per answer, at the root.  A change whose
+    denominator does not divide ``D`` rebinds the session from its
+    current inputs, one full replay with a fresh ``D``.  The root is one
+    normalised Fraction either way, so exact answers are bit-identical to
+    a full replay.
     """
 
     def __init__(self, tape: PlanTape) -> None:
         self.tape = tape
-        self._edge_slots: Dict[Edge, int] = dict(tape.inputs)
-        self._programs: Dict[int, Tuple[array, array, array, array]] = {}
-        self._values: Optional[List[Any]] = None
         self.context: Optional[NumericContext] = None
+        self._registers: Optional[List[Any]] = None
+        self._root: Any = None
+        #: Exact sessions: ``D`` and its powers; ``None`` in float.
+        self._den: Optional[int] = None
+        self._powers: Optional[List[int]] = None
+        #: The live instance and the version :meth:`follow` last caught up to.
+        self._instance: Optional[ProbabilisticGraph] = None
+        self._version = 0
+        #: How the last call ran: ``"bind"`` or ``"catch_up"``, and how
+        #: many operations it replayed.
+        self.path = "bind"
+        self.replayed = 0
 
     def bind(
         self,
@@ -684,53 +799,116 @@ class TapeEvaluator:
         precision: Any = None,
     ) -> Number:
         """Full pass over ``probabilities``; keeps the register file."""
-        context = resolve_context(precision)
-        values = self.tape._load(self.tape._inputs_of(probabilities), context)
-        self.tape._run(values)
-        self._values = values
+        self._instance = None
+        return self._bind(self.tape._inputs_of(probabilities), resolve_context(precision))
+
+    def _bind(self, inputs: Sequence[Any], context: NumericContext) -> Number:
+        tape = self.tape
         self.context = context
-        return values[self.tape.root]
+        if context.name == "exact":
+            self._den, self._powers, self._registers = tape._exact_registers(inputs)
+            self._root = tape._exact_root(self._registers, self._powers)
+        else:
+            self._den = self._powers = None
+            self._registers = tape._load(inputs, context)
+            tape._run(self._registers)
+            self._root = self._registers[tape.root]
+        self.path = "bind"
+        self.replayed = tape.num_ops()
+        return self._root
 
-    def _program_for(self, slot: int) -> Tuple[array, array, array, array]:
-        """The ops transitively reading ``slot``, in tape order (memoised)."""
-        program = self._programs.get(slot)
-        if program is None:
-            tape = self.tape
-            affected = {slot}
-            program = (array("B"), array("I"), array("I"), array("I"))
-            opcodes, dsts, lhs, rhs = program
-            for opcode, dst, a, b in zip(tape.opcodes, tape.dsts, tape.lhs, tape.rhs):
-                if a in affected or (opcode != OP_COMPL and b in affected):
-                    affected.add(dst)
-                    opcodes.append(opcode)
-                    dsts.append(dst)
-                    lhs.append(a)
-                    rhs.append(b)
-            self._programs[slot] = program
-        return program
-
-    def update(self, edge: Edge, probability: Number) -> Number:
+    def update(self, edge: Edge, probability: Any) -> Number:
         """Set one edge's probability and replay only the ops depending on it.
 
-        ``probability`` must already be in the bound backend's number type
-        (the plan-level :meth:`repro.plan.ComponentPlan.update` converts and
-        validates).  An edge the tape never reads leaves the value unchanged
-        — the probability provably does not affect the result.  Returns the
-        new root value.
+        ``probability`` is validated and converted through the bound
+        precision, so an exact session given a float still answers a
+        Fraction.  An edge the tape never reads leaves the value unchanged
+        — the probability provably does not affect the result.  Returns
+        the new root value.
         """
-        if self._values is None:
+        if self._registers is None:
             raise PlanError("call bind() before update()")
-        slot = self._edge_slots.get(edge)
-        if slot is not None:
-            self._values[slot] = probability
-            self.tape._run(self._values, self._program_for(slot))
-        return self._values[self.tape.root]
+        value = as_probability(probability)
+        # The registers no longer mirror a live table: the next follow()
+        # rebinds.
+        self._instance = None
+        position = self.tape._input_positions().get(edge)
+        if position is None:
+            self.path, self.replayed = "catch_up", 0
+            return self._root
+        return self._apply({position: value})
+
+    def follow(self, instance: ProbabilisticGraph, precision: Any = None) -> Number:
+        """The root over ``instance``'s live table, caught up with its changes.
+
+        The first call binds.  Later calls replay only what the edges
+        logged by :meth:`~repro.probability.prob_graph.ProbabilisticGraph.set_probability`
+        since the previous call read, so a call with no change returns the
+        stored root.  The session rebinds when the instance's change log no
+        longer reaches back to its last call, or when it is given another
+        instance or precision.
+        """
+        context = resolve_context(precision)
+        changes = None
+        if instance is self._instance and context is self.context:
+            changes = instance.changes_since(self._version)
+        self._version = instance.version
+        if changes is None:
+            self._instance = instance
+            return self._bind(
+                self.tape._inputs_of(instance.probabilities_view()), context
+            )
+        positions = self.tape._input_positions()
+        table = instance.probabilities_view()
+        updated: Dict[int, Fraction] = {}
+        for edge in changes:
+            position = positions.get(edge)
+            if position is not None:
+                updated[position] = table[edge]
+        if not updated:
+            self.path, self.replayed = "catch_up", 0
+            return self._root
+        return self._apply(updated)
+
+    def _apply(self, updated: Dict[int, Fraction]) -> Number:
+        """Write the inputs at ``updated``'s positions and replay what reads them."""
+        tape = self.tape
+        inputs = tape.inputs
+        registers = self._registers
+        den = self._den
+        if den is None:
+            convert = self.context.convert
+            for position, value in updated.items():
+                registers[inputs[position][1]] = convert(value)
+            program = tape._catch_up_program(updated)
+            if program is None:
+                tape._run(registers)
+            else:
+                tape._run_indexed(registers, program)
+            self._root = registers[tape.root]
+        elif any(den % value.denominator for value in updated.values()):
+            current = [Fraction(registers[slot], den) for _edge, slot in inputs]
+            for position, value in updated.items():
+                current[position] = value
+            return self._bind(current, self.context)
+        else:
+            for position, value in updated.items():
+                registers[inputs[position][1]] = value.numerator * (den // value.denominator)
+            program = tape._catch_up_program(updated)
+            if program is None:
+                tape._run_exact(registers, self._powers)
+            else:
+                tape._run_exact_indexed(registers, self._powers, program)
+            self._root = tape._exact_root(registers, self._powers)
+        self.path = "catch_up"
+        self.replayed = tape.num_ops() if program is None else len(program)
+        return self._root
 
     def current_value(self) -> Number:
-        """The root value from the last bind/update."""
-        if self._values is None:
+        """The root value from the last bind/update/follow."""
+        if self._registers is None:
             raise PlanError("call bind() before current_value()")
-        return self._values[self.tape.root]
+        return self._root
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TapeEvaluator({self.tape!r})"

@@ -16,12 +16,13 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.solver import PHomSolver
-from repro.exceptions import QueryParseError, ServiceError
+from repro.exceptions import GraphError, QueryParseError, ServiceError
 from repro.graphs.builders import one_way_path
 from repro.graphs.classes import GraphClass
-from repro.graphs.digraph import DiGraph
+from repro.graphs.digraph import DiGraph, Edge
 from repro.graphs.serialization import probabilistic_graph_to_dict, graph_to_dict
 from repro.plan import PlanCache
+from repro.probability.prob_graph import ProbabilisticGraph
 from repro.service import (
     QueryService,
     ServiceRequest,
@@ -326,6 +327,27 @@ class TestMultiprocessService:
                 )
                 values.append(float(result))
         assert values[0] == values[1]
+
+
+class TestUpdateValidation:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_edge_with_another_label_is_rejected(self, workers):
+        # An Edge names its label: one that differs from the instance
+        # edge's must fail like set_probability and plan.update do, not
+        # update whichever edge joins the same endpoints.
+        graph = DiGraph(edges=[("a", "b", "R"), ("b", "c", "R")])
+        instance = ProbabilisticGraph(graph, {("a", "b"): "1/2", ("b", "c"): "1/3"})
+        query = one_way_path(["R"])
+        with QueryService(num_workers=workers) as service:
+            instance_id = service.register_instance(instance, "i")
+            before = service.submit(query, instance_id).probability
+            with pytest.raises(GraphError):
+                service.update_probability(instance_id, Edge("a", "b", "S"), "1/4")
+            assert str(instance.probability(("a", "b"))) == "1/2"
+            assert service.submit(query, instance_id).probability == before
+            service.update_probability(instance_id, Edge("a", "b", "R"), "1/4")
+            after = service.submit(query, instance_id).probability
+        assert after == PHomSolver().solve(query, instance).probability != before
 
 
 class TestJsonlProtocol:

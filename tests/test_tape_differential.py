@@ -35,9 +35,11 @@ from repro.graphs.classes import GraphClass
 from repro.graphs.digraph import Edge
 from repro.numeric import EXACT, resolve_context
 from repro.obs.trace import Tracer, set_tracer
+from repro.graphs.digraph import DiGraph
 from repro.plan import ComponentPlan, ConstantPlan, FallbackPlan
 from repro.probability.brute_force import brute_force_phom
-from repro.probability.prob_graph import ProbabilisticGraph
+from repro.probability.prob_graph import CHANGE_LOG_LIMIT, ProbabilisticGraph
+from repro.service import QueryService, ServiceRequest
 from repro.tape import (
     OP_COMPL,
     OPCODE_NAMES,
@@ -555,6 +557,28 @@ class TestTapeUpdateStream:
         with pytest.raises(GraphError):
             plan.update(foreign, Fraction(1, 9))
 
+    def test_exact_session_converts_a_float_update(self):
+        # An exact session must answer a Fraction whatever number type an
+        # update brings: the value goes through as_probability and the
+        # bound precision, never straight into a register.
+        graph = DiGraph(edges=[("a", "b", "R"), ("b", "c", "S")])
+        instance = ProbabilisticGraph(graph, {("a", "b"): "1/2", ("b", "c"): "1/3"})
+        plan = PHomSolver().compile(one_way_path(["R", "S"]), instance)
+        evaluator = TapeEvaluator(plan.tape())
+        assert evaluator.bind(instance.probabilities_view()) == Fraction(1, 6)
+        edge = instance.edges()[0]
+        got = evaluator.update(edge, 0.5)
+        assert isinstance(got, Fraction) and got == Fraction(1, 6)
+        assert evaluator.update(edge, 0.25) == Fraction(1, 12)
+        with pytest.raises(ReproError):
+            evaluator.update(edge, 1.5)
+        floaty = TapeEvaluator(plan.tape())
+        floaty.bind(instance.probabilities_view(), precision="float")
+        table = dict(instance.float_probabilities())
+        table[edge] = 0.25
+        want = plan.tape().evaluate(table, precision="float")
+        assert floaty.update(edge, Fraction(1, 4)).hex() == want.hex()
+
     def test_update_before_bind_raises(self):
         workload, plan, _rng = route_plan(0)
         evaluator = TapeEvaluator(plan.tape())
@@ -605,6 +629,241 @@ class TestTapeUpdateStream:
         assert plan.update(edge, workload.instance.probability(edge)) == fresh_exact(
             workload.query, workload.instance
         )
+
+
+# ----------------------------------------------------------------------
+# live sessions: plan.evaluate() catches up with set_probability
+# ----------------------------------------------------------------------
+def full_replay(plan, precision):
+    """A fresh full replay of the plan's tape over the live table."""
+    context = resolve_context(precision)
+    return plan.tape().evaluate(
+        context.instance_probabilities(plan.instance), context
+    )
+
+
+def assert_live_answer(workload, plan, precision):
+    """``plan.evaluate()`` against a full replay, and in exact mode the oracles."""
+    got = plan.evaluate(precision=precision)
+    want = full_replay(plan, precision)
+    assert type(got) is type(want)
+    if precision == "exact":
+        assert got == want == fresh_exact(workload.query, workload.instance)
+        assert got == brute_force_phom(workload.query, workload.instance)
+    else:
+        assert got.hex() == want.hex()
+    return got
+
+
+def evaluate_traced(plan, overrides=None):
+    """``plan.evaluate(overrides)`` plus the (path, ops) its span recorded."""
+    tracer = Tracer(sample_rate=1.0)
+    previous = set_tracer(tracer)
+    try:
+        value = plan.evaluate(overrides)
+    finally:
+        set_tracer(previous)
+    (record,) = [r for r in tracer.drain() if r["name"] == "plan.evaluate"]
+    return value, record["attrs"]["path"], record["attrs"]["ops"]
+
+
+#: Burst sizes between live evaluations: none, one, a few, and more changes
+#: than an instance's change log holds (the session must rebind).
+BURSTS = (0, 1, 1, 2, 9, CHANGE_LOG_LIMIT + 3)
+
+
+class TestLiveCatchUp:
+    @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
+    def test_random_bursts_match_full_replay_and_oracles(self, index):
+        workload, plan, rng = dispatch_plan(index)
+        instance = workload.instance
+        edges = instance.edges()
+        for step in range(14):
+            for _ in range(rng.choice(BURSTS)):
+                instance.set_probability(rng.choice(edges), random_probability(rng))
+            # Interleaved precisions: either order, or one of the two only,
+            # so each session falls behind the other by a burst or more.
+            order = rng.choice(
+                (("exact", "float"), ("float", "exact"), ("exact",), ("float",))
+            )
+            for precision in order:
+                assert_live_answer(workload, plan, precision)
+        sessions = plan._live_sessions
+        assert isinstance(sessions["exact"], TapeEvaluator)
+        assert isinstance(sessions["float"], TapeEvaluator)
+
+    @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
+    def test_what_if_session_neither_leaks_nor_takes_in(self, index):
+        workload, plan, rng = dispatch_plan(index)
+        instance = workload.instance
+        edges = instance.edges()
+        for precision in ("exact", "float"):
+            plan.reset_serving()
+            what_if = dict(resolve_context(precision).instance_probabilities(instance))
+            for step in range(10):
+                edge = rng.choice(edges)
+                value = random_probability(rng)
+                if step % 2:
+                    instance.set_probability(edge, value)
+                else:
+                    what_if[edge] = resolve_context(precision).convert(value)
+                    got = plan.update(edge, value, precision=precision)
+                    want = plan.tape().evaluate(what_if, precision)
+                    assert type(got) is type(want) and got == want
+                assert_live_answer(workload, plan, precision)
+
+    def test_unread_edges_leave_the_session_untouched(self):
+        # A session follows any instance holding its tape's edges; changes
+        # to edges the tape never reads replay nothing.
+        path_edges = [("a", "b", "R"), ("b", "c", "S")]
+        probabilities = {("a", "b"): "1/2", ("b", "c"): "1/3"}
+        query = one_way_path(["R", "S"])
+        plan = PHomSolver().compile(
+            query, ProbabilisticGraph(DiGraph(edges=path_edges), probabilities)
+        )
+        wider = ProbabilisticGraph(
+            DiGraph(edges=path_edges + [("x", "y", "T")]),
+            {**probabilities, ("x", "y"): "1/5"},
+        )
+        session = TapeEvaluator(plan.tape())
+        assert session.follow(wider) == Fraction(1, 6)
+        assert session.path == "bind"
+        wider.set_probability(("x", "y"), "1/7")
+        assert session.follow(wider) == Fraction(1, 6)
+        assert (session.path, session.replayed) == ("catch_up", 0)
+        wider.set_probability(("x", "y"), "1/9")
+        wider.set_probability(("a", "b"), "1/3")  # 3 divides D = 6
+        assert session.follow(wider) == Fraction(1, 9) == brute_force_phom(query, wider)
+        assert session.path == "catch_up" and session.replayed > 0
+        # A what-if update detaches the registers from the live table: the
+        # next follow() rebinds instead of catching up from them.
+        assert session.update(wider.graph.get_edge("b", "c"), "1/2") == Fraction(1, 6)
+        assert session.follow(wider) == Fraction(1, 9)
+        assert session.path == "bind"
+        # So does another precision.
+        floaty = session.follow(wider, "float")
+        assert isinstance(floaty, float) and session.path == "bind"
+        assert floaty.hex() == plan.tape().evaluate(wider.float_probabilities(), "float").hex()
+
+    def test_denominator_outside_d_rebinds_then_catches_up(self):
+        graph = DiGraph(edges=[("a", "b", "R"), ("b", "c", "S")])
+        instance = ProbabilisticGraph(graph, {("a", "b"): "1/2", ("b", "c"): "1/2"})
+        query = one_way_path(["R", "S"])
+        plan = PHomSolver().compile(query, instance)
+        plan.evaluate()
+        plan.evaluate()
+        first = instance.edges()[0]
+        instance.set_probability(first, "1/3")  # 3 does not divide D = 2
+        value, path, _ops = evaluate_traced(plan)
+        assert path == "bind" and value == Fraction(1, 6)
+        instance.set_probability(first, "2/3")  # it divides the fresh D = 6
+        value, path, _ops = evaluate_traced(plan)
+        assert path == "catch_up" and value == Fraction(1, 3)
+        assert value == brute_force_phom(query, instance)
+
+    def test_second_use_binds_and_zero_change_replays_nothing(self):
+        workload, plan, _rng = dispatch_plan(1)
+        tape = plan.tape()
+        assert plan._live_sessions is None
+        value, path, ops = evaluate_traced(plan)
+        assert (path, ops) == ("replay", tape.num_ops())
+        assert plan._live_sessions == {"exact": None}  # one evaluation binds nothing
+        assert tape._programs is None
+        assert evaluate_traced(plan) == (value, "bind", tape.num_ops())
+        assert evaluate_traced(plan) == (value, "catch_up", 0)
+        edges = [edge for edge, _slot in tape.inputs]
+        workload.instance.set_probability(edges[-1], Fraction(3, 4))
+        value, path, ops = evaluate_traced(plan)
+        assert path == "catch_up" and 0 < ops <= tape.num_ops()
+        assert value == fresh_exact(workload.query, workload.instance)
+        # Overrides never touch the sessions.
+        _value, path, _ops = evaluate_traced(plan, {edges[0]: "1/9"})
+        assert path == "replay"
+        assert evaluate_traced(plan)[1:] == ("catch_up", 0)
+
+    def test_change_log_overflow_rebinds(self):
+        workload, plan, rng = dispatch_plan(0)
+        plan.evaluate()
+        plan.evaluate()
+        edges = workload.instance.edges()
+        for _ in range(CHANGE_LOG_LIMIT + 1):
+            workload.instance.set_probability(rng.choice(edges), random_probability(rng))
+        assert workload.instance.changes_since(0) is None
+        value, path, _ops = evaluate_traced(plan)
+        assert path == "bind"
+        assert value == fresh_exact(workload.query, workload.instance)
+
+    def test_pickles_carry_no_session_program_or_log(self):
+        workload, plan, rng = dispatch_plan(3)
+        instance = workload.instance
+        for _ in range(3):
+            plan.evaluate()
+            plan.evaluate(precision="float")
+            instance.set_probability(rng.choice(instance.edges()), random_probability(rng))
+        plan.update(instance.edges()[0], Fraction(1, 3))
+        tape = plan.tape()
+        assert tape._programs is not None and instance.version == 3
+        clone = pickle.loads(pickle.dumps(plan))
+        assert clone._live_sessions is None
+        assert "_tape_serving" not in clone.__dict__
+        assert clone.tape()._programs is None
+        assert clone.instance.version == 0
+        assert clone.instance.changes_since(0) == []
+        assert pickle.loads(pickle.dumps(tape))._programs is None
+        copy = pickle.loads(pickle.dumps(instance))
+        assert copy.version == 0 and copy.changes_since(0) == []
+        assert clone.evaluate() == fresh_exact(workload.query, instance)
+
+    def test_rebound_and_store_loaded_plans_answer_from_the_new_instance(self, tmp_path):
+        workload, plan, rng = dispatch_plan(1)
+        old = workload.instance
+        plan.evaluate()
+        plan.evaluate()
+        new = ProbabilisticGraph(old.graph, random_tables(old, rng, 1)[0])
+        plan.rebind(new)
+        assert plan._live_sessions is None
+        assert plan.evaluate() == fresh_exact(workload.query, new)
+        assert plan.evaluate() == fresh_exact(workload.query, new)
+        old.set_probability(old.edges()[0], Fraction(1, 7))
+        new.set_probability(new.edges()[-1], Fraction(2, 7))
+        assert plan.evaluate() == fresh_exact(workload.query, new)
+
+        store_dir = str(tmp_path / "plans")
+        writer = PHomSolver(plan_store=store_dir)
+        for _ in range(3):
+            writer.solve(workload.query, old)
+        reader = PHomSolver(plan_store=store_dir)
+        for _ in range(3):
+            new.set_probability(rng.choice(new.edges()), random_probability(rng))
+            got = reader.solve(workload.query, new).probability
+            assert got == fresh_exact(workload.query, new)
+        assert reader.plan_cache.stats["loads"] == 1
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_service_interleavings_match_fresh_solves(self, workers):
+        workload, _plan, rng = dispatch_plan(0)
+        instance = pickle.loads(pickle.dumps(workload.instance))
+        edges = instance.edges()
+        queries = [workload.query, one_way_path(["R"]), one_way_path(["R", "S"])]
+        with QueryService(num_workers=workers) as service:
+            instance_id = service.register_instance(instance, "live")
+            for step in range(12):
+                for _ in range(rng.choice((0, 1, 1, 3))):
+                    edge = rng.choice(edges)
+                    value = random_probability(rng)
+                    key = edge if step % 2 else (edge.source, edge.target)
+                    service.update_probability(instance_id, key, value)
+                requests = [
+                    ServiceRequest(query, instance_id, precision=precision)
+                    for query in queries
+                    for precision in ("exact", "float")
+                ]
+                for request, result in zip(requests, service.submit_many(requests)):
+                    fresh = PHomSolver().solve(
+                        request.query, instance, precision=request.precision
+                    ).probability
+                    assert type(result.probability) is type(fresh)
+                    assert result.probability == fresh, f"step {step}"
 
 
 # ----------------------------------------------------------------------
