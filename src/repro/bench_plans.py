@@ -165,7 +165,7 @@ def _time(fn: Callable[[], object]) -> float:
 
 
 def _object_graph(plan: CompiledPlan, overrides=None, context=EXACT):
-    """The plan's answer from its object-graph evaluators, never its tape."""
+    """The plan's answer from its kernels run on numbers, never its tape."""
     return plan._evaluate_with(plan._probability_table(overrides, context), context)
 
 
@@ -635,7 +635,7 @@ def run_tape_benchmark(
     # Correctness contract, checked before any timing.  Exact mode must be
     # bit-identical to the object-graph evaluator (`==` on Fractions) —
     # this is the acceptance gate for the tape backend itself.  The oracle
-    # runs the evaluators directly: plan.evaluate replays the tape too.
+    # runs the kernels directly: plan.evaluate replays the tape too.
     check = batch[: min(largest, 32)]
     if plan.evaluate_many(check) != [_object_graph(plan, overrides) for overrides in check]:
         raise AssertionError(

@@ -937,36 +937,13 @@ def _run_store(args, out, err) -> int:
         return 0
 
     if args.action == "compact":
-        # Offline compaction mirrors QueryService.compact_state: repair the
-        # log on open, fold it (last registration per instance + its
-        # last-write-wins updates applied to the snapshot), swap segments.
-        import pickle as _pickle
+        # Offline compaction folds the log exactly as a restarting service
+        # replays it and writes what QueryService.compact_state writes.
+        from repro.service.service import compaction_records, replay_journals
 
         with WriteAheadLog(wal_dir) as wal:
             before = wal.recovery
-            journals = {}
-            order = []
-            for record in wal.replay():
-                if not (isinstance(record, tuple) and len(record) >= 2):
-                    continue
-                if record[0] == "register" and len(record) == 3:
-                    if record[1] in journals:
-                        order.remove(record[1])
-                    journals[record[1]] = (record[2], [])
-                    order.append(record[1])
-                elif record[0] == "update" and len(record) == 4:
-                    entry = journals.get(record[1])
-                    if entry is not None:
-                        entry[1].append((record[2], record[3]))
-            records = []
-            for instance_id in order:
-                snapshot, updates = journals[instance_id]
-                if updates:
-                    instance = _pickle.loads(snapshot)
-                    for endpoints, probability in updates:
-                        instance.set_probability(endpoints, probability)
-                    snapshot = _pickle.dumps(instance)
-                records.append(("register", instance_id, snapshot))
+            records = compaction_records(replay_journals(wal.replay()))
             wal.compact(records)
         if before.corruption_detected:
             out.write(

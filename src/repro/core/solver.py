@@ -31,6 +31,7 @@ from repro.graphs.classes import (
 from repro.graphs.builders import path_query_labels, unlabeled_path
 from repro.graphs.digraph import DiGraph
 from repro.lineage.builders import match_lineage
+from repro.lineage.ddnnf import DDNNF
 from repro.numeric import EXACT, FAST, Number, NumericContext, resolve_context
 from repro.obs.trace import current_tracer
 from repro.probability.brute_force import brute_force_phom, brute_force_phom_over_matches
@@ -46,12 +47,21 @@ from repro.core.disconnected import (
     phom_on_disconnected_instance,
     phom_unlabeled_on_union_dwt,
 )
-from repro.core.labeled_dwt import compile_labeled_path_on_dwt, phom_labeled_path_on_dwt
-from repro.core.labeled_2wp import compile_connected_on_2wp, phom_connected_on_2wp
+from repro.core.labeled_dwt import (
+    compile_labeled_path_on_dwt,
+    evaluate_dwt_path_skeleton,
+    phom_labeled_path_on_dwt,
+)
+from repro.core.labeled_2wp import (
+    compile_connected_on_2wp,
+    evaluate_two_way_path_skeleton,
+    phom_connected_on_2wp,
+)
 from repro.core.unlabeled_pt import (
     collapse_query_to_path_length,
     compile_path_circuit_on_polytree,
     compile_path_dp_on_polytree,
+    evaluate_polytree_dp_skeleton,
     phom_unlabeled_path_on_polytree,
     phom_unlabeled_tree_query_on_polytree,
 )
@@ -63,10 +73,6 @@ from repro.plan import (
     FallbackPlan,
     PlanCache,
     canonical_query_key,
-    CircuitComponentEvaluator,
-    DWTPathEvaluator,
-    IntervalEvaluator,
-    PolytreeDPEvaluator,
 )
 
 PrecisionLike = Union[str, NumericContext, None]
@@ -162,7 +168,7 @@ class PHomSolver:
         lineage- and automaton-based constructions.  Under the plan-backed
         automatic dispatch this selects the *compiled structure* of the
         polytree routes (``"lineage"``/``"automaton"`` → the tree-automaton
-        d-DNNF circuit, which also enables incremental ``plan.update``);
+        d-DNNF circuit);
         the 2WP/DWT routes always compile their DP skeletons, whose exact
         results are identical to the lineage constructions.  Explicit
         ``method=`` names still run the lineage routes directly.
@@ -783,25 +789,29 @@ class PHomSolver:
 
         if query_connected:
             if instance_union_2wp:
-                components = self._instance_components(instance)
-                evaluators = [
-                    IntervalEvaluator(compile_connected_on_2wp(query, component.graph))
-                    for component in components
+                components = [
+                    (
+                        evaluate_two_way_path_skeleton,
+                        compile_connected_on_2wp(query, component.graph),
+                    )
+                    for component in self._instance_components(instance)
                 ]
                 return ComponentPlan(
-                    evaluators, always_combine=False,
+                    components, always_combine=False,
                     method="connected-2wp",
                     proposition="Proposition 4.11 (+ Lemma 3.7)", **metadata,
                 )
             if instance_union_dwt and is_one_way_path(query):
                 labels = path_query_labels(query)
-                components = self._instance_components(instance)
-                evaluators = [
-                    DWTPathEvaluator(compile_labeled_path_on_dwt(labels, component.graph))
-                    for component in components
+                components = [
+                    (
+                        evaluate_dwt_path_skeleton,
+                        compile_labeled_path_on_dwt(labels, component.graph),
+                    )
+                    for component in self._instance_components(instance)
                 ]
                 return ComponentPlan(
-                    evaluators, always_combine=False,
+                    components, always_combine=False,
                     method="labeled-dwt",
                     proposition="Proposition 4.10 (+ Lemma 3.7)", **metadata,
                 )
@@ -820,12 +830,11 @@ class PHomSolver:
                 )
             # Proposition 3.6 always combines over components (even when the
             # instance is connected), mirroring phom_unlabeled_on_union_dwt.
-            components = instance.connected_components()
-            evaluators = self._polytree_evaluators(
-                mapping.difference, components, self._polytree_method()
+            components = self._polytree_components(
+                mapping.difference, instance.connected_components(), self._polytree_method()
             )
             return ComponentPlan(
-                evaluators, always_combine=True,
+                components, always_combine=True,
                 method="graded-collapse", proposition="Proposition 3.6", **metadata,
             )
 
@@ -836,10 +845,11 @@ class PHomSolver:
         ):
             method = "automaton" if self.prefer in ("automaton", "lineage") else "dp"
             length = collapse_query_to_path_length(query)
-            components = self._instance_components(instance)
-            evaluators = self._polytree_evaluators(length, components, method)
+            components = self._polytree_components(
+                length, self._instance_components(instance), method
+            )
             return ComponentPlan(
-                evaluators, always_combine=False,
+                components, always_combine=False,
                 method="polytree-" + method,
                 proposition="Propositions 5.4 / 5.5 (+ Lemma 3.7)", **metadata,
             )
@@ -860,19 +870,19 @@ class PHomSolver:
         return instance.connected_components()
 
     @staticmethod
-    def _polytree_evaluators(
+    def _polytree_components(
         path_length: int, components: Sequence[ProbabilisticGraph], method: str
     ) -> List:
+        """The ``(kernel, structure)`` pairs of Proposition 5.4's two routes."""
         if method == "automaton":
             return [
-                CircuitComponentEvaluator(
-                    compile_path_circuit_on_polytree(path_length, component)
-                )
+                (DDNNF.evaluate_with, compile_path_circuit_on_polytree(path_length, component))
                 for component in components
             ]
         return [
-            PolytreeDPEvaluator(
-                compile_path_dp_on_polytree(path_length, component.graph)
+            (
+                evaluate_polytree_dp_skeleton,
+                compile_path_dp_on_polytree(path_length, component.graph),
             )
             for component in components
         ]

@@ -54,8 +54,10 @@ from repro.plan import CompiledPlan, PlanCache
 from repro.probability.prob_graph import ProbabilisticGraph
 
 #: Entry header: magic + format version + reserved, then the payload CRC32.
+#: Version 2: component plans hold ``(kernel, structure)`` pairs; version 1
+#: entries pickled wrapper classes that no longer exist.
 STORE_MAGIC = b"RPLN"
-STORE_VERSION = 1
+STORE_VERSION = 2
 _HEADER = struct.Struct("<4sHHI")
 
 

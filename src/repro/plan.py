@@ -12,9 +12,10 @@ probabilities.  A :class:`CompiledPlan` captures the structural phase once:
   override table, by replaying the plan's flat tape (:mod:`repro.tape`);
   against the live table, a hot plan replays only the operations downstream
   of the edges changed since its previous call;
-* :meth:`CompiledPlan.update` maintains a what-if probability table and
-  re-evaluates after a single-edge change, replaying only the tape
-  operations that depend on the changed edge;
+* :meth:`CompiledPlan.update` maintains a what-if probability table (a
+  private copy of the instance) and re-evaluates after a single-edge
+  change, replaying only the tape operations that depend on the changed
+  edge;
 * :class:`PlanCache` is a small LRU keyed on the *canonical query form* and
   the (frozen) instance identity, wired into
   :meth:`~repro.core.solver.PHomSolver.solve` /
@@ -42,9 +43,11 @@ Plans capture *structure only*, so:
   exact session when a new denominator does not divide its ``D``.  Sessions
   are process-local: pickles and :meth:`~CompiledPlan.rebind` drop them, and
   override tables never touch them;
-* the what-if table of :meth:`~CompiledPlan.update` is seeded from the
-  instance once and never reads it again: later ``set_probability`` changes
-  do not reach it, and its updates do not reach :meth:`~CompiledPlan.evaluate`;
+* the what-if table of :meth:`~CompiledPlan.update` is a copy of the
+  instance, seeded once, which a session of its own follows exactly as the
+  live sessions follow the instance: later ``set_probability`` changes to
+  the instance do not reach it, and its updates do not reach
+  :meth:`~CompiledPlan.evaluate`;
 * instance graphs are frozen, so their structure cannot change under a plan;
 * query graphs may be mutable — the cache keys on the canonical *content* of
   the query (recomputed after any mutation), so an edited query simply maps
@@ -57,7 +60,7 @@ from __future__ import annotations
 
 import warnings
 from collections import OrderedDict
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.approx import ApproxEstimate, ApproxParams, karp_luby_probability
 from repro.exceptions import ClassConstraintError, IntractableFallbackWarning, PlanError
@@ -67,9 +70,8 @@ from repro.graphs.classes import (
     is_two_way_path,
     two_way_path_steps,
 )
-from repro.graphs.digraph import DiGraph, Edge, Vertex
+from repro.graphs.digraph import DiGraph, Edge
 from repro.lineage.builders import match_lineage
-from repro.lineage.ddnnf import DDNNF
 from repro.lineage.dnf import PositiveDNF
 from repro.numeric import EXACT, FAST, Number, NumericContext, resolve_context
 from repro.obs.trace import current_tracer
@@ -77,22 +79,6 @@ from repro.probability.brute_force import brute_force_phom
 from repro.probability.prob_graph import ProbabilisticGraph, as_probability
 from repro.query.minimize import query_core
 from repro.tape import TapeEvaluator, compile_plan_tape
-from repro.core.labeled_2wp import (
-    TwoWayPathSkeleton,
-    compile_connected_on_2wp,
-    evaluate_two_way_path_skeleton,
-)
-from repro.core.labeled_dwt import (
-    DWTPathSkeleton,
-    compile_labeled_path_on_dwt,
-    evaluate_dwt_path_skeleton,
-)
-from repro.core.unlabeled_pt import (
-    PolytreeDPSkeleton,
-    compile_path_circuit_on_polytree,
-    compile_path_dp_on_polytree,
-    evaluate_polytree_dp_skeleton,
-)
 
 PrecisionLike = Union[str, NumericContext, None]
 
@@ -147,60 +133,6 @@ def _compute_canonical_key(query: DiGraph) -> Hashable:
 
 
 # ----------------------------------------------------------------------
-# per-component evaluators (the arithmetic half, one instance component each)
-# ----------------------------------------------------------------------
-class ComponentEvaluator:
-    """One component's arithmetic: evaluate against a probability table.
-
-    ``context`` is a :class:`~repro.numeric.NumericContext`, or the tape
-    builder when the plan is lowered (see :mod:`repro.tape`).
-    """
-
-    def evaluate(self, probabilities: Mapping[Edge, Number], context: NumericContext) -> Number:
-        raise NotImplementedError
-
-
-class IntervalEvaluator(ComponentEvaluator):
-    """Proposition 4.11: run-length DP over a compiled interval skeleton."""
-
-    def __init__(self, skeleton: TwoWayPathSkeleton) -> None:
-        self.skeleton = skeleton
-
-    def evaluate(self, probabilities, context):
-        return evaluate_two_way_path_skeleton(self.skeleton, probabilities, context)
-
-
-class DWTPathEvaluator(ComponentEvaluator):
-    """Proposition 4.10: KMP DP over a compiled downward-tree skeleton."""
-
-    def __init__(self, skeleton: DWTPathSkeleton) -> None:
-        self.skeleton = skeleton
-
-    def evaluate(self, probabilities, context):
-        return evaluate_dwt_path_skeleton(self.skeleton, probabilities, context)
-
-
-class PolytreeDPEvaluator(ComponentEvaluator):
-    """Proposition 5.4 (direct route): distribution fold over a rooted skeleton."""
-
-    def __init__(self, skeleton: PolytreeDPSkeleton) -> None:
-        self.skeleton = skeleton
-
-    def evaluate(self, probabilities, context):
-        return evaluate_polytree_dp_skeleton(self.skeleton, probabilities, context)
-
-
-class CircuitComponentEvaluator(ComponentEvaluator):
-    """Proposition 5.4 (automaton route): a compiled d-DNNF lineage circuit."""
-
-    def __init__(self, circuit: DDNNF) -> None:
-        self.circuit = circuit
-
-    def evaluate(self, probabilities, context):
-        return self.circuit.evaluate_with(probabilities, context)
-
-
-# ----------------------------------------------------------------------
 # compiled plans
 # ----------------------------------------------------------------------
 class CompiledPlan:
@@ -223,6 +155,10 @@ class CompiledPlan:
     #: :class:`~repro.tape.TapeEvaluator` from the second on.
     #: Process-local: pickles and :meth:`rebind` drop them.
     _live_sessions: Optional[Dict[str, Optional[TapeEvaluator]]] = None
+
+    #: The what-if session of :meth:`update`: a private copy of the
+    #: instance and the :class:`~repro.tape.TapeEvaluator` following it.
+    _tape_serving: Optional[Tuple[ProbabilisticGraph, TapeEvaluator]] = None
 
     def __init__(
         self,
@@ -373,28 +309,43 @@ class CompiledPlan:
     ) -> Number:
         """Set one edge's probability in the plan's what-if table and re-evaluate.
 
-        The what-if table is a register file over the plan's tape
-        (a :class:`~repro.tape.TapeEvaluator`), seeded from the instance on
-        the first call; each update rewrites the edge's input slot and
-        replays only the tape operations that depend on it, on every
-        tractable route.  The table lives *on the plan* and is separate from
-        the live sessions of :meth:`evaluate` — the instance is
-        never mutated, and because :meth:`PHomSolver.compile` serves cached
-        plan objects, callers that compiled the same canonical query against
-        the same instance share one serving table (use
-        :meth:`ComponentPlan.reset_serving`, or a solver with
+        The what-if table is a private copy of the instance, taken on the
+        first call, that shares its frozen graph.  Each update goes through
+        the copy's :meth:`~repro.probability.prob_graph.ProbabilisticGraph.set_probability`,
+        which validates the edge and the value, and the copy's
+        :class:`~repro.tape.TapeEvaluator` session then replays only the
+        tape operations that depend on the changed edge, on every
+        tractable route (a constant plan's tape has none).  The table lives
+        *on the plan* and is separate from the live sessions of
+        :meth:`evaluate` — the instance is never mutated, and because
+        :meth:`PHomSolver.compile` serves cached plan objects, callers that
+        compiled the same canonical query against the same instance share
+        one serving table (use :meth:`reset_serving`, or a solver with
         ``plan_cache_size=0``, for an independent session).  Switching
         ``precision`` mid-serving raises :class:`PlanError` instead of
         silently discarding the accumulated updates.  Returns the new
         probability.
         """
-        raise PlanError(f"{type(self).__name__} does not support update()")
+        context = self._context(precision)
+        serving = self._tape_serving
+        if serving is None:
+            serving = self._tape_serving = (
+                self.instance._restricted(self.instance.graph),
+                TapeEvaluator(self.tape()),
+            )
+        table, session = serving
+        if session.context is not None and session.context is not context:
+            raise PlanError(
+                f"the serving table was built with precision "
+                f"{session.context.name!r} but update() was called with "
+                f"{context.name!r}; call reset_serving() to switch backends"
+            )
+        table.set_probability(edge, probability)
+        return session.follow(table, context)
 
     def reset_serving(self) -> None:
-        """Drop any serving-side state; the next update() reseeds from the instance.
-
-        A no-op on plan kinds without serving state (constants, fallbacks).
-        """
+        """Drop the what-if table; the next update() reseeds it from the instance."""
+        self._tape_serving = None
 
     def rebind(self, instance: ProbabilisticGraph) -> None:
         """Attach the plan to a *structurally identical* live instance.
@@ -474,50 +425,39 @@ class ConstantPlan(CompiledPlan):
     def _evaluate_with(self, table, context):
         return context.one if self._value_is_one else context.zero
 
-    def evaluate(self, probabilities=None, precision=None):
-        context = self._context(precision)
-        if probabilities is not None:
-            # The verdict ignores the table, but a bad override must fail
-            # here exactly as it would on any other plan kind; validate just
-            # the supplied entries instead of materialising the full table.
-            for key, value in probabilities.items():
-                self.instance._resolve_edge(key)
-                as_probability(value)
-        return context.one if self._value_is_one else context.zero
-
-    def update(self, edge, probability, precision=None):
-        # The verdict does not depend on any edge; resolve the edge and
-        # validate the probability anyway, so a bad update fails here with a
-        # clear error rather than silently succeeding on constant plans only.
-        self.instance._resolve_edge(edge)
-        as_probability(probability)
-        return self.evaluate(precision=precision)
-
 
 class ComponentPlan(CompiledPlan):
-    """A tractable route: per-component evaluators combined through Lemma 3.7.
+    """A tractable route: per-component kernels combined through Lemma 3.7.
+
+    Each component is a ``(kernel, structure)`` pair, evaluated as
+    ``kernel(structure, table, context)``: the interval DP
+    (:func:`~repro.core.labeled_2wp.evaluate_two_way_path_skeleton`), the
+    KMP DP (:func:`~repro.core.labeled_dwt.evaluate_dwt_path_skeleton`),
+    the polytree fold
+    (:func:`~repro.core.unlabeled_pt.evaluate_polytree_dp_skeleton`) or the
+    d-DNNF pass (:meth:`DDNNF.evaluate_with
+    <repro.lineage.ddnnf.DDNNF.evaluate_with>`) over its compiled
+    structure.  ``context`` is a :class:`~repro.numeric.NumericContext`, or
+    the tape builder when the plan is lowered (see :mod:`repro.tape`).
 
     ``always_combine`` mirrors the one-shot code paths: Proposition 3.6
     always runs the survival product over components, while the
     ``_per_component`` routes skip it on connected instances.
     """
 
-    #: The serving session of :meth:`update`: a bound tape evaluator.
-    _tape_serving = None
-
     def __init__(
         self,
-        evaluators: Sequence[ComponentEvaluator],
+        components: Sequence[Tuple[Callable[..., Number], Any]],
         always_combine: bool,
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
-        self._evaluators = list(evaluators)
+        self._components = list(components)
         self._always_combine = always_combine
 
     def _evaluate_with(self, table, context):
         return self._combine(
-            [evaluator.evaluate(table, context) for evaluator in self._evaluators],
+            [kernel(structure, table, context) for kernel, structure in self._components],
             context,
         )
 
@@ -529,26 +469,6 @@ class ComponentPlan(CompiledPlan):
         for value in values:
             survival = mul(survival, compl(value))
         return compl(survival)
-
-    def update(self, edge, probability, precision=None):
-        context = self._context(precision)
-        edge = self.instance._resolve_edge(edge)
-        serving = self._tape_serving
-        if serving is not None and serving.context is not context:
-            raise PlanError(
-                f"the serving table was built with precision "
-                f"{serving.context.name!r} but update() was called with "
-                f"{context.name!r}; call reset_serving() to switch backends"
-            )
-        if serving is None:
-            serving = TapeEvaluator(self.tape())
-            serving.bind(self.instance.probabilities_view(), context)
-            self._tape_serving = serving
-        return serving.update(edge, probability)
-
-    def reset_serving(self) -> None:
-        """Drop the serving table; the next update() reseeds from the instance."""
-        self._tape_serving = None
 
 
 class FallbackPlan(CompiledPlan):
@@ -602,20 +522,18 @@ class FallbackPlan(CompiledPlan):
             self.lineage(), table, params, num_samples=num_samples
         )
 
-    def evaluate(self, probabilities=None, precision=None, approx=None, _warn=True):
-        if approx is not None:
-            return self.estimate(probabilities, params=approx).value
+    def evaluate(self, probabilities=None, precision=None, _warn=True):
         if not self._allow_brute_force:
             raise ClassConstraintError(
                 "this plan was compiled by a solver with brute force disabled; "
-                "use plan.estimate(...) (or evaluate(approx=ApproxParams(...))) "
-                "to sample it instead of enumerating possible worlds"
+                "use plan.estimate(...) to sample it instead of enumerating "
+                "possible worlds"
             )
         if probabilities is not None:
             raise PlanError(
                 "brute-force fallback plans cannot evaluate override tables "
-                "exactly; pass approx=ApproxParams(...) to sample them, or "
-                "update the instance probabilities instead"
+                "exactly; use plan.estimate(probabilities=...) to sample them, "
+                "or update the instance probabilities instead"
             )
         context = self._context(precision)
         if _warn:

@@ -307,9 +307,10 @@ class ProbabilisticGraph:
     def _restricted(self, subgraph: DiGraph) -> "ProbabilisticGraph":
         """This instance's probabilities on a frozen subgraph, which is shared, not copied.
 
-        The private constructor of the component split: it bypasses
-        :meth:`__init__`'s graph copy and probability validation, because
-        the subgraph is frozen and this instance's table is already valid.
+        The private constructor of the component split and of a plan's
+        what-if table: it bypasses :meth:`__init__`'s graph copy and
+        probability validation, because the subgraph is frozen and this
+        instance's table is already valid.
         """
         # Edges compare by value, so the subgraph's edges index this
         # instance's probability table directly — no per-edge get_edge

@@ -296,22 +296,40 @@ def request_from_json_dict(data: Dict[str, Any]) -> ServiceRequest:
         raise ServiceError("solve request must name an 'instance' id")
     if "query" not in data:
         raise ServiceError("solve request must carry a 'query' graph or string")
-    seed = data.get("seed")
-    epsilon = data.get("epsilon")
-    delta = data.get("delta")
-    deadline_ms = data.get("deadline_ms")
     return ServiceRequest(
         query=_query_from_payload(data["query"]),
         instance_id=str(data["instance"]),
         method=str(data.get("method", "auto")),
         precision=data.get("precision"),
-        epsilon=float(epsilon) if epsilon is not None else None,
-        delta=float(delta) if delta is not None else None,
-        seed=int(seed) if seed is not None else None,
+        epsilon=_numeric_field(data, "epsilon", float),
+        delta=_numeric_field(data, "delta", float),
+        seed=_numeric_field(data, "seed", int),
         request_id=str(data["id"]) if "id" in data else None,
-        deadline_ms=float(deadline_ms) if deadline_ms is not None else None,
+        deadline_ms=_numeric_field(data, "deadline_ms", float),
         on_deadline=str(data.get("on_deadline", "error")),
     )
+
+
+def _numeric_field(data: Dict[str, Any], name: str, kind: type) -> Any:
+    """``data[name]`` as ``kind`` (``int`` or ``float``), ``None`` when absent.
+
+    Numbers and numeric strings convert as ``kind(value)`` does, and an
+    integral float is a valid ``int``.  Booleans and a float with a
+    fraction would convert silently to another value (``true`` to 1,
+    1.5 to 1), so they are rejected, like anything else ``kind`` refuses,
+    with a :class:`~repro.exceptions.ServiceError` naming the field.
+    """
+    value = data.get(name)
+    if value is None:
+        return None
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if not isinstance(value, bool) and not fractional:
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    expected = "an integer" if kind is int else "a number"
+    raise ServiceError(f"solve field {name!r} must be {expected}, got {value!r}")
 
 
 def result_to_json_dict(outcome: ServiceResult) -> Dict[str, Any]:

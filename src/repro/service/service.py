@@ -47,7 +47,7 @@ import time
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.approx import ApproxParams
 from repro.core.solver import PHomResult, PHomSolver, requalify_result
@@ -210,6 +210,38 @@ class _InstanceJournal:
     def register_payload(self, instance_id: str) -> Tuple:
         """The worker's ``register`` payload: the journal bytes, untouched."""
         return (instance_id, self.snapshot, tuple(self.updates.items()))
+
+
+def replay_journals(records: Iterable[Any]) -> "OrderedDict[str, _InstanceJournal]":
+    """Fold write-ahead log records into one journal per instance.
+
+    A later registration supersedes everything before it, and updates go
+    through :meth:`_InstanceJournal.record`, exactly like live ones.
+    Unknown record shapes are skipped, not fatal, and so are non-string
+    ids, which older logs may hold.  Both a restarting
+    :class:`QueryService` and ``repro store compact`` fold a log here.
+    """
+    journals: "OrderedDict[str, _InstanceJournal]" = OrderedDict()
+    for record in records:
+        if not (isinstance(record, tuple) and len(record) >= 2):
+            continue
+        kind, instance_id = record[0], record[1]
+        if not isinstance(instance_id, str):
+            continue
+        if kind == "register" and len(record) == 3:
+            journals.pop(instance_id, None)
+            journals[instance_id] = _InstanceJournal(record[2])
+        elif kind == "update" and len(record) == 4 and instance_id in journals:
+            journals[instance_id].record(record[2], record[3])
+    return journals
+
+
+def compaction_records(journals: Mapping[str, _InstanceJournal]) -> List[Tuple]:
+    """The compacted log: one registration with a folded snapshot per instance."""
+    return [
+        ("register", instance_id, journal.folded_snapshot())
+        for instance_id, journal in journals.items()
+    ]
 
 
 @dataclass
@@ -514,26 +546,14 @@ class QueryService:
 
         Runs once, at the end of ``__init__`` (after the worker pool — or
         the inline state — exists).  Replay folds the log into per-instance
-        journals (a later registration supersedes everything before it, and
-        updates go through :meth:`_InstanceJournal.record`, exactly like
-        live ones), re-registers each restored instance with its owning
-        worker, and asks that worker to pre-load the instance's stored
-        plans.  The result is recorded in :attr:`recovery`.
+        journals (:func:`replay_journals`), re-registers each restored
+        instance with its owning worker, and asks that worker to pre-load
+        the instance's stored plans.  The result is recorded in
+        :attr:`recovery`.
         """
         if self._wal is None:
             return
-        journals: "OrderedDict[str, _InstanceJournal]" = OrderedDict()
-        for record in self._wal.replay():
-            if not (isinstance(record, tuple) and len(record) >= 2):
-                continue  # unknown record shapes are skipped, not fatal
-            kind, instance_id = record[0], record[1]
-            if not isinstance(instance_id, str):
-                continue  # nor is a non-string id, which older logs may hold
-            if kind == "register" and len(record) == 3:
-                journals.pop(instance_id, None)
-                journals[instance_id] = _InstanceJournal(record[2])
-            elif kind == "update" and len(record) == 4 and instance_id in journals:
-                journals[instance_id].record(record[2], record[3])
+        journals = replay_journals(self._wal.replay())
         restored = 0
         warmed = 0
         highest_numbered = -1
@@ -588,12 +608,8 @@ class QueryService:
         """
         if self._wal is None:
             return
-        records = [
-            ("register", instance_id, journal.folded_snapshot())
-            for instance_id, journal in self._journal.items()
-        ]
         try:
-            self._wal.compact(records)
+            self._wal.compact(compaction_records(self._journal))
         except OSError:  # pragma: no cover - compaction needs disk space
             self.wal_errors += 1
 

@@ -121,24 +121,17 @@ class WorkerState:
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
-    def register(
-        self,
-        instance_id: str,
-        instance: Any,
-        updates: Tuple = (),
-    ) -> int:
+    def register(self, instance_id: str, snapshot: bytes, updates: Tuple) -> int:
         """Install (or replace) an instance; returns its edge count.
 
         The coordinator registers an instance only on its owner, so a
-        worker holds exactly the instances it owns.  ``instance`` is a
-        :class:`ProbabilisticGraph` or its pickled bytes (the coordinator
-        ships its journal snapshot verbatim — serialized once, unpickled
-        here — for registrations and restart replays alike); ``updates`` is
-        the journal's folded ``(endpoints, probability)`` tail, applied on
-        top of the snapshot.
+        worker holds exactly the instances it owns.  The payload is the
+        coordinator's journal, for registrations and restart replays
+        alike: ``snapshot`` is the pickled instance, shipped verbatim —
+        serialized once, unpickled here — and ``updates`` is the journal's
+        folded ``(endpoints, probability)`` tail, applied on top of it.
         """
-        if isinstance(instance, (bytes, bytearray)):
-            instance = pickle.loads(instance)
+        instance = pickle.loads(snapshot)
         for endpoints, probability in updates:
             instance.set_probability(endpoints, probability)
         self.instances[instance_id] = instance
@@ -392,8 +385,8 @@ def handle_message(state: WorkerState, op: str, payload: Any) -> Tuple[str, Any]
             finally:
                 tracer.release(token)
         if op == "register":
-            instance_id, instance, *updates = payload
-            return ("ok", state.register(instance_id, instance, *updates))
+            instance_id, snapshot, updates = payload
+            return ("ok", state.register(instance_id, snapshot, updates))
         if op == "update":
             instance_id, endpoints, probability = payload
             state.update(instance_id, endpoints, probability)

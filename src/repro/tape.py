@@ -85,7 +85,7 @@ from repro.exceptions import PlanError
 from repro.graphs.digraph import Edge
 from repro.numeric import Number, NumericContext, numpy_module, resolve_context
 from repro.obs.trace import current_tracer
-from repro.probability.prob_graph import ProbabilisticGraph, as_probability
+from repro.probability.prob_graph import ProbabilisticGraph
 
 #: Opcodes of the tape instruction set.  ``COMPL`` is the semiring
 #: complement ``dst = 1 - lhs`` (``rhs`` unused); the rest are binary.
@@ -757,14 +757,16 @@ class PlanTape:
 class TapeEvaluator:
     """A register-file session over one tape: one full pass, then catch-ups.
 
-    :meth:`bind` replays the whole tape once and keeps its registers.
-    After that, :meth:`update` (one what-if change) and :meth:`follow` (the
-    changes a live instance logged since the last call) rewrite the
-    changed input slots and replay only the operations transitively
-    reading them: the per-input sub-programs memoised on the tape
+    :meth:`follow` is the only entry point.  Its first call replays the
+    whole tape once over an instance's table and keeps the registers.
+    Later calls rewrite the input slots of the edges the instance logged
+    since, and replay only the operations transitively reading them: the
+    per-input sub-programs memoised on the tape
     (:meth:`PlanTape._sub_programs`), merged in tape order.  A merged
     program longer than :data:`FULL_REPLAY_FRACTION` of the tape replays
-    the whole tape instead.
+    the whole tape instead.  A plan keeps one session per precision on its
+    live instance (:meth:`repro.plan.CompiledPlan.evaluate`) and one on its
+    what-if copy (:meth:`repro.plan.CompiledPlan.update`).
 
     A float session keeps float registers.  Replayed ops recompute from
     identical operands, so its answers are bitwise-identical to a full
@@ -785,22 +787,13 @@ class TapeEvaluator:
         #: Exact sessions: ``D`` and its powers; ``None`` in float.
         self._den: Optional[int] = None
         self._powers: Optional[List[int]] = None
-        #: The live instance and the version :meth:`follow` last caught up to.
+        #: The instance and the version :meth:`follow` last caught up to.
         self._instance: Optional[ProbabilisticGraph] = None
         self._version = 0
         #: How the last call ran: ``"bind"`` or ``"catch_up"``, and how
         #: many operations it replayed.
         self.path = "bind"
         self.replayed = 0
-
-    def bind(
-        self,
-        probabilities: Mapping[Edge, Number],
-        precision: Any = None,
-    ) -> Number:
-        """Full pass over ``probabilities``; keeps the register file."""
-        self._instance = None
-        return self._bind(self.tape._inputs_of(probabilities), resolve_context(precision))
 
     def _bind(self, inputs: Sequence[Any], context: NumericContext) -> Number:
         tape = self.tape
@@ -817,35 +810,15 @@ class TapeEvaluator:
         self.replayed = tape.num_ops()
         return self._root
 
-    def update(self, edge: Edge, probability: Any) -> Number:
-        """Set one edge's probability and replay only the ops depending on it.
-
-        ``probability`` is validated and converted through the bound
-        precision, so an exact session given a float still answers a
-        Fraction.  An edge the tape never reads leaves the value unchanged
-        — the probability provably does not affect the result.  Returns
-        the new root value.
-        """
-        if self._registers is None:
-            raise PlanError("call bind() before update()")
-        value = as_probability(probability)
-        # The registers no longer mirror a live table: the next follow()
-        # rebinds.
-        self._instance = None
-        position = self.tape._input_positions().get(edge)
-        if position is None:
-            self.path, self.replayed = "catch_up", 0
-            return self._root
-        return self._apply({position: value})
-
     def follow(self, instance: ProbabilisticGraph, precision: Any = None) -> Number:
         """The root over ``instance``'s live table, caught up with its changes.
 
         The first call binds.  Later calls replay only what the edges
         logged by :meth:`~repro.probability.prob_graph.ProbabilisticGraph.set_probability`
         since the previous call read, so a call with no change returns the
-        stored root.  The session rebinds when the instance's change log no
-        longer reaches back to its last call, or when it is given another
+        stored root, and so does a change to an edge the tape never reads.
+        The session rebinds when the instance's change log no longer
+        reaches back to its last call, or when it is given another
         instance or precision.
         """
         context = resolve_context(precision)
@@ -902,12 +875,6 @@ class TapeEvaluator:
             self._root = tape._exact_root(registers, self._powers)
         self.path = "catch_up"
         self.replayed = tape.num_ops() if program is None else len(program)
-        return self._root
-
-    def current_value(self) -> Number:
-        """The root value from the last bind/update/follow."""
-        if self._registers is None:
-            raise PlanError("call bind() before current_value()")
         return self._root
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -8,6 +8,7 @@ violation astronomically unlikely, and several seeds are exercised.
 
 from __future__ import annotations
 
+import inspect
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from repro.approx import (
     sample_world_edges,
 )
 from repro.core.solver import PHomSolver, phom_probability
-from repro.exceptions import ClassConstraintError, LineageError, ReproError
+from repro.exceptions import ClassConstraintError, LineageError, PlanError, ReproError
 from repro.graphs.builders import one_way_path
 from repro.lineage.dnf import PositiveDNF
 from repro.plan import FallbackPlan
@@ -337,10 +338,16 @@ class TestFallbackPlanSampling:
             exact = float(phom_probability(workload.query, mirror, precision="float"))
         assert abs(estimate.value - exact) <= max(0.1 * exact, 1e-9)
 
-    def test_evaluate_approx_keyword(self, compiled):
+    def test_estimate_is_the_one_sampling_entry(self, compiled):
+        # evaluate() never samples: it takes no approx parameter, and its
+        # override error points to estimate(), whose seed pins the value.
         _workload, plan = compiled
+        assert "approx" not in inspect.signature(plan.evaluate).parameters
+        with pytest.raises(PlanError, match=r"plan\.estimate\(") as caught:
+            plan.evaluate(probabilities={})
+        assert "approx" not in str(caught.value)
         params = ApproxParams(epsilon=0.1, delta=0.05, seed=13)
-        assert plan.evaluate(approx=params) == plan.estimate(params=params).value
+        assert plan.estimate(params=params).value == plan.estimate(params=params).value
 
     def test_no_brute_force_plan_refuses_exact_evaluate_but_samples(self):
         # A solver with brute force disabled still compiles fallback plans in
@@ -350,8 +357,8 @@ class TestFallbackPlanSampling:
         solver = PHomSolver(allow_brute_force=False, precision="approx", seed=41)
         plan = solver.compile(workload.query, workload.instance)
         assert isinstance(plan, FallbackPlan)
-        with pytest.raises(ClassConstraintError):
+        with pytest.raises(ClassConstraintError, match=r"plan\.estimate\(") as caught:
             plan.evaluate()
+        assert "approx" not in str(caught.value)
         params = ApproxParams(epsilon=0.2, delta=0.2, seed=41)
-        assert 0.0 <= plan.evaluate(approx=params) <= 1.0
         assert 0.0 <= plan.estimate(params=params).value <= 1.0

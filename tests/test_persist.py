@@ -34,6 +34,7 @@ from repro.persist import (
     plan_store_key,
     scan_wal,
 )
+from repro.persist.store import STORE_VERSION
 from repro.persist.wal import WAL_MAGIC
 from repro.probability.prob_graph import ProbabilisticGraph
 from repro.service import DiskFaultInjector, Fault, FaultPlan
@@ -513,6 +514,29 @@ class TestTapePersistence:
                                      "failures": {}}
         (row,) = verifier.inspect()
         assert row["tape"] is True
+
+    def test_old_version_entry_is_a_miss_then_recompiled(self, tmp_path):
+        # Version 1 entries pickled ComponentPlans with wrapper classes
+        # that no longer exist: the header refuses them before unpickling.
+        instance = build_instance(191)
+        query = build_query(192)
+        writer = PHomSolver(plan_store=str(tmp_path / "plans"))
+        expected = writer.solve(query, instance).probability
+        (path,) = entry_files(tmp_path / "plans")
+        blob = bytearray(open(path, "rb").read())
+        assert STORE_VERSION > 1
+        blob[4:6] = (1).to_bytes(2, "little")
+        with open(path, "wb") as handle:
+            handle.write(bytes(blob))
+        report = PlanStore(str(tmp_path / "plans")).verify()
+        assert report["failures"] == {path: "unsupported version 1"}
+
+        reader = PHomSolver(plan_store=str(tmp_path / "plans"))
+        assert reader.solve(query, instance).probability == expected
+        stats = reader.plan_cache.stats
+        assert stats["loads"] == 0 and stats["compiles"] == 1
+        assert stats["store"]["corrupt"] == 1
+        assert PlanStore(str(tmp_path / "plans")).verify()["valid"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -481,6 +481,38 @@ class TestJsonlProtocol:
         assert by_id["nan"]["line"] == 3
         assert "error" not in by_id["r1"] and "error" not in by_id["r2"]
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("seed", 1.5), ("seed", True), ("seed", "x"), ("deadline_ms", True),
+         ("epsilon", True), ("delta", False)],
+    )
+    def test_bad_numeric_fields_are_failure_records(self, field, value):
+        # Coercion would answer another request: seed 1.5 as seed 1 (one
+        # shared estimate and coalesce key), true as 1 or a 1 ms deadline.
+        instance = build_instance(67)
+        query = trace_queries(69, 1)[0]
+        bad = json.dumps(
+            {"op": "solve", "id": "bad", "instance": "inst",
+             "query": graph_to_dict(query), "precision": "approx", field: value}
+        )
+        good = json.dumps(
+            {"op": "solve", "id": "good", "instance": "inst",
+             "query": graph_to_dict(query), "precision": "approx",
+             "seed": "3", "epsilon": 0.2, "delta": 0.2, "deadline_ms": 60000.0}
+        )
+        integral = good.replace('"seed": "3"', '"seed": 3.0').replace('"good"', '"integral"')
+        lines = self.make_lines(instance, query, extra=[bad, good, integral])
+        out = io.StringIO()
+        with QueryService(num_workers=0) as service:
+            code = run_jsonl_session(lines, out, service)
+        assert code == 1
+        parsed = [json.loads(line) for line in out.getvalue().splitlines()]
+        by_id = {record["id"]: record for record in parsed if "id" in record}
+        assert by_id["bad"]["error_class"] == "ServiceError"
+        assert repr(field) in by_id["bad"]["error"]
+        assert "error" not in by_id["good"] and "error" not in by_id["integral"]
+        assert by_id["good"]["probability"] == by_id["integral"]["probability"]
+
     def test_cli_serve_batch(self, tmp_path):
         instance = build_instance(59)
         query = trace_queries(61, 1)[0]

@@ -14,12 +14,14 @@ Runs under the ``test_service*`` SIGALRM wall-clock guard from
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 import signal
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.core.solver import PHomSolver
 from repro.exceptions import ServiceError
 from repro.graphs.classes import GraphClass
@@ -127,6 +129,41 @@ def test_non_string_ids_in_the_wal_are_skipped(tmp_path):
         assert sorted(service._instances) == ["good"]
         answer = service.submit(query, "good").result.probability
     assert answer == oracle(instance, [], [query])[0]
+
+
+def test_store_compact_folds_the_log_like_a_restart(tmp_path):
+    instance = build_instance(SEED + 14, size=10)
+    queries = [build_query(SEED + 15 + i) for i in range(2)]
+    snapshot = pickle.dumps(instance)
+    updates = some_updates(instance, 3)
+    records = [("register", 5, snapshot), ("register", "good", snapshot)]
+    records += [("update", "good", endpoints, p) for endpoints, p in updates]
+    records.append(("update", 5, updates[0][0], "1/2"))
+    records.append(("update", "good", updates[0][0], "3/5"))
+    answers = {}
+    for name in ("logged", "compacted"):
+        state = str(tmp_path / name)
+        wal = WriteAheadLog(os.path.join(state, "wal"))
+        for record in records:
+            wal.append(record)
+        wal.close()
+        if name == "compacted":
+            out, err = io.StringIO(), io.StringIO()
+            assert cli_main(["store", "compact", state], out=out, err=err) == 0
+            assert f"compacted {len(records)} record(s) into 1 snapshot(s)" in out.getvalue()
+            with WriteAheadLog(os.path.join(state, "wal")) as wal:
+                assert [record[:2] for record in wal.replay()] == [("register", "good")]
+        with QueryService(num_workers=0, state_dir=state) as service:
+            assert sorted(service._instances) == ["good"]
+            answers[name] = [
+                service.submit(query, "good", precision=precision).result.probability
+                for query in queries
+                for precision in ("exact", "float")
+            ]
+    assert answers["compacted"] == answers["logged"]
+    assert answers["logged"][::2] == oracle(
+        instance, updates + [(updates[0][0], "3/5")], queries
+    )
 
 
 def test_state_dir_must_be_a_directory(tmp_path):

@@ -212,7 +212,7 @@ class TestSnapshotShipping:
         state = WorkerState(0, PHomSolver(), "exact")
         instance = build_instance(95)
         blob = pickle.dumps(instance, protocol=pickle.HIGHEST_PROTOCOL)
-        status, edge_count = handle_message(state, "register", ("iid", blob))
+        status, edge_count = handle_message(state, "register", ("iid", blob, ()))
         assert status == "ok"
         assert edge_count == instance.graph.num_edges()
         installed = state.instances["iid"]
@@ -221,6 +221,10 @@ class TestSnapshotShipping:
         assert installed is not instance
         edge = instance.uncertain_edges()[0]
         assert installed.probability(edge) == instance.probability(edge)
+        # The journal payload is the only shape: no bare instance, no 2-tuple.
+        assert handle_message(state, "register", ("other", blob))[0] == "error"
+        assert handle_message(state, "register", ("other", instance, ()))[0] == "error"
+        assert "other" not in state.instances
 
     def test_worker_register_applies_journal_update_tail(self):
         state = WorkerState(0, PHomSolver(), "exact")

@@ -28,6 +28,7 @@ from repro.exceptions import (
     GraphError,
     IntractableFallbackWarning,
     PlanError,
+    ProbabilityError,
     ReproError,
 )
 from repro.graphs.builders import one_way_path
@@ -36,6 +37,7 @@ from repro.graphs.digraph import Edge
 from repro.numeric import EXACT, resolve_context
 from repro.obs.trace import Tracer, set_tracer
 from repro.graphs.digraph import DiGraph
+from repro.persist import PlanStore, instance_digest
 from repro.plan import ComponentPlan, ConstantPlan, FallbackPlan
 from repro.probability.brute_force import brute_force_phom
 from repro.probability.prob_graph import CHANGE_LOG_LIMIT, ProbabilisticGraph
@@ -197,7 +199,7 @@ def random_probability(rng: random.Random) -> Fraction:
 
 
 def object_graph(plan, overrides=None, precision="exact"):
-    """The plan's answer from its object-graph evaluators, never its tape.
+    """The plan's answer from its kernels run on numbers, never its tape.
 
     ``plan.evaluate`` always replays the tape, so comparing a tape
     against it would compare the tape with itself.
@@ -530,62 +532,112 @@ class TestTapeUpdateStream:
     def test_tape_evaluator_updates_match_full_replay(self):
         workload, plan, rng = route_plan(4)
         tape = plan.tape()
-        table = dict(workload.instance.probabilities_view())
-        evaluator = TapeEvaluator(tape)
-        evaluator.bind(table)
-        edges = workload.instance.edges()
+        instance = workload.instance
+        session = TapeEvaluator(tape)
+        assert session.follow(instance) == tape.evaluate(dict(instance.probabilities_view()))
+        edges = instance.edges()
         for _ in range(15):
-            edge = edges[rng.randrange(len(edges))]
-            value = random_probability(rng)
-            table[edge] = value
-            got = evaluator.update(edge, value)
-            assert got == tape.evaluate(table)
-            assert evaluator.current_value() == got
+            instance.set_probability(edges[rng.randrange(len(edges))], random_probability(rng))
+            got = session.follow(instance)
+            assert got == tape.evaluate(dict(instance.probabilities_view()))
+            # With nothing set since, the stored root answers.
+            assert session.follow(instance) == got
+            assert (session.path, session.replayed) == ("catch_up", 0)
 
     def test_update_of_unread_edge_keeps_value(self):
         # An edge the tape has no input slot for cannot affect the result:
-        # the evaluator returns the current root unchanged, while the
-        # plan-level path rejects edges that are not part of the instance
-        # at all.
+        # a constant plan's tape reads no edge, so its updates replay
+        # nothing, while edges outside the instance are rejected.
         workload, plan, _rng = route_plan(0)
-        tape = plan.tape()
         foreign = Edge("tape-test-x", "tape-test-y", "R")
-        assert foreign not in dict(tape.inputs)
-        evaluator = TapeEvaluator(tape)
-        before = evaluator.bind(dict(workload.instance.probabilities_view()))
-        assert evaluator.update(foreign, Fraction(1, 9)) == before
+        assert foreign not in dict(plan.tape().inputs)
         with pytest.raises(GraphError):
             plan.update(foreign, Fraction(1, 9))
+        constant = PHomSolver().compile(one_way_path(["Z"], prefix="q"), workload.instance)
+        assert isinstance(constant, ConstantPlan)
+        assert constant.tape().num_inputs() == 0
+        edge = workload.instance.edges()[0]
+        assert constant.update(edge, Fraction(1, 9)) == 0
+        _table, session = constant._tape_serving
+        assert constant.update(edge, Fraction(1, 7)) == 0
+        assert (session.path, session.replayed) == ("catch_up", 0)
+        with pytest.raises(GraphError):
+            constant.update(foreign, Fraction(1, 9))
 
     def test_exact_session_converts_a_float_update(self):
-        # An exact session must answer a Fraction whatever number type an
+        # An exact plan must answer a Fraction whatever number type an
         # update brings: the value goes through as_probability and the
-        # bound precision, never straight into a register.
+        # session's precision, never straight into a register.
         graph = DiGraph(edges=[("a", "b", "R"), ("b", "c", "S")])
         instance = ProbabilisticGraph(graph, {("a", "b"): "1/2", ("b", "c"): "1/3"})
         plan = PHomSolver().compile(one_way_path(["R", "S"]), instance)
-        evaluator = TapeEvaluator(plan.tape())
-        assert evaluator.bind(instance.probabilities_view()) == Fraction(1, 6)
         edge = instance.edges()[0]
-        got = evaluator.update(edge, 0.5)
+        got = plan.update(edge, 0.5)
         assert isinstance(got, Fraction) and got == Fraction(1, 6)
-        assert evaluator.update(edge, 0.25) == Fraction(1, 12)
+        assert plan.update(edge, 0.25) == Fraction(1, 12)
         with pytest.raises(ReproError):
-            evaluator.update(edge, 1.5)
-        floaty = TapeEvaluator(plan.tape())
-        floaty.bind(instance.probabilities_view(), precision="float")
+            plan.update(edge, 1.5)
+        plan.reset_serving()
         table = dict(instance.float_probabilities())
         table[edge] = 0.25
         want = plan.tape().evaluate(table, precision="float")
-        assert floaty.update(edge, Fraction(1, 4)).hex() == want.hex()
+        assert plan.update(edge, Fraction(1, 4), precision="float").hex() == want.hex()
 
-    def test_update_before_bind_raises(self):
+    def test_follow_is_the_only_session_entry(self):
+        # A session has no unbound state to misuse: its first follow() binds.
         workload, plan, _rng = route_plan(0)
-        evaluator = TapeEvaluator(plan.tape())
+        public = {name for name in vars(TapeEvaluator) if not name.startswith("_")}
+        assert public == {"follow"}
+        session = TapeEvaluator(plan.tape())
+        assert session.follow(workload.instance) == fresh_exact(
+            workload.query, workload.instance
+        )
+        assert (session.path, session.replayed) == ("bind", plan.tape().num_ops())
+
+    @pytest.mark.parametrize("precision", ["exact", "float"])
+    @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
+    def test_what_if_stream_matches_a_fresh_solve(self, index, precision):
+        workload, plan, rng = dispatch_plan(index)
+        context = resolve_context(precision)
+        mirror = ProbabilisticGraph(
+            workload.instance.graph, workload.instance.probabilities()
+        )
+        edges = workload.instance.edges()
+        for step in range(12):
+            edge = rng.choice(edges)
+            value = random_probability(rng)
+            got = plan.update(edge, value, precision=precision)
+            mirror.set_probability(edge, value)
+            want = plan.tape().evaluate(context.instance_probabilities(mirror), context)
+            assert type(got) is type(want)
+            if precision == "exact":
+                assert got == want == fresh_exact(workload.query, mirror), step
+            else:
+                assert got.hex() == want.hex(), step
+
+    @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
+    def test_failed_update_leaves_the_what_if_table_untouched(self, index):
+        workload, plan, _rng = dispatch_plan(index)
+        instance = workload.instance
+        first, second = instance.edges()[0], instance.edges()[-1]
+        mirror = ProbabilisticGraph(instance.graph, instance.probabilities())
+        plan.update(first, Fraction(1, 3))
+        mirror.set_probability(first, Fraction(1, 3))
+        with pytest.raises(ProbabilityError):
+            plan.update(second, Fraction(3, 2))
+        with pytest.raises(GraphError):
+            plan.update(Edge("tape-test-x", "tape-test-y", "R"), Fraction(1, 2))
         with pytest.raises(PlanError):
-            evaluator.update(workload.instance.edges()[0], Fraction(1, 2))
-        with pytest.raises(PlanError):
-            evaluator.current_value()
+            plan.update(second, Fraction(1, 5), precision="float")
+        # None of the failed calls reached the table.
+        mirror.set_probability(second, Fraction(2, 5))
+        assert plan.update(second, Fraction(2, 5)) == fresh_exact(workload.query, mirror)
+        # A reset reseeds from the instance, which never saw those updates.
+        plan.reset_serving()
+        reseeded = ProbabilisticGraph(instance.graph, instance.probabilities())
+        reseeded.set_probability(second, Fraction(2, 5))
+        want = plan.tape().evaluate(reseeded.float_probabilities(), "float")
+        assert plan.update(second, Fraction(2, 5), precision="float").hex() == want.hex()
 
     def test_precision_switch_mid_serving_raises(self):
         workload, plan, _rng = route_plan(0)
@@ -735,9 +787,12 @@ class TestLiveCatchUp:
         wider.set_probability(("a", "b"), "1/3")  # 3 divides D = 6
         assert session.follow(wider) == Fraction(1, 9) == brute_force_phom(query, wider)
         assert session.path == "catch_up" and session.replayed > 0
-        # A what-if update detaches the registers from the live table: the
-        # next follow() rebinds instead of catching up from them.
-        assert session.update(wider.graph.get_edge("b", "c"), "1/2") == Fraction(1, 6)
+        # Following another instance (a plan's what-if copy is one) moves
+        # the registers off this one: following it again rebinds.
+        twin = ProbabilisticGraph(wider.graph, wider.probabilities())
+        twin.set_probability(("b", "c"), "1/2")
+        assert session.follow(twin) == Fraction(1, 6)
+        assert session.path == "bind"
         assert session.follow(wider) == Fraction(1, 9)
         assert session.path == "bind"
         # So does another precision.
@@ -946,6 +1001,29 @@ class TestTapeStructure:
     def test_compile_is_memoised_on_the_plan(self):
         _workload, plan, _rng = route_plan(0)
         assert plan.tape() is plan.tape()
+
+    @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
+    def test_kernel_pairs_round_trip_through_pickle_and_the_store(self, index, tmp_path):
+        # A ComponentPlan holds (kernel, structure) pairs; the kernels are
+        # module functions or DDNNF.evaluate_with, which pickle by name.
+        workload, plan, _rng = dispatch_plan(index)
+        want = plan.evaluate()
+        store = PlanStore(str(tmp_path))
+        digest = instance_digest(workload.instance)
+        store.put("key", digest, "ns", plan)
+        copies = [
+            pickle.loads(pickle.dumps(plan, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        copies.append(store.get("key", digest, "ns"))
+        kernels = [kernel for kernel, _structure in plan._components]
+        for copy in copies:
+            assert [kernel for kernel, _structure in copy._components] == kernels
+            assert copy.evaluate() == want
+            assert object_graph(copy) == want
+            relowered = compile_plan_tape(copy)
+            assert program_digest(relowered) == program_digest(plan.tape())
+            assert relowered.inputs == plan.tape().inputs
 
 
 # ----------------------------------------------------------------------
