@@ -11,6 +11,7 @@ as
                                      [--min-first-exact-speedup V]
                                      [--min-interval-match-speedup U]
                                      [--min-live-speedup T]
+                                     [--min-repeated-lane-speedup S]
 
 or through the CLI as ``repro bench plans``.  The recorded artefact,
 ``BENCH_plans.json``, is checked into the repository root and tracks the
@@ -22,8 +23,10 @@ versus one ``plan.evaluate`` call per valuation — and, per route, exact
 evaluation on the object graph versus on the integer tape, both in steady
 state and for a cold plan's first answer (lowering included),
 Proposition 4.11's bitset interval matching versus the X-property sweep,
-and a live ``plan.evaluate()`` catch-up after one ``set_probability``
-versus a full tape replay (the ``live`` row).  The
+a live ``plan.evaluate()`` catch-up after one ``set_probability``
+versus a full tape replay (the ``live`` row), and a batch of 256 lanes
+drawn from 8 tables versus 256 distinct lanes (the tape row's
+``repeated`` point).  The
 ``--min-*-speedup`` flags turn regressions into a non-zero exit code, which
 CI uses as a smoke gate.
 """

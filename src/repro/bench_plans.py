@@ -23,7 +23,8 @@ module measures exactly that, plus the incremental single-edge update path:
   vectorized pass over the plan's flat tape
   (:meth:`repro.plan.CompiledPlan.evaluate_many`, see :mod:`repro.tape`)
   versus one ``plan.evaluate`` call per valuation, across batch sizes
-  1 / 16 / 256;
+  1 / 16 / 256, plus a ``repeated`` point: 256 lanes drawn from 8 of the
+  tables, which run once per distinct table, versus 256 distinct lanes;
 * ``exact_evaluate`` — per workload (one dispatch route each), one exact
   evaluation on the object graph versus one replay of the plan's tape on
   integer registers, plus the lowering time that replay amortises;
@@ -601,6 +602,11 @@ def run_live_benchmark(instance_size: int, changes: int) -> Dict[str, object]:
     }
 
 
+#: The ``repeated`` point of the tape row draws its lanes from this many
+#: tables, as the repository benchmark's what-if calls do.
+REPEATED_TABLES = 8
+
+
 def run_tape_benchmark(
     instance_size: int, batch_sizes: Tuple[int, ...] = (1, 16, 256)
 ) -> Dict[str, object]:
@@ -612,7 +618,10 @@ def run_tape_benchmark(
     must be bit-identical to looped ``evaluate`` calls, and the float
     backend must stay within ``FLOAT_TOLERANCE`` of the per-call float
     path.  Each valuation overrides a couple of edge probabilities — the
-    serving drift shape the batched path is built for.
+    serving drift shape the batched path is built for.  The ``repeated``
+    point times the largest batch drawn from :data:`REPEATED_TABLES` of
+    those valuations against the same number of distinct ones; its float
+    answers must equal per-lane ``plan.evaluate`` calls.
     """
     from repro.numeric import numpy_module
 
@@ -675,6 +684,22 @@ def run_tape_benchmark(
                 "speedup": round(speedup, 2),
             }
         )
+
+    # Repeated lanes: what-if serving draws its lanes from a few tables,
+    # and a batch runs once per distinct one.
+    repeated = [rng.choice(batch[:REPEATED_TABLES]) for _ in range(largest)]
+    if plan.evaluate_many(repeated, precision="float") != [
+        plan.evaluate(overrides, precision="float") for overrides in repeated
+    ]:
+        raise AssertionError(
+            "float evaluate_many on repeated lanes differs from per-lane evaluate"
+        )
+    distinct_seconds = min(
+        _time(lambda: plan.evaluate_many(batch, precision="float")) for _ in range(3)
+    )
+    repeated_seconds = min(
+        _time(lambda: plan.evaluate_many(repeated, precision="float")) for _ in range(3)
+    )
     return {
         "description": (
             f"batched tape re-evaluation on a {graph.num_vertices()}-vertex "
@@ -686,6 +711,13 @@ def run_tape_benchmark(
         "instance_edges": graph.num_edges(),
         "tape_batch": curve,
         "batched_speedup": curve[-1]["speedup"],
+        "repeated": {
+            "batch": largest,
+            "tables": REPEATED_TABLES,
+            "distinct_seconds": round(distinct_seconds, 6),
+            "repeated_seconds": round(repeated_seconds, 6),
+            "speedup": round(distinct_seconds / repeated_seconds, 2),
+        },
         "exact_bit_identical": True,
         "float_max_abs_error": drift,
     }
@@ -730,6 +762,7 @@ def run_plan_benchmarks(
                 live["union"][precision]["speedup"] for precision in ("exact", "float")
             ),
             "tape_batched_speedup": tape_batch["batched_speedup"],
+            "repeated_lane_speedup": tape_batch["repeated"]["speedup"],
             "min_exact_tape_speedup": min(
                 w["exact_evaluate"]["speedup"] for w in workload_reports
             ),
@@ -759,6 +792,7 @@ def check_plan_thresholds(
     min_first_exact_speedup: float = 0.0,
     min_interval_match_speedup: float = 0.0,
     min_live_speedup: float = 0.0,
+    min_repeated_lane_speedup: float = 0.0,
 ) -> None:
     """Raise AssertionError when a recorded speedup falls below a threshold."""
     summary = report["summary"]
@@ -803,6 +837,13 @@ def check_plan_thresholds(
         raise AssertionError(
             f"live plan.evaluate catch-up on the union instance is {live}x faster "
             f"than a full tape replay, below the required {min_live_speedup}x"
+        )
+    repeated = summary["repeated_lane_speedup"]
+    if repeated < min_repeated_lane_speedup:
+        raise AssertionError(
+            f"a float batch drawn from {REPEATED_TABLES} tables is {repeated}x "
+            f"faster than the same number of distinct lanes, below the required "
+            f"{min_repeated_lane_speedup}x"
         )
 
 
@@ -864,6 +905,12 @@ def format_plan_report(report: Dict[str, object]) -> str:
             f"    batch {point['batch']:>4}            "
             f"{point['speedup']:>8.1f}x vs per-call evaluate"
         )
+    repeated = tape["repeated"]
+    lines.append(
+        f"    repeated {repeated['batch']:>4}         "
+        f"{repeated['speedup']:>8.1f}x vs distinct lanes "
+        f"({repeated['tables']} tables)"
+    )
     summary = report["summary"]
     lines.append(
         f"  minimum plan reuse speedup vs solve_many(float): "

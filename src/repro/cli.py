@@ -418,6 +418,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench.add_argument(
+        "--min-repeated-lane-speedup", type=float, default=0.0,
+        help=(
+            "plans: fail when a float evaluate_many batch of 256 lanes drawn "
+            "from 8 tables is less than this many times faster than 256 "
+            "distinct lanes"
+        ),
+    )
+    bench.add_argument(
         "--min-sampling-speedup", type=float, default=0.0,
         help=(
             "sampling: fail when the Karp-Luby speedup over brute force on the "
@@ -1034,6 +1042,7 @@ def _run_bench_plans(args, out, err) -> int:
             min_first_exact_speedup=args.min_first_exact_speedup,
             min_interval_match_speedup=args.min_interval_match_speedup,
             min_live_speedup=args.min_live_speedup,
+            min_repeated_lane_speedup=args.min_repeated_lane_speedup,
         )
     except AssertionError as exc:
         err.write(f"error: plan benchmark check failed: {exc}\n")

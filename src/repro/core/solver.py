@@ -686,21 +686,23 @@ class PHomSolver:
         self,
         query: QueryLike,
         instance: ProbabilisticGraph,
-        batches: Sequence[Optional[dict]],
+        batches: Iterable[Optional[dict]],
         precision: PrecisionLike = None,
     ) -> List[Number]:
         """Answer one query under a whole batch of probability valuations.
 
-        Each entry of ``batches`` is an override mapping exactly as in
-        :meth:`~repro.plan.CompiledPlan.evaluate` (``None`` / ``{}`` for
-        the instance's live table); the result list is index-aligned.  The
-        batch runs in one structural pass over the plan's flat tape (see
-        :meth:`tape_for`), vectorizing every arithmetic operation across the
+        Each entry of ``batches`` (any iterable, read once) is an override
+        mapping exactly as in :meth:`~repro.plan.CompiledPlan.evaluate`
+        (``None`` / ``{}`` for the instance's live table); the result list
+        is index-aligned.  The batch runs in one structural pass over the
+        plan's flat tape (see :meth:`tape_for`), once per distinct
+        valuation, vectorizing every arithmetic operation across the
         valuations, which is the serving layer's bulk re-evaluation fast
-        path.  ``precision`` selects the numeric backend as in
-        :meth:`solve` (``"approx"`` is rejected: batched evaluation is an
-        exact/float contract); the tape picks its executor from the
-        precision, the batch size and whether numpy is importable.
+        path (see :meth:`~repro.plan.CompiledPlan.evaluate_many`).
+        ``precision`` selects the numeric backend as in :meth:`solve`
+        (``"approx"`` is rejected: batched evaluation is an exact/float
+        contract); the tape picks its executor from the precision, the
+        number of distinct valuations and whether numpy is importable.
         """
         if _is_approx(precision):
             raise ReproError(

@@ -60,7 +60,8 @@ from __future__ import annotations
 
 import warnings
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from collections.abc import Mapping
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.approx import ApproxEstimate, ApproxParams, karp_luby_probability
 from repro.exceptions import ClassConstraintError, IntractableFallbackWarning, PlanError
@@ -260,21 +261,32 @@ class CompiledPlan:
 
     def evaluate_many(
         self,
-        batches: Sequence[Optional[Mapping]],
+        batches: Iterable[Optional[Mapping]],
         precision: PrecisionLike = None,
     ) -> List[Number]:
         """Answer a whole batch of probability valuations in one pass.
 
-        Each entry of ``batches`` is an override mapping exactly as in
-        :meth:`evaluate` (``None`` or ``{}`` for the instance's live
-        table); the result list is index-aligned.  Evaluation runs on the
-        plan's flat tape (compiled on first use, see :meth:`tape`), which
-        vectorizes every float operation across the batch — on numpy when
+        Each entry of ``batches`` (any iterable, read once) is an override
+        mapping exactly as in :meth:`evaluate` (``None`` or ``{}`` for the
+        instance's live table); the result list is index-aligned.  An
+        entry that is neither raises :class:`PlanError` naming its
+        position.  Evaluation runs on the plan's flat tape (compiled on
+        first use, see :meth:`tape`), which vectorizes every float
+        operation across the batch — on numpy when
         :func:`repro.numeric.numpy_module` returns it, on stdlib lists
         otherwise — and replays each exact valuation on integer registers,
-        instead of re-interpreting the plan per valuation.  Exact-mode
-        results are bit-identical to looped :meth:`evaluate` calls.
+        instead of re-interpreting the plan per valuation.
+
+        The batch runs once per distinct valuation: a mapping object is
+        resolved once however often it repeats, and entries that set the
+        edges the tape reads to the same values (``None`` and ``{}``,
+        ``Edge`` and ``(source, target)`` keys, equal mappings) share one
+        lane and one result object.  The ``tape.evaluate`` span records
+        the entries in ``batch`` and the lanes run in ``distinct``.
+        Exact-mode results are bit-identical to looped :meth:`evaluate`
+        calls, and float results equal them.
         """
+        batches = list(batches)
         context = self._context(precision)
         tape = self.tape()
         with current_tracer().span("tape.evaluate") as span:
@@ -282,24 +294,25 @@ class CompiledPlan:
                 span.attrs["batch"] = len(batches)
                 span.attrs["method"] = self.method
             # Deltas against the live table, not full per-valuation copies:
-            # the per-entry setup cost scales with the overridden edges,
-            # which is what makes large batches an order of magnitude
-            # cheaper than looped evaluate() calls.
-            resolve = self.instance._resolve_edge
-            deltas = [
-                {
-                    resolve(key): context.convert(as_probability(value))
-                    for key, value in overrides.items()
-                }
-                if overrides
-                else None
-                for overrides in batches
-            ]
-            return tape.evaluate_overrides(
-                context.instance_probabilities(self.instance),
-                deltas,
-                precision=context,
+            # the per-entry setup cost scales with the overridden edges.
+            resolved: Dict[int, Optional[Dict[Edge, Number]]] = {}
+            deltas = []
+            for entry, overrides in enumerate(batches):
+                key = id(overrides)
+                if key not in resolved:
+                    resolved[key] = (
+                        None
+                        if overrides is None
+                        else self._resolve_overrides(overrides, context, entry)
+                    )
+                deltas.append(resolved[key])
+            lanes, assignment = tape._distinct_lanes(deltas)
+            if span:
+                span.attrs["distinct"] = len(lanes)
+            values = tape._run_lanes(
+                context.instance_probabilities(self.instance), lanes, context
             )
+            return [values[lane] for lane in assignment]
 
     def update(
         self,
@@ -398,10 +411,30 @@ class CompiledPlan:
         if probabilities is None:
             return context.instance_probabilities(self.instance)
         table: Dict[Edge, Number] = dict(context.instance_probabilities(self.instance))
-        resolve = self.instance._resolve_edge
-        for key, value in probabilities.items():
-            table[resolve(key)] = context.convert(as_probability(value))
+        table.update(self._resolve_overrides(probabilities, context))
         return table
+
+    def _resolve_overrides(
+        self, overrides: Any, context: NumericContext, entry: Optional[int] = None
+    ) -> Dict[Edge, Number]:
+        """An override mapping keyed by instance edges, values in ``context``.
+
+        Keys resolve through the instance (``Edge`` or ``(source, target)``)
+        and values validate as probabilities.  ``entry`` is the mapping's
+        position in an :meth:`evaluate_many` batch, named by the
+        :class:`PlanError` raised when ``overrides`` is not a mapping.
+        """
+        if not isinstance(overrides, Mapping):
+            where = "probabilities" if entry is None else f"batch entry {entry}"
+            raise PlanError(
+                f"{where} must be a mapping of edges to probabilities (or None), "
+                f"got {type(overrides).__name__}"
+            )
+        resolve, convert = self.instance._resolve_edge, context.convert
+        return {
+            resolve(key): convert(as_probability(value))
+            for key, value in overrides.items()
+        }
 
     def _evaluate_with(
         self, table: Mapping[Edge, Number], context: NumericContext

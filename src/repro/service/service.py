@@ -1375,7 +1375,9 @@ class QueryService:
         (:meth:`~repro.service.worker.WorkerState.evaluate_many`): the
         query's plan is compiled (or found in the worker's plan cache)
         once, lowered to a tape, and every valuation in ``batches`` is
-        answered in a single vectorized structural pass.  Each batch entry
+        answered in a single vectorized structural pass that runs each
+        distinct valuation once
+        (:meth:`~repro.plan.CompiledPlan.evaluate_many`).  Each batch entry
         is an override mapping keyed by edge endpoints (``None`` / ``{}``
         for the shard's live table); the returned list is index-aligned.
         ``precision`` defaults to the service's default precision —

@@ -23,7 +23,9 @@ picked from what the batch is, never by the caller: one valuation, or an
 exact batch, replays the scalar loop per valuation; a float batch
 vectorizes each operation across its lanes, on numpy when
 :func:`repro.numeric.numpy_module` returns it and on stdlib lists
-otherwise.
+otherwise.  Override batches (:meth:`PlanTape.evaluate_overrides`) run
+once per distinct valuation, and their executor is picked from the
+distinct count.
 
 Exact mode replays on plain Python integers instead of
 :class:`~fractions.Fraction` registers: with ``D`` the lcm of the input
@@ -247,13 +249,15 @@ class PlanTape:
     """
 
     #: Derived data, built lazily and dropped from pickles: the level
-    #: segments of the numpy lanes (:meth:`_packed_segments`), the
-    #: edge -> input position map, the exact replay's integer program
+    #: segments of the numpy lanes (:meth:`_packed_segments`) and their
+    #: numpy index arrays (:meth:`_index_segments`), the edge -> input
+    #: position map, the exact replay's integer program
     #: (:meth:`_scaled_program`) and the per-input sub-programs of the
     #: sessions (:meth:`_sub_programs`).  Class-level defaults, so tapes
     #: pickled without a field still load.
-    _DERIVED = ("_segments", "_input_index", "_scaled", "_programs")
+    _DERIVED = ("_segments", "_np_segments", "_input_index", "_scaled", "_programs")
     _segments = None
+    _np_segments = None
     _input_index: Optional[Dict[Edge, int]] = None
     _scaled = None
     _programs: Optional[List[Optional[array]]] = None
@@ -345,6 +349,19 @@ class PlanTape:
                 segment for _key, segment in sorted(groups.items())
             )
         return self._segments
+
+    def _index_segments(self, np) -> Tuple[Tuple[int, Any, Any, Any], ...]:
+        """:meth:`_packed_segments` with numpy ``intp`` index arrays (memoised).
+
+        numpy converts an ``array("I")`` index to ``intp`` on every
+        indexing call; converting once here takes that off every batch.
+        """
+        if self._np_segments is None:
+            self._np_segments = tuple(
+                (opcode, *(np.asarray(slots, dtype=np.intp) for slots in operands))
+                for opcode, *operands in self._packed_segments()
+            )
+        return self._np_segments
 
     # ------------------------------------------------------------------
     # evaluation
@@ -622,18 +639,65 @@ class PlanTape:
         The serving-shaped variant of :meth:`evaluate_many`: ``base`` is a
         full edge-probability table and each batch entry is an override
         mapping (``None``/``{}`` for "just the base") whose values are
-        already in the precision's number type.  Each input row is seeded
-        once from ``base`` and only the overridden cells are rewritten, so
-        the per-valuation setup cost scales with the number of overridden
-        edges instead of the instance size.  Results are identical to
-        building the full per-valuation tables and calling
-        :meth:`evaluate_many`; overridden edges the tape never reads are
-        ignored (they provably cannot affect the result).  The ``tape.run``
-        span's ``backend`` attribute records the executor the batch ran on:
-        ``"scalar"``, ``"numpy"`` or ``"stdlib"``.
+        already in the precision's number type.  The batch runs once per
+        *distinct* valuation (:meth:`_distinct_lanes`): each mapping object
+        is read once, overridden edges the tape never reads are dropped
+        (they provably cannot affect the result), and entries overriding
+        the same inputs with the same values share one lane and one result
+        object.  Each input row is seeded once from ``base`` and only the
+        overridden cells are rewritten, so the per-lane setup cost scales
+        with the number of overridden edges instead of the instance size.
+        Results are identical to building the full per-valuation tables and
+        calling :meth:`evaluate_many`.  The ``tape.run`` span records the
+        executor in its ``backend`` attribute (``"scalar"``, ``"numpy"``
+        or ``"stdlib"``) and the distinct lanes it ran in ``batch``.
         """
-        context = resolve_context(precision)
-        batch = len(overrides)
+        lanes, assignment = self._distinct_lanes(overrides)
+        values = self._run_lanes(base, lanes, resolve_context(precision))
+        return [values[lane] for lane in assignment]
+
+    def _distinct_lanes(
+        self, overrides: Sequence[Optional[Mapping[Edge, Number]]]
+    ) -> Tuple[List[Tuple[Tuple[int, Any], ...]], List[int]]:
+        """Coalesce a batch of override mappings into its distinct lanes.
+
+        Returns the distinct lanes, each the ``(input position, value)``
+        pairs of one mapping's edges the tape reads, in position order, and
+        for every batch entry the index of its lane.  A mapping object is
+        read once however often it repeats, and entries with the same
+        pairs (``None`` and ``{}`` included) share a lane.
+        """
+        positions = self._input_positions()
+        lanes: Dict[Tuple[Tuple[int, Any], ...], int] = {}
+        seen: Dict[int, int] = {}
+        assignment = []
+        for delta in overrides:
+            index = seen.get(id(delta))
+            if index is None:
+                pairs = []
+                if delta:
+                    for edge, value in delta.items():
+                        position = positions.get(edge)
+                        if position is not None:
+                            pairs.append((position, value))
+                    pairs.sort()
+                index = seen[id(delta)] = lanes.setdefault(tuple(pairs), len(lanes))
+            assignment.append(index)
+        return list(lanes), assignment
+
+    def _run_lanes(
+        self,
+        base: Mapping[Edge, Number],
+        lanes: Sequence[Tuple[Tuple[int, Any], ...]],
+        context: NumericContext,
+    ) -> List[Number]:
+        """One answer per lane of :meth:`_distinct_lanes`, over ``base``.
+
+        The executor is read off the lanes: one lane, or exact mode, runs
+        the scalar replay per lane; several float lanes run vectorized, on
+        numpy or stdlib lists.
+        """
+        batch = len(lanes)
         if batch == 0:
             return []
         scalar = batch == 1 or context.name == "exact"
@@ -644,67 +708,32 @@ class PlanTape:
                     "scalar" if scalar else "stdlib" if np is None else "numpy"
                 )
                 span.attrs["batch"] = batch
+            shared = self._inputs_of(base)
+            inputs = self.inputs
             if scalar:
-                return [
-                    self._replay(inputs, context)
-                    for inputs in self._lane_inputs(base, overrides)
-                ]
-            return self._evaluate_overrides(np, context, base, overrides, batch)
-
-    def _lane_inputs(
-        self,
-        base: Mapping[Edge, Number],
-        overrides: Sequence[Optional[Mapping[Edge, Number]]],
-    ):
-        """Per valuation, its input probabilities: ``base`` plus its overrides."""
-        shared = self._inputs_of(base)
-        positions = self._input_positions()
-        for delta in overrides:
-            if not delta:
-                yield shared
-                continue
-            inputs = list(shared)
-            for edge, value in delta.items():
-                position = positions.get(edge)
-                if position is not None:
-                    inputs[position] = value
-            yield inputs
-
-    def _evaluate_overrides(
-        self,
-        np,
-        context: NumericContext,
-        base: Mapping[Edge, Number],
-        overrides: Sequence[Optional[Mapping[Edge, Number]]],
-        batch: int,
-    ) -> List[Number]:
-        """The float batch over vectorized lanes (numpy or stdlib lists)."""
-        positions = self._input_positions()
-        inputs = self.inputs
-        convert = context.convert
-        if np is not None:
-            registers = self._seed_registers(np, batch)
-            for edge, slot in inputs:
-                registers[slot] = float(base[edge])
-            for lane, delta in enumerate(overrides):
-                if not delta:
-                    continue
-                for edge, value in delta.items():
-                    position = positions.get(edge)
-                    if position is not None:
+                results = []
+                for pairs in lanes:
+                    lane_inputs = list(shared) if pairs else shared
+                    for position, value in pairs:
+                        lane_inputs[position] = value
+                    results.append(self._replay(lane_inputs, context))
+                return results
+            if np is not None:
+                registers = self._seed_registers(np, batch)
+                for (_edge, slot), value in zip(inputs, shared):
+                    registers[slot] = float(value)
+                for lane, pairs in enumerate(lanes):
+                    for position, value in pairs:
                         registers[inputs[position][1], lane] = float(value)
-            return self._replay_segments(np, registers)
-        values = self._seed_lanes(convert, batch)
-        for edge, slot in inputs:
-            values[slot] = [convert(base[edge])] * batch
-        for lane, delta in enumerate(overrides):
-            if not delta:
-                continue
-            for edge, value in delta.items():
-                position = positions.get(edge)
-                if position is not None:
+                return self._replay_segments(np, registers)
+            convert = context.convert
+            values = self._seed_lanes(convert, batch)
+            for (_edge, slot), value in zip(inputs, shared):
+                values[slot] = [convert(value)] * batch
+            for lane, pairs in enumerate(lanes):
+                for position, value in pairs:
                     values[inputs[position][1]][lane] = convert(value)
-        return self._replay_lanes(values)
+            return self._replay_lanes(values)
 
     # -- vectorized-lane internals -------------------------------------
     def _seed_registers(self, np, batch: int):
@@ -725,15 +754,17 @@ class PlanTape:
         """Replay the level segments over a register matrix; returns the roots.
 
         One gather/compute/scatter per segment: the numpy call count scales
-        with tape depth, not op count.
+        with tape depth, not op count.  The gathers use ``take``, which on
+        small batches costs less than fancy indexing.
         """
-        for opcode, dsts, lhs, rhs in self._packed_segments():
+        take = registers.take
+        for opcode, dsts, lhs, rhs in self._index_segments(np):
             if opcode == OP_MUL:
-                registers[dsts] = registers[lhs] * registers[rhs]
+                registers[dsts] = take(lhs, 0) * take(rhs, 0)
             elif opcode == OP_ADD:
-                registers[dsts] = registers[lhs] + registers[rhs]
+                registers[dsts] = take(lhs, 0) + take(rhs, 0)
             else:
-                registers[dsts] = 1.0 - registers[lhs]
+                registers[dsts] = 1.0 - take(lhs, 0)
         return registers[self.root].tolist()
 
     def _replay_lanes(self, values: List[Any]) -> List[Number]:

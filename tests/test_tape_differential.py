@@ -30,6 +30,7 @@ from repro.exceptions import (
     PlanError,
     ProbabilityError,
     ReproError,
+    ServiceError,
 )
 from repro.graphs.builders import one_way_path
 from repro.graphs.classes import GraphClass
@@ -262,20 +263,29 @@ def graded_collapse_plan():
     return workload, plan, rng
 
 
-def traced_evaluate_many(plan, batches, precision):
-    """``plan.evaluate_many`` plus the executor each ``tape.run`` span reports."""
+def traced(call):
+    """``call()`` under a full-rate tracer: its value and the span records."""
     tracer = Tracer(sample_rate=1.0)
     previous = set_tracer(tracer)
     try:
-        values = plan.evaluate_many(batches, precision=precision)
+        value = call()
     finally:
         set_tracer(previous)
+    return value, tracer.drain()
+
+
+def traced_evaluate_many(plan, batches, precision):
+    """``plan.evaluate_many`` plus the executor each ``tape.run`` span reports."""
+    values, records = traced(lambda: plan.evaluate_many(batches, precision=precision))
     executors = [
-        record["attrs"]["backend"]
-        for record in tracer.drain()
-        if record["name"] == "tape.run"
+        record["attrs"]["backend"] for record in records if record["name"] == "tape.run"
     ]
     return values, executors
+
+
+def span_attrs(records, name):
+    """The attributes of every span called ``name``, in record order."""
+    return [record["attrs"] for record in records if record["name"] == name]
 
 
 def program_digest(tape) -> int:
@@ -463,7 +473,7 @@ class TestEvaluateMany:
         # Stub the numpy seam: a float batch degrades silently to stdlib
         # lanes, and their results stay correct.
         monkeypatch.setattr(repro_numeric, "_numpy_cache", None)
-        workload, plan, rng = route_plan(1)
+        workload, plan, rng = dispatch_plan(1)
         batches = random_tables(workload.instance, rng, 4)
         want = [plan.evaluate(overrides, precision="float") for overrides in batches]
         got, executors = traced_evaluate_many(plan, batches, "float")
@@ -505,6 +515,162 @@ class TestEvaluateMany:
         finally:
             service.close()
         assert got == plan.evaluate_many(batches)
+
+    def test_generator_batch_answers_alike_traced_and_untraced(self):
+        # The batch is read once, at entry: a generator used to fail only
+        # when a tracer asked for its length.
+        workload, plan, rng = dispatch_plan(0)
+        tables = random_tables(workload.instance, rng, 3)
+        want = [object_graph(plan, table) for table in tables]
+        assert plan.evaluate_many(table for table in tables) == want
+        got, _executors = traced_evaluate_many(plan, (table for table in tables), "exact")
+        assert got == want
+        solver = PHomSolver()
+        got, _records = traced(
+            lambda: solver.evaluate_many(workload.query, workload.instance, iter(tables))
+        )
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "entry", [("a", "b"), "x", 3, [("a", "b")]], ids=["tuple", "str", "int", "list"]
+    )
+    def test_non_mapping_entry_raises_plan_error(self, entry):
+        _workload, plan, _rng = dispatch_plan(0)
+        kind = type(entry).__name__
+        with pytest.raises(PlanError, match=f"batch entry 0 .*got {kind}"):
+            plan.evaluate_many([entry])
+        with pytest.raises(PlanError, match=f"batch entry 2 .*got {kind}"):
+            plan.evaluate_many([None, {}, entry])
+        with pytest.raises(PlanError, match=f"probabilities .*got {kind}"):
+            plan.evaluate(probabilities=entry)
+
+    def test_service_names_a_non_mapping_entry(self):
+        workload, plan, _rng = dispatch_plan(0)
+        with QueryService(num_workers=0) as service:
+            instance_id = service.register_instance(workload.instance)
+            with pytest.raises(ServiceError, match="PlanError: batch entry 1 .*got tuple"):
+                service.evaluate_many(instance_id, workload.query, [None, ("a", "b")])
+            got = service.evaluate_many(instance_id, workload.query, [None])
+        assert got == [object_graph(plan)]
+
+
+def duplicate_batch(plan):
+    """A batch holding every kind of duplicate lane, and its groups of equal lanes.
+
+    Each group lists the entries that set the tape's inputs alike: ``None``
+    next to ``{}``; one mapping object repeated, an equal mapping and the
+    same override keyed by ``(source, target)``; a two-edge mapping next to
+    its reordered copy keyed by endpoints.
+    """
+    inputs = [edge for edge, _slot in plan.tape().inputs]
+    first, last = inputs[0], inputs[-1]
+    shared = {first: Fraction(1, 3)}
+    pair = {first: Fraction(2, 7), last: Fraction(5, 11)}
+    reordered = {
+        (edge.source, edge.target): str(value) for edge, value in reversed(list(pair.items()))
+    }
+    batch = [
+        None, shared, {}, pair, shared,
+        {first: Fraction(1, 3)}, {(first.source, first.target): "1/3"}, reordered,
+    ]
+    return batch, [[0, 2], [1, 4, 5, 6], [3, 7]]
+
+
+# ----------------------------------------------------------------------
+# coalesced lanes: a batch runs once per distinct valuation
+# ----------------------------------------------------------------------
+class TestCoalescedLanes:
+    @pytest.mark.parametrize("precision", ["exact", "float"])
+    @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
+    def test_duplicate_lanes_run_once_and_share_results(self, index, precision):
+        _workload, plan, _rng = dispatch_plan(index)
+        batch, groups = duplicate_batch(plan)
+        got, records = traced(lambda: plan.evaluate_many(batch, precision=precision))
+        if precision == "exact":
+            assert got == [object_graph(plan, overrides) for overrides in batch]
+        else:
+            assert got == [plan.evaluate(overrides, precision="float") for overrides in batch]
+        for group in groups:
+            assert all(got[lane] is got[group[0]] for lane in group)
+        (evaluate,) = span_attrs(records, "tape.evaluate")
+        (run,) = span_attrs(records, "tape.run")
+        assert (evaluate["batch"], evaluate["distinct"]) == (len(batch), len(groups))
+        assert run["batch"] == len(groups)
+        vectorized = "stdlib" if repro_numeric.numpy_module() is None else "numpy"
+        assert run["backend"] == ("scalar" if precision == "exact" else vectorized)
+
+    @pytest.mark.parametrize("precision", ["exact", "float"])
+    def test_all_duplicate_batch_runs_the_scalar_replay(self, precision, monkeypatch):
+        _workload, plan, _rng = dispatch_plan(3)
+        edge = plan.tape().inputs[0][0]
+        shared = {edge: Fraction(3, 8)}
+        batch = [shared] * 4 + [dict(shared), {(edge.source, edge.target): "3/8"}]
+
+        def vectorized(*_args):
+            raise AssertionError("an all-duplicate batch ran the vectorized lanes")
+
+        monkeypatch.setattr(PlanTape, "_replay_segments", vectorized)
+        monkeypatch.setattr(PlanTape, "_replay_lanes", vectorized)
+        got, records = traced(lambda: plan.evaluate_many(batch, precision=precision))
+        assert all(value is got[0] for value in got)
+        assert got[0] == plan.evaluate(shared, precision=precision)
+        (evaluate,) = span_attrs(records, "tape.evaluate")
+        (run,) = span_attrs(records, "tape.run")
+        assert (evaluate["batch"], evaluate["distinct"]) == (len(batch), 1)
+        assert (run["backend"], run["batch"]) == ("scalar", 1)
+
+    def test_lanes_differing_only_in_unread_edges_coalesce(self):
+        workload, plan, _rng = dispatch_plan(0)
+        # A query over a label the instance lacks compiles to a constant
+        # plan, whose tape reads no edge: every override is unread.
+        constant = PHomSolver().compile(one_way_path(["Z"], prefix="q"), workload.instance)
+        assert constant.tape().num_inputs() == 0
+        batch = [None] + [{edge: Fraction(1, 5)} for edge in workload.instance.edges()[:3]]
+        got, records = traced(lambda: constant.evaluate_many(batch, precision="float"))
+        assert got == [0.0] * len(batch)
+        assert all(value is got[0] for value in got)
+        (run,) = span_attrs(records, "tape.run")
+        assert (run["backend"], run["batch"]) == ("scalar", 1)
+        # On a tape with inputs, an edge outside them drops out of its lane.
+        tape = plan.tape()
+        base = dict(workload.instance.float_probabilities())
+        first = tape.inputs[0][0]
+        foreign = Edge("tape-test-x", "tape-test-y", "R")
+        lanes = [{first: 0.25}, {first: 0.25, foreign: 0.5}, {foreign: 0.75}, None]
+        got = tape.evaluate_overrides(base, lanes, precision="float")
+        assert got[0] is got[1] and got[2] is got[3] and got[0] is not got[2]
+        assert got[:3:2] == [
+            tape.evaluate({**base, first: 0.25}, "float"), tape.evaluate(base, "float"),
+        ]
+
+    @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
+    def test_numpy_and_stdlib_lanes_agree_bitwise(self, index, monkeypatch):
+        if repro_numeric.numpy_module() is None:
+            pytest.skip("numpy is not importable in this environment")
+        workload, plan, rng = dispatch_plan(index)
+        batch, _groups = duplicate_batch(plan)
+        batch += random_tables(workload.instance, rng, 4)
+        via_numpy, executors = traced_evaluate_many(plan, batch, "float")
+        assert executors == ["numpy"]
+        monkeypatch.setattr(repro_numeric, "_numpy_cache", None)
+        via_stdlib, executors = traced_evaluate_many(plan, batch, "float")
+        assert executors == ["stdlib"]
+        assert via_numpy == via_stdlib
+
+    def test_pool_service_with_shared_tables_matches_inline(self):
+        workload, plan, _rng = dispatch_plan(1)
+        batch, _groups = duplicate_batch(plan)
+        batch *= 2  # the same mapping objects again, pickled once per payload
+        answers = []
+        for workers in (0, 1):
+            with QueryService(num_workers=workers) as service:
+                instance_id = service.register_instance(workload.instance)
+                answers.append([
+                    service.evaluate_many(instance_id, workload.query, batch, precision=precision)
+                    for precision in ("exact", "float")
+                ])
+        assert answers[1] == answers[0]
+        assert answers[0][0] == [object_graph(plan, overrides) for overrides in batch]
 
 
 # ----------------------------------------------------------------------
