@@ -9,6 +9,7 @@ as
                                      [--min-tape-speedup Z]
                                      [--min-exact-tape-speedup W]
                                      [--min-first-exact-speedup V]
+                                     [--min-cold-exact-speedup C]
                                      [--min-interval-match-speedup U]
                                      [--min-live-speedup T]
                                      [--min-repeated-lane-speedup S]
@@ -21,7 +22,9 @@ probabilities versus PR-1-style ``solve_many`` (float), single-edge
 batched flat-tape evaluation (:mod:`repro.tape`) at batch sizes 1/16/256
 versus one ``plan.evaluate`` call per valuation — and, per route, exact
 evaluation on the object graph versus on the integer tape, both in steady
-state and for a cold plan's first answer (lowering included),
+state and for a cold plan's first answer (lowering included), that
+first answer through the direct pass versus lowering plus the first
+replay (the ``cold_exact`` row),
 Proposition 4.11's bitset interval matching versus the X-property sweep,
 a live ``plan.evaluate()`` catch-up after one ``set_probability``
 versus a full tape replay (the ``live`` row), and a batch of 256 lanes

@@ -31,6 +31,10 @@ module measures exactly that, plus the incremental single-edge update path:
 * ``first_exact`` — per workload, what a cold plan's first exact answer
   costs: lowering plus the first integer replay (which builds the replay's
   exponent program) versus one exact evaluation on the object graph;
+* ``cold_exact`` — per workload, a cold plan's first exact answer as a
+  solve now gives it, the kernels run once on scaled integers (the direct
+  pass of ``plan.evaluate``), versus lowering plus the first integer
+  replay;
 * ``interval_match`` — on the connected-2wp workload, Proposition 4.11's
   structural phase per query and instance component: the bitset interval
   matcher of ``compile_connected_on_2wp`` versus the same sweep deciding
@@ -44,6 +48,7 @@ mode.  Results are written to ``BENCH_plans.json``; run it with
 
 from __future__ import annotations
 
+import copy
 import platform
 import time
 from dataclasses import dataclass, field
@@ -235,6 +240,58 @@ def measure_exact_evaluate(
     return exact_evaluate, first_exact
 
 
+def _cold_copy(plan: CompiledPlan) -> CompiledPlan:
+    """``plan`` as a solve leaves it on a cache miss: no tape, never evaluated."""
+    cold = copy.copy(plan)
+    cold._tape = None
+    cold._live_sessions = None
+    return cold
+
+
+def measure_cold_exact(
+    plans: List[CompiledPlan], instance: ProbabilisticGraph, repeats: int = 15
+) -> Dict[str, object]:
+    """A cold plan's first exact answer: the direct pass vs lowering plus a replay.
+
+    For every distinct tractable plan, times (best of ``repeats``, the two
+    sides alternating) the first exact ``evaluate`` of a cold copy of the
+    plan, which runs the kernels once on scaled integers, against the
+    lowering of a fresh tape followed by its first integer replay.  Both
+    answers must be bit-identical to the object graph before anything is
+    recorded; the plans themselves are left untouched.
+    """
+    table = EXACT.instance_probabilities(instance)
+    direct_us: List[float] = []
+    first_us: List[float] = []
+    distinct = {id(plan): plan for plan in plans if isinstance(plan, ComponentPlan)}
+    for plan in distinct.values():
+        want = _object_graph(plan)
+        direct, first = [], []
+        for _ in range(repeats):
+            cold = _cold_copy(plan)
+            start = time.perf_counter()
+            answer = cold.evaluate(precision=EXACT)
+            direct.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            value = compile_plan_tape(plan).evaluate(table, EXACT)
+            first.append(time.perf_counter() - start)
+            if answer != want or value != want or type(answer) is not type(want):
+                raise AssertionError(
+                    f"direct pass or integer tape replay diverged from the object "
+                    f"graph ({plan.method})"
+                )
+        direct_us.append(min(direct) * 1e6)
+        first_us.append(min(first) * 1e6)
+    count = max(len(direct_us), 1)
+    return {
+        "plans": len(direct_us),
+        "direct_us": round(sum(direct_us) / count, 2),
+        "lower_and_first_replay_us": round(sum(first_us) / count, 2),
+        "speedup": round(sum(first_us) / sum(direct_us), 2) if direct_us else float("inf"),
+        "bit_identical": True,
+    }
+
+
 def _x_property_compile(
     query: DiGraph, graph: DiGraph, subpaths: Dict[Tuple[int, int], DiGraph]
 ) -> TwoWayPathSkeleton:
@@ -386,6 +443,7 @@ def run_plan_workload(workload: PlanWorkload, rounds: int) -> Dict[str, object]:
         "plan_reuse_speedup": round(speedup, 2),
         "exact_evaluate": exact_evaluate,
         "first_exact": first_exact,
+        "cold_exact": measure_cold_exact(plans, instance),
     }
     if workload.interval_match:
         report["interval_match"] = measure_interval_match(queries, instance)
@@ -769,6 +827,9 @@ def run_plan_benchmarks(
             "min_first_exact_speedup": min(
                 w["first_exact"]["speedup"] for w in workload_reports
             ),
+            "min_cold_exact_speedup": min(
+                w["cold_exact"]["speedup"] for w in workload_reports
+            ),
             "interval_match_speedup": min(
                 w["interval_match"]["speedup"]
                 for w in workload_reports
@@ -790,6 +851,7 @@ def check_plan_thresholds(
     min_tape_speedup: float = 0.0,
     min_exact_tape_speedup: float = 0.0,
     min_first_exact_speedup: float = 0.0,
+    min_cold_exact_speedup: float = 0.0,
     min_interval_match_speedup: float = 0.0,
     min_live_speedup: float = 0.0,
     min_repeated_lane_speedup: float = 0.0,
@@ -825,6 +887,13 @@ def check_plan_thresholds(
             f"first exact evaluation (lowering plus first integer replay) is "
             f"{first}x faster than the object graph, below the required "
             f"{min_first_exact_speedup}x"
+        )
+    cold = summary["min_cold_exact_speedup"]
+    if cold < min_cold_exact_speedup:
+        raise AssertionError(
+            f"a cold plan's first exact answer through the direct pass is "
+            f"{cold}x faster than lowering plus the first integer replay, "
+            f"below the required {min_cold_exact_speedup}x"
         )
     interval = summary["interval_match_speedup"]
     if interval < min_interval_match_speedup:
@@ -873,6 +942,12 @@ def format_plan_report(report: Dict[str, object]) -> str:
             f"    first exact            {first['object_graph_us']} us object graph, "
             f"{first['lower_and_first_replay_us']} us lowering + first replay "
             f"({first['speedup']}x)"
+        )
+        cold = workload["cold_exact"]
+        lines.append(
+            f"    cold exact             {cold['direct_us']} us direct pass, "
+            f"{cold['lower_and_first_replay_us']} us lowering + first replay "
+            f"({cold['speedup']}x)"
         )
         interval = workload.get("interval_match")
         if interval is not None:
@@ -927,6 +1002,10 @@ def format_plan_report(report: Dict[str, object]) -> str:
     lines.append(
         f"  minimum first-exact speedup (lowering + first replay): "
         f"{summary['min_first_exact_speedup']}x"
+    )
+    lines.append(
+        f"  minimum cold-exact speedup (direct pass vs lowering + first replay): "
+        f"{summary['min_cold_exact_speedup']}x"
     )
     lines.append(
         f"  interval matching speedup over the X-property sweep: "

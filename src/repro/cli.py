@@ -403,6 +403,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench.add_argument(
+        "--min-cold-exact-speedup", type=float, default=0.0,
+        help=(
+            "plans: fail when a cold plan's first exact answer through the "
+            "direct pass is less than this many times faster than lowering "
+            "plus the first integer replay, on any route"
+        ),
+    )
+    bench.add_argument(
         "--min-interval-match-speedup", type=float, default=0.0,
         help=(
             "plans: fail when Proposition 4.11's bitset interval matching is "
@@ -1040,6 +1048,7 @@ def _run_bench_plans(args, out, err) -> int:
             min_tape_speedup=args.min_tape_speedup,
             min_exact_tape_speedup=args.min_exact_tape_speedup,
             min_first_exact_speedup=args.min_first_exact_speedup,
+            min_cold_exact_speedup=args.min_cold_exact_speedup,
             min_interval_match_speedup=args.min_interval_match_speedup,
             min_live_speedup=args.min_live_speedup,
             min_repeated_lane_speedup=args.min_repeated_lane_speedup,

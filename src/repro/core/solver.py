@@ -335,9 +335,11 @@ class PHomSolver:
         query exactly as written.  ``precision`` overrides the solver's
         numeric backend for this call (including ``"approx"``, which
         samples the #P-hard cells with the solver's ``epsilon`` / ``delta``
-        / ``seed``).  The automatic dispatch answers tractable cells by
-        replaying the plan's flat tape; a caching solver lowers each plan
-        to its tape when it compiles it (billed in ``tape_compiles``).
+        / ``seed``).  The automatic dispatch answers a tractable cell from
+        its compiled plan: a plan's first answer runs its kernels once,
+        without a tape, and a caching solver lowers the plan to its flat
+        tape when the plan is used again (billed in ``tape_compiles``), so
+        one-shot queries never pay for a tape.
         """
         query = as_query_graph(query)
         context, approx = self._resolve_precision(precision)
@@ -666,17 +668,18 @@ class PHomSolver:
         query = as_query_graph(query)
         self._validate_inputs(query, instance)
         validate_query_graph(query)
-        return self._plan_for(query, instance)
+        return self._plan_for(query, instance, lower=True)
 
     def tape_for(self, query: QueryLike, instance: ProbabilisticGraph):
         """The pair's compiled plan lowered to a flat :class:`~repro.tape.PlanTape`.
 
         Compiles (or retrieves from the cache) the plan exactly as
         :meth:`compile` does and returns its tape.  A caching solver lowers
-        every tractable plan when it compiles it — accounted as a *tape*
-        compile in the cache statistics, never as a plan compile, and
-        written to a persistent tier together with the plan — so only a
-        solver with ``plan_cache_size=0`` lowers here.  Raises
+        every tractable plan :meth:`compile` compiles, and every cached
+        plan reused without a tape — accounted as a *tape* compile in the
+        cache statistics, never as a plan compile — so only a solver with
+        ``plan_cache_size=0`` lowers here.  A plan compiled here is written
+        to a persistent tier together with its tape.  Raises
         :class:`~repro.exceptions.PlanError` for brute-force fallback
         plans, which have no arithmetic half to lower.
         """
@@ -718,7 +721,16 @@ class PHomSolver:
         query: DiGraph,
         instance: ProbabilisticGraph,
         allow_fallback: Optional[bool] = None,
+        lower: bool = False,
     ) -> CompiledPlan:
+        """The cached (or freshly compiled) plan of the pair.
+
+        Score, select, then build: a plan compiled on a miss is lowered to
+        its tape only when ``lower`` is set (callers that reuse the plan or
+        need its tape now), so a solve's plan answers its first call
+        without one.  A cache hit on a tractable plan without a tape lowers
+        it, once, billed by the cache in ``tape_compiles``.
+        """
         if allow_fallback is None:
             # Approx-mode solvers never brute-force, but they do need the
             # fallback plan (it carries the lineage the sampler runs on).
@@ -747,16 +759,19 @@ class PHomSolver:
                 plan = self._compile_plan(query, instance, allow_fallback)
                 if span:
                     span.attrs["method"] = plan.method
-            if not isinstance(plan, FallbackPlan):
-                # Lowered before it is stored, so its first evaluation
-                # already replays integer registers and a persistent tier
-                # writes one entry that carries the tape.
+            if lower and not isinstance(plan, FallbackPlan):
+                # Lowered before it is stored, so a persistent tier writes
+                # one entry that carries the tape.
                 plan.tape()
             self._plan_cache.store(key, instance, plan)
-        elif isinstance(plan, FallbackPlan) and not allow_fallback:
-            # A FallbackPlan cached by an approx call must not change what a
-            # non-sampling caller observes: same error as on a cold cache.
-            raise ClassConstraintError(_HARD_CELL_MESSAGE)
+        elif isinstance(plan, FallbackPlan):
+            if not allow_fallback:
+                # A FallbackPlan cached by an approx call must not change
+                # what a non-sampling caller observes: same error as on a
+                # cold cache.
+                raise ClassConstraintError(_HARD_CELL_MESSAGE)
+        elif not plan.has_tape():
+            self._plan_cache.lower(plan)
         return plan
 
     def _compile_plan(

@@ -9,9 +9,10 @@ probabilities.  A :class:`CompiledPlan` captures the structural phase once:
 
 * :meth:`CompiledPlan.evaluate` recomputes the probability with *only*
   arithmetic, against the instance's live probabilities or a caller-supplied
-  override table, by replaying the plan's flat tape (:mod:`repro.tape`);
-  against the live table, a hot plan replays only the operations downstream
-  of the edges changed since its previous call;
+  override table: a plan's first live answer runs its kernels once,
+  directly, and every other call replays the plan's flat tape
+  (:mod:`repro.tape`); against the live table, a hot plan replays only the
+  operations downstream of the edges changed since its previous call;
 * :meth:`CompiledPlan.update` maintains a what-if probability table (a
   private copy of the instance) and re-evaluates after a single-edge
   change, replaying only the tape operations that depend on the changed
@@ -79,7 +80,7 @@ from repro.obs.trace import current_tracer
 from repro.probability.brute_force import brute_force_phom
 from repro.probability.prob_graph import ProbabilisticGraph, as_probability
 from repro.query.minimize import query_core
-from repro.tape import TapeEvaluator, compile_plan_tape
+from repro.tape import ScaledContext, TapeEvaluator, compile_plan_tape
 
 PrecisionLike = Union[str, NumericContext, None]
 
@@ -145,10 +146,13 @@ class CompiledPlan:
     :meth:`update`.
     """
 
-    #: The flat tape (see :meth:`tape`); a caching solver lowers every
-    #: tractable plan when it compiles it, and the tape is pickled with
-    #: the plan so it ships to serving workers and the persistent store.
-    #: The class-level default covers plans pickled before tapes existed.
+    #: The flat tape (see :meth:`tape`), ``None`` until the plan is
+    #: lowered: by ``PHomSolver.compile`` (and ``tape_for`` /
+    #: ``evaluate_many``), by the caching solver on the plan's second use,
+    #: or by the first call that needs it.  A plan answered once by a
+    #: solve carries none.  The tape is pickled with the plan, so it ships
+    #: to serving workers and the persistent store.  The class-level
+    #: default covers plans pickled before tapes existed.
     _tape = None
 
     #: The live sessions of :meth:`evaluate`, per precision name: ``None``
@@ -192,23 +196,36 @@ class CompiledPlan:
         ``probabilities`` overrides the instance's live table (missing edges
         keep their instance value); keys may be :class:`Edge` objects or
         ``(source, target)`` pairs.  ``precision`` selects the numeric
-        backend, defaulting to the compiling solver's.  Both precisions
-        replay the plan's tape (exact mode on integer registers); a plan
-        that arrives without one is lowered here first.
+        backend, defaulting to the compiling solver's.
 
-        Against the live table, the second call in a precision binds a
-        :class:`~repro.tape.TapeEvaluator` session, and later calls replay
-        only the operations downstream of the edges set since the previous
-        call (see the invalidation contract in :mod:`repro.plan`).  The
-        ``plan.evaluate`` span records the ``path`` taken (``replay``,
-        ``bind`` or ``catch_up``) and the ``ops`` replayed.
+        A plan without a tape answers its first live call by running its
+        kernels once, directly: in float over the instance's float table,
+        in exact mode on the scaled integers of a
+        :class:`~repro.tape.ScaledContext`, so a one-shot plan never builds
+        a tape.  Every other call runs the plan's tape (exact mode on
+        integer registers), lowering it first when the plan has none.
+        Against the live table, the first tape call in a precision replays
+        the tape, the next binds a :class:`~repro.tape.TapeEvaluator`
+        session, and later calls replay only the operations downstream of
+        the edges set since the previous call (see the invalidation
+        contract in :mod:`repro.plan`).  The ``plan.evaluate`` span records
+        the ``path`` taken (``direct``, ``replay``, ``bind`` or
+        ``catch_up``) and, on the tape paths, the ``ops`` replayed.
         """
         with current_tracer().span("plan.evaluate") as span:
             if span:
                 span.attrs["method"] = self.method
             context = self._context(precision)
-            tape = self.tape()
             sessions = self._live_sessions
+            if probabilities is None and sessions is None and self._tape is None:
+                # Score, select, then build: a first live call runs the
+                # kernels, and only a plan used again is lowered.
+                self._live_sessions = {context.name: None}
+                value = self._evaluate_direct(context)
+                if span:
+                    span.attrs["path"] = "direct"
+                return value
+            tape = self.tape()
             if probabilities is None and sessions is not None and context.name in sessions:
                 session = sessions[context.name]
                 if session is None:
@@ -217,8 +234,8 @@ class CompiledPlan:
                 path, ops = session.path, session.replayed
             else:
                 if probabilities is None:
-                    # Score, select, then build: the first live call only
-                    # replays, so a one-shot plan never holds registers.
+                    # The first live tape call only replays, so a plan used
+                    # once per precision holds no registers.
                     if sessions is None:
                         sessions = self._live_sessions = {}
                     sessions[context.name] = None
@@ -229,6 +246,14 @@ class CompiledPlan:
                 span.attrs["path"] = path
                 span.attrs["ops"] = ops
             return value
+
+    def _evaluate_direct(self, context: NumericContext) -> Number:
+        """The kernels run once over the live table, without a tape."""
+        if context.name == "exact":
+            den, table = self.instance.scaled_probabilities()
+            scaled = ScaledContext(den)
+            return scaled.fraction(self._evaluate_with(table, scaled))
+        return self._evaluate_with(context.instance_probabilities(self.instance), context)
 
     # -- tape lowering -------------------------------------------------
     def tape(self):
@@ -241,12 +266,12 @@ class CompiledPlan:
         performs the same operations as the plan's arithmetic half, so
         exact-mode results are bit-identical to it.  Raises
         :class:`~repro.exceptions.PlanError` on brute-force fallback plans
-        (no arithmetic half to lower).  Plans compiled by a caching solver
-        already carry their tape: the solver lowers them at compile time
-        and accounts the lowering in ``tape_compiles``.  A plan without
-        one (compiled by a solver with ``plan_cache_size=0``, or loaded
-        from a store written before plans were lowered at compile time)
-        is lowered here, on first use.
+        (no arithmetic half to lower).  A caching solver lowers a plan
+        when :meth:`~repro.core.solver.PHomSolver.compile` compiles it, or
+        on the plan's second use when a solve compiled it, and accounts
+        the lowering in ``tape_compiles``.  Any other plan without a tape
+        (compiled by a solver with ``plan_cache_size=0``, or used outside
+        the solver) is lowered here, on first request.
         """
         if self._tape is None:
             with current_tracer().span("tape.compile") as span:
@@ -628,12 +653,19 @@ class PlanCache:
         """Insert a freshly compiled plan, evicting LRU entries over capacity.
 
         Counts one compile, and one tape compile when the plan arrives
-        lowered (a solver lowers every tractable plan before storing it).
+        lowered: ``compile``, ``tape_for`` and ``evaluate_many`` lower a
+        tractable plan before storing it, a solve stores it tape-less and
+        :meth:`lower` bills its lowering on reuse.
         """
         self.compiles += 1
         if plan.has_tape():
             self.tape_compiles += 1
         self._insert(query_key, instance, plan)
+
+    def lower(self, plan: CompiledPlan) -> None:
+        """Lower a cached plan reused without a tape, counting one tape compile."""
+        plan.tape()
+        self.tape_compiles += 1
 
     def _insert(
         self, query_key: Hashable, instance: ProbabilisticGraph, plan: CompiledPlan

@@ -36,6 +36,10 @@ ProbabilityLike = Union[int, float, str, Fraction]
 #: rebinds with one full replay (see :class:`repro.tape.TapeEvaluator`).
 CHANGE_LOG_LIMIT = 64
 
+#: :meth:`ProbabilisticGraph.scaled_probabilities`: the common denominator
+#: ``D`` and each edge's probability as the pair ``(p * D, 1)``.
+ScaledTable = Tuple[int, Mapping[Edge, Tuple[int, int]]]
+
 
 def as_probability(value: ProbabilityLike) -> Fraction:
     """Convert a user-supplied probability into an exact :class:`Fraction` in [0, 1].
@@ -112,6 +116,7 @@ class ProbabilisticGraph:
         self._graph.freeze()
         self._view: Mapping[Edge, Fraction] = MappingProxyType(self._probabilities)
         self._float_probabilities: Optional[Mapping[Edge, float]] = None
+        self._scaled_probabilities: Optional[ScaledTable] = None
         self._components: Optional[List["ProbabilisticGraph"]] = None
         #: Set on components handed out by a parent's ``connected_components``
         #: cache, so mutating a shared component detaches the parent's cache
@@ -123,11 +128,12 @@ class ProbabilisticGraph:
         """Pickle only the graph and the exact probability table.
 
         The read-only views (``mappingproxy`` objects cannot be pickled), the
-        memoised float table and the component split are all rebuilt lazily
-        on the receiving side, and the component-owner backlink is dropped —
-        an unpickled instance is an independent copy, not a live component of
-        its original parent.  The change log stays behind too: an unpickled
-        instance starts at version 0 with an empty log.
+        memoised float and scaled tables and the component split are all
+        rebuilt lazily on the receiving side, and the component-owner
+        backlink is dropped — an unpickled instance is an independent copy,
+        not a live component of its original parent.  The change log stays
+        behind too: an unpickled instance starts at version 0 with an empty
+        log.
         """
         return {"_graph": self._graph, "_probabilities": self._probabilities}
 
@@ -136,6 +142,7 @@ class ProbabilisticGraph:
         self._probabilities = state["_probabilities"]
         self._view = MappingProxyType(self._probabilities)
         self._float_probabilities = None
+        self._scaled_probabilities = None
         self._components = None
         self._component_owner = None
         self._reset_change_log()
@@ -191,6 +198,30 @@ class ProbabilisticGraph:
             )
         return self._float_probabilities
 
+    def scaled_probabilities(self) -> ScaledTable:
+        """The assignment over one common denominator (memoised, read-only).
+
+        Returns ``(D, table)``: ``D`` is the lcm of the probabilities'
+        denominators and ``table`` maps each edge to the pair
+        ``(p * D, 1)``, which stands for ``p = (p * D) / D**1``.  Backs the
+        exact first answer of a plan (:class:`repro.tape.ScaledContext`);
+        like :meth:`float_probabilities`, it is rebuilt lazily after
+        :meth:`set_probability`.
+        """
+        if self._scaled_probabilities is None:
+            probabilities = self._probabilities
+            den = math.lcm(*[p.denominator for p in probabilities.values()])
+            self._scaled_probabilities = (
+                den,
+                MappingProxyType(
+                    {
+                        edge: (p.numerator * (den // p.denominator), 1)
+                        for edge, p in probabilities.items()
+                    }
+                ),
+            )
+        return self._scaled_probabilities
+
     def set_probability(self, edge, value: ProbabilityLike) -> None:
         """Update the probability of one edge.
 
@@ -202,6 +233,7 @@ class ProbabilisticGraph:
         self._version += 1
         self._changes.append(edge)
         self._float_probabilities = None
+        self._scaled_probabilities = None
         # Only the component wrappers and their tables go: the component
         # graphs stay memoised on the frozen instance graph.
         self._components = None

@@ -5,8 +5,9 @@ the arithmetic, but its arithmetic half is written over Python object
 graphs — circuit arenas, skeleton tuples, dict-keyed distributions — and
 the serving layer's dominant access pattern (one plan, many drifted
 probability tables) would pay that interpretation per valuation.  This
-module lowers a plan one level further, to a :class:`PlanTape`, the only
-runtime a plan evaluates on: a flat register program over parallel arrays
+module lowers a plan one level further, to a :class:`PlanTape`, the
+runtime every reuse of a plan evaluates on: a flat register program over
+parallel arrays
 
 * ``opcodes`` / ``dsts`` / ``lhs`` / ``rhs`` — one entry per operation, in
   dependency (topological) order, over a semiring-with-complement opcode set
@@ -34,6 +35,9 @@ and constant denominators, each slot holds an integer ``X`` standing for
 (1 for inputs and constants, summed by ``mul``, the maximum of the operand
 exponents for ``add``).  No operation pays a gcd; one ``Fraction``
 is built at the root, so results are bit-identical to Fraction arithmetic.
+A plan's first answer needs no tape: :class:`ScaledContext` does the same
+arithmetic one kernel operation at a time, carrying each exponent beside
+its integer.
 
 How tapes are compiled
 ----------------------
@@ -57,10 +61,13 @@ never on probability values, which is what makes this sound.)
 The only rewrites applied are identity peepholes (``0 + x → x``,
 ``1 * x → x``, ``0 * x → 0``, ``1 - x`` folded to one complement op, and
 complement sharing), all of which are bitwise-exact in both precisions for
-the non-negative finite values probabilities produce.  A caching
-:class:`~repro.core.solver.PHomSolver` lowers every tractable plan when it
-compiles it, so plans reach the evaluator, the serving workers and the
-persistent store with their tape.
+the non-negative finite values probabilities produce.  Lowering costs
+more than one direct pass of the kernels, so a plan is lowered only when
+it is reused: a :class:`~repro.core.solver.PHomSolver` solve answers a
+fresh plan's first call directly and lowers the plan on its next cache
+hit, while ``compile``, ``tape_for`` and ``evaluate_many`` lower at
+compile, so their plans reach the serving workers and the persistent
+store with their tape.
 
 Brute-force :class:`~repro.plan.FallbackPlan` objects have no arithmetic
 half, so they cannot be lowered: :func:`compile_plan_tape` raises
@@ -783,6 +790,70 @@ class PlanTape:
             f"PlanTape(ops={self.num_ops()}, slots={self.num_slots}, "
             f"inputs={self.num_inputs()})"
         )
+
+
+class ScaledContext:
+    """The exact replay's integer arithmetic, one kernel operation at a time.
+
+    The numeric context of a plan's first exact answer, which runs the
+    kernels directly instead of lowering a tape.  Its numbers are pairs
+    ``(X, e)`` standing for ``X / D**e``, the encoding of the integer
+    replay with the exponent carried beside the integer instead of in a
+    static program: zero is ``(0, 0)`` and one ``(1, 0)``, ``mul`` adds
+    the exponents, ``add`` aligns both operands on the larger exponent and
+    ``compl`` is ``D**e - X``.  No operation pays a gcd, and
+    :meth:`fraction` builds the one :class:`~fractions.Fraction`, at the
+    root.  Probabilities come from
+    :meth:`~repro.probability.prob_graph.ProbabilisticGraph.scaled_probabilities`,
+    which holds each one as ``(p * D, 1)`` over the lcm ``D`` of the
+    instance's denominators.  It has the context members the plan kernels
+    use; they read every number from the table, so there is no
+    ``convert``.
+    """
+
+    zero = (0, 0)
+    one = (1, 0)
+
+    def __init__(self, den: int) -> None:
+        self.den = den
+        self._powers = [1, den]
+
+    def _power(self, exponent: int) -> int:
+        """``D**exponent``, extending the memo the operations index first."""
+        powers = self._powers
+        while len(powers) <= exponent:
+            powers.append(powers[-1] * self.den)
+        return powers[exponent]
+
+    def mul(self, a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
+        return (a[0] * b[0], a[1] + b[1])
+
+    def add(self, a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
+        if a[1] > b[1]:
+            a, b = b, a
+        x, e = a
+        y, f = b
+        if e == f:
+            return (x + y, e)
+        if not x:
+            return b
+        try:
+            power = self._powers[f - e]
+        except IndexError:
+            power = self._power(f - e)
+        return (x * power + y, f)
+
+    def compl(self, a: Tuple[int, int]) -> Tuple[int, int]:
+        x, e = a
+        try:
+            return (self._powers[e] - x, e)
+        except IndexError:
+            return (self._power(e) - x, e)
+
+    def fraction(self, value: Tuple[int, int]) -> Fraction:
+        """The normalised :class:`~fractions.Fraction` a pair stands for."""
+        x, e = value
+        return Fraction(x, self._power(e))
 
 
 class TapeEvaluator:

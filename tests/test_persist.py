@@ -460,8 +460,8 @@ class TestTapePersistence:
         assert store.stats["puts"] == 1
         assert len(entry_files(tmp_path / "plans")) == 1
 
-        # An entry written without a tape (as stores did before plans were
-        # lowered at compile time) still answers: it is lowered on first use.
+        # An entry written without a tape (as a solve's first compile
+        # writes one) still answers: the reader lowers it once, on reuse.
         (entry,) = store.entries()
         stale = pickle.loads(pickle.dumps(entry["plan"]))
         stale._tape = None

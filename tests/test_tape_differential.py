@@ -38,6 +38,7 @@ from repro.graphs.digraph import Edge
 from repro.numeric import EXACT, resolve_context
 from repro.obs.trace import Tracer, set_tracer
 from repro.graphs.digraph import DiGraph
+from repro.graphs.generators import random_disjoint_union
 from repro.persist import PlanStore, instance_digest
 from repro.plan import ComponentPlan, ConstantPlan, FallbackPlan
 from repro.probability.brute_force import brute_force_phom
@@ -202,8 +203,8 @@ def random_probability(rng: random.Random) -> Fraction:
 def object_graph(plan, overrides=None, precision="exact"):
     """The plan's answer from its kernels run on numbers, never its tape.
 
-    ``plan.evaluate`` always replays the tape, so comparing a tape
-    against it would compare the tape with itself.
+    ``plan.evaluate`` replays the tape once the plan has one, so comparing
+    a tape against it would compare the tape with itself.
     """
     context = resolve_context(precision)
     return plan._evaluate_with(plan._probability_table(overrides, context), context)
@@ -1088,6 +1089,172 @@ class TestLiveCatchUp:
 
 
 # ----------------------------------------------------------------------
+# direct first evaluation: a tape-less plan's first live answer
+# ----------------------------------------------------------------------
+#: Probabilities of the direct-pass inputs: coprime denominators, a
+#: float-derived one, and certain and impossible edges.
+DIRECT_PROBABILITIES = (
+    Fraction(1, 3), Fraction(1, 7), Fraction(0.1), Fraction(1), Fraction(0),
+    Fraction(5, 16),
+)
+
+
+def cold_plan(query, instance, solver_kwargs=None):
+    """A plan compiled without a tape (a cache-less solver lowers nothing)."""
+    plan = PHomSolver(plan_cache_size=0, **(solver_kwargs or {})).compile(query, instance)
+    assert not plan.has_tape()
+    return plan
+
+
+def reweighted(instance, rng):
+    """``instance``'s graph with every probability drawn from DIRECT_PROBABILITIES."""
+    return ProbabilisticGraph(
+        instance.graph,
+        {edge: rng.choice(DIRECT_PROBABILITIES) for edge in instance.edges()},
+    )
+
+
+def assert_direct_answer(plan, precision):
+    """The plan's first ``evaluate`` takes the direct path and matches its oracle."""
+    table = resolve_context(precision).instance_probabilities(plan.instance)
+    value, records = traced(lambda: plan.evaluate(precision=precision))
+    (attrs,) = span_attrs(records, "plan.evaluate")
+    assert attrs["path"] == "direct"
+    assert not span_attrs(records, "tape.compile")
+    assert not plan.has_tape()
+    if precision == "exact":
+        assert type(value) is Fraction
+        assert value == plan._evaluate_with(table, EXACT)
+    else:
+        want = compile_plan_tape(plan).evaluate(table, "float")
+        assert type(value) is float and value.hex() == want.hex()
+    return value
+
+
+class TestDirectFirstEvaluation:
+    """A first live ``evaluate`` runs the kernels once, on scaled integers in
+    exact mode, and must answer exactly as the kernels on Fractions and, in
+    float, bitwise as the tape replay.  perfbench's oracle solver takes the
+    same pass on its first solves, so this suite is its independent check."""
+
+    @pytest.mark.parametrize("precision", ["exact", "float"])
+    @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
+    def test_every_route_answers_directly(self, index, precision):
+        workload, _plan, rng = dispatch_plan(index)
+        solver_kwargs = DISPATCH_ROUTES[index][4]
+        for instance in [workload.instance] + [
+            reweighted(workload.instance, rng) for _ in range(4)
+        ]:
+            plan = cold_plan(workload.query, instance, solver_kwargs)
+            assert plan.method == DISPATCH_ROUTES[index][0]
+            value = assert_direct_answer(plan, precision)
+            if precision == "exact":
+                assert value == brute_force_phom(workload.query, instance)
+
+    @pytest.mark.parametrize("precision", ["exact", "float"])
+    def test_constant_plan_answers_directly(self, precision):
+        rng = random.Random(SEED)
+        workload = workload_for_cell(
+            GraphClass.ONE_WAY_PATH, GraphClass.DOWNWARD_TREE, True,
+            query_size=2, instance_size=6, rng=rng,
+        )
+        plan = cold_plan(one_way_path(["Z"], prefix="q"), workload.instance)
+        assert isinstance(plan, ConstantPlan)
+        assert assert_direct_answer(plan, precision) == 0
+
+    @pytest.mark.parametrize("precision", ["exact", "float"])
+    def test_multi_component_instance(self, precision):
+        rng = random.Random(SEED)
+        graph = random_disjoint_union([5, 5, 5], "DWT", rng=rng)
+        instance = reweighted(ProbabilisticGraph(graph), rng)
+        label = graph.edges()[0].label
+        plan = cold_plan(one_way_path([label]), instance)
+        assert isinstance(plan, ComponentPlan) and len(plan._components) == 3
+        value = assert_direct_answer(plan, precision)
+        if precision == "exact":
+            assert value == brute_force_phom(one_way_path([label]), instance)
+
+    def test_scaled_table_memo_follows_set_probability(self):
+        # Two plans' first solves on one instance, with a change between
+        # them: the second must read the new probabilities (and their new
+        # denominator), not a scaled table memoised before the change.
+        path = ProbabilisticGraph(
+            DiGraph(edges=[("a", "b", "R"), ("b", "c", "S")]),
+            {("a", "b"): "1/2", ("b", "c"): "1/3"},
+        )
+        cases = [(one_way_path(["R", "S"]), path, {})]
+        for index in range(len(DISPATCH_ROUTES)):
+            workload, _plan, _rng = dispatch_plan(index)
+            cases.append((workload.query, workload.instance, DISPATCH_ROUTES[index][4]))
+        moved = []
+        for query, instance, solver_kwargs in cases:
+            solver = PHomSolver(plan_cache_size=0, **solver_kwargs)
+            before = solver.solve(query, instance).probability
+            assert before == fresh_exact(query, instance)
+            assert instance.scaled_probabilities() is instance.scaled_probabilities()
+            # Every input the plan reads gets a value with a fresh
+            # denominator, until the answer moves.
+            tape = compile_plan_tape(cold_plan(query, instance, solver_kwargs))
+            edges = [edge for edge, _slot in tape.inputs]
+            for new in (Fraction(1, 11), Fraction(2, 13), Fraction(5, 17)):
+                for edge in edges:
+                    instance.set_probability(edge, new)
+                if fresh_exact(query, instance) != before:
+                    break
+            else:
+                continue  # an answer no input probability can move (e.g. 0)
+            moved.append(query)
+            den, table = instance.scaled_probabilities()
+            assert den % new.denominator == 0
+            assert table[edges[0]] == (new.numerator * den // new.denominator, 1)
+            after, records = traced(lambda: solver.solve(query, instance))
+            assert [attrs["path"] for attrs in span_attrs(records, "plan.evaluate")] == [
+                "direct"
+            ]
+            assert after.probability == fresh_exact(query, instance) != before
+            floaty = solver.solve(query, instance, precision="float").probability
+            assert floaty == object_graph(
+                cold_plan(query, instance, solver_kwargs), precision="float"
+            )
+        assert moved and moved[0] is cases[0][0]
+
+    def test_second_live_call_lowers_and_binds(self):
+        workload, _plan, _rng = dispatch_plan(1)
+        plan = cold_plan(workload.query, workload.instance)
+        value = assert_direct_answer(plan, "exact")
+        assert plan._live_sessions == {"exact": None}
+        again, path, ops = evaluate_traced(plan)
+        assert plan.has_tape()
+        assert (again, path, ops) == (value, "bind", plan.tape().num_ops())
+        assert evaluate_traced(plan) == (value, "catch_up", 0)
+
+    def test_overrides_and_lowered_plans_never_take_the_direct_path(self):
+        workload, lowered, _rng = dispatch_plan(0)
+        assert evaluate_traced(lowered)[1] == "replay"
+        plan = cold_plan(workload.query, workload.instance)
+        edge = workload.instance.edges()[0]
+        _value, records = traced(lambda: plan.evaluate({edge: "1/3"}))
+        (attrs,) = span_attrs(records, "plan.evaluate")
+        assert attrs["path"] == "replay" and plan.has_tape()
+
+    def test_traced_cold_solve_emits_a_direct_span_and_no_lowering(self):
+        workload, _plan, _rng = dispatch_plan(0)
+        solver = PHomSolver()
+        result, records = traced(lambda: solver.solve(workload.query, workload.instance))
+        assert result.probability == fresh_exact(workload.query, workload.instance)
+        assert [attrs["path"] for attrs in span_attrs(records, "plan.evaluate")] == [
+            "direct"
+        ]
+        assert span_attrs(records, "plan.compile")
+        assert not span_attrs(records, "tape.compile")
+        _result, records = traced(lambda: solver.solve(workload.query, workload.instance))
+        assert len(span_attrs(records, "tape.compile")) == 1
+        assert [attrs["path"] for attrs in span_attrs(records, "plan.evaluate")] == [
+            "bind"
+        ]
+
+
+# ----------------------------------------------------------------------
 # tape structure invariants
 # ----------------------------------------------------------------------
 class TestTapeStructure:
@@ -1252,8 +1419,15 @@ class TestStatsHygiene:
 
 
 # ----------------------------------------------------------------------
-# lowering at compile, never again on reuse
+# lowering policy: at compile for compile/tape_for/evaluate_many, on reuse
+# for solves
 # ----------------------------------------------------------------------
+def cached_plan(solver):
+    """The solver's one cached plan, read without a lookup (which would lower)."""
+    (plan,) = solver.plan_cache._entries.values()
+    return plan
+
+
 class TestLoweringOnReuse:
     @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
     def test_compile_lowers_once(self, index, monkeypatch):
@@ -1285,6 +1459,60 @@ class TestLoweringOnReuse:
         assert stats["compiles"] == 1
         assert stats["tape_compiles"] == 1
 
+    @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
+    def test_solve_lowers_on_reuse_once(self, index, monkeypatch):
+        # A solve's plan answers its first call without a tape; the next
+        # solve lowers it once, and from the third on the kernels never run.
+        workload, _plan, rng = dispatch_plan(index)
+        query, instance = workload.query, workload.instance
+        solver = PHomSolver(**DISPATCH_ROUTES[index][4])
+        want = fresh_exact(query, instance)
+        assert solver.solve(query, instance).probability == want
+        plan = cached_plan(solver)
+        assert not plan.has_tape()
+        stats = solver.plan_cache.stats
+        assert stats["compiles"] == 1 and stats["tape_compiles"] == 0
+
+        assert solver.solve(query, instance).probability == want
+        assert plan.has_tape() and cached_plan(solver) is plan
+        stats = solver.plan_cache.stats
+        assert stats["compiles"] == 1 and stats["tape_compiles"] == 1
+
+        def object_graph_run(*_args):
+            raise AssertionError("a solve ran the kernels after the lowering")
+
+        monkeypatch.setattr(plan, "_evaluate_with", object_graph_run)
+        assert solver.solve(query, instance).probability == want
+        edges = instance.edges()
+        for _ in range(3):
+            instance.set_probability(edges[rng.randrange(len(edges))], random_probability(rng))
+            exact = fresh_exact(query, instance)
+            assert solver.solve(query, instance).probability == exact
+            drifted = solver.solve(query, instance, precision="float").probability
+            assert abs(drifted - float(exact)) <= FLOAT_TOLERANCE
+        solver.compile(query, instance)
+        solver.tape_for(query, instance)
+        stats = solver.plan_cache.stats
+        assert stats["compiles"] == 1 and stats["tape_compiles"] == 1
+
+    @pytest.mark.parametrize("entry", ["compile", "tape_for", "evaluate_many"])
+    def test_compile_entries_lower_before_their_one_put(self, entry, tmp_path):
+        workload, _plan, _rng = dispatch_plan(1)
+        query, instance = workload.query, workload.instance
+        solver = PHomSolver(plan_store=str(tmp_path / "plans"))
+        calls = {
+            "compile": lambda: solver.compile(query, instance),
+            "tape_for": lambda: solver.tape_for(query, instance),
+            "evaluate_many": lambda: solver.evaluate_many(query, instance, [None]),
+        }
+        calls[entry]()
+        assert cached_plan(solver).has_tape()
+        assert solver.plan_store.stats["puts"] == 1
+        (row,) = solver.plan_store.inspect()
+        assert row["tape"] is True
+        stats = solver.plan_cache.stats
+        assert stats["compiles"] == 1 and stats["tape_compiles"] == 1
+
     def test_uncached_solver_never_lowers(self):
         workload, _plan, _rng = dispatch_plan(0)
         solver = PHomSolver(plan_cache_size=0)
@@ -1292,23 +1520,26 @@ class TestLoweringOnReuse:
             solver.solve(workload.query, workload.instance)
         assert not solver.compile(workload.query, workload.instance).has_tape()
 
-    def test_one_store_put_and_warm_restart_skips_lowering(self, tmp_path):
+    def test_one_store_put_and_warm_restart_lowers_once_on_reuse(self, tmp_path):
         workload, _plan, _rng = dispatch_plan(1)
         store_dir = str(tmp_path / "plans")
         writer = PHomSolver(plan_store=store_dir)
         answers = {writer.solve(workload.query, workload.instance).probability for _ in range(4)}
         assert len(answers) == 1
-        # One put, at compile time, and it already carries the tape.
+        # One put, by the first solve's compile, and it carries no tape:
+        # the writer lowered the plan on its second solve, after the put.
         assert writer.plan_store.stats["puts"] == 1
         (row,) = writer.plan_store.inspect()
-        assert row["tape"] is True
+        assert row["tape"] is False
         stats = writer.plan_cache.stats
         assert stats["compiles"] == 1 and stats["tape_compiles"] == 1
 
+        # A restarted reader loads the tape-less entry and, since a load
+        # is a reuse, lowers it once; it recompiles and writes nothing.
         reader = PHomSolver(plan_store=store_dir)
         assert reader.solve(workload.query, workload.instance).probability in answers
         assert reader.compile(workload.query, workload.instance).has_tape()
         stats = reader.plan_cache.stats
-        assert stats["compiles"] == 0 and stats["tape_compiles"] == 0
+        assert stats["compiles"] == 0 and stats["tape_compiles"] == 1
         assert stats["loads"] == 1
         assert reader.plan_store.stats["puts"] == 0
