@@ -990,6 +990,25 @@ def _run_store(args, out, err) -> int:
     return 0
 
 
+def _finish_bench(report, what, check, format_report, write_report, output, out, err) -> int:
+    """Print a benchmark report, then enforce its gates with ``check()``.
+
+    A run that fails a gate still shows every row it measured; the report
+    file (``output``, or nothing for ``-``) is written only when the gates
+    pass.
+    """
+    out.write(format_report(report) + "\n")
+    try:
+        check()
+    except AssertionError as exc:
+        err.write(f"error: {what} benchmark check failed: {exc}\n")
+        return 1
+    if output != "-":
+        write_report(report, output)
+        out.write(f"report written to {output}\n")
+    return 0
+
+
 def _run_bench(args, out, err) -> int:
     if args.suite == "plans":
         return _run_bench_plans(args, out, err)
@@ -1012,12 +1031,10 @@ def _run_bench(args, out, err) -> int:
     except AssertionError as exc:
         err.write(f"error: benchmark cross-check failed: {exc}\n")
         return 1
-    out.write(format_report(report) + "\n")
-    output = args.output or "BENCH_hotpaths.json"
-    if output != "-":
-        write_report(report, output)
-        out.write(f"report written to {output}\n")
-    return 0
+    return _finish_bench(
+        report, "hotpath", lambda: None, format_report, write_report,
+        args.output or "BENCH_hotpaths.json", out, err,
+    )
 
 
 def _run_bench_plans(args, out, err) -> int:
@@ -1041,7 +1058,11 @@ def _run_bench_plans(args, out, err) -> int:
             rounds=rounds,
             updates=updates,
         )
-        check_plan_thresholds(
+    except AssertionError as exc:
+        err.write(f"error: plan benchmark check failed: {exc}\n")
+        return 1
+    return _finish_bench(
+        report, "plan", lambda: check_plan_thresholds(
             report,
             min_reuse_speedup=args.min_reuse_speedup,
             min_incremental_speedup=args.min_incremental_speedup,
@@ -1052,16 +1073,9 @@ def _run_bench_plans(args, out, err) -> int:
             min_interval_match_speedup=args.min_interval_match_speedup,
             min_live_speedup=args.min_live_speedup,
             min_repeated_lane_speedup=args.min_repeated_lane_speedup,
-        )
-    except AssertionError as exc:
-        err.write(f"error: plan benchmark check failed: {exc}\n")
-        return 1
-    out.write(format_plan_report(report) + "\n")
-    output = args.output or "BENCH_plans.json"
-    if output != "-":
-        write_plan_report(report, output)
-        out.write(f"report written to {output}\n")
-    return 0
+        ),
+        format_plan_report, write_plan_report, args.output or "BENCH_plans.json", out, err,
+    )
 
 
 def _run_bench_sampling(args, out, err) -> int:
@@ -1074,20 +1088,17 @@ def _run_bench_sampling(args, out, err) -> int:
 
     try:
         report = run_sampling_benchmarks(smoke=args.smoke)
-        check_sampling_thresholds(
-            report,
-            min_speedup=args.min_sampling_speedup,
-            max_epsilon_ratio=args.max_epsilon_ratio,
-        )
     except AssertionError as exc:
         err.write(f"error: sampling benchmark check failed: {exc}\n")
         return 1
-    out.write(format_sampling_report(report) + "\n")
-    output = args.output or "BENCH_sampling.json"
-    if output != "-":
-        write_sampling_report(report, output)
-        out.write(f"report written to {output}\n")
-    return 0
+    return _finish_bench(
+        report, "sampling", lambda: check_sampling_thresholds(
+            report,
+            min_speedup=args.min_sampling_speedup,
+            max_epsilon_ratio=args.max_epsilon_ratio,
+        ),
+        format_sampling_report, write_sampling_report, args.output or "BENCH_sampling.json", out, err,
+    )
 
 
 def _run_bench_service(args, out, err) -> int:
@@ -1103,23 +1114,20 @@ def _run_bench_service(args, out, err) -> int:
             smoke=args.smoke, faults=args.faults, restart=args.restart,
             trace_out=args.trace_out,
         )
-        check_service_thresholds(
+    except AssertionError as exc:
+        err.write(f"error: service benchmark check failed: {exc}\n")
+        return 1
+    return _finish_bench(
+        report, "service", lambda: check_service_thresholds(
             report,
             min_speedup=args.min_service_speedup,
             max_recovery_ms=args.max_recovery_ms,
             min_worker_scaling=args.min_worker_scaling,
             max_p99_ms=args.max_p99_ms,
             min_obs_overhead_ratio=args.min_obs_overhead_ratio,
-        )
-    except AssertionError as exc:
-        err.write(f"error: service benchmark check failed: {exc}\n")
-        return 1
-    out.write(format_service_report(report) + "\n")
-    output = args.output or "BENCH_service.json"
-    if output != "-":
-        write_service_report(report, output)
-        out.write(f"report written to {output}\n")
-    return 0
+        ),
+        format_service_report, write_service_report, args.output or "BENCH_service.json", out, err,
+    )
 
 
 def _run_bench_query(args, out, err) -> int:
@@ -1132,20 +1140,17 @@ def _run_bench_query(args, out, err) -> int:
 
     try:
         report = run_query_benchmarks(smoke=args.smoke)
-        check_query_thresholds(
-            report,
-            min_minimization_speedup=args.min_minimization_speedup,
-            min_core_speedup=args.min_core_speedup,
-        )
     except AssertionError as exc:
         err.write(f"error: query benchmark check failed: {exc}\n")
         return 1
-    out.write(format_query_report(report) + "\n")
-    output = args.output or "BENCH_query.json"
-    if output != "-":
-        write_query_report(report, output)
-        out.write(f"report written to {output}\n")
-    return 0
+    return _finish_bench(
+        report, "query", lambda: check_query_thresholds(
+            report,
+            min_minimization_speedup=args.min_minimization_speedup,
+            min_core_speedup=args.min_core_speedup,
+        ),
+        format_query_report, write_query_report, args.output or "BENCH_query.json", out, err,
+    )
 
 
 def main(argv: Optional[List[str]] = None, out=None, err=None) -> int:

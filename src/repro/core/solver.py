@@ -524,8 +524,8 @@ class PHomSolver:
         if method == "karp-luby":
             # Go through the plan cache: repeated estimates against the same
             # pair reuse the memoised match lineage instead of re-running the
-            # homomorphism enumeration per call.
-            plan = self._plan_for(query, instance, allow_fallback=True)
+            # homomorphism enumeration per call.  Sampling reads no tape.
+            plan = self._plan_for(query, instance, allow_fallback=True, lower="never")
             if isinstance(plan, FallbackPlan):
                 return plan.estimate(params=self.approx_params)
             # Tractable (or trivial) combination sampled on explicit request:
@@ -668,7 +668,7 @@ class PHomSolver:
         query = as_query_graph(query)
         self._validate_inputs(query, instance)
         validate_query_graph(query)
-        return self._plan_for(query, instance, lower=True)
+        return self._plan_for(query, instance, lower="compile")
 
     def tape_for(self, query: QueryLike, instance: ProbabilisticGraph):
         """The pair's compiled plan lowered to a flat :class:`~repro.tape.PlanTape`.
@@ -721,15 +721,17 @@ class PHomSolver:
         query: DiGraph,
         instance: ProbabilisticGraph,
         allow_fallback: Optional[bool] = None,
-        lower: bool = False,
+        lower: str = "reuse",
     ) -> CompiledPlan:
         """The cached (or freshly compiled) plan of the pair.
 
-        Score, select, then build: a plan compiled on a miss is lowered to
-        its tape only when ``lower`` is set (callers that reuse the plan or
-        need its tape now), so a solve's plan answers its first call
-        without one.  A cache hit on a tractable plan without a tape lowers
-        it, once, billed by the cache in ``tape_compiles``.
+        Score, select, then build: ``lower`` says when a tractable plan
+        gets its tape.  ``"compile"`` lowers it before it is stored
+        (callers that reuse the plan or need its tape now); ``"reuse"``
+        stores it tape-less and lowers it on a cache hit (a solve, whose
+        first answer needs no tape); ``"never"`` leaves it as it is (the
+        sampler, which reads no tape).  A lowering on a hit happens once,
+        billed by the cache in ``tape_compiles``.
         """
         if allow_fallback is None:
             # Approx-mode solvers never brute-force, but they do need the
@@ -759,7 +761,7 @@ class PHomSolver:
                 plan = self._compile_plan(query, instance, allow_fallback)
                 if span:
                     span.attrs["method"] = plan.method
-            if lower and not isinstance(plan, FallbackPlan):
+            if lower == "compile" and not isinstance(plan, FallbackPlan):
                 # Lowered before it is stored, so a persistent tier writes
                 # one entry that carries the tape.
                 plan.tape()
@@ -770,7 +772,7 @@ class PHomSolver:
                 # what a non-sampling caller observes: same error as on a
                 # cold cache.
                 raise ClassConstraintError(_HARD_CELL_MESSAGE)
-        elif not plan.has_tape():
+        elif lower != "never" and not plan.has_tape():
             self._plan_cache.lower(plan)
         return plan
 

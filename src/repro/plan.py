@@ -9,9 +9,9 @@ probabilities.  A :class:`CompiledPlan` captures the structural phase once:
 
 * :meth:`CompiledPlan.evaluate` recomputes the probability with *only*
   arithmetic, against the instance's live probabilities or a caller-supplied
-  override table: a plan's first live answer runs its kernels once,
-  directly, and every other call replays the plan's flat tape
-  (:mod:`repro.tape`); against the live table, a hot plan replays only the
+  override table: a tape-less plan's first live answer runs its kernels
+  once, directly, and every other call runs the plan's flat tape
+  (:mod:`repro.tape`); against the live table, a plan replays only the
   operations downstream of the edges changed since its previous call;
 * :meth:`CompiledPlan.update` maintains a what-if probability table (a
   private copy of the instance) and re-evaluates after a single-edge
@@ -34,16 +34,17 @@ Invalidation contract
 Plans capture *structure only*, so:
 
 * mutating a probability (``instance.set_probability``) does **not** stale a
-  plan — the next :meth:`~CompiledPlan.evaluate` reads the live table.  A
-  plan's second live evaluation in a precision binds a
-  :class:`~repro.tape.TapeEvaluator` session over the instance; each
-  ``set_probability`` advances the instance's ``version`` and logs the edge,
-  and the session's next call replays only the sub-programs of the edges
-  logged since (none, when nothing changed).  A session rebinds with one
-  full replay when the bounded log no longer reaches back to it, and an
-  exact session when a new denominator does not divide its ``D``.  Sessions
-  are process-local: pickles and :meth:`~CompiledPlan.rebind` drop them, and
-  override tables never touch them;
+  plan — the next :meth:`~CompiledPlan.evaluate` reads the live table.
+  Every live evaluation but a tape-less plan's first follows the
+  precision's :class:`~repro.tape.TapeEvaluator` session over the
+  instance, bound on its first call; each ``set_probability`` advances the
+  instance's ``version`` and logs the edge, and the session's next call
+  replays only the sub-programs of the edges logged since (none, when
+  nothing changed).  A session rebinds with one full replay when the
+  bounded log no longer reaches back to it, and an exact session when a
+  new denominator does not divide its ``D``.  Sessions are process-local:
+  pickles and :meth:`~CompiledPlan.rebind` drop them, and override tables
+  never touch them;
 * the what-if table of :meth:`~CompiledPlan.update` is a copy of the
   instance, seeded once, which a session of its own follows exactly as the
   live sessions follow the instance: later ``set_probability`` changes to
@@ -148,18 +149,18 @@ class CompiledPlan:
 
     #: The flat tape (see :meth:`tape`), ``None`` until the plan is
     #: lowered: by ``PHomSolver.compile`` (and ``tape_for`` /
-    #: ``evaluate_many``), by the caching solver on the plan's second use,
-    #: or by the first call that needs it.  A plan answered once by a
-    #: solve carries none.  The tape is pickled with the plan, so it ships
+    #: ``evaluate_many``), by the caching solver when a solve reuses the
+    #: plan, or by the first call that needs it.  A plan answered once by
+    #: a solve carries none.  The tape is pickled with the plan, so it ships
     #: to serving workers and the persistent store.  The class-level
     #: default covers plans pickled before tapes existed.
     _tape = None
 
-    #: The live sessions of :meth:`evaluate`, per precision name: ``None``
-    #: after the first live call (it only replays), a bound
-    #: :class:`~repro.tape.TapeEvaluator` from the second on.
-    #: Process-local: pickles and :meth:`rebind` drop them.
-    _live_sessions: Optional[Dict[str, Optional[TapeEvaluator]]] = None
+    #: The live sessions of :meth:`evaluate`, one
+    #: :class:`~repro.tape.TapeEvaluator` per precision name; ``None``
+    #: until the plan's first live call.  Process-local: pickles and
+    #: :meth:`rebind` drop them.
+    _live_sessions: Optional[Dict[str, TapeEvaluator]] = None
 
     #: The what-if session of :meth:`update`: a private copy of the
     #: instance and the :class:`~repro.tape.TapeEvaluator` following it.
@@ -198,50 +199,47 @@ class CompiledPlan:
         ``(source, target)`` pairs.  ``precision`` selects the numeric
         backend, defaulting to the compiling solver's.
 
-        A plan without a tape answers its first live call by running its
-        kernels once, directly: in float over the instance's float table,
-        in exact mode on the scaled integers of a
+        Against the live table, a plan without a tape answers its first
+        call by running its kernels once, directly: in float over the
+        instance's float table, in exact mode on the scaled integers of a
         :class:`~repro.tape.ScaledContext`, so a one-shot plan never builds
-        a tape.  Every other call runs the plan's tape (exact mode on
-        integer registers), lowering it first when the plan has none.
-        Against the live table, the first tape call in a precision replays
-        the tape, the next binds a :class:`~repro.tape.TapeEvaluator`
-        session, and later calls replay only the operations downstream of
-        the edges set since the previous call (see the invalidation
-        contract in :mod:`repro.plan`).  The ``plan.evaluate`` span records
-        the ``path`` taken (``direct``, ``replay``, ``bind`` or
-        ``catch_up``) and, on the tape paths, the ``ops`` replayed.
+        a tape.  Every other live call follows the precision's
+        :class:`~repro.tape.TapeEvaluator` session, lowering the plan first
+        when it has no tape: the session binds on its first call, and later
+        calls replay only the operations downstream of the edges set since
+        the previous call (see the invalidation contract in
+        :mod:`repro.plan`).  An override table replays the whole tape
+        (exact mode on integer registers) and never touches the sessions.
+        The ``plan.evaluate`` span records the ``path`` taken (``direct``,
+        ``bind``, ``catch_up`` or, with overrides, ``replay``) and, on the
+        tape paths, the ``ops`` replayed.
         """
         with current_tracer().span("plan.evaluate") as span:
             if span:
                 span.attrs["method"] = self.method
             context = self._context(precision)
             sessions = self._live_sessions
-            if probabilities is None and sessions is None and self._tape is None:
+            if probabilities is not None:
+                tape = self.tape()
+                table = self._probability_table(probabilities, context)
+                value = tape.evaluate(table, context)
+                path, ops = "replay", tape.num_ops()
+            elif sessions is None and self._tape is None:
                 # Score, select, then build: a first live call runs the
                 # kernels, and only a plan used again is lowered.
-                self._live_sessions = {context.name: None}
+                self._live_sessions = {}
                 value = self._evaluate_direct(context)
                 if span:
                     span.attrs["path"] = "direct"
                 return value
-            tape = self.tape()
-            if probabilities is None and sessions is not None and context.name in sessions:
-                session = sessions[context.name]
+            else:
+                if sessions is None:
+                    sessions = self._live_sessions = {}
+                session = sessions.get(context.name)
                 if session is None:
-                    session = sessions[context.name] = TapeEvaluator(tape)
+                    session = sessions[context.name] = TapeEvaluator(self.tape())
                 value = session.follow(self.instance, context)
                 path, ops = session.path, session.replayed
-            else:
-                if probabilities is None:
-                    # The first live tape call only replays, so a plan used
-                    # once per precision holds no registers.
-                    if sessions is None:
-                        sessions = self._live_sessions = {}
-                    sessions[context.name] = None
-                table = self._probability_table(probabilities, context)
-                value = tape.evaluate(table, context)
-                path, ops = "replay", tape.num_ops()
             if span:
                 span.attrs["path"] = path
                 span.attrs["ops"] = ops
@@ -268,8 +266,8 @@ class CompiledPlan:
         :class:`~repro.exceptions.PlanError` on brute-force fallback plans
         (no arithmetic half to lower).  A caching solver lowers a plan
         when :meth:`~repro.core.solver.PHomSolver.compile` compiles it, or
-        on the plan's second use when a solve compiled it, and accounts
-        the lowering in ``tape_compiles``.  Any other plan without a tape
+        when a solve reuses a plan a solve compiled, and accounts the
+        lowering in ``tape_compiles``.  Any other plan without a tape
         (compiled by a solver with ``plan_cache_size=0``, or used outside
         the solver) is lowered here, on first request.
         """

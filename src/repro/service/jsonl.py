@@ -169,7 +169,7 @@ def run_jsonl_session(
             _emit(out, failure_record(message, type(exc).__name__, line_number))
             continue
         op = data.get("op", "solve")
-        request_id = str(data["id"]) if "id" in data else None
+        request_id = None if data.get("id") is None else str(data["id"])
         try:
             if op == "solve":
                 batch.append((line_number, request_from_json_dict(data)))

@@ -304,7 +304,7 @@ def request_from_json_dict(data: Dict[str, Any]) -> ServiceRequest:
         epsilon=_numeric_field(data, "epsilon", float),
         delta=_numeric_field(data, "delta", float),
         seed=_numeric_field(data, "seed", int),
-        request_id=str(data["id"]) if "id" in data else None,
+        request_id=None if data.get("id") is None else str(data["id"]),
         deadline_ms=_numeric_field(data, "deadline_ms", float),
         on_deadline=str(data.get("on_deadline", "error")),
     )

@@ -13,7 +13,8 @@ parallel arrays
   dependency (topological) order, over a semiring-with-complement opcode set
   (:data:`OP_COMPL`, :data:`OP_ADD`, :data:`OP_MUL`);
 * a *constant pool* mapping register slots to exact
-  :class:`~fractions.Fraction` constants;
+  :class:`~fractions.Fraction` constants (only 0 and 1: the kernels
+  read every other number from the probability table);
 * an *edge-slot indirection*: which input register each instance edge's
   probability is loaded into.
 
@@ -24,13 +25,13 @@ picked from what the batch is, never by the caller: one valuation, or an
 exact batch, replays the scalar loop per valuation; a float batch
 vectorizes each operation across its lanes, on numpy when
 :func:`repro.numeric.numpy_module` returns it and on stdlib lists
-otherwise.  Override batches (:meth:`PlanTape.evaluate_overrides`) run
-once per distinct valuation, and their executor is picked from the
+otherwise.  Override batches (:meth:`repro.plan.CompiledPlan.evaluate_many`)
+run once per distinct valuation, and their executor is picked from the
 distinct count.
 
 Exact mode replays on plain Python integers instead of
 :class:`~fractions.Fraction` registers: with ``D`` the lcm of the input
-and constant denominators, each slot holds an integer ``X`` standing for
+denominators, each slot holds an integer ``X`` standing for
 ``X / D**e``, where the exponent ``e`` is a static property of the slot
 (1 for inputs and constants, summed by ``mul``, the maximum of the operand
 exponents for ``add``).  No operation pays a gcd; one ``Fraction``
@@ -111,8 +112,8 @@ OPCODE_NAMES = {OP_COMPL: "compl", OP_ADD: "add", OP_MUL: "mul"}
 #: multiplied by ``D**shift``, ``_R``: the right one).
 _X_MUL, _X_ADD, _X_ADD_L, _X_ADD_R, _X_COMPL = range(5)
 
-#: The builder interns the constants 0 and 1 before anything else, so they
-#: always sit in these slots; the peepholes compare against them.
+#: The constant pool: 0 and 1, in the first two slots of every tape, which
+#: the builder's peepholes compare against.
 _ZERO_SLOT, _ONE_SLOT = 0, 1
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -123,21 +124,19 @@ FULL_REPLAY_FRACTION = 0.5
 
 
 class _TapeBuilder:
-    """Accumulates slots, constants and operations during lowering.
+    """Accumulates slots and operations during lowering.
 
     The builder is the lowering's numeric context: it has the
     :class:`~repro.numeric.NumericContext` members the kernels use
-    (``zero``, ``one``, ``convert``, ``mul``, ``add``, ``compl``),
-    its numbers are slot indices, and each operation emits one tape op or
-    folds through an identity peephole.
+    (``zero``, ``one``, ``mul``, ``add``, ``compl``), its numbers are slot
+    indices, and each operation emits one tape op or folds through an
+    identity peephole.
     """
 
     name = "tape"
 
     def __init__(self) -> None:
         self.num_slots = 2
-        self._const_slots: Dict[Fraction, int] = {_ZERO: _ZERO_SLOT, _ONE: _ONE_SLOT}
-        self.consts: List[Tuple[int, Fraction]] = [(_ZERO_SLOT, _ZERO), (_ONE_SLOT, _ONE)]
         # Plain int lists: a lowering allocates no GC-tracked object per op
         # (a tuple per op would trigger collections of the whole heap).
         self.opcodes: List[int] = []
@@ -151,15 +150,6 @@ class _TapeBuilder:
     def new_slot(self) -> int:
         slot = self.num_slots
         self.num_slots = slot + 1
-        return slot
-
-    def convert(self, value: Any) -> int:
-        """The (deduplicated) constant-pool slot holding ``value``."""
-        value = Fraction(value)
-        slot = self._const_slots.get(value)
-        if slot is None:
-            slot = self._const_slots[value] = self.new_slot()
-            self.consts.append((slot, value))
         return slot
 
     # -- op emission (with identity peepholes) ------------------------
@@ -233,7 +223,7 @@ def compile_plan_tape(plan) -> "PlanTape":
     root = plan._evaluate_with(table, builder)
     return PlanTape(
         num_slots=builder.num_slots,
-        consts=tuple(builder.consts),
+        consts=((_ZERO_SLOT, _ZERO), (_ONE_SLOT, _ONE)),
         inputs=tuple(table.items()),
         opcodes=array("B", builder.opcodes),
         dsts=array("I", builder.dsts),
@@ -287,6 +277,9 @@ class PlanTape:
                 f"unknown tape opcode(s) {sorted(unknown)}; "
                 f"expected one of {OPCODE_NAMES}"
             )
+        # The exact replay scales its integers by the input denominators only.
+        if any(value not in (0, 1) for _slot, value in consts):
+            raise PlanError("a tape's constant pool holds only 0 and 1")
         self.num_slots = num_slots
         self.consts = consts
         self.inputs = inputs
@@ -466,23 +459,54 @@ class PlanTape:
 
     def _replay(self, inputs: Sequence[Any], context: NumericContext) -> Number:
         """One valuation of the input probabilities (in :attr:`inputs` order)."""
-        if context.name == "exact":
-            return self._replay_exact(inputs)
-        values = self._load(inputs, context)
-        self._run(values)
-        return values[self.root]
+        return self._root(*self._pass(inputs, context))
 
-    def _scaled_program(self) -> Tuple[array, array, int, int, int]:
+    def _pass(
+        self, inputs: Sequence[Any], context: NumericContext
+    ) -> Tuple[List[Any], Optional[List[int]]]:
+        """One full pass: the register file and, in exact mode, the powers of ``D``.
+
+        Float registers hold the context's numbers, and the powers are
+        ``None``.  Exact registers are integers: register ``X`` of a slot
+        with exponent ``e`` stands for ``X / D**e``, where ``D`` (the
+        powers' second entry) is the lcm of the input denominators (see
+        :meth:`_scaled_program`), so no operation pays a gcd.  A
+        :class:`TapeEvaluator` session keeps both.
+        """
+        if context.name != "exact":
+            values = self._load(inputs, context)
+            self._run(values)
+            return values, None
+        top = self._scaled_program()[3]
+        values = [v if isinstance(v, Fraction) else Fraction(v) for v in inputs]
+        den = lcm(*[value.denominator for value in values])
+        powers = [1] * (top + 1)
+        for k in range(1, top + 1):
+            powers[k] = powers[k - 1] * den
+        registers = [0] * self.num_slots
+        for slot, value in self.consts:
+            registers[slot] = value.numerator * den
+        for (_edge, slot), value in zip(self.inputs, values):
+            registers[slot] = value.numerator * (den // value.denominator)
+        self._run_exact(registers, powers)
+        return registers, powers
+
+    def _root(self, registers: List[Any], powers: Optional[List[int]]) -> Number:
+        """The root of a :meth:`_pass` register file; exact: one normalised Fraction."""
+        if powers is None:
+            return registers[self.root]
+        return Fraction(registers[self.root], powers[self._scaled_program()[2]])
+
+    def _scaled_program(self) -> Tuple[array, array, int, int]:
         """The exact replay's static program (memoised, dropped from pickles).
 
-        Returns ``(ops, shifts, root_exp, top, const_den)``.  ``ops`` and
-        ``shifts`` are small-int arrays parallel to :attr:`opcodes`: the
-        integer opcode (``_X_*``) of each operation and the power of ``D``
-        it applies — the pre-scaling of the operand with the smaller
-        exponent for ``add``, the operand's exponent ``e`` for
-        ``compl`` (``D**e - X``), 0 for ``mul``.  ``root_exp`` is the root
-        slot's exponent, ``top`` the largest power of ``D`` the replay uses
-        and ``const_den`` the lcm of the constant denominators.
+        Returns ``(ops, shifts, root_exp, top)``.  ``ops`` and ``shifts``
+        are small-int arrays parallel to :attr:`opcodes`: the integer
+        opcode (``_X_*``) of each operation and the power of ``D`` it
+        applies — the pre-scaling of the operand with the smaller exponent
+        for ``add``, the operand's exponent ``e`` for ``compl``
+        (``D**e - X``), 0 for ``mul``.  ``root_exp`` is the root slot's
+        exponent and ``top`` the largest power of ``D`` the replay uses.
         """
         if self._scaled is None:
             exponents = [1] * self.num_slots
@@ -506,39 +530,8 @@ class PlanTape:
                 ops.append(code)
                 shifts.append(shift)
             root_exp = exponents[self.root]
-            top = max(shifts + [root_exp])
-            self._scaled = (
-                ops,
-                array("I", shifts),
-                root_exp,
-                top,
-                lcm(*[value.denominator for _slot, value in self.consts]),
-            )
+            self._scaled = (ops, array("I", shifts), root_exp, max(shifts + [root_exp]))
         return self._scaled
-
-    def _exact_registers(
-        self, inputs: Sequence[Any]
-    ) -> Tuple[int, List[int], List[int]]:
-        """A full exact pass: ``(D, powers of D, integer registers)``.
-
-        Register ``X`` of a slot with exponent ``e`` stands for
-        ``X / D**e``, where ``D`` is the lcm of the input and constant
-        denominators (see :meth:`_scaled_program`), so no operation pays a
-        gcd.
-        """
-        top, const_den = self._scaled_program()[3:]
-        values = [v if isinstance(v, Fraction) else Fraction(v) for v in inputs]
-        den = lcm(const_den, *[value.denominator for value in values])
-        powers = [1] * (top + 1)
-        for k in range(1, top + 1):
-            powers[k] = powers[k - 1] * den
-        registers = [0] * self.num_slots
-        for slot, value in self.consts:
-            registers[slot] = value.numerator * (den // value.denominator)
-        for (_edge, slot), value in zip(self.inputs, values):
-            registers[slot] = value.numerator * (den // value.denominator)
-        self._run_exact(registers, powers)
-        return den, powers, registers
 
     def _run_exact(self, registers: List[int], powers: List[int]) -> None:
         """Replay the whole tape on integer registers, in place."""
@@ -577,15 +570,6 @@ class PlanTape:
                 registers[dsts[index]] = (
                     registers[lhs[index]] + registers[rhs[index]] * powers[shifts[index]]
                 )
-
-    def _exact_root(self, registers: List[int], powers: List[int]) -> Fraction:
-        """The root register as one normalised Fraction."""
-        return Fraction(registers[self.root], powers[self._scaled_program()[2]])
-
-    def _replay_exact(self, inputs: Sequence[Any]) -> Fraction:
-        """One exact valuation on integer registers; one Fraction at the root."""
-        _den, powers, registers = self._exact_registers(inputs)
-        return self._exact_root(registers, powers)
 
     def evaluate(
         self,
@@ -635,34 +619,6 @@ class PlanTape:
             values[slot] = [convert(table[edge]) for table in tables]
         return self._replay_lanes(values)
 
-    def evaluate_overrides(
-        self,
-        base: Mapping[Edge, Number],
-        overrides: Sequence[Optional[Mapping[Edge, Number]]],
-        precision: Any = None,
-    ) -> List[Number]:
-        """A batch of valuations given as deltas against one base table.
-
-        The serving-shaped variant of :meth:`evaluate_many`: ``base`` is a
-        full edge-probability table and each batch entry is an override
-        mapping (``None``/``{}`` for "just the base") whose values are
-        already in the precision's number type.  The batch runs once per
-        *distinct* valuation (:meth:`_distinct_lanes`): each mapping object
-        is read once, overridden edges the tape never reads are dropped
-        (they provably cannot affect the result), and entries overriding
-        the same inputs with the same values share one lane and one result
-        object.  Each input row is seeded once from ``base`` and only the
-        overridden cells are rewritten, so the per-lane setup cost scales
-        with the number of overridden edges instead of the instance size.
-        Results are identical to building the full per-valuation tables and
-        calling :meth:`evaluate_many`.  The ``tape.run`` span records the
-        executor in its ``backend`` attribute (``"scalar"``, ``"numpy"``
-        or ``"stdlib"``) and the distinct lanes it ran in ``batch``.
-        """
-        lanes, assignment = self._distinct_lanes(overrides)
-        values = self._run_lanes(base, lanes, resolve_context(precision))
-        return [values[lane] for lane in assignment]
-
     def _distinct_lanes(
         self, overrides: Sequence[Optional[Mapping[Edge, Number]]]
     ) -> Tuple[List[Tuple[Tuple[int, Any], ...]], List[int]]:
@@ -700,9 +656,14 @@ class PlanTape:
     ) -> List[Number]:
         """One answer per lane of :meth:`_distinct_lanes`, over ``base``.
 
-        The executor is read off the lanes: one lane, or exact mode, runs
-        the scalar replay per lane; several float lanes run vectorized, on
-        numpy or stdlib lists.
+        ``base`` is a full edge-probability table and each lane rewrites
+        only its own inputs, so the per-lane setup cost scales with the
+        overridden edges instead of the instance size.  The executor is
+        read off the lanes: one lane, or exact mode, runs the scalar
+        replay per lane; several float lanes run vectorized, on numpy or
+        stdlib lists.  The ``tape.run`` span records the executor in its
+        ``backend`` attribute (``"scalar"``, ``"numpy"`` or ``"stdlib"``)
+        and the lanes in ``batch``.
         """
         batch = len(lanes)
         if batch == 0:
@@ -875,20 +836,21 @@ class TapeEvaluator:
     replay.  An exact session keeps the integer registers of the exact
     replay over a ``D`` fixed at bind time, and builds one
     :class:`~fractions.Fraction` per answer, at the root.  A change whose
-    denominator does not divide ``D`` rebinds the session from its
-    current inputs, one full replay with a fresh ``D``.  The root is one
-    normalised Fraction either way, so exact answers are bit-identical to
-    a full replay.
+    denominator does not divide ``D`` rebinds the session from the
+    instance's table, one full replay with a fresh ``D``, as when the
+    change log no longer reaches back.  The root is one normalised
+    Fraction either way, so exact answers are bit-identical to a full
+    replay.
     """
 
     def __init__(self, tape: PlanTape) -> None:
         self.tape = tape
         self.context: Optional[NumericContext] = None
+        #: The register file and powers of ``D`` of :meth:`PlanTape._pass`
+        #: (the powers are ``None`` in float), and the root they hold.
         self._registers: Optional[List[Any]] = None
-        self._root: Any = None
-        #: Exact sessions: ``D`` and its powers; ``None`` in float.
-        self._den: Optional[int] = None
         self._powers: Optional[List[int]] = None
+        self._root: Any = None
         #: The instance and the version :meth:`follow` last caught up to.
         self._instance: Optional[ProbabilisticGraph] = None
         self._version = 0
@@ -896,21 +858,6 @@ class TapeEvaluator:
         #: many operations it replayed.
         self.path = "bind"
         self.replayed = 0
-
-    def _bind(self, inputs: Sequence[Any], context: NumericContext) -> Number:
-        tape = self.tape
-        self.context = context
-        if context.name == "exact":
-            self._den, self._powers, self._registers = tape._exact_registers(inputs)
-            self._root = tape._exact_root(self._registers, self._powers)
-        else:
-            self._den = self._powers = None
-            self._registers = tape._load(inputs, context)
-            tape._run(self._registers)
-            self._root = self._registers[tape.root]
-        self.path = "bind"
-        self.replayed = tape.num_ops()
-        return self._root
 
     def follow(self, instance: ProbabilisticGraph, precision: Any = None) -> Number:
         """The root over ``instance``'s live table, caught up with its changes.
@@ -920,61 +867,61 @@ class TapeEvaluator:
         since the previous call read, so a call with no change returns the
         stored root, and so does a change to an edge the tape never reads.
         The session rebinds when the instance's change log no longer
-        reaches back to its last call, or when it is given another
-        instance or precision.
+        reaches back to its last call, when it is given another instance
+        or precision, or when an exact change brings a denominator that
+        does not divide its ``D``.
         """
         context = resolve_context(precision)
         changes = None
         if instance is self._instance and context is self.context:
             changes = instance.changes_since(self._version)
-        self._version = instance.version
-        if changes is None:
-            self._instance = instance
-            return self._bind(
-                self.tape._inputs_of(instance.probabilities_view()), context
-            )
-        positions = self.tape._input_positions()
+        self._instance, self._version = instance, instance.version
         table = instance.probabilities_view()
-        updated: Dict[int, Fraction] = {}
-        for edge in changes:
-            position = positions.get(edge)
-            if position is not None:
-                updated[position] = table[edge]
-        if not updated:
-            self.path, self.replayed = "catch_up", 0
-            return self._root
-        return self._apply(updated)
+        if changes is not None:
+            positions = self.tape._input_positions()
+            updated: Dict[int, Fraction] = {}
+            for edge in changes:
+                position = positions.get(edge)
+                if position is not None:
+                    updated[position] = table[edge]
+            if not updated:
+                self.path, self.replayed = "catch_up", 0
+                return self._root
+            powers = self._powers
+            if powers is None or not any(
+                powers[1] % value.denominator for value in updated.values()
+            ):
+                return self._apply(updated)
+        tape = self.tape
+        self.context = context
+        self._registers, self._powers = tape._pass(tape._inputs_of(table), context)
+        self._root = tape._root(self._registers, self._powers)
+        self.path, self.replayed = "bind", tape.num_ops()
+        return self._root
 
     def _apply(self, updated: Dict[int, Fraction]) -> Number:
         """Write the inputs at ``updated``'s positions and replay what reads them."""
         tape = self.tape
         inputs = tape.inputs
-        registers = self._registers
-        den = self._den
-        if den is None:
+        registers, powers = self._registers, self._powers
+        program = tape._catch_up_program(updated)
+        if powers is None:
             convert = self.context.convert
             for position, value in updated.items():
                 registers[inputs[position][1]] = convert(value)
-            program = tape._catch_up_program(updated)
             if program is None:
                 tape._run(registers)
             else:
                 tape._run_indexed(registers, program)
-            self._root = registers[tape.root]
-        elif any(den % value.denominator for value in updated.values()):
-            current = [Fraction(registers[slot], den) for _edge, slot in inputs]
-            for position, value in updated.items():
-                current[position] = value
-            return self._bind(current, self.context)
         else:
+            den = powers[1]
             for position, value in updated.items():
                 registers[inputs[position][1]] = value.numerator * (den // value.denominator)
-            program = tape._catch_up_program(updated)
             if program is None:
-                tape._run_exact(registers, self._powers)
+                tape._run_exact(registers, powers)
             else:
-                tape._run_exact_indexed(registers, self._powers, program)
-            self._root = tape._exact_root(registers, self._powers)
+                tape._run_exact_indexed(registers, powers, program)
+        self._root = tape._root(registers, powers)
         self.path = "catch_up"
         self.replayed = tape.num_ops() if program is None else len(program)
         return self._root

@@ -123,6 +123,18 @@ class TestBenchCommand:
         for workload in report["workloads"]:
             assert workload["float_max_abs_error"] <= 1e-9
 
+    def test_failed_gate_prints_the_report_and_writes_no_file(self, tmp_path):
+        target = tmp_path / "query.json"
+        for output in ("-", str(target)):
+            code, out, err = run_cli(
+                ["bench", "query", "--smoke", "--min-core-speedup", "1e9", "--output", output]
+            )
+            assert code == 1
+            assert "query frontend benchmark" in out and "core 2WP" in out
+            assert "below the required" in err
+            assert "report written" not in out
+        assert not target.exists()
+
 
 class TestApproxSolve:
     @pytest.fixture

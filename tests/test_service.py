@@ -461,6 +461,29 @@ class TestJsonlProtocol:
         assert [r["id"] for r in parsed[1:]] == ["a", "b"]
         assert all("error" not in r for r in parsed)
 
+    def test_null_request_id_reads_as_absent(self):
+        # JSON null is no id, on the answer and on a failure record alike,
+        # as it is for register; it must not become the string "None".
+        instance = build_instance(63)
+        query = trace_queries(65, 1)[0]
+        payload = graph_to_dict(query)
+        lines = self.make_lines(instance, query, extra=[
+            json.dumps({"op": "solve", "id": None, "instance": "inst", "query": payload}),
+            json.dumps({"op": "solve", "id": None, "instance": "ghost", "query": payload}),
+            json.dumps({"op": "update", "id": None, "instance": "inst", "edge": ["x", "y"],
+                        "probability": "1/2"}),
+        ])
+        out = io.StringIO()
+        with QueryService(num_workers=0) as service:
+            code = run_jsonl_session(lines, out, service)
+        assert code == 1
+        parsed = [json.loads(line) for line in out.getvalue().splitlines()]
+        answered, ghost, update = parsed[-3:]
+        assert answered["id"] is None and "error" not in answered
+        assert answered["probability"] == parsed[1]["probability"]
+        for failure in (ghost, update):
+            assert failure["error_class"] and "id" not in failure
+
     def test_non_finite_deadline_is_a_failure_record(self):
         instance = build_instance(64)
         query = trace_queries(66, 1)[0]

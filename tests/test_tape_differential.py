@@ -634,15 +634,10 @@ class TestCoalescedLanes:
         assert (run["backend"], run["batch"]) == ("scalar", 1)
         # On a tape with inputs, an edge outside them drops out of its lane.
         tape = plan.tape()
-        base = dict(workload.instance.float_probabilities())
         first = tape.inputs[0][0]
         foreign = Edge("tape-test-x", "tape-test-y", "R")
         lanes = [{first: 0.25}, {first: 0.25, foreign: 0.5}, {foreign: 0.75}, None]
-        got = tape.evaluate_overrides(base, lanes, precision="float")
-        assert got[0] is got[1] and got[2] is got[3] and got[0] is not got[2]
-        assert got[:3:2] == [
-            tape.evaluate({**base, first: 0.25}, "float"), tape.evaluate(base, "float"),
-        ]
+        assert tape._distinct_lanes(lanes) == ([((0, 0.25),), ()], [0, 0, 1, 1])
 
     @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
     def test_numpy_and_stdlib_lanes_agree_bitwise(self, index, monkeypatch):
@@ -854,16 +849,21 @@ class TestTapeUpdateStream:
 # live sessions: plan.evaluate() catches up with set_probability
 # ----------------------------------------------------------------------
 def full_replay(plan, precision):
-    """A fresh full replay of the plan's tape over the live table."""
+    """A fresh full replay of the plan's tape over the live table.
+
+    A plan without a tape is not lowered: a tape of its own replays.
+    """
     context = resolve_context(precision)
-    return plan.tape().evaluate(
-        context.instance_probabilities(plan.instance), context
-    )
+    tape = plan.tape() if plan.has_tape() else compile_plan_tape(plan)
+    return tape.evaluate(context.instance_probabilities(plan.instance), context)
 
 
 def assert_live_answer(workload, plan, precision):
-    """``plan.evaluate()`` against a full replay, and in exact mode the oracles."""
-    got = plan.evaluate(precision=precision)
+    """``plan.evaluate()`` against a full replay, and in exact mode the oracles.
+
+    Returns the ``path`` the call took.
+    """
+    got, path, _ops = evaluate_traced(plan, precision=precision)
     want = full_replay(plan, precision)
     assert type(got) is type(want)
     if precision == "exact":
@@ -871,19 +871,22 @@ def assert_live_answer(workload, plan, precision):
         assert got == brute_force_phom(workload.query, workload.instance)
     else:
         assert got.hex() == want.hex()
-    return got
+    return path
 
 
-def evaluate_traced(plan, overrides=None):
-    """``plan.evaluate(overrides)`` plus the (path, ops) its span recorded."""
+def evaluate_traced(plan, overrides=None, precision=None):
+    """``plan.evaluate(overrides, precision)`` plus the (path, ops) its span recorded.
+
+    ``ops`` is ``None`` on the direct path, which replays no tape.
+    """
     tracer = Tracer(sample_rate=1.0)
     previous = set_tracer(tracer)
     try:
-        value = plan.evaluate(overrides)
+        value = plan.evaluate(overrides, precision)
     finally:
         set_tracer(previous)
     (record,) = [r for r in tracer.drain() if r["name"] == "plan.evaluate"]
-    return value, record["attrs"]["path"], record["attrs"]["ops"]
+    return value, record["attrs"]["path"], record["attrs"].get("ops")
 
 
 #: Burst sizes between live evaluations: none, one, a few, and more changes
@@ -891,25 +894,45 @@ def evaluate_traced(plan, overrides=None):
 BURSTS = (0, 1, 1, 2, 9, CHANGE_LOG_LIMIT + 3)
 
 
+def live_bursts(workload, plan, rng):
+    """Random bursts of changes, each followed by live calls checked by
+    :func:`assert_live_answer`; returns the path of every live call."""
+    instance = workload.instance
+    edges = instance.edges()
+    paths = []
+    for _step in range(14):
+        for _ in range(rng.choice(BURSTS)):
+            instance.set_probability(rng.choice(edges), random_probability(rng))
+        # Interleaved precisions: either order, or one of the two only,
+        # so each session falls behind the other by a burst or more.
+        order = rng.choice(
+            (("exact", "float"), ("float", "exact"), ("exact",), ("float",))
+        )
+        paths += [assert_live_answer(workload, plan, precision) for precision in order]
+    return paths
+
+
 class TestLiveCatchUp:
     @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
     def test_random_bursts_match_full_replay_and_oracles(self, index):
         workload, plan, rng = dispatch_plan(index)
-        instance = workload.instance
-        edges = instance.edges()
-        for step in range(14):
-            for _ in range(rng.choice(BURSTS)):
-                instance.set_probability(rng.choice(edges), random_probability(rng))
-            # Interleaved precisions: either order, or one of the two only,
-            # so each session falls behind the other by a burst or more.
-            order = rng.choice(
-                (("exact", "float"), ("float", "exact"), ("exact",), ("float",))
-            )
-            for precision in order:
-                assert_live_answer(workload, plan, precision)
+        paths = live_bursts(workload, plan, rng)
+        assert paths[0] == "bind"
+        assert set(paths) <= {"bind", "catch_up"}
         sessions = plan._live_sessions
         assert isinstance(sessions["exact"], TapeEvaluator)
         assert isinstance(sessions["float"], TapeEvaluator)
+
+    @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
+    def test_random_bursts_from_a_cold_start(self, index):
+        # A tape-less plan: its first live call takes the direct pass, and
+        # every later one, in either precision, follows a session.
+        workload, _plan, rng = dispatch_plan(index)
+        plan = cold_plan(workload.query, workload.instance, DISPATCH_ROUTES[index][4])
+        paths = live_bursts(workload, plan, rng)
+        assert paths[0] == "direct"
+        assert set(paths[1:]) <= {"bind", "catch_up"}
+        assert plan.has_tape()
 
     @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
     def test_what_if_session_neither_leaks_nor_takes_in(self, index):
@@ -983,24 +1006,24 @@ class TestLiveCatchUp:
         assert path == "catch_up" and value == Fraction(1, 3)
         assert value == brute_force_phom(query, instance)
 
-    def test_second_use_binds_and_zero_change_replays_nothing(self):
+    def test_first_use_binds_and_zero_change_replays_nothing(self):
+        # A plan lowered at compile binds on its first live call.
         workload, plan, _rng = dispatch_plan(1)
         tape = plan.tape()
         assert plan._live_sessions is None
         value, path, ops = evaluate_traced(plan)
-        assert (path, ops) == ("replay", tape.num_ops())
-        assert plan._live_sessions == {"exact": None}  # one evaluation binds nothing
-        assert tape._programs is None
-        assert evaluate_traced(plan) == (value, "bind", tape.num_ops())
+        assert (path, ops) == ("bind", tape.num_ops())
+        assert value == fresh_exact(workload.query, workload.instance)
+        assert tape._programs is None  # a bind builds no sub-program
         assert evaluate_traced(plan) == (value, "catch_up", 0)
         edges = [edge for edge, _slot in tape.inputs]
         workload.instance.set_probability(edges[-1], Fraction(3, 4))
         value, path, ops = evaluate_traced(plan)
         assert path == "catch_up" and 0 < ops <= tape.num_ops()
         assert value == fresh_exact(workload.query, workload.instance)
-        # Overrides never touch the sessions.
-        _value, path, _ops = evaluate_traced(plan, {edges[0]: "1/9"})
-        assert path == "replay"
+        # Overrides replay the whole tape and never touch the sessions.
+        _value, path, ops = evaluate_traced(plan, {edges[0]: "1/9"})
+        assert (path, ops) == ("replay", tape.num_ops())
         assert evaluate_traced(plan)[1:] == ("catch_up", 0)
 
     def test_change_log_overflow_rebinds(self):
@@ -1219,23 +1242,29 @@ class TestDirectFirstEvaluation:
         assert moved and moved[0] is cases[0][0]
 
     def test_second_live_call_lowers_and_binds(self):
+        # After a direct answer, the next live call binds in either precision.
         workload, _plan, _rng = dispatch_plan(1)
-        plan = cold_plan(workload.query, workload.instance)
-        value = assert_direct_answer(plan, "exact")
-        assert plan._live_sessions == {"exact": None}
-        again, path, ops = evaluate_traced(plan)
-        assert plan.has_tape()
-        assert (again, path, ops) == (value, "bind", plan.tape().num_ops())
-        assert evaluate_traced(plan) == (value, "catch_up", 0)
+        for precision in ("exact", "float"):
+            plan = cold_plan(workload.query, workload.instance)
+            assert_direct_answer(plan, "exact")
+            assert plan._live_sessions == {}
+            again, path, ops = evaluate_traced(plan, precision=precision)
+            assert plan.has_tape()
+            assert (path, ops) == ("bind", plan.tape().num_ops())
+            want = full_replay(plan, precision)
+            assert type(again) is type(want) and again == want
+            assert evaluate_traced(plan, precision=precision) == (again, "catch_up", 0)
 
     def test_overrides_and_lowered_plans_never_take_the_direct_path(self):
         workload, lowered, _rng = dispatch_plan(0)
-        assert evaluate_traced(lowered)[1] == "replay"
+        assert evaluate_traced(lowered)[1:] == ("bind", lowered.tape().num_ops())
         plan = cold_plan(workload.query, workload.instance)
         edge = workload.instance.edges()[0]
         _value, records = traced(lambda: plan.evaluate({edge: "1/3"}))
         (attrs,) = span_attrs(records, "plan.evaluate")
         assert attrs["path"] == "replay" and plan.has_tape()
+        # Lowered by the override call, the plan binds on its first live call.
+        assert evaluate_traced(plan)[1] == "bind"
 
     def test_traced_cold_solve_emits_a_direct_span_and_no_lowering(self):
         workload, _plan, _rng = dispatch_plan(0)
@@ -1328,6 +1357,22 @@ class TestTapeStructure:
                 dsts=[3],
                 lhs=[1],
                 rhs=[0],
+                root=3,
+            )
+
+    def test_constant_other_than_zero_or_one_is_rejected_at_construction(self):
+        # The exact replay scales by the input denominators alone (lowering
+        # emits only 0 and 1, pinned by the golden digests), so a tape
+        # built with any other constant must fail at construction.
+        with pytest.raises(PlanError):
+            PlanTape(
+                num_slots=4,
+                consts=((0, Fraction(0)), (1, Fraction(1)), (2, Fraction(1, 2))),
+                inputs=(),
+                opcodes=[OP_COMPL],
+                dsts=[3],
+                lhs=[2],
+                rhs=[2],
                 root=3,
             )
 
@@ -1519,6 +1564,23 @@ class TestLoweringOnReuse:
         for _ in range(3):
             solver.solve(workload.query, workload.instance)
         assert not solver.compile(workload.query, workload.instance).has_tape()
+
+    def test_explicit_sampling_lowers_nothing(self):
+        # An explicit karp-luby solve samples a fresh lineage of a tractable
+        # pair and reads no tape, so its cache hits lower nothing; an auto
+        # solve, which evaluates the plan, still lowers it on reuse.
+        workload, _plan, _rng = dispatch_plan(0)
+        query, instance = workload.query, workload.instance
+        solver = PHomSolver(epsilon=0.5, delta=0.5, seed=3)
+        for _ in range(3):
+            solver.solve(query, instance, method="karp-luby")
+        stats = solver.plan_cache.stats
+        assert (stats["compiles"], stats["hits"], stats["tape_compiles"]) == (1, 2, 0)
+        assert not cached_plan(solver).has_tape()
+        want = fresh_exact(query, instance)
+        for _ in range(2):
+            assert solver.solve(query, instance).probability == want
+        assert solver.plan_cache.stats["tape_compiles"] == 1
 
     def test_one_store_put_and_warm_restart_lowers_once_on_reuse(self, tmp_path):
         workload, _plan, _rng = dispatch_plan(1)
