@@ -175,71 +175,6 @@ def _object_graph(plan: CompiledPlan, overrides=None, context=EXACT):
     return plan._evaluate_with(plan._probability_table(overrides, context), context)
 
 
-def measure_exact_evaluate(
-    plans: List[CompiledPlan], instance: ProbabilisticGraph, repeats: int = 15
-) -> Tuple[Dict[str, object], Dict[str, object]]:
-    """The exact evaluate layer of one route: object graph vs integer tape.
-
-    For every distinct tractable plan, times (best of ``repeats``) one
-    exact object-graph evaluation, the lowering of a fresh tape followed
-    by its first integer replay, and a steady-state replay.  The three
-    timings alternate within each repeat, so a slow spell of the machine
-    falls on both sides of a ratio.  Returns the ``exact_evaluate`` row
-    (steady-state replay and lowering) and the ``first_exact`` row
-    (lowering plus first replay), both against the object graph.  The
-    plans are left untouched (their own tapes are not replaced), and every
-    replay must be bit-identical to the object graph before anything is
-    recorded.
-    """
-    table = EXACT.instance_probabilities(instance)
-    graph_us: List[float] = []
-    tape_us: List[float] = []
-    lower_ms: List[float] = []
-    first_us: List[float] = []
-    distinct = {id(plan): plan for plan in plans if isinstance(plan, ComponentPlan)}
-    for plan in distinct.values():
-        want = _object_graph(plan)
-        graph, lowered, first, steady = [], [], [], []
-        for _ in range(repeats):
-            graph.append(_time(lambda: _object_graph(plan)))
-            start = time.perf_counter()
-            tape = compile_plan_tape(plan)
-            middle = time.perf_counter()
-            value = tape.evaluate(table, EXACT)
-            lowered.append(middle - start)
-            first.append(time.perf_counter() - start)
-            if value != want:
-                raise AssertionError(
-                    f"integer tape replay diverged from the object graph ({plan.method})"
-                )
-            steady.append(_time(lambda: tape.evaluate(table, EXACT)))
-        graph_us.append(min(graph) * 1e6)
-        lower_ms.append(min(lowered) * 1e3)
-        first_us.append(min(first) * 1e6)
-        tape_us.append(min(steady) * 1e6)
-    count = max(len(graph_us), 1)
-
-    def speedup(against: List[float]) -> float:
-        return round(sum(graph_us) / sum(against), 2) if against else float("inf")
-
-    exact_evaluate = {
-        "plans": len(graph_us),
-        "object_graph_us": round(sum(graph_us) / count, 2),
-        "tape_us": round(sum(tape_us) / count, 2),
-        "lower_ms": round(sum(lower_ms) / count, 3),
-        "speedup": speedup(tape_us),
-        "bit_identical": True,
-    }
-    first_exact = {
-        "plans": len(graph_us),
-        "object_graph_us": round(sum(graph_us) / count, 2),
-        "lower_and_first_replay_us": round(sum(first_us) / count, 2),
-        "speedup": speedup(first_us),
-        "bit_identical": True,
-    }
-    return exact_evaluate, first_exact
-
-
 def _cold_copy(plan: CompiledPlan) -> CompiledPlan:
     """``plan`` as a solve leaves it on a cache miss: no tape, never evaluated."""
     cold = copy.copy(plan)
@@ -248,48 +183,88 @@ def _cold_copy(plan: CompiledPlan) -> CompiledPlan:
     return cold
 
 
-def measure_cold_exact(
-    plans: List[CompiledPlan], instance: ProbabilisticGraph, repeats: int = 15
-) -> Dict[str, object]:
-    """A cold plan's first exact answer: the direct pass vs lowering plus a replay.
+def measure_exact_evaluate(
+    plans: List[CompiledPlan], instance: ProbabilisticGraph, repeats: int = 40
+) -> Tuple[Dict[str, object], Dict[str, object], Dict[str, object]]:
+    """The exact evaluate layer of one route: object graph, integer tape, direct pass.
 
-    For every distinct tractable plan, times (best of ``repeats``, the two
-    sides alternating) the first exact ``evaluate`` of a cold copy of the
-    plan, which runs the kernels once on scaled integers, against the
-    lowering of a fresh tape followed by its first integer replay.  Both
-    answers must be bit-identical to the object graph before anything is
-    recorded; the plans themselves are left untouched.
+    For every distinct tractable plan, each repeat times, in turn, one
+    exact object-graph evaluation, the first exact ``evaluate`` of a cold
+    copy of the plan (the direct pass, which runs the kernels once on
+    scaled integers), the lowering of a fresh tape followed by its first
+    integer replay, and a steady-state replay of that tape.  The timings
+    alternate within each repeat, so a slow spell of the machine falls on
+    both sides of every ratio.  The one "lowering + first replay" timing
+    feeds both rows that compare against it, and each timing keeps its
+    best of ``repeats``.  Returns the ``exact_evaluate`` row
+    (steady-state replay and lowering against the object graph), the
+    ``first_exact`` row (lowering plus first replay against the object
+    graph) and the ``cold_exact`` row (the direct pass against lowering
+    plus first replay).  The plans are left untouched (their own tapes
+    are not replaced), and every answer must be bit-identical to the
+    object graph before anything is recorded.
     """
     table = EXACT.instance_probabilities(instance)
-    direct_us: List[float] = []
+    graph_us: List[float] = []
+    tape_us: List[float] = []
+    lower_ms: List[float] = []
     first_us: List[float] = []
+    direct_us: List[float] = []
     distinct = {id(plan): plan for plan in plans if isinstance(plan, ComponentPlan)}
     for plan in distinct.values():
         want = _object_graph(plan)
-        direct, first = [], []
+        graph, lowered, first, steady, direct = [], [], [], [], []
         for _ in range(repeats):
+            graph.append(_time(lambda: _object_graph(plan)))
             cold = _cold_copy(plan)
             start = time.perf_counter()
             answer = cold.evaluate(precision=EXACT)
             direct.append(time.perf_counter() - start)
             start = time.perf_counter()
-            value = compile_plan_tape(plan).evaluate(table, EXACT)
+            tape = compile_plan_tape(plan)
+            middle = time.perf_counter()
+            value = tape.evaluate(table, EXACT)
             first.append(time.perf_counter() - start)
-            if answer != want or value != want or type(answer) is not type(want):
+            lowered.append(middle - start)
+            steady.append(_time(lambda: tape.evaluate(table, EXACT)))
+            if value != want or answer != want or type(answer) is not type(want):
                 raise AssertionError(
-                    f"direct pass or integer tape replay diverged from the object "
+                    f"integer tape replay or direct pass diverged from the object "
                     f"graph ({plan.method})"
                 )
-        direct_us.append(min(direct) * 1e6)
+        graph_us.append(min(graph) * 1e6)
+        lower_ms.append(min(lowered) * 1e3)
         first_us.append(min(first) * 1e6)
-    count = max(len(direct_us), 1)
-    return {
+        tape_us.append(min(steady) * 1e6)
+        direct_us.append(min(direct) * 1e6)
+    count = max(len(graph_us), 1)
+
+    def ratio(slow: List[float], fast: List[float]) -> float:
+        return round(sum(slow) / sum(fast), 2) if fast else float("inf")
+
+    exact_evaluate = {
+        "plans": len(graph_us),
+        "object_graph_us": round(sum(graph_us) / count, 2),
+        "tape_us": round(sum(tape_us) / count, 2),
+        "lower_ms": round(sum(lower_ms) / count, 3),
+        "speedup": ratio(graph_us, tape_us),
+        "bit_identical": True,
+    }
+    first_exact = {
+        "plans": len(graph_us),
+        "object_graph_us": round(sum(graph_us) / count, 2),
+        "lower_and_first_replay_us": round(sum(first_us) / count, 2),
+        "speedup": ratio(graph_us, first_us),
+        "bit_identical": True,
+    }
+    cold_exact = {
         "plans": len(direct_us),
         "direct_us": round(sum(direct_us) / count, 2),
         "lower_and_first_replay_us": round(sum(first_us) / count, 2),
-        "speedup": round(sum(first_us) / sum(direct_us), 2) if direct_us else float("inf"),
+        "speedup": ratio(first_us, direct_us),
         "bit_identical": True,
     }
+    return exact_evaluate, first_exact, cold_exact
 
 
 def _x_property_compile(
@@ -411,13 +386,21 @@ def run_plan_workload(workload: PlanWorkload, rounds: int) -> Dict[str, object]:
             for plan in plans:
                 plan.evaluate(precision="float")
 
-    # Best of three, like the other timings here: at smoke sizes one pass
-    # of plan_run takes under a millisecond and can absorb a whole GC pause.
-    baseline_seconds = min(_time(baseline_run) for _ in range(3))
-    plan_seconds = min(_time(plan_run) for _ in range(3))
+    # Best of seven per side, the two sides alternating so a slow spell of
+    # the machine falls on both: at smoke sizes one pass of plan_run takes
+    # under a millisecond and can absorb a whole GC pause.  Each timed pass
+    # follows an untimed pass of its own side, so neither side runs on
+    # caches the other one left behind.
+    baseline_passes, plan_passes = [], []
+    for _ in range(7):
+        baseline_run()
+        baseline_passes.append(_time(baseline_run))
+        plan_run()
+        plan_passes.append(_time(plan_run))
+    baseline_seconds, plan_seconds = min(baseline_passes), min(plan_passes)
     evaluations = rounds * len(queries)
     speedup = baseline_seconds / plan_seconds if plan_seconds > 0 else float("inf")
-    exact_evaluate, first_exact = measure_exact_evaluate(plans, instance)
+    exact_evaluate, first_exact, cold_exact = measure_exact_evaluate(plans, instance)
     report: Dict[str, object] = {
         "name": workload.name,
         "description": workload.description,
@@ -443,7 +426,7 @@ def run_plan_workload(workload: PlanWorkload, rounds: int) -> Dict[str, object]:
         "plan_reuse_speedup": round(speedup, 2),
         "exact_evaluate": exact_evaluate,
         "first_exact": first_exact,
-        "cold_exact": measure_cold_exact(plans, instance),
+        "cold_exact": cold_exact,
     }
     if workload.interval_match:
         report["interval_match"] = measure_interval_match(queries, instance)

@@ -985,7 +985,8 @@ def _run_store(args, out, err) -> int:
     for row in rows:
         out.write(
             f"  {row['digest'][:12]}  method={row['method']}  "
-            f"namespace={row['namespace']}  {row['bytes']} bytes\n"
+            f"namespace={row['namespace']}  tape={'yes' if row['tape'] else 'no'}  "
+            f"{row['bytes']} bytes\n"
         )
     return 0
 

@@ -338,8 +338,8 @@ class PHomSolver:
         / ``seed``).  The automatic dispatch answers a tractable cell from
         its compiled plan: a plan's first answer runs its kernels once,
         without a tape, and a caching solver lowers the plan to its flat
-        tape when the plan is used again (billed in ``tape_compiles``), so
-        one-shot queries never pay for a tape.
+        tape when a solve reuses it after that answer (billed in
+        ``tape_compiles``), so one-shot queries never pay for a tape.
         """
         query = as_query_graph(query)
         context, approx = self._resolve_precision(precision)
@@ -524,8 +524,8 @@ class PHomSolver:
         if method == "karp-luby":
             # Go through the plan cache: repeated estimates against the same
             # pair reuse the memoised match lineage instead of re-running the
-            # homomorphism enumeration per call.  Sampling reads no tape.
-            plan = self._plan_for(query, instance, allow_fallback=True, lower="never")
+            # homomorphism enumeration per call.
+            plan = self._plan_for(query, instance, allow_fallback=True)
             if isinstance(plan, FallbackPlan):
                 return plan.estimate(params=self.approx_params)
             # Tractable (or trivial) combination sampled on explicit request:
@@ -668,7 +668,7 @@ class PHomSolver:
         query = as_query_graph(query)
         self._validate_inputs(query, instance)
         validate_query_graph(query)
-        return self._plan_for(query, instance, lower="compile")
+        return self._plan_for(query, instance, compile=True)
 
     def tape_for(self, query: QueryLike, instance: ProbabilisticGraph):
         """The pair's compiled plan lowered to a flat :class:`~repro.tape.PlanTape`.
@@ -721,16 +721,18 @@ class PHomSolver:
         query: DiGraph,
         instance: ProbabilisticGraph,
         allow_fallback: Optional[bool] = None,
-        lower: str = "reuse",
+        compile: bool = False,
     ) -> CompiledPlan:
         """The cached (or freshly compiled) plan of the pair.
 
-        Score, select, then build: ``lower`` says when a tractable plan
-        gets its tape.  ``"compile"`` lowers it before it is stored
-        (callers that reuse the plan or need its tape now); ``"reuse"``
-        stores it tape-less and lowers it on a cache hit (a solve, whose
-        first answer needs no tape); ``"never"`` leaves it as it is (the
-        sampler, which reads no tape).  A lowering on a hit happens once,
+        Score, select, then build: a tractable plan gets its tape when
+        ``compile`` asks for it (callers that reuse the plan or need its
+        tape now), before a fresh plan is stored or on a cache hit.
+        Otherwise a fresh plan is stored tape-less, and a cache hit lowers
+        it only once it has answered a live call in this process
+        (``plan._live_sessions is not None``): a plan first cached by a
+        sampler, or loaded from a persistent store, answers its first
+        solve by the direct pass.  A lowering on a hit happens once,
         billed by the cache in ``tape_compiles``.
         """
         if allow_fallback is None:
@@ -761,7 +763,7 @@ class PHomSolver:
                 plan = self._compile_plan(query, instance, allow_fallback)
                 if span:
                     span.attrs["method"] = plan.method
-            if lower == "compile" and not isinstance(plan, FallbackPlan):
+            if compile and not isinstance(plan, FallbackPlan):
                 # Lowered before it is stored, so a persistent tier writes
                 # one entry that carries the tape.
                 plan.tape()
@@ -772,7 +774,7 @@ class PHomSolver:
                 # what a non-sampling caller observes: same error as on a
                 # cold cache.
                 raise ClassConstraintError(_HARD_CELL_MESSAGE)
-        elif lower != "never" and not plan.has_tape():
+        elif not plan.has_tape() and (compile or plan._live_sessions is not None):
             self._plan_cache.lower(plan)
         return plan
 

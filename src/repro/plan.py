@@ -14,9 +14,9 @@ probabilities.  A :class:`CompiledPlan` captures the structural phase once:
   (:mod:`repro.tape`); against the live table, a plan replays only the
   operations downstream of the edges changed since its previous call;
 * :meth:`CompiledPlan.update` maintains a what-if probability table (a
-  private copy of the instance) and re-evaluates after a single-edge
-  change, replaying only the tape operations that depend on the changed
-  edge;
+  private copy of the instance, holding exact fractions) and re-evaluates
+  after a single-edge change, in either precision, replaying only the
+  tape operations that depend on the changed edge;
 * :class:`PlanCache` is a small LRU keyed on the *canonical query form* and
   the (frozen) instance identity, wired into
   :meth:`~repro.core.solver.PHomSolver.solve` /
@@ -49,7 +49,9 @@ Plans capture *structure only*, so:
   instance, seeded once, which a session of its own follows exactly as the
   live sessions follow the instance: later ``set_probability`` changes to
   the instance do not reach it, and its updates do not reach
-  :meth:`~CompiledPlan.evaluate`;
+  :meth:`~CompiledPlan.evaluate`.  The copy holds exact fractions, so an
+  update in the other precision rebinds the session from it, as a live
+  session rebinds;
 * instance graphs are frozen, so their structure cannot change under a plan;
 * query graphs may be mutable — the cache keys on the canonical *content* of
   the query (recomputed after any mutation), so an edited query simply maps
@@ -149,11 +151,12 @@ class CompiledPlan:
 
     #: The flat tape (see :meth:`tape`), ``None`` until the plan is
     #: lowered: by ``PHomSolver.compile`` (and ``tape_for`` /
-    #: ``evaluate_many``), by the caching solver when a solve reuses the
-    #: plan, or by the first call that needs it.  A plan answered once by
-    #: a solve carries none.  The tape is pickled with the plan, so it ships
-    #: to serving workers and the persistent store.  The class-level
-    #: default covers plans pickled before tapes existed.
+    #: ``evaluate_many``), by the caching solver when a solve reuses a
+    #: plan that has answered a live call, or by the first call that
+    #: needs it.  A plan answered once by a solve carries none.  The tape
+    #: is pickled with the plan, so it ships to serving workers and the
+    #: persistent store.  The class-level default covers plans pickled
+    #: before tapes existed.
     _tape = None
 
     #: The live sessions of :meth:`evaluate`, one
@@ -208,11 +211,12 @@ class CompiledPlan:
         when it has no tape: the session binds on its first call, and later
         calls replay only the operations downstream of the edges set since
         the previous call (see the invalidation contract in
-        :mod:`repro.plan`).  An override table replays the whole tape
-        (exact mode on integer registers) and never touches the sessions.
-        The ``plan.evaluate`` span records the ``path`` taken (``direct``,
-        ``bind``, ``catch_up`` or, with overrides, ``replay``) and, on the
-        tape paths, the ``ops`` replayed.
+        :mod:`repro.plan`).  An override table replays the whole tape as
+        a batch of one lane over the live table (exact mode on integer
+        registers, see :meth:`evaluate_many`) and never touches the
+        sessions.  The ``plan.evaluate`` span records the ``path`` taken
+        (``direct``, ``bind``, ``catch_up`` or, with overrides, ``replay``)
+        and, on the tape paths, the ``ops`` replayed.
         """
         with current_tracer().span("plan.evaluate") as span:
             if span:
@@ -221,8 +225,12 @@ class CompiledPlan:
             sessions = self._live_sessions
             if probabilities is not None:
                 tape = self.tape()
-                table = self._probability_table(probabilities, context)
-                value = tape.evaluate(table, context)
+                lanes, _assignment = tape._distinct_lanes(
+                    [self._resolve_overrides(probabilities, context)]
+                )
+                (value,) = tape._run_lanes(
+                    context.instance_probabilities(self.instance), lanes, context
+                )
                 path, ops = "replay", tape.num_ops()
             elif sessions is None and self._tape is None:
                 # Score, select, then build: a first live call runs the
@@ -265,11 +273,12 @@ class CompiledPlan:
         exact-mode results are bit-identical to it.  Raises
         :class:`~repro.exceptions.PlanError` on brute-force fallback plans
         (no arithmetic half to lower).  A caching solver lowers a plan
-        when :meth:`~repro.core.solver.PHomSolver.compile` compiles it, or
-        when a solve reuses a plan a solve compiled, and accounts the
-        lowering in ``tape_compiles``.  Any other plan without a tape
-        (compiled by a solver with ``plan_cache_size=0``, or used outside
-        the solver) is lowered here, on first request.
+        when :meth:`~repro.core.solver.PHomSolver.compile` compiles or
+        reuses it, or when a solve reuses a plan that has already
+        answered a live call, and accounts the lowering in
+        ``tape_compiles``.  Any other plan without a tape (compiled by a
+        solver with ``plan_cache_size=0``, or used outside the solver) is
+        lowered here, on first request.
         """
         if self._tape is None:
             with current_tracer().span("tape.compile") as span:
@@ -357,10 +366,10 @@ class CompiledPlan:
         :meth:`PHomSolver.compile` serves cached plan objects, callers that
         compiled the same canonical query against the same instance share
         one serving table (use :meth:`reset_serving`, or a solver with
-        ``plan_cache_size=0``, for an independent session).  Switching
-        ``precision`` mid-serving raises :class:`PlanError` instead of
-        silently discarding the accumulated updates.  Returns the new
-        probability.
+        ``plan_cache_size=0``, for an independent session).  The copy
+        holds exact fractions, so ``precision`` may change between
+        updates: the session rebinds from the copy, keeping every update
+        made so far.  Returns the new probability.
         """
         context = self._context(precision)
         serving = self._tape_serving
@@ -370,12 +379,6 @@ class CompiledPlan:
                 TapeEvaluator(self.tape()),
             )
         table, session = serving
-        if session.context is not None and session.context is not context:
-            raise PlanError(
-                f"the serving table was built with precision "
-                f"{session.context.name!r} but update() was called with "
-                f"{context.name!r}; call reset_serving() to switch backends"
-            )
         table.set_probability(edge, probability)
         return session.follow(table, context)
 

@@ -20,10 +20,13 @@ parallel arrays
 
 Evaluation is a single non-recursive loop — no gate dispatch, no dict
 hashing, no recursion — and :meth:`PlanTape.evaluate_many` answers a whole
-batch of probability valuations in one structural pass.  The executor is
-picked from what the batch is, never by the caller: one valuation, or an
-exact batch, replays the scalar loop per valuation; a float batch
-vectorizes each operation across its lanes, on numpy when
+batch of probability valuations in one structural pass.  Every stateless
+evaluation but :meth:`PlanTape.evaluate` (one full table: the scalar
+replay itself) — :meth:`PlanTape.evaluate_many`, and a plan's override
+tables and batches — runs as lanes over one base table, and the
+executor is picked from the lanes in one place, never by the caller:
+one lane, or exact mode, replays the scalar loop per lane; a
+float batch vectorizes each operation across its lanes, on numpy when
 :func:`repro.numeric.numpy_module` returns it and on stdlib lists
 otherwise.  Override batches (:meth:`repro.plan.CompiledPlan.evaluate_many`)
 run once per distinct valuation, and their executor is picked from the
@@ -65,10 +68,11 @@ complement sharing), all of which are bitwise-exact in both precisions for
 the non-negative finite values probabilities produce.  Lowering costs
 more than one direct pass of the kernels, so a plan is lowered only when
 it is reused: a :class:`~repro.core.solver.PHomSolver` solve answers a
-fresh plan's first call directly and lowers the plan on its next cache
-hit, while ``compile``, ``tape_for`` and ``evaluate_many`` lower at
-compile, so their plans reach the serving workers and the persistent
-store with their tape.
+tape-less plan's first live call directly (a fresh plan, one a sampler
+cached, or one loaded from the persistent store) and lowers the plan on
+a cache hit once it has answered, while ``compile``, ``tape_for`` and
+``evaluate_many`` lower at compile, so their plans reach the serving
+workers and the persistent store with their tape.
 
 Brute-force :class:`~repro.plan.FallbackPlan` objects have no arithmetic
 half, so they cannot be lowered: :func:`compile_plan_tape` raises
@@ -457,10 +461,6 @@ class PlanTape:
             return None
         return union
 
-    def _replay(self, inputs: Sequence[Any], context: NumericContext) -> Number:
-        """One valuation of the input probabilities (in :attr:`inputs` order)."""
-        return self._root(*self._pass(inputs, context))
-
     def _pass(
         self, inputs: Sequence[Any], context: NumericContext
     ) -> Tuple[List[Any], Optional[List[int]]]:
@@ -578,14 +578,14 @@ class PlanTape:
     ) -> Number:
         """One valuation: replay the tape over a full edge-probability table.
 
-        ``probabilities`` must cover every edge in :attr:`inputs` (the
-        plan-level :meth:`repro.plan.CompiledPlan.evaluate` builds such
-        tables from the live instance plus overrides).  Exact mode replays
-        on integer registers and is bit-identical to the object-graph
-        evaluator.
+        ``probabilities`` must cover every edge in :attr:`inputs`.  One
+        table needs no lanes, so this is the scalar replay itself, the
+        executor :meth:`_run_lanes` picks for one lane, without its span:
+        on integer registers in exact mode, bit-identical to the
+        object-graph evaluator.
         """
         context = resolve_context(precision)
-        return self._replay(self._inputs_of(probabilities), context)
+        return self._root(*self._pass(self._inputs_of(probabilities), context))
 
     def evaluate_many(
         self,
@@ -595,29 +595,27 @@ class PlanTape:
         """A batch of valuations in one structural pass over the tape.
 
         Each entry of ``tables`` is a full edge-probability table (as in
-        :meth:`evaluate`); the result list is index-aligned with it.  A
-        float batch of several valuations vectorizes every tape operation
-        across the whole batch, on numpy when
-        :func:`repro.numeric.numpy_module` returns it and on stdlib lists
-        otherwise.  Exact mode replays each valuation on scaled Python
-        integers, preserving bit-identity, and a batch of one runs the
-        scalar replay in either precision.
+        :meth:`evaluate`); the result list is index-aligned with it.  Every
+        table runs as its own lane of :meth:`_run_lanes` over the first
+        table, rewriting the inputs where it holds another value object,
+        so the executor is picked as for any other batch of lanes.  Unlike
+        :meth:`repro.plan.CompiledPlan.evaluate_many`, equal tables are not
+        coalesced: a batch of ``n`` tables runs ``n`` lanes.
         """
-        context = resolve_context(precision)
-        batch = len(tables)
-        if batch <= 1 or context.name == "exact":
-            return [self._replay(self._inputs_of(table), context) for table in tables]
-        convert = context.convert
-        np = numpy_module()
-        if np is not None:
-            registers = self._seed_registers(np, batch)
-            for edge, slot in self.inputs:
-                registers[slot] = [float(table[edge]) for table in tables]
-            return self._replay_segments(np, registers)
-        values = self._seed_lanes(convert, batch)
-        for edge, slot in self.inputs:
-            values[slot] = [convert(table[edge]) for table in tables]
-        return self._replay_lanes(values)
+        if not tables:
+            return []
+        shared = self._inputs_of(tables[0])
+        lanes = [
+            tuple(
+                (position, value)
+                for position, (value, first) in enumerate(
+                    zip(self._inputs_of(table), shared)
+                )
+                if value is not first
+            )
+            for table in tables
+        ]
+        return self._run_lanes(tables[0], lanes, resolve_context(precision))
 
     def _distinct_lanes(
         self, overrides: Sequence[Optional[Mapping[Edge, Number]]]
@@ -654,16 +652,20 @@ class PlanTape:
         lanes: Sequence[Tuple[Tuple[int, Any], ...]],
         context: NumericContext,
     ) -> List[Number]:
-        """One answer per lane of :meth:`_distinct_lanes`, over ``base``.
+        """One answer per lane, over the full edge-probability table ``base``.
 
-        ``base`` is a full edge-probability table and each lane rewrites
-        only its own inputs, so the per-lane setup cost scales with the
-        overridden edges instead of the instance size.  The executor is
-        read off the lanes: one lane, or exact mode, runs the scalar
-        replay per lane; several float lanes run vectorized, on numpy or
-        stdlib lists.  The ``tape.run`` span records the executor in its
-        ``backend`` attribute (``"scalar"``, ``"numpy"`` or ``"stdlib"``)
-        and the lanes in ``batch``.
+        Every stateless evaluation of lanes runs here; only
+        :meth:`evaluate`, one full table, calls the scalar replay itself.
+        A lane is the ``(input position, value)`` pairs it rewrites in
+        ``base``'s inputs (:meth:`_distinct_lanes` builds them from
+        override mappings), so the per-lane setup cost scales with the
+        rewritten inputs instead of the instance size.  The executor is
+        read off the lanes, here and nowhere else: one lane, or exact
+        mode, runs the scalar replay per lane; several float lanes run
+        vectorized, on numpy when :func:`repro.numeric.numpy_module`
+        returns it and on stdlib lists otherwise.  The ``tape.run`` span
+        records the executor in its ``backend`` attribute (``"scalar"``,
+        ``"numpy"`` or ``"stdlib"``) and the lanes in ``batch``.
         """
         batch = len(lanes)
         if batch == 0:
@@ -677,47 +679,34 @@ class PlanTape:
                 )
                 span.attrs["batch"] = batch
             shared = self._inputs_of(base)
-            inputs = self.inputs
             if scalar:
                 results = []
                 for pairs in lanes:
                     lane_inputs = list(shared) if pairs else shared
                     for position, value in pairs:
                         lane_inputs[position] = value
-                    results.append(self._replay(lane_inputs, context))
+                    results.append(self._root(*self._pass(lane_inputs, context)))
                 return results
+            convert = context.convert
+            slots = [slot for _edge, slot in self.inputs]
+            seeds = [*self.consts, *zip(slots, shared)]
             if np is not None:
-                registers = self._seed_registers(np, batch)
-                for (_edge, slot), value in zip(inputs, shared):
-                    registers[slot] = float(value)
+                registers = np.empty((self.num_slots, batch), dtype=float)
+                for slot, value in seeds:
+                    registers[slot] = convert(value)
                 for lane, pairs in enumerate(lanes):
                     for position, value in pairs:
-                        registers[inputs[position][1], lane] = float(value)
+                        registers[slots[position], lane] = convert(value)
                 return self._replay_segments(np, registers)
-            convert = context.convert
-            values = self._seed_lanes(convert, batch)
-            for (_edge, slot), value in zip(inputs, shared):
+            values: List[Any] = [None] * self.num_slots
+            for slot, value in seeds:
                 values[slot] = [convert(value)] * batch
             for lane, pairs in enumerate(lanes):
                 for position, value in pairs:
-                    values[inputs[position][1]][lane] = convert(value)
+                    values[slots[position]][lane] = convert(value)
             return self._replay_lanes(values)
 
     # -- vectorized-lane internals -------------------------------------
-    def _seed_registers(self, np, batch: int):
-        """A fresh (slots × batch) register matrix with constants filled in."""
-        registers = np.empty((self.num_slots, batch), dtype=float)
-        for slot, value in self.consts:
-            registers[slot] = float(value)
-        return registers
-
-    def _seed_lanes(self, convert, batch: int) -> List[Any]:
-        """Fresh per-slot value lanes (stdlib path) with constants filled in."""
-        values: List[Any] = [None] * self.num_slots
-        for slot, value in self.consts:
-            values[slot] = [convert(value)] * batch
-        return values
-
     def _replay_segments(self, np, registers) -> List[float]:
         """Replay the level segments over a register matrix; returns the roots.
 
@@ -829,7 +818,8 @@ class TapeEvaluator:
     program longer than :data:`FULL_REPLAY_FRACTION` of the tape replays
     the whole tape instead.  A plan keeps one session per precision on its
     live instance (:meth:`repro.plan.CompiledPlan.evaluate`) and one on its
-    what-if copy (:meth:`repro.plan.CompiledPlan.update`).
+    what-if copy (:meth:`repro.plan.CompiledPlan.update`), which rebinds
+    when it is called in the other precision.
 
     A float session keeps float registers.  Replayed ops recompute from
     identical operands, so its answers are bitwise-identical to a full

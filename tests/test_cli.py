@@ -7,8 +7,11 @@ import io
 import pytest
 
 from repro.cli import main
+from repro.core.solver import PHomSolver
 from repro.graphs.builders import one_way_path, star_tree
+from repro.graphs.digraph import DiGraph
 from repro.graphs.serialization import save_graph
+from repro.persist import PlanStore
 from repro.probability.prob_graph import ProbabilisticGraph
 
 
@@ -134,6 +137,34 @@ class TestBenchCommand:
             assert "below the required" in err
             assert "report written" not in out
         assert not target.exists()
+
+
+class TestStoreCommand:
+    def test_inspect_says_which_plans_carry_a_tape(self, tmp_path):
+        # A solve stores its plan without a tape, so after a warm restart
+        # that plan answers by the direct pass; compile stores it lowered.
+        graph = DiGraph(edges=[("a", "b", "R"), ("b", "c", "S"), ("c", "d", "R")])
+        instance = ProbabilisticGraph(
+            graph, {("a", "b"): "1/2", ("b", "c"): "1/3", ("c", "d"): "2/5"}
+        )
+        plans = tmp_path / "state" / "plans"
+        solver = PHomSolver(plan_store=str(plans))
+        solver.solve(one_way_path(["R", "S"]), instance)
+        solver.compile(one_way_path(["S", "R"]), instance)
+        tapes = {row["digest"][:12]: row["tape"] for row in PlanStore(str(plans)).inspect()}
+        assert sorted(tapes.values()) == [False, True]
+
+        code, out, _err = run_cli(["store", "inspect", str(tmp_path / "state")])
+        assert code == 0
+        assert "plans: 2 entr(ies)" in out
+        printed = {}
+        for line in out.splitlines():
+            if "method=" in line:
+                digest, *fields = line.split()
+                printed[digest] = dict(field.split("=", 1) for field in fields if "=" in field)
+        assert {digest: row["tape"] for digest, row in printed.items()} == {
+            digest: "yes" if tape else "no" for digest, tape in tapes.items()
+        }
 
 
 class TestApproxSolve:

@@ -321,18 +321,25 @@ class TestIncrementalUpdate:
         with pytest.raises(GraphError):
             plan.update(("nope", "nada"), "0.5")
 
-    def test_precision_switch_mid_serving_raises_until_reset(self):
+    def test_precision_switch_mid_serving_keeps_the_updates(self):
+        # The serving table holds exact fractions, so switching precision
+        # mid-serving rebinds the session from it: no update is lost.
         workload, plan = self._polytree_setup(seed=15)
-        edge = workload.instance.edges()[0]
-        plan.update(edge, Fraction(1, 4), precision="float")
-        with pytest.raises(PlanError):
-            plan.update(edge, Fraction(1, 2))  # defaults to exact: mismatch
-        plan.reset_serving()
-        updated = plan.update(edge, Fraction(1, 2))  # fresh exact session
-        workload.instance.set_probability(edge, Fraction(1, 2))
-        assert updated == _kernel_probability(
-            workload.query, workload.instance, prefer="automaton"
-        )
+        instance = workload.instance
+        edges = instance.edges()
+        steps = [
+            (edges[0], Fraction(1, 4), "float"),
+            (edges[-1], Fraction(1, 2), "exact"),
+            (edges[0], Fraction(3, 4), "float"),
+            (edges[-1], Fraction(1, 3), "exact"),
+        ]
+        for edge, probability, precision in steps:
+            updated = plan.update(edge, probability, precision=precision)
+            instance.set_probability(edge, probability)
+            want = _kernel_probability(
+                workload.query, instance, precision, prefer="automaton"
+            )
+            assert type(updated) is type(want) and updated == want
 
     def test_compile_returns_shared_cached_plan(self):
         workload, plan = self._polytree_setup(seed=16)

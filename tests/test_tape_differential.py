@@ -470,6 +470,52 @@ class TestEvaluateMany:
         _workload, plan, _rng = route_plan(0)
         assert plan.evaluate_many([]) == []
 
+    @pytest.mark.parametrize("lanes", ["numpy", "stdlib"])
+    @pytest.mark.parametrize("precision", ["exact", "float"])
+    @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
+    def test_tape_evaluate_many_matches_per_table_evaluate(
+        self, index, precision, lanes, monkeypatch
+    ):
+        # Full tables run as uncoalesced lanes over the first one, through
+        # the same executor choice as any other batch.
+        if lanes == "stdlib":
+            monkeypatch.setattr(repro_numeric, "_numpy_cache", None)
+        elif repro_numeric.numpy_module() is None:
+            pytest.skip("numpy is not importable in this environment")
+        workload, plan, rng = dispatch_plan(index)
+        tape = plan.tape()
+        assert tape.evaluate_many([], precision=precision) == []
+        tables = random_tables(workload.instance, rng, 5)
+        for batch in (tables, [tables[0]] * 64):
+            got, records = traced(lambda: tape.evaluate_many(batch, precision=precision))
+            want = [tape.evaluate(table, precision=precision) for table in batch]
+            assert [type(value) for value in got] == [type(value) for value in want]
+            assert [repr(value) for value in got] == [repr(value) for value in want]
+            (run,) = span_attrs(records, "tape.run")
+            vectorized = lanes if precision == "float" else "scalar"
+            assert (run["backend"], run["batch"]) == (vectorized, len(batch))
+
+    @pytest.mark.parametrize("precision", ["exact", "float"])
+    @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
+    def test_override_evaluate_runs_one_lane_without_a_table_copy(
+        self, index, precision, monkeypatch
+    ):
+        _workload, plan, _rng = dispatch_plan(index)
+        inputs = plan.tape().inputs
+        overrides = {inputs[0][0]: "1/3", inputs[-1][0]: Fraction(2, 7)}
+        want = object_graph(plan, overrides, precision)
+
+        def table_copy(*_args):
+            raise AssertionError("an override evaluate copied the probability table")
+
+        monkeypatch.setattr(plan, "_probability_table", table_copy)
+        got, records = traced(lambda: plan.evaluate(overrides, precision=precision))
+        assert type(got) is type(want) and repr(got) == repr(want)
+        (evaluate,) = span_attrs(records, "plan.evaluate")
+        (run,) = span_attrs(records, "tape.run")
+        assert evaluate["path"] == "replay"
+        assert (run["backend"], run["batch"]) == ("scalar", 1)
+
     def test_numpy_absence_falls_back_to_stdlib(self, monkeypatch):
         # Stub the numpy seam: a float batch degrades silently to stdlib
         # lanes, and their results stay correct.
@@ -789,9 +835,11 @@ class TestTapeUpdateStream:
             plan.update(second, Fraction(3, 2))
         with pytest.raises(GraphError):
             plan.update(Edge("tape-test-x", "tape-test-y", "R"), Fraction(1, 2))
-        with pytest.raises(PlanError):
-            plan.update(second, Fraction(1, 5), precision="float")
-        # None of the failed calls reached the table.
+        # None of the failed calls reached the table; a precision switch
+        # is not a failure, and its update lands in it.
+        mirror.set_probability(second, Fraction(1, 5))
+        floaty = plan.update(second, Fraction(1, 5), precision="float")
+        assert floaty.hex() == plan.tape().evaluate(mirror.float_probabilities(), "float").hex()
         mirror.set_probability(second, Fraction(2, 5))
         assert plan.update(second, Fraction(2, 5)) == fresh_exact(workload.query, mirror)
         # A reset reseeds from the instance, which never saw those updates.
@@ -801,17 +849,33 @@ class TestTapeUpdateStream:
         want = plan.tape().evaluate(reseeded.float_probabilities(), "float")
         assert plan.update(second, Fraction(2, 5), precision="float").hex() == want.hex()
 
-    def test_precision_switch_mid_serving_raises(self):
-        workload, plan, _rng = route_plan(0)
-        plan.tape()
-        edge = workload.instance.edges()[0]
-        plan.update(edge, Fraction(1, 3), precision="exact")
-        with pytest.raises(PlanError):
-            plan.update(edge, Fraction(1, 4), precision="float")
-        plan.reset_serving()
-        # After the reset, the float session starts cleanly.
-        drifted = plan.update(edge, Fraction(1, 4), precision="float")
-        assert isinstance(drifted, float)
+    @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
+    def test_precision_switch_mid_serving_rebinds(self, index):
+        # The what-if copy holds exact fractions, so a switch rebinds the
+        # session from it in the new precision and keeps every update:
+        # float answers equal a fresh float solve of the mirrored table,
+        # exact ones the exact solve.
+        workload, plan, rng = dispatch_plan(index)
+        solver_kwargs = DISPATCH_ROUTES[index][4]
+        mirror = ProbabilisticGraph(
+            workload.instance.graph, workload.instance.probabilities()
+        )
+        edges = workload.instance.edges()
+        previous = None
+        for step, precision in enumerate(["exact", "exact", "float", "float", "exact"]):
+            edge, value = rng.choice(edges), random_probability(rng)
+            got = plan.update(edge, value, precision=precision)
+            mirror.set_probability(edge, value)
+            if precision != previous:
+                assert plan._tape_serving[1].path == "bind", step
+            fresh = PHomSolver(plan_cache_size=0, **solver_kwargs)
+            want = fresh.solve(workload.query, mirror, precision=precision).probability
+            assert type(got) is type(want)
+            if precision == "exact":
+                assert got == want == fresh_exact(workload.query, mirror), step
+            else:
+                assert got.hex() == want.hex(), step
+            previous = precision
 
     def test_plan_without_tape_lowers_on_first_update(self):
         # A cache-less solver stores nothing, so it lowers nothing: the
@@ -1596,8 +1660,8 @@ class TestLoweringOnReuse:
         stats = writer.plan_cache.stats
         assert stats["compiles"] == 1 and stats["tape_compiles"] == 1
 
-        # A restarted reader loads the tape-less entry and, since a load
-        # is a reuse, lowers it once; it recompiles and writes nothing.
+        # A restarted reader loads the tape-less entry and lowers it once,
+        # here on its compile; it recompiles and writes nothing.
         reader = PHomSolver(plan_store=store_dir)
         assert reader.solve(workload.query, workload.instance).probability in answers
         assert reader.compile(workload.query, workload.instance).has_tape()
@@ -1605,3 +1669,49 @@ class TestLoweringOnReuse:
         assert stats["compiles"] == 0 and stats["tape_compiles"] == 1
         assert stats["loads"] == 1
         assert reader.plan_store.stats["puts"] == 0
+
+    def test_warm_restart_reader_answers_its_first_solve_directly(self, tmp_path):
+        # A loaded plan has not answered in this process, so its first
+        # solve takes the direct pass; the next one lowers it once.
+        workload, _plan, _rng = dispatch_plan(1)
+        query, instance = workload.query, workload.instance
+        store_dir = str(tmp_path / "plans")
+        want = PHomSolver(plan_store=store_dir).solve(query, instance).probability
+        (row,) = PlanStore(store_dir).inspect()
+        assert row["tape"] is False
+        reader = PHomSolver(plan_store=store_dir)
+        for path, lowered in (("direct", 0), ("bind", 1), ("catch_up", 1)):
+            result, records = traced(lambda: reader.solve(query, instance))
+            assert result.probability == want
+            assert [attrs["path"] for attrs in span_attrs(records, "plan.evaluate")] == [path]
+            stats = reader.plan_cache.stats
+            assert (stats["compiles"], stats["loads"], stats["tape_compiles"]) == (0, 1, lowered)
+
+    def test_sampled_plan_answers_its_first_auto_solve_directly(self):
+        # A plan cached by an explicit karp-luby solve has never answered,
+        # so the first auto solve runs the direct pass and lowers nothing;
+        # the next auto solve lowers it once.
+        workload, _plan, _rng = dispatch_plan(0)
+        query, instance = workload.query, workload.instance
+        solver = PHomSolver(epsilon=0.5, delta=0.5, seed=3)
+        solver.solve(query, instance, method="karp-luby")
+        want = fresh_exact(query, instance)
+        for path, lowered in (("direct", 0), ("bind", 1), ("catch_up", 1)):
+            result, records = traced(lambda: solver.solve(query, instance))
+            assert result.probability == want
+            assert [attrs["path"] for attrs in span_attrs(records, "plan.evaluate")] == [path]
+            assert solver.plan_cache.stats["tape_compiles"] == lowered
+
+    def test_sampling_a_plan_that_has_answered_lowers_it_once(self):
+        # Once a plan has answered, any cache hit lowers it, the sampler's
+        # included: the same lowering the next auto solve would do.
+        workload, _plan, _rng = dispatch_plan(0)
+        query, instance = workload.query, workload.instance
+        solver = PHomSolver(epsilon=0.5, delta=0.5, seed=3)
+        solver.solve(query, instance)
+        solver.solve(query, instance, method="karp-luby")
+        assert cached_plan(solver).has_tape()
+        solver.solve(query, instance, method="karp-luby")
+        solver.solve(query, instance)
+        stats = solver.plan_cache.stats
+        assert (stats["compiles"], stats["hits"], stats["tape_compiles"]) == (1, 3, 1)
