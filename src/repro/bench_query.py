@@ -25,12 +25,17 @@ its homomorphic core sits in a polynomial one.  This suite measures what the
   mean cost of :func:`repro.query.query_core` on fresh parses (class
   recognition included) against the generic fold search
   (:func:`repro.query.minimize.fold_search_core`) on the same queries; the
-  canonical keys of the two cores are asserted equal on every query.
+  canonical keys of the two cores are asserted equal on every query;
+* ``parse_fast_path`` — per query shape (3-atom 2WP, 4-atom unlabeled
+  tree, 12-atom 1WP), the cost of :func:`repro.query.parse_query`, whose
+  one-pass scan reads these plain atom lists, against the recursive-descent
+  parser on the same texts; the two IRs (spans included) are asserted equal
+  on every text.
 
 Results are written to ``BENCH_query.json``; run with ``repro bench query``
-or ``python benchmarks/bench_query.py``.  ``--min-minimization-speedup``
-and ``--min-core-speedup`` turn regressions into a non-zero exit code (the
-CI smoke gates).
+or ``python benchmarks/bench_query.py``.  ``--min-minimization-speedup``,
+``--min-core-speedup`` and ``--min-parse-speedup`` turn regressions into a
+non-zero exit code (the CI smoke gates).
 """
 
 from __future__ import annotations
@@ -47,8 +52,9 @@ from repro.core.solver import PHomSolver
 from repro.exceptions import IntractableFallbackWarning
 from repro.graphs.classes import GraphClass, graph_in_class
 from repro.plan import canonical_query_key
-from repro.query import format_query, parse_query_graph, query_core
+from repro.query import format_query, parse_query, parse_query_graph, query_core
 from repro.query.minimize import fold_search_core
+from repro.query.parser import _Parser
 from repro.service import QueryService, ServiceRequest
 from repro.workloads.generators import (
     attach_random_probabilities,
@@ -92,6 +98,18 @@ CORE_QUERIES = 40
 SMOKE_CORE_QUERIES = 16
 CORE_ROUNDS = 5
 SMOKE_CORE_ROUNDS = 3
+
+#: Parse fast-path shapes, in the units of :data:`CORE_SHAPES`: the Zipf
+#: two-way path (3 atoms), the unlabeled Zipf tree (4 atoms) and the
+#: cold-traffic one-way path (12 atoms).  Each shape's time is the best of
+#: its rounds, which ``--min-parse-speedup`` applies to.
+PARSE_SHAPES = (
+    ("2WP", GraphClass.TWO_WAY_PATH, True, 3),
+    ("DWT", GraphClass.DOWNWARD_TREE, False, 4),
+    ("1WP", GraphClass.ONE_WAY_PATH, True, 12),
+)
+PARSE_ROUNDS = 9
+SMOKE_PARSE_ROUNDS = 5
 
 
 def _non_path_dwt_instance(size: int, rng) -> object:
@@ -204,6 +222,7 @@ def run_query_benchmarks(
     )
     coalescing = _coalescing_trace(seed, smoke)
     core_fast_path = _core_fast_path(seed, smoke)
+    parse_fast_path = _parse_fast_path(seed, smoke)
 
     return {
         "suite": "query",
@@ -224,6 +243,7 @@ def run_query_benchmarks(
         "overhead": overhead,
         "coalescing": coalescing,
         "core_fast_path": core_fast_path,
+        "parse_fast_path": parse_fast_path,
     }
 
 
@@ -385,10 +405,57 @@ def _core_seconds(texts: Sequence[str], minimize) -> float:
     return total
 
 
+def _parse_fast_path(seed: int, smoke: bool) -> List[Dict[str, object]]:
+    """``parse_query`` against the recursive-descent parser, per shape."""
+    rng = make_rng(seed + 3)
+    count = SMOKE_CORE_QUERIES if smoke else CORE_QUERIES
+    rounds = SMOKE_PARSE_ROUNDS if smoke else PARSE_ROUNDS
+    rows: List[Dict[str, object]] = []
+    for shape, query_class, labeled, size in PARSE_SHAPES:
+        texts = [
+            format_query(make_query(query_class, labeled, size, rng))
+            for _ in range(count)
+        ]
+        for text in texts:
+            scanned, parsed = parse_query(text), _Parser(text).parse()
+            spans = [atom.span for atom in scanned.atoms]
+            if scanned != parsed or spans != [atom.span for atom in parsed.atoms]:
+                raise AssertionError(
+                    f"parse_query and the recursive-descent parser disagree on {text!r}"
+                )
+        scan = full = float("inf")
+        for _ in range(rounds):
+            scan = min(scan, _parse_seconds(texts, parse_query))
+            full = min(full, _parse_seconds(texts, lambda text: _Parser(text).parse()))
+        rows.append(
+            {
+                "shape": shape,
+                "labeled": labeled,
+                "atoms": len(parse_query(texts[0]).atoms),
+                "queries": len(texts),
+                "rounds": rounds,
+                "parse_query_us": scan / len(texts) * 1e6,
+                "recursive_descent_us": full / len(texts) * 1e6,
+                "speedup": full / scan if scan else None,
+                "irs_equal": True,
+            }
+        )
+    return rows
+
+
+def _parse_seconds(texts: Sequence[str], parse) -> float:
+    """Total time of ``parse`` over ``texts``."""
+    start = time.perf_counter()
+    for text in texts:
+        parse(text)
+    return time.perf_counter() - start
+
+
 def check_query_thresholds(
     report: Dict[str, object],
     min_minimization_speedup: float = 0.0,
     min_core_speedup: float = 0.0,
+    min_parse_speedup: float = 0.0,
 ) -> None:
     """Raise ``AssertionError`` when the recorded run violates the gates.
 
@@ -396,7 +463,8 @@ def check_query_thresholds(
     ladder, against the cheaper of the two unminimized baselines (brute
     force and Karp–Luby) — the honest comparison, since an operator would
     pick whichever baseline is faster.  ``min_core_speedup`` applies to
-    every shape in :data:`CORE_GATED_SHAPES`.
+    every shape in :data:`CORE_GATED_SHAPES`, ``min_parse_speedup`` to
+    every shape in :data:`PARSE_SHAPES`.
     """
     rows = report["minimization"]
     for row in rows:
@@ -427,6 +495,13 @@ def check_query_thresholds(
                     f"{row['speedup']:.1f}x faster than the fold search, below "
                     f"the required {min_core_speedup}x"
                 )
+    for row in report["parse_fast_path"]:
+        if min_parse_speedup > 0 and (row["speedup"] or 0.0) < min_parse_speedup:
+            raise AssertionError(
+                f"parse_query on {row['shape']} texts is {row['speedup']:.1f}x "
+                f"faster than the recursive-descent parser, below the required "
+                f"{min_parse_speedup}x"
+            )
 
 
 def format_query_report(report: Dict[str, object]) -> str:
@@ -467,6 +542,12 @@ def format_query_report(report: Dict[str, object]) -> str:
             f"  core {row['shape']} (size {row['size']}, {row['folded']}/"
             f"{row['queries']} fold): query_core {row['query_core_us']:.0f}us vs "
             f"fold search {row['fold_search_us']:.0f}us = {row['speedup']:.1f}x"
+        )
+    for row in report["parse_fast_path"]:
+        lines.append(
+            f"  parse {row['shape']} ({row['atoms']} atoms): parse_query "
+            f"{row['parse_query_us']:.1f}us vs recursive descent "
+            f"{row['recursive_descent_us']:.1f}us = {row['speedup']:.1f}x"
         )
     return "\n".join(lines)
 

@@ -478,6 +478,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench.add_argument(
+        "--min-parse-speedup", type=float, default=0.0,
+        help=(
+            "query: fail when parse_query on fresh plain atom lists is less "
+            "than this many times faster than the recursive-descent parser"
+        ),
+    )
+    bench.add_argument(
         "--max-epsilon-ratio", type=float, default=0.0,
         help=(
             "sampling: fail when |estimate - exact| / exact exceeds this multiple "
@@ -1149,6 +1156,7 @@ def _run_bench_query(args, out, err) -> int:
             report,
             min_minimization_speedup=args.min_minimization_speedup,
             min_core_speedup=args.min_core_speedup,
+            min_parse_speedup=args.min_parse_speedup,
         ),
         format_query_report, write_query_report, args.output or "BENCH_query.json", out, err,
     )

@@ -108,31 +108,32 @@ def _undirected_path_order(graph: DiGraph) -> Optional[List[Vertex]]:
 
 
 def _compute_path_order(graph: DiGraph) -> Optional[List[Vertex]]:
-    n = graph.num_vertices()
-    if n == 0:
-        return None
-    if graph.num_edges() != n - 1:
-        return None
-    if not graph.is_weakly_connected():
-        return None
-    if graph.underlying_has_undirected_cycle():
-        return None
-    degrees = {v: graph.degree(v) for v in graph.vertices}
-    if any(d > 2 for d in degrees.values()):
+    # With n - 1 edges, no isolated vertex and no degree above 2, exactly two
+    # vertices have degree 1, and the graph is a path exactly when the walk
+    # from one of them reaches all n vertices (anything else left over is a
+    # cycle: a self-loop, an antiparallel pair or a longer one).
+    succ, pred = graph._succ, graph._pred
+    n = len(succ)
+    if n == 0 or graph.num_edges() != n - 1:
         return None
     if n == 1:
-        return [next(iter(graph.vertices))]
-    endpoints = sorted((v for v, d in degrees.items() if d == 1), key=repr)
-    if len(endpoints) != 2:
-        return None
-    order = [endpoints[0]]
-    previous: Optional[Vertex] = None
-    current = endpoints[0]
-    while len(order) < n:
-        neighbours = [w for w in graph.undirected_neighbours(current) if w != previous]
-        if len(neighbours) != 1:
+        return list(succ)
+    endpoints = []
+    for v, out in succ.items():
+        degree = len(out) + len(pred[v])
+        if degree == 1:
+            endpoints.append(v)
+        elif degree != 2:
             return None
-        previous, current = current, neighbours[0]
+    previous: Optional[Vertex] = None
+    current = min(endpoints, key=repr)
+    order = [current]
+    for _ in range(n - 1):
+        ahead = [w for w in succ[current] if w != previous]
+        ahead += [w for w in pred[current] if w != previous]
+        if len(ahead) != 1:
+            return None
+        previous, current = current, ahead[0]
         order.append(current)
     return order
 
@@ -168,15 +169,18 @@ def two_way_path_steps(graph: DiGraph) -> Tuple[Tuple[str, str], ...]:
 
 
 def is_one_way_path(graph: DiGraph) -> bool:
-    """Whether the graph is a one-way path (class 1WP)."""
+    """Whether the graph is a one-way path (class 1WP).
+
+    A path has no antiparallel pair, so its first step fixes the only
+    direction every step can share.
+    """
     order = _undirected_path_order(graph)
     if order is None:
         return False
     if len(order) == 1:
         return True
-    forward = all(graph.has_edge(order[i], order[i + 1]) for i in range(len(order) - 1))
-    backward = all(graph.has_edge(order[i + 1], order[i]) for i in range(len(order) - 1))
-    return forward or backward
+    ahead = graph._succ if order[1] in graph._succ[order[0]] else graph._pred
+    return all(right in ahead[left] for left, right in zip(order, order[1:]))
 
 
 def one_way_path_order(graph: DiGraph) -> List[Vertex]:
@@ -197,24 +201,28 @@ def one_way_path_order(graph: DiGraph) -> List[Vertex]:
 # tree recognisers
 # ----------------------------------------------------------------------
 def is_polytree(graph: DiGraph) -> bool:
-    """Whether the graph is a polytree (underlying undirected graph is a tree)."""
-    if graph.num_vertices() == 0:
-        return False
-    return (
-        graph.is_weakly_connected()
-        and not graph.underlying_has_undirected_cycle()
-        and graph.num_edges() == graph.num_vertices() - 1
-    )
+    """Whether the graph is a polytree (underlying undirected graph is a tree).
+
+    A connected graph on ``n`` vertices needs ``n - 1`` edges between
+    distinct unordered pairs, so with exactly ``n - 1`` edges it has no
+    self-loop, no antiparallel pair and no longer undirected cycle.
+    """
+    n = graph.num_vertices()
+    return n > 0 and graph.num_edges() == n - 1 and graph.is_weakly_connected()
 
 
 def is_downward_tree(graph: DiGraph) -> bool:
-    """Whether the graph is a downward tree (rooted tree, all edges parent→child)."""
-    if not is_polytree(graph):
+    """Whether the graph is a downward tree (rooted tree, all edges parent→child).
+
+    With ``n - 1`` edges and every in-degree at most 1, exactly one vertex
+    (the root) has in-degree 0.
+    """
+    n = graph.num_vertices()
+    if n == 0 or graph.num_edges() != n - 1:
         return False
-    roots = [v for v in graph.vertices if graph.in_degree(v) == 0]
-    if len(roots) != 1:
+    if any(len(sources) > 1 for sources in graph._pred.values()):
         return False
-    return all(graph.in_degree(v) <= 1 for v in graph.vertices)
+    return graph.is_weakly_connected()
 
 
 def downward_tree_root(graph: DiGraph) -> Vertex:

@@ -96,7 +96,10 @@ class DiGraph:
     The class is deliberately small and dependency-free: it supports exactly
     the operations the paper's algorithms need (edge/vertex iteration,
     neighbourhood queries, weak connectivity, subgraph construction) and
-    nothing else.  Vertices may be any hashable value.
+    nothing else.  Vertices may be any hashable value.  The constructor
+    fills the adjacency in one loop, in the order :meth:`add_vertex` and
+    :meth:`add_edge` would, so the graph (and its pickle) is the one those
+    calls build.
     """
 
     def __init__(
@@ -112,17 +115,36 @@ class DiGraph:
         #: recognition results, ...), cleared on every mutation.
         self._cache: Dict[Hashable, Any] = {}
         self._frozen: bool = False
+        vertex_set, edge_map, succ, pred = self._vertices, self._edges, self._succ, self._pred
         if vertices is not None:
             for v in vertices:
-                self.add_vertex(v)
+                if v not in succ:
+                    vertex_set.add(v)
+                    succ[v] = set()
+                    pred[v] = set()
         if edges is not None:
             for e in edges:
                 if isinstance(e, Edge):
-                    self.add_edge(e.source, e.target, e.label)
-                elif len(e) == 2:
-                    self.add_edge(e[0], e[1])
+                    e = Edge(e.source, e.target, e.label)
                 else:
-                    self.add_edge(e[0], e[1], e[2])
+                    e = Edge(e[0], e[1]) if len(e) == 2 else Edge(e[0], e[1], e[2])
+                source, target = pair = e.source, e.target
+                if pair in edge_map:
+                    raise GraphError(
+                        f"edge ({source!r}, {target!r}) already exists; "
+                        f"multi-edges are not allowed"
+                    )
+                if source not in succ:
+                    vertex_set.add(source)
+                    succ[source] = set()
+                    pred[source] = set()
+                if target not in succ:
+                    vertex_set.add(target)
+                    succ[target] = set()
+                    pred[target] = set()
+                edge_map[pair] = e
+                succ[source].add(target)
+                pred[target].add(source)
 
     # ------------------------------------------------------------------
     # freezing and memoisation
@@ -356,11 +378,11 @@ class DiGraph:
 
     def out_degree(self, v: Vertex) -> int:
         """Number of edges leaving ``v``."""
-        return len(self._succ.get(v, set()))
+        return len(self._succ.get(v, self._EMPTY_SET))
 
     def in_degree(self, v: Vertex) -> int:
         """Number of edges entering ``v``."""
-        return len(self._pred.get(v, set()))
+        return len(self._pred.get(v, self._EMPTY_SET))
 
     def degree(self, v: Vertex) -> int:
         """Total (undirected) degree of ``v``."""
@@ -384,10 +406,7 @@ class DiGraph:
         unknown = kept - set(self._edges.values())
         if unknown:
             raise GraphError(f"edges {unknown!r} are not edges of this graph")
-        sub = DiGraph(vertices=self._vertices)
-        for e in kept:
-            sub.add_edge(e.source, e.target, e.label)
-        return sub
+        return DiGraph(self._vertices, kept)
 
     def induced_component(self, vertices: Iterable[Vertex]) -> "DiGraph":
         """The graph induced by a vertex subset (keeping only those vertices)."""
@@ -395,11 +414,10 @@ class DiGraph:
         unknown = keep - self._vertices
         if unknown:
             raise GraphError(f"vertices {unknown!r} are not vertices of this graph")
-        sub = DiGraph(vertices=keep)
-        for e in self._edges.values():
-            if e.source in keep and e.target in keep:
-                sub.add_edge(e.source, e.target, e.label)
-        return sub
+        return DiGraph(
+            keep,
+            [e for e in self._edges.values() if e.source in keep and e.target in keep],
+        )
 
     # ------------------------------------------------------------------
     # connectivity
@@ -567,10 +585,10 @@ class DiGraph:
         new_names = [rename(v) for v in self._vertices]
         if len(set(new_names)) != len(new_names):
             raise GraphError("vertex relabeling is not injective")
-        out = DiGraph(vertices=new_names)
-        for e in self._edges.values():
-            out.add_edge(rename(e.source), rename(e.target), e.label)
-        return out
+        return DiGraph(
+            new_names,
+            [(rename(e.source), rename(e.target), e.label) for e in self._edges.values()],
+        )
 
     # ------------------------------------------------------------------
     # dunder helpers

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.exceptions import QueryParseError
 from repro.graphs.digraph import DiGraph
@@ -90,13 +90,11 @@ class QueryIR:
         conjunction can never be satisfied by a single-label instance edge,
         and silently dropping one label would change the query's meaning.
         """
-        graph = DiGraph(vertices=self.variables())
+        labels: Dict[Tuple[str, str], str] = {}
         for atom in self.atoms:
             pair = (atom.source, atom.target)
-            if graph.has_edge(*pair):
-                existing = graph.label_of(*pair)
-                if existing == atom.label:
-                    continue  # identical conjunct repeated: same constraint
+            existing = labels.setdefault(pair, atom.label)
+            if existing != atom.label:
                 position = atom.span[0] if atom.span else None
                 raise QueryParseError(
                     f"conflicting labels {existing!r} and {atom.label!r} on the "
@@ -105,8 +103,10 @@ class QueryIR:
                     self.text or "",
                     position,
                 )
-            graph.add_edge(atom.source, atom.target, atom.label)
-        return graph
+        return DiGraph(
+            self.variables(),
+            [(source, target, label) for (source, target), label in labels.items()],
+        )
 
     def format(self) -> str:
         """The query in canonical surface syntax (see :func:`format_query`)."""

@@ -19,6 +19,11 @@ of plain atoms through fresh intermediate variables (named ``_1``, ``_2``,
 ... , skipping names the query already uses); a two-way arrow
 ``x <-[R]- y`` is oriented at parse time into the forward atom ``R(y, x)``.
 
+A plain atom list (``R(x, y), S(y, z)``, the form :func:`format_query`
+prints) is read in one pass, one anchored match per atom; any other text,
+and every malformed one, goes through the recursive-descent parser, which
+alone expands sugar and raises diagnostics.
+
 Errors raise :class:`~repro.exceptions.QueryParseError` with the exact
 source offset, rendered as a caret diagnostic.
 """
@@ -30,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import QueryParseError
 from repro.graphs.digraph import DiGraph, UNLABELED
-from repro.query.ir import Atom, QueryIR
+from repro.query.ir import IDENT_PATTERN, Atom, QueryIR
 
 #: Token kinds, longest-match first (``-[`` must win over ``-``).
 _TOKEN_PATTERN = re.compile(
@@ -268,6 +273,38 @@ class _Parser:
         return expanded
 
 
+#: One atom ``label(source, target)`` of a plain atom list, whitespace
+#: around every token; the groups are the three identifiers and the ``)``.
+_ATOM_PATTERN = re.compile(
+    r"\s*({0})\s*\(\s*({0})\s*,\s*({0})\s*(\))\s*".format(IDENT_PATTERN.pattern)
+)
+
+
+def _scan_atom_list(text: str) -> Optional[QueryIR]:
+    """The IR of a plain comma-separated atom list, or ``None`` for other text.
+
+    Each identifier is matched up to a ``(``, ``,`` or ``)``, so the scan
+    splits tokens exactly where the tokenizer does, and the IR it builds
+    (atoms, spans, no free vertices, the text) is the one
+    :class:`_Parser` would return.
+    """
+    atoms: List[Atom] = []
+    match = _ATOM_PATTERN.match
+    position, end = 0, len(text)
+    while True:
+        found = match(text, position)
+        if found is None:
+            return None
+        label, source, target = found.group(1, 2, 3)
+        atoms.append(Atom(label, source, target, span=(found.start(1), found.end(4))))
+        position = found.end()
+        if position == end:
+            return QueryIR(atoms=tuple(atoms), text=text)
+        if text[position] != ",":
+            return None
+        position += 1
+
+
 def parse_query(text: str) -> QueryIR:
     """Parse a query-language string into a :class:`~repro.query.ir.QueryIR`.
 
@@ -279,7 +316,7 @@ def parse_query(text: str) -> QueryIR:
     >>> parse_query("x <-[R]- y").format()
     'R(y, x)'
     """
-    return _Parser(text).parse()
+    return _scan_atom_list(text) or _Parser(text).parse()
 
 
 def parse_query_graph(text: str) -> DiGraph:

@@ -138,6 +138,14 @@ class TestBenchCommand:
             assert "report written" not in out
         assert not target.exists()
 
+    def test_parse_gate_fails_below_its_speedup(self):
+        code, out, err = run_cli(
+            ["bench", "query", "--smoke", "--min-parse-speedup", "1e9", "--output", "-"]
+        )
+        assert code == 1
+        assert "parse 2WP (3 atoms)" in out and "parse 1WP (12 atoms)" in out
+        assert "faster than the recursive-descent parser, below the required" in err
+
 
 class TestStoreCommand:
     def test_inspect_says_which_plans_carry_a_tape(self, tmp_path):
