@@ -116,12 +116,16 @@ class UncertainBinaryTree:
 
     def depth(self) -> int:
         """The depth (number of edges on the longest root-to-leaf path)."""
-        def rec(node: BinaryTreeNode) -> int:
+        deepest = 0
+        stack = [(self.root, 0)]
+        while stack:
+            node, depth = stack.pop()
             if node.is_leaf():
-                return 0
-            return 1 + max(rec(node.left), rec(node.right))
-
-        return rec(self.root)
+                deepest = max(deepest, depth)
+            else:
+                stack.append((node.left, depth + 1))
+                stack.append((node.right, depth + 1))
+        return deepest
 
 
 def _rooted_children(
@@ -183,22 +187,30 @@ def encode_polytree(
         raise AutomatonError(f"root {root!r} is not a vertex of the instance")
     children = _rooted_children(graph, root)
     variables: List[Edge] = []
-
-    def epsilon_leaf() -> BinaryTreeNode:
-        return BinaryTreeNode(label=LABEL_EPSILON, probability=Fraction(1), variable=None)
-
-    def encode_fragment(vertex: Vertex, remaining: List[Tuple[Vertex, str, Edge]]) -> BinaryTreeNode:
-        if not remaining:
-            return epsilon_leaf()
-        child, direction, edge = remaining[0]
-        variables.append(edge)
-        return BinaryTreeNode(
-            label=direction,
-            probability=instance.probability(edge),
-            variable=edge,
-            left=encode_fragment(child, children[child]),
-            right=encode_fragment(vertex, remaining[1:]),
-        )
-
-    tree_root = encode_fragment(root, children[root])
+    tree_root = _encode_fragment(children[root], children, instance, variables)
     return UncertainBinaryTree(root=tree_root, variables=variables)
+
+
+def _encode_fragment(
+    remaining: List[Tuple[Vertex, str, Edge]],
+    children: Dict[Vertex, List[Tuple[Vertex, str, Edge]]],
+    instance: ProbabilisticGraph,
+    variables: List[Edge],
+) -> BinaryTreeNode:
+    """The spine of a vertex's ``remaining`` children, appending its edges to ``variables``.
+
+    A plain function, not a closure over :func:`encode_polytree`'s locals: a
+    recursive closure references itself, and would keep every encoding
+    alive as cyclic garbage.
+    """
+    if not remaining:
+        return BinaryTreeNode(label=LABEL_EPSILON, probability=Fraction(1), variable=None)
+    child, direction, edge = remaining[0]
+    variables.append(edge)
+    return BinaryTreeNode(
+        label=direction,
+        probability=instance.probability(edge),
+        variable=edge,
+        left=_encode_fragment(children[child], children, instance, variables),
+        right=_encode_fragment(remaining[1:], children, instance, variables),
+    )

@@ -45,37 +45,45 @@ def provenance_circuit(
     are treated as always present and contribute no literal.
     """
     circuit = DDNNF()
-
-    def literal_gates(node: BinaryTreeNode) -> Dict[bool, Optional[int]]:
-        """Gate of the literal asserting the node's annotation bit, or ``None`` for 'true'."""
-        if node.variable is None:
-            # Structural node: annotation is always 1, the 0 branch is dead.
-            return {True: None}
-        return {True: circuit.add_var(node.variable), False: circuit.add_not(node.variable)}
-
-    def compile_node(node: BinaryTreeNode) -> Dict[State, int]:
-        literals = literal_gates(node)
-        gates: Dict[State, List[int]] = {}
-        if node.is_leaf():
-            for bit, literal in literals.items():
-                state = automaton.initial((node.label, bit))
-                gate = circuit.add_true() if literal is None else literal
-                gates.setdefault(state, []).append(gate)
-        else:
-            left_gates = compile_node(node.left)
-            right_gates = compile_node(node.right)
-            for bit, literal in literals.items():
-                for left_state, left_gate in left_gates.items():
-                    for right_state, right_gate in right_gates.items():
-                        state = automaton.transition((node.label, bit), left_state, right_state)
-                        parts = [left_gate, right_gate]
-                        if literal is not None:
-                            parts.append(literal)
-                        gates.setdefault(state, []).append(circuit.add_and(parts))
-        return {state: circuit.add_or(alternatives) for state, alternatives in gates.items()}
-
-    root_gates = compile_node(tree.root)
+    root_gates = _compile_node(automaton, circuit, tree.root)
     accepting_gates = [gate for state, gate in root_gates.items() if automaton.accepting(state)]
     root = circuit.add_or(accepting_gates) if accepting_gates else circuit.add_false()
     circuit.set_root(root)
     return circuit
+
+
+def _literal_gates(circuit: DDNNF, node: BinaryTreeNode) -> Dict[bool, Optional[int]]:
+    """Gate of the literal asserting the node's annotation bit, or ``None`` for 'true'."""
+    if node.variable is None:
+        # Structural node: annotation is always 1, the 0 branch is dead.
+        return {True: None}
+    return {True: circuit.add_var(node.variable), False: circuit.add_not(node.variable)}
+
+
+def _compile_node(
+    automaton: BottomUpTreeAutomaton, circuit: DDNNF, node: BinaryTreeNode
+) -> Dict[State, int]:
+    """The gates ``g[node][q]``, one per state ``q`` reachable at ``node``.
+
+    A plain function, not a closure: a recursive closure references itself,
+    and would keep every circuit build alive as cyclic garbage.
+    """
+    literals = _literal_gates(circuit, node)
+    gates: Dict[State, List[int]] = {}
+    if node.is_leaf():
+        for bit, literal in literals.items():
+            state = automaton.initial((node.label, bit))
+            gate = circuit.add_true() if literal is None else literal
+            gates.setdefault(state, []).append(gate)
+    else:
+        left_gates = _compile_node(automaton, circuit, node.left)
+        right_gates = _compile_node(automaton, circuit, node.right)
+        for bit, literal in literals.items():
+            for left_state, left_gate in left_gates.items():
+                for right_state, right_gate in right_gates.items():
+                    state = automaton.transition((node.label, bit), left_state, right_state)
+                    parts = [left_gate, right_gate]
+                    if literal is not None:
+                        parts.append(literal)
+                    gates.setdefault(state, []).append(circuit.add_and(parts))
+    return {state: circuit.add_or(alternatives) for state, alternatives in gates.items()}

@@ -62,21 +62,17 @@ class BottomUpTreeAutomaton:
         annotated 1; other nodes read their annotation from ``annotation``
         (missing edges default to absent).
         """
-        def node_bit(node: BinaryTreeNode) -> bool:
-            if node.variable is None:
-                return True
-            return bool(annotation.get(node.variable, False))
+        return self._state_of(tree.root, annotation)
 
-        def state_of(node: BinaryTreeNode) -> State:
-            self._check_label(node.label)
-            letter: AnnotatedLabel = (node.label, node_bit(node))
-            if node.is_leaf():
-                return self.initial(letter)
-            left_state = state_of(node.left)
-            right_state = state_of(node.right)
-            return self.transition(letter, left_state, right_state)
-
-        return state_of(tree.root)
+    def _state_of(self, node: BinaryTreeNode, annotation: Mapping[Edge, bool]) -> State:
+        self._check_label(node.label)
+        bit = True if node.variable is None else bool(annotation.get(node.variable, False))
+        letter: AnnotatedLabel = (node.label, bit)
+        if node.is_leaf():
+            return self.initial(letter)
+        left_state = self._state_of(node.left, annotation)
+        right_state = self._state_of(node.right, annotation)
+        return self.transition(letter, left_state, right_state)
 
     def accepts(self, tree: UncertainBinaryTree, annotation: Mapping[Edge, bool]) -> bool:
         """Whether the automaton accepts ``tree`` under the given annotation."""
@@ -92,21 +88,21 @@ class BottomUpTreeAutomaton:
         children's reachable sets under both annotations of the node.  This
         is exactly the state space the provenance circuit will instantiate.
         """
-        def rec(node: BinaryTreeNode) -> Set[State]:
-            self._check_label(node.label)
-            bits = (True,) if node.variable is None else (False, True)
-            if node.is_leaf():
-                return {self.initial((node.label, bit)) for bit in bits}
-            left_states = rec(node.left)
-            right_states = rec(node.right)
-            states: Set[State] = set()
-            for bit in bits:
-                for ls in left_states:
-                    for rs in right_states:
-                        states.add(self.transition((node.label, bit), ls, rs))
-            return states
+        return self._reachable_at(tree.root)
 
-        return rec(tree.root)
+    def _reachable_at(self, node: BinaryTreeNode) -> Set[State]:
+        self._check_label(node.label)
+        bits = (True,) if node.variable is None else (False, True)
+        if node.is_leaf():
+            return {self.initial((node.label, bit)) for bit in bits}
+        left_states = self._reachable_at(node.left)
+        right_states = self._reachable_at(node.right)
+        states: Set[State] = set()
+        for bit in bits:
+            for ls in left_states:
+                for rs in right_states:
+                    states.add(self.transition((node.label, bit), ls, rs))
+        return states
 
     def materialise(
         self, states: Iterable[State]

@@ -41,6 +41,7 @@ non-zero exit code (the CI smoke gates).
 from __future__ import annotations
 
 import platform
+import statistics
 import time
 import warnings
 from fractions import Fraction
@@ -75,6 +76,9 @@ SMOKE_REDUNDANCY = 3
 #: Calls used to measure the steady-state string-query cost.
 OVERHEAD_CALLS = 200
 SMOKE_OVERHEAD_CALLS = 50
+#: Fresh parses behind ``parse_seconds`` and ``minimize_seconds``: each is
+#: the median over this many calls (one cold call swings with the machine).
+OVERHEAD_TIMINGS = 25
 
 #: Coalescing trace shape: distinct cores x spelling variants x repetitions.
 TRACE_CORES = 4
@@ -253,8 +257,14 @@ def _overhead_measurements(calls: int, seed: int, smoke: bool) -> Dict[str, obje
     text = "r1 -[R]-> q1, R(q0, q1), S(q1, q2), S(r2, q2)"
     instance = _non_path_dwt_instance(8 if smoke else 12, rng)
 
-    graph, parse_seconds = _timed(lambda: parse_query_graph(text))
-    _core, minimize_seconds = _timed(lambda: query_core(graph))
+    parse_times, minimize_times = [], []
+    for _ in range(OVERHEAD_TIMINGS):
+        # The core is memoised on the graph, so each minimize call gets a
+        # fresh parse.
+        graph, seconds = _timed(lambda: parse_query_graph(text))
+        parse_times.append(seconds)
+        _core, seconds = _timed(lambda: query_core(graph))
+        minimize_times.append(seconds)
 
     solver = PHomSolver()
     _first, cold_seconds = _timed(lambda: solver.solve(text, instance))
@@ -271,8 +281,9 @@ def _overhead_measurements(calls: int, seed: int, smoke: bool) -> Dict[str, obje
     return {
         "query": text,
         "calls": calls,
-        "parse_seconds": parse_seconds,
-        "minimize_seconds": minimize_seconds,
+        "timings": OVERHEAD_TIMINGS,
+        "parse_seconds": statistics.median(parse_times),
+        "minimize_seconds": statistics.median(minimize_times),
         "cold_solve_seconds": cold_seconds,
         "string_steady_seconds_per_call": string_call_seconds,
         "graph_steady_seconds_per_call": graph_call_seconds,
@@ -523,7 +534,8 @@ def format_query_report(report: Dict[str, object]) -> str:
         )
     overhead = report["overhead"]
     lines.append(
-        f"  frontend overhead: parse {overhead['parse_seconds'] * 1e6:.0f}us, "
+        f"  frontend overhead (median of {overhead['timings']} fresh parses): "
+        f"parse {overhead['parse_seconds'] * 1e6:.0f}us, "
         f"minimize {overhead['minimize_seconds'] * 1e6:.0f}us; steady-state "
         f"string solve {overhead['string_steady_seconds_per_call'] * 1e6:.0f}us/call "
         f"({overhead['frontend_overhead_ratio']:.1f}x the shared-graph call, "

@@ -183,34 +183,41 @@ def compile_labeled_path_on_dwt(
     edge_index: Dict[Edge, int] = {}
     index: Dict[Tuple[Vertex, int], int] = {}
     nodes: List[Tuple[Tuple[int, int, Optional[int]], ...]] = []
-
-    def intern_edge(edge: Edge) -> int:
-        existing = edge_index.get(edge)
-        if existing is not None:
-            return existing
-        edge_index[edge] = len(edges)
-        edges.append(edge)
-        return edge_index[edge]
-
-    def build(vertex: Vertex, state: int) -> int:
-        key = (vertex, state)
-        existing = index.get(key)
-        if existing is not None:
-            return existing
-        ops: List[Tuple[int, int, Optional[int]]] = []
-        for edge in children[vertex]:
-            child = edge.target
-            absent_node = build(child, 0)
-            next_state = table[(state, edge.label)]
-            present_node = build(child, next_state) if next_state < m else None
-            ops.append((intern_edge(edge), absent_node, present_node))
-        node_index = len(nodes)
-        index[key] = node_index
-        nodes.append(tuple(ops))
-        return node_index
-
-    root_index = build(root, 0)
-    return DWTPathSkeleton(edges=tuple(edges), nodes=tuple(nodes), root_index=root_index)
+    # The post-order of the recursive ``build(vertex, state)`` the DP is
+    # stated as, walked with an explicit stack (a recursive closure would
+    # keep this working set alive as cyclic garbage).  A frame is (vertex,
+    # KMP state, out-edges, ops so far) and works on ``out_edges[len(ops)]``:
+    # it pushes the edge's child pairs not yet numbered, then takes the
+    # edge; a frame that has taken every edge numbers its node.
+    stack = [(root, 0, children[root], [])]
+    while stack:
+        vertex, state, out_edges, ops = stack[-1]
+        if len(ops) == len(out_edges):
+            stack.pop()
+            index[(vertex, state)] = len(nodes)
+            nodes.append(tuple(ops))
+            continue
+        edge = out_edges[len(ops)]
+        child = edge.target
+        absent_node = index.get((child, 0))
+        if absent_node is None:
+            stack.append((child, 0, children[child], []))
+            continue
+        next_state = table[(state, edge.label)]
+        present_node = None
+        if next_state < m:
+            present_node = index.get((child, next_state))
+            if present_node is None:
+                stack.append((child, next_state, children[child], []))
+                continue
+        position = edge_index.get(edge)
+        if position is None:
+            position = edge_index[edge] = len(edges)
+            edges.append(edge)
+        ops.append((position, absent_node, present_node))
+    return DWTPathSkeleton(
+        edges=tuple(edges), nodes=tuple(nodes), root_index=index[(root, 0)]
+    )
 
 
 def evaluate_dwt_path_skeleton(

@@ -179,6 +179,13 @@ class DiGraph:
         This is the hook the class recognisers and solvers use to attach
         derived structural data (path orders, recognition verdicts) to the
         graph without recomputing them on every query.
+
+        A memoised value must never reference the graph it is stored on:
+        that makes the graph part of a reference cycle, so it is no longer
+        freed when its last reference goes and lingers as cyclic garbage
+        until the cyclic collector runs.  Store a marker instead (as
+        :func:`repro.query.query_core` does for a graph that is its own
+        core).
         """
         try:
             return self._cache[key]

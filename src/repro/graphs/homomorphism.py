@@ -147,22 +147,30 @@ def enumerate_homomorphisms(
                 return False
         return True
 
-    def backtrack(position: int) -> Iterator[Dict[Vertex, Vertex]]:
-        nonlocal produced
-        if position == len(order):
-            produced += 1
-            yield dict(assignment)
-            return
+    # Depth-first search with an explicit stack of candidate iterators, one
+    # per assigned position (a recursive closure would reference itself and
+    # leave every search behind as cyclic garbage).
+    stack = [iter(sorted(domains[order[0]], key=repr))]
+    while stack:
+        position = len(stack) - 1
         u = order[position]
-        for x in sorted(domains[u], key=repr):
+        for x in stack[-1]:
             if limit is not None and produced >= limit:
                 return
             if consistent(u, x):
-                assignment[u] = x
-                yield from backtrack(position + 1)
-                del assignment[u]
-
-    yield from backtrack(0)
+                break
+        else:
+            stack.pop()
+            if stack:
+                del assignment[order[position - 1]]
+            continue
+        assignment[u] = x
+        if position + 1 < len(order):
+            stack.append(iter(sorted(domains[order[position + 1]], key=repr)))
+            continue
+        produced += 1
+        yield dict(assignment)
+        del assignment[u]
 
 
 def find_homomorphism(query: DiGraph, instance: DiGraph) -> Optional[Dict[Vertex, Vertex]]:

@@ -235,29 +235,7 @@ class PositiveDNF:
         if missing:
             raise LineageError(f"branching order is missing variables: {missing!r}")
         position = {variable: index for index, variable in enumerate(order)}
-        cache: Dict[FrozenSet[Clause], Number] = {}
-        convert = context.convert
-        one = context.one
-        zero = context.zero
-
-        def solve(clauses: FrozenSet[Clause]) -> Number:
-            if not clauses:
-                return zero
-            if any(not clause for clause in clauses):
-                return one
-            if clauses in cache:
-                return cache[clauses]
-            variable = min(
-                (v for clause in clauses for v in clause), key=lambda v: position[v]
-            )
-            p = convert(probabilities[variable])
-            positive = frozenset(clause - {variable} for clause in clauses)
-            negative = frozenset(clause for clause in clauses if variable not in clause)
-            result = p * solve(positive) + (1 - p) * solve(negative)
-            cache[clauses] = result
-            return result
-
-        return solve(frozenset(self._clauses))
+        return _shannon(frozenset(self._clauses), {}, position, probabilities, context)
 
     # ------------------------------------------------------------------
     # dunder helpers
@@ -272,3 +250,32 @@ class PositiveDNF:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PositiveDNF(clauses={len(self._clauses)}, variables={len(self.variables())})"
+
+
+def _shannon(
+    clauses: FrozenSet[Clause],
+    cache: Dict[FrozenSet[Clause], Number],
+    position: Mapping[Variable, int],
+    probabilities: Mapping[Variable, Fraction],
+    context: NumericContext,
+) -> Number:
+    """:meth:`PositiveDNF.probability`'s memoised Shannon expansion of ``clauses``.
+
+    A plain function, not a closure: a recursive closure references itself,
+    and would keep its memo alive as cyclic garbage.
+    """
+    if not clauses:
+        return context.zero
+    if any(not clause for clause in clauses):
+        return context.one
+    if clauses in cache:
+        return cache[clauses]
+    variable = min((v for clause in clauses for v in clause), key=lambda v: position[v])
+    p = context.convert(probabilities[variable])
+    positive = frozenset(clause - {variable} for clause in clauses)
+    negative = frozenset(clause for clause in clauses if variable not in clause)
+    present = _shannon(positive, cache, position, probabilities, context)
+    absent = _shannon(negative, cache, position, probabilities, context)
+    result = p * present + (1 - p) * absent
+    cache[clauses] = result
+    return result

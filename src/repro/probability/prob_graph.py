@@ -19,6 +19,7 @@ rather than with numerical tolerances.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,8 +121,10 @@ class ProbabilisticGraph:
         self._components: Optional[List["ProbabilisticGraph"]] = None
         #: Set on components handed out by a parent's ``connected_components``
         #: cache, so mutating a shared component detaches the parent's cache
-        #: instead of silently corrupting the parent's future answers.
-        self._component_owner: Optional["ProbabilisticGraph"] = None
+        #: instead of silently corrupting the parent's future answers.  A
+        #: weak reference: a strong one would put the parent in a reference
+        #: cycle with its cached components.
+        self._component_owner: Optional["weakref.ref[ProbabilisticGraph]"] = None
         self._reset_change_log()
 
     def __getstate__(self) -> Dict[str, object]:
@@ -240,7 +243,9 @@ class ProbabilisticGraph:
         if self._component_owner is not None:
             # This instance was shared through a parent's component cache;
             # detach so the parent rebuilds fresh components next time.
-            self._component_owner._components = None
+            owner = self._component_owner()
+            if owner is not None:
+                owner._components = None
             self._component_owner = None
 
     @property
@@ -370,8 +375,9 @@ class ProbabilisticGraph:
             components = [
                 self._restricted(graph) for graph in self._graph.connected_component_graphs()
             ]
+            owner = weakref.ref(self)
             for component in components:
-                component._component_owner = self
+                component._component_owner = owner
             self._components = components
         return list(self._components)
 

@@ -195,6 +195,12 @@ def _height_path(query: DiGraph) -> DiGraph:
     return query.induced_component(path)
 
 
+#: The ``query_core`` memo of a graph that is its own core.  Storing the
+#: graph itself there would make every such graph reference itself, and
+#: only the cyclic collector could free it.
+_SELF_CORE = object()
+
+
 def query_core(query: DiGraph) -> DiGraph:
     """The homomorphic core of a query graph (Chandra–Merlin minimization).
 
@@ -210,28 +216,31 @@ def query_core(query: DiGraph) -> DiGraph:
     when the query already is a core, the *same graph object* is returned,
     so plans and caches keyed on object identity are unaffected.
     """
-    return query.cached("query_core", lambda: _compute_core(query))
+    core = query.cached("query_core", lambda: _compute_core(query))
+    return query if core is _SELF_CORE else core
 
 
-def _compute_core(query: DiGraph) -> DiGraph:
+def _compute_core(query: DiGraph):
+    """The core of ``query``, or :data:`_SELF_CORE` when the query is one."""
     # Serving workers receive freshly unpickled query objects (no shared
     # memo), so the common path and tree shapes must not pay the fold search.
     if graph_in_class(query, GraphClass.ONE_WAY_PATH):
         # Every walk inside a simple directed path is a subpath, so the path
         # cannot map into any proper subgraph of itself.
-        return query
+        return _SELF_CORE
     if graph_in_class(query, GraphClass.TWO_WAY_PATH):
         core = _two_way_path_core(query)
     elif graph_in_class(query, GraphClass.DOWNWARD_TREE) and query.is_unlabeled():
         core = _height_path(query)
     else:
         core = fold_search_core(query)
-    if core is not query:
-        # Fresh core graphs are frozen (their memoised metadata is shared by
-        # every cache keyed on them) and pre-seeded as their own core, so
-        # ``query_core(query_core(q))`` never minimizes again.
-        core.freeze()
-        core.cached("query_core", lambda: core)
+    if core is query:
+        return _SELF_CORE
+    # Fresh core graphs are frozen (their memoised metadata is shared by
+    # every cache keyed on them) and pre-seeded as their own core, so
+    # ``query_core(query_core(q))`` never minimizes again.
+    core.freeze()
+    core.cached("query_core", lambda: _SELF_CORE)
     return core
 
 
@@ -285,20 +294,22 @@ def normalize(query: DiGraph) -> NormalizedQuery:
     representation itself, two-way atoms were oriented at parse time, and
     :func:`query_core` computes the core — so a query whose
     core is a 1WP/DWT/PT reaches the polynomial dispatch routes even when
-    the query *as written* sits in a #P-hard cell.  The verdict is memoised
-    on the query graph.
+    the query *as written* sits in a #P-hard cell.  The verdict (the two
+    classes and the fold counts) is memoised on the query graph; the
+    :class:`NormalizedQuery` holding the two graphs is built per call, so
+    the memo never references the graph it is stored on.
     """
     validate_query_graph(query)
-    return query.cached("normalized_query", lambda: _compute_normalized(query))
-
-
-def _compute_normalized(query: DiGraph) -> NormalizedQuery:
     core = query_core(query)
-    return NormalizedQuery(
-        original=query,
-        graph=core,
-        original_class=graph_class_of(query) if query.num_vertices() else GraphClass.ALL,
-        core_class=graph_class_of(core),
-        folded_vertices=query.num_vertices() - core.num_vertices(),
-        folded_edges=query.num_edges() - core.num_edges(),
+    provenance = query.cached("normalize_provenance", lambda: _provenance(query, core))
+    return NormalizedQuery(query, core, *provenance)
+
+
+def _provenance(query: DiGraph, core: DiGraph) -> Tuple[GraphClass, GraphClass, int, int]:
+    """``normalize``'s verdict: the two classes and the fold counts."""
+    return (
+        graph_class_of(query) if query.num_vertices() else GraphClass.ALL,
+        graph_class_of(core),
+        query.num_vertices() - core.num_vertices(),
+        query.num_edges() - core.num_edges(),
     )

@@ -54,7 +54,7 @@ from repro.query import (
     validate_query_graph,
 )
 from repro.query import minimize as minimize_module
-from repro.query.minimize import fold_search_core
+from repro.query.minimize import NormalizedQuery, fold_search_core
 from repro.service import QueryService, ServiceRequest, run_jsonl_session
 from repro.service.requests import request_from_json_dict
 from repro.workloads.generators import (
@@ -331,6 +331,78 @@ class TestQueryCore:
 
 def _forbidden_fold_search(query):
     raise AssertionError(f"fold search ran on {format_query(query)}")
+
+
+def _forbidden_core(query):
+    raise AssertionError(f"core recomputed for {format_query(query)}")
+
+
+#: Queries that already are cores: a 1WP, a 2WP, a labeled star (fold search).
+CORE_TEXTS = (
+    "R(x, y), S(y, z)",
+    "R(x, y), S(z, y), R(z, w)",
+    "R(r, a), S(r, b), T(r, c)",
+)
+
+#: Queries that fold: a 2WP, two disjoint copies of one atom (fold
+#: search), an unlabeled tree (height path).
+FOLDING_TEXTS = (
+    "R(x, y), S(y, z), S(t, z)",
+    "R(a, b), R(c, d)",
+    "_(r, a), _(r, b), _(r, c), _(a, d)",
+)
+
+
+class TestCoreMemo:
+    """``query_core`` memoises a marker for "this graph is its own core",
+    never the graph itself, and ``normalize`` memoises only its verdict."""
+
+    @pytest.mark.parametrize("text", CORE_TEXTS)
+    def test_a_core_is_returned_as_itself(self, text, monkeypatch):
+        query = parse_query_graph(text)
+        assert query_core(query) is query
+        monkeypatch.setattr(minimize_module, "_compute_core", _forbidden_core)
+        assert query_core(query) is query
+
+    @pytest.mark.parametrize("text", FOLDING_TEXTS)
+    def test_the_core_of_a_core_is_never_recomputed(self, text, monkeypatch):
+        query = parse_query_graph(text)
+        core = query_core(query)
+        assert core is not query and core.frozen
+        monkeypatch.setattr(minimize_module, "_compute_core", _forbidden_core)
+        assert query_core(core) is core
+        assert query_core(query_core(query)) is core
+
+    @staticmethod
+    def reference_normalize(query):
+        """``normalize`` as it was when it memoised the whole result."""
+        core = query_core(query)
+        return NormalizedQuery(
+            original=query,
+            graph=core,
+            original_class=graph_class_of(query) if query.num_vertices() else GraphClass.ALL,
+            core_class=graph_class_of(core),
+            folded_vertices=query.num_vertices() - core.num_vertices(),
+            folded_edges=query.num_edges() - core.num_edges(),
+        )
+
+    @pytest.mark.parametrize("index", range(24))
+    def test_normalize_matches_the_whole_result_memo(self, index):
+        rng = random.Random(SEED + 1000 + index)
+        query_class = [
+            GraphClass.ONE_WAY_PATH,
+            GraphClass.TWO_WAY_PATH,
+            GraphClass.DOWNWARD_TREE,
+            GraphClass.ALL,
+        ][index % 4]
+        query = make_query(query_class, index % 2 == 0, rng.randint(1, 5), rng)
+        if index % 3 == 0:
+            query = add_redundant_atoms(query, rng.randint(1, 3), rng)
+        expected = self.reference_normalize(query)
+        for _ in range(2):  # the second call reads the memo
+            info = normalize(query)
+            assert info.original is query and info.graph is query_core(query)
+            assert info == expected and info.describe() == expected.describe()
 
 
 class TestNormalize:
