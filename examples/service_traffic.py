@@ -13,7 +13,8 @@ The example registers two probabilistic instances with a
 micro-batches of mixed precision, applies a live probability update halfway
 through, and finally shows a #P-hard request answered by the seeded sampler.
 The printed statistics show how much of the stream never reached a solver:
-duplicates coalesced before dispatch plus worker-side result-cache hits.
+duplicates coalesced before dispatch plus result-cache hits, both
+answered at the coordinator.
 
 Run with:  python examples/service_traffic.py
 """

@@ -11,8 +11,8 @@ updates in between.  The benchmark replays the *same* trace through
   PR-1/PR-2 serving story: plan cache + within-batch dedupe); and
 * ``service`` — a :class:`~repro.service.QueryService` at several worker
   counts: instance-affinity sharding, cross-instance request coalescing
-  before dispatch, and worker-side result caches that answer repeats across
-  ticks without re-running even the arithmetic.
+  before dispatch, and the coordinator's result cache that answers repeats
+  across ticks without reaching a worker.
 
 Correctness is asserted on every run: exact answers from every service
 configuration must be *bit-identical* to the single-process baseline, and a
@@ -1119,11 +1119,27 @@ def check_service_thresholds(
     the numbers are recorded, the machine-independent invariants
     (bit-identical answers, pinned-seed reproducibility, no idle workers,
     the ``max_p99_ms`` ceiling) are still enforced, and the ratio gates
-    are skipped rather than failed dishonestly.
+    are skipped rather than failed dishonestly.  So is the counter
+    invariant: coalescing and the result cache sit at the coordinator,
+    so ``coalesced``, ``dispatched`` and ``result_cache_hits`` must read
+    the same at every worker count of the replay.
     """
     summary = report["summary"]
     if not summary["exact_bit_identical"]:
         raise AssertionError("service exact answers diverged from the baseline")
+    counters = {
+        name: tuple(
+            numbers[name]
+            for mode, numbers in report["modes"].items()
+            if mode.startswith("service_")
+        )
+        for name in ("coalesced", "dispatched", "result_cache_hits")
+    }
+    for name, values in counters.items():
+        if len(set(values)) > 1:
+            raise AssertionError(
+                f"service {name} differs across worker counts: {values}"
+            )
     if not summary["approx_seed_reproducible"]:
         raise AssertionError("pinned-seed approx estimates were not reproducible")
     speedup = summary["speedup_at_max_workers"]

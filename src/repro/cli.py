@@ -206,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--result-cache-size", type=int, default=1024,
-        help="per-worker result cache capacity (0 disables)",
+        help="capacity of the service's result cache (0 disables)",
     )
     serve.add_argument(
         "--state-dir", default=None, metavar="DIR",
@@ -870,15 +870,14 @@ def _format_top(snapshot, previous=None, elapsed: Optional[float] = None) -> str
     def total(name: str) -> int:
         return int(counter_total(snapshot, name))
 
-    requests = total("repro_worker_requests_total")
-    cache_hits = total("repro_worker_result_cache_hits_total")
+    cache_hits = total("repro_service_result_cache_hits_total")
     submitted = total("repro_service_requests_total")
     dispatched = total("repro_service_dispatched_total")
-    hit_rate = cache_hits / requests if requests else 0.0
+    hit_rate = cache_hits / dispatched if dispatched else 0.0
     dedupe = (submitted - dispatched) / submitted if submitted else 0.0
     lines.append(
         f"caches: result-cache hit rate {hit_rate:.0%} "
-        f"({cache_hits}/{requests}), dedupe rate {dedupe:.0%} "
+        f"({cache_hits}/{dispatched}), dedupe rate {dedupe:.0%} "
         f"({submitted - dispatched}/{submitted} coalesced)"
     )
     lines.append(

@@ -92,7 +92,7 @@ def requalify_result(
     """Re-describe a (possibly shared) result for the query actually asked.
 
     Core-keyed deduplication — :meth:`PHomSolver.solve_many`, the plan
-    cache, and the serving layer's coalescing and result caches — lets one
+    cache, and the serving layer's coalescing and result cache — lets one
     computation answer several *equivalent* queries.  The probability,
     method and proposition are shared by construction, but the reported
     ``query_class`` and the minimization provenance belong to the

@@ -399,11 +399,10 @@ class PersistentPlanCache(PlanCache):
     def __init__(
         self,
         maxsize: int = 128,
-        on_evict=None,
         plan_store: Optional[PlanStore] = None,
         namespace: str = "",
     ) -> None:
-        super().__init__(maxsize=maxsize, on_evict=on_evict)
+        super().__init__(maxsize=maxsize)
         if plan_store is None:
             raise PersistenceError("PersistentPlanCache needs a PlanStore")
         self.plan_store = plan_store

@@ -614,20 +614,13 @@ class PlanCache:
     Keys combine the canonical query form with the instance's object
     identity.  Entries hold a strong reference to their instance (through
     the plan), so an ``id()`` can never be recycled while its entry is
-    alive; eviction is least-recently-used.
-
-    ``on_evict``, when given, is called as ``on_evict(key, plan)`` for every
-    entry dropped by the LRU policy (not for :meth:`clear`); the serving
-    workers of :mod:`repro.service` use it to account evicted structure in
-    their per-worker statistics.  The hook runs synchronously inside
-    :meth:`store` and must not mutate the cache.
+    alive; eviction is least-recently-used and counted in ``evictions``.
     """
 
-    def __init__(self, maxsize: int = 128, on_evict=None) -> None:
+    def __init__(self, maxsize: int = 128) -> None:
         if maxsize <= 0:
             raise ValueError("PlanCache maxsize must be positive")
         self.maxsize = maxsize
-        self.on_evict = on_evict
         self._entries: "OrderedDict[Tuple[Hashable, int], CompiledPlan]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -676,10 +669,8 @@ class PlanCache:
         self._entries[key] = plan
         self._entries.move_to_end(key)
         while len(self._entries) > self.maxsize:
-            evicted_key, evicted_plan = self._entries.popitem(last=False)
+            self._entries.popitem(last=False)
             self.evictions += 1
-            if self.on_evict is not None:
-                self.on_evict(evicted_key, evicted_plan)
 
     def clear(self) -> None:
         """Drop every entry (statistics are kept)."""

@@ -4,7 +4,7 @@ A :class:`ServiceRequest` is one question a client asks the service: a query
 graph against a registered instance, with per-request method / precision /
 sampling options.  A :class:`ServiceResult` is the answer, wrapping the
 solver's :class:`~repro.core.solver.PHomResult` with serving provenance
-(which worker answered, whether the answer came from the worker's result
+(which worker answered, whether the answer came from the service's result
 cache).
 
 Two requests are *coalescible* when answering one answers the other: same
@@ -161,7 +161,7 @@ class ServiceRequest:
         return key
 
     def cacheable(self, default_precision: str) -> bool:
-        """Whether the answer may be served from a worker's result cache.
+        """Whether the answer may be served from the service's result cache.
 
         Exact and float answers are pure functions of the (live) instance
         table and always cacheable; sampled answers are cacheable only under
@@ -187,12 +187,16 @@ class ServiceResult:
     exception type behind ``error`` so callers can branch without string
     matching (see :attr:`retryable`).
 
+    ``cached`` marks an answer served from the service's result cache: it
+    reads ``worker`` = the instance's owner, ``attempts=1`` and
+    ``timing=None``, as no worker ran it.
+
     ``duration_ms`` is the worker-side wall time of the answering solve
-    (``None`` for failures and for answers computed before the worker
-    measured, e.g. coordinator-degraded results).  ``timing`` is the
-    per-phase breakdown — span name to total milliseconds, e.g.
-    ``{"plan.compile": 1.2, "tape.run": 0.3}`` — and is only populated
-    when the request ran under an active trace (see :mod:`repro.obs`).
+    (the coordinator's time to answer a cached or degraded result; ``None``
+    for failures).  ``timing`` is the per-phase breakdown — span name to
+    total milliseconds, e.g. ``{"plan.compile": 1.2, "tape.run": 0.3}`` —
+    and is only populated when a worker computed the request under an
+    active trace (see :mod:`repro.obs`).
     """
 
     result: Optional[PHomResult]

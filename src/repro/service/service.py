@@ -9,17 +9,18 @@ one servable system:
   exactly one worker process — assigned least-loaded at registration time,
   so K instances always spread over ``min(K, num_workers)`` workers — and
   every request on it goes to that owner, so the owner's frozen instance
-  graph, memoised metadata, compiled-plan cache and result cache stay warm
-  across the whole request stream.  Each op is pickled once, on the
+  graph, memoised metadata and compiled-plan cache stay warm across the
+  whole request stream.  Each op is pickled once, on the
   calling thread, before it is tracked: a payload that cannot cross the
   process boundary fails at once with a typed error.
 * **Request coalescing.**  Duplicate requests — same instance, same
   canonical query form (:func:`repro.plan.canonical_query_key`), same
   options — are detected *before* dispatch; each distinct computation runs
   once per batch and its duplicates receive copies, extending the
-  ``solve_many`` dedupe across instances and worker boundaries.  Worker-side
-  result caches additionally answer repeats across batches without
-  re-running even the arithmetic (until an update invalidates them).
+  ``solve_many`` dedupe across instances and worker boundaries.
+* **One result cache, before sharding.**  An LRU keyed on the instance's
+  epoch and the coalesce key answers repeats across batches at the
+  coordinator, so a hit never reaches a worker.  Workers only compute.
 * **Mixed precision per request.**  Every request chooses ``exact`` /
   ``float`` / ``approx`` independently; sampled answers carry their
   ``(ε, δ, seed)`` contract, and a pinned seed reproduces the estimate bit
@@ -27,8 +28,8 @@ one servable system:
 * **Live updates.**  :meth:`QueryService.update_probability` applies a
   single-edge probability change on the owning worker (and on the caller's
   registered instance object, keeping both views consistent); compiled plans
-  survive — they capture structure only — while stale cached results are
-  dropped.
+  survive — they capture structure only — and the update bumps the
+  instance's epoch, so its cached results are never matched again.
 
 ``num_workers=0`` runs the identical serving logic inline (no processes),
 which is the zero-overhead mode for tests, small workloads and single-core
@@ -47,6 +48,7 @@ import time
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.approx import ApproxParams
@@ -94,11 +96,12 @@ BACKOFF_CAP = 1.0
 SLOW_QUERY_LOG_LIMIT = 256
 
 #: The service-level counters (``repro_service_<name>_total`` in the
-#: telemetry registry), in the field order of :class:`ServiceStats`.
+#: telemetry registry), read back into :class:`ServiceStats`.
 _SERVICE_COUNTERS = (
     ("requests", "Normalisable requests submitted."),
     ("rejected", "Requests that failed normalization."),
     ("batches", "submit_many calls."),
+    ("result_cache_hits", "Distinct computations answered from the result cache."),
     ("updates", "Probability updates applied."),
     ("restarts", "Worker processes respawned."),
     ("retries", "Request re-dispatches after a worker failure."),
@@ -115,9 +118,13 @@ class ServiceStats:
     fail normalization under ``on_error="return"`` are counted in
     ``rejected`` instead, so they cannot skew :meth:`dedupe_hit_rate`);
     ``dispatched`` counts the distinct computations left after coalescing
-    (each routed to its instance's owner), so
+    (each labelled by its instance's owner, result-cache hits included), so
     ``coalesced == requests - dispatched`` duplicates never crossed the
-    dispatch boundary.  ``workers`` holds one per-worker dictionary — keyed
+    dispatch boundary.  ``cache_hits`` (read through
+    :meth:`result_cache_hits`) counts the distinct computations the
+    coordinator's result cache answered, which never reach a worker, so a
+    worker row's ``requests`` counts only what that worker computed.
+    ``workers`` holds one per-worker dictionary — keyed
     by its ``"worker"`` index, in index order — with the worker's serving
     counters, its instances, its plan-cache statistics (hits, misses,
     compiles, evictions — see :attr:`repro.plan.PlanCache.stats`), its
@@ -139,6 +146,7 @@ class ServiceStats:
     rejected: int = 0
     dispatched: int = 0
     coalesced: int = 0
+    cache_hits: int = 0
     batches: int = 0
     updates: int = 0
     restarts: int = 0
@@ -156,8 +164,8 @@ class ServiceStats:
         return self.coalesced / self.requests
 
     def result_cache_hits(self) -> int:
-        """Total worker-side result-cache hits across the pool."""
-        return sum(w.get("result_cache_hits", 0) for w in self.workers)
+        """Distinct computations answered from the service's result cache."""
+        return self.cache_hits
 
 
 class _InstanceJournal:
@@ -285,7 +293,8 @@ class QueryService:
     allow_brute_force / prefer / plan_cache_size / epsilon / delta / seed:
         Forwarded to each worker's :class:`~repro.core.solver.PHomSolver`.
     result_cache_size:
-        Capacity of each worker's result cache (``0`` disables result
+        Capacity of the service's result cache, an LRU of answers keyed on
+        the instance's epoch and the coalesce key (``0`` disables result
         caching; coalescing within a batch still applies).
     timeout:
         Seconds without a reply before a worker is declared unresponsive.
@@ -463,27 +472,28 @@ class QueryService:
         self._discard: Dict[int, int] = {}
         # Seeded jitter so chaos runs back off identically run to run.
         self._backoff_rng = random.Random(seed if seed is not None else 0)
+        # The result cache: answers keyed on (instance epoch, coalesce key).
+        # An update or a replacing registration bumps the instance's epoch,
+        # so stale entries are never matched and age out of the LRU.
         self._result_cache_size = result_cache_size
-
-        def make_solver() -> PHomSolver:
-            return PHomSolver(
-                allow_brute_force=allow_brute_force,
-                prefer=prefer,
-                precision=default_precision,
-                plan_cache_size=plan_cache_size,
-                epsilon=epsilon,
-                delta=delta,
-                seed=seed,
-                plan_store=self._plan_store,
-            )
-
-        self._make_solver = make_solver
+        self._results: "OrderedDict[Tuple[int, Hashable], PHomResult]" = OrderedDict()
+        self._epochs: Dict[str, int] = {}
+        self._make_solver = partial(
+            PHomSolver,
+            allow_brute_force=allow_brute_force,
+            prefer=prefer,
+            precision=default_precision,
+            plan_cache_size=plan_cache_size,
+            epsilon=epsilon,
+            delta=delta,
+            seed=seed,
+            plan_store=self._plan_store,
+        )
         if num_workers == 0:
             self._inline: Optional[WorkerState] = WorkerState(
                 0,
-                make_solver(),
+                self._make_solver(),
                 default_precision,
-                result_cache_size,
                 fault_injector=(
                     fault_plan.for_worker(0, 0) if fault_plan is not None else None
                 ),
@@ -526,7 +536,6 @@ class QueryService:
                 writer,
                 self._make_solver(),
                 self.default_precision,
-                self._result_cache_size,
                 self.fault_plan,
                 self._incarnations[index],
                 self.trace_sample_rate > 0.0,
@@ -742,13 +751,14 @@ class QueryService:
         replaced = self._instances.get(instance_id)
         if replaced is not None:
             self._ids_by_identity.pop(id(replaced), None)
+            self._epochs[instance_id] = self._epochs.get(instance_id, 0) + 1
         self._instances[instance_id] = instance
         self._ids_by_identity[id(instance)] = instance_id
         # The worker unpickles the snapshot bytes itself — one serialization
         # total — and in both deployment shapes holds its own instance, so
         # a direct mutation of the caller's object cannot desynchronise the
-        # worker's result cache (go through update_probability, as with a
-        # real pool).
+        # worker or the result cache (go through update_probability, as with
+        # a real pool).
         journal = _InstanceJournal(pickle.dumps(instance))
         worker = self._worker_for(instance_id)
         self._call(worker, "register", journal.register_payload(instance_id))
@@ -767,8 +777,8 @@ class QueryService:
         so K instances always spread over ``min(K, num_workers)`` workers
         (the bare ``crc32 % num_workers`` shard this replaces could collide
         every hot instance onto one worker, leaving the rest of the pool
-        idle) while an instance's plan and result caches stay warm on one
-        worker for its whole lifetime.
+        idle) while an instance's plan cache stays warm on one worker for
+        its whole lifetime.
         """
         if self.num_workers == 0:
             return 0
@@ -898,49 +908,79 @@ class QueryService:
 
         # Coalesce duplicates before dispatch.
         representative: Dict[Hashable, int] = {}
-        unique_indices: List[int] = []
         source_of: List[int] = []
         for position, request in enumerate(normalized):
             if request is None:
                 source_of.append(position)
-                continue
-            key = request.coalesce_key(self.default_precision)
-            first = representative.get(key)
-            if first is None:
-                representative[key] = position
-                unique_indices.append(position)
-                source_of.append(position)
             else:
-                source_of.append(first)
-        # ``dispatched`` is counted per worker at dispatch time, so the pool
-        # total is structurally the sum of the per-worker rows in
-        # :meth:`stats`.
+                key = request.coalesce_key(self.default_precision)
+                source_of.append(representative.setdefault(key, position))
 
-        # Shard the distinct requests to their instances' owners.  Requests
-        # with a deadline dispatch as single-request ops so each can be
-        # abandoned (and degraded) on its own; unconstrained requests batch
-        # per worker — one queue message per worker per call.
+        # Answer each distinct computation from the result cache or shard it
+        # to its instance's owner; ``dispatched`` counts both, per owner, so
+        # the pool total is structurally the sum of the per-worker rows in
+        # :meth:`stats`.  Requests with a deadline dispatch as single-request
+        # ops so each can be abandoned (and degraded) on its own;
+        # unconstrained requests batch per worker — one queue message per
+        # worker per call.  ``fills`` maps each cacheable miss to the cache
+        # key its worker's answer is stored under.
         by_worker: Dict[int, List[int]] = {}
-        solo: List[int] = []
-        for position in unique_indices:
+        solo: List[Tuple[int, List[int]]] = []
+        fills: Dict[int, Tuple[int, Hashable]] = {}
+        for key, position in representative.items():
             request = normalized[position]
-            if request.deadline_ms is not None:
-                solo.append(position)
-            else:
-                worker = self._worker_for(request.instance_id)
+            worker = self._worker_for(request.instance_id)
+            if self._result_cache_size > 0 and request.cacheable(
+                self.default_precision
+            ):
+                start = time.perf_counter()
+                cache_key = (self._epochs.get(request.instance_id, 0), key)
+                hit = self._results.get(cache_key)
+                if hit is not None:
+                    self._results.move_to_end(cache_key)
+                    self._counters["result_cache_hits"].inc()
+                    self._dispatched.labels(worker).inc()
+                    answered[position] = (
+                        ServiceResult(
+                            result=self._shared(hit, request),
+                            request_id=request.request_id,
+                            worker=worker,
+                            cached=True,
+                            duration_ms=(time.perf_counter() - start) * 1000.0,
+                        ),
+                        "",
+                    )
+                    continue
+                fills[position] = cache_key
+            if request.deadline_ms is None:
                 by_worker.setdefault(worker, []).append(position)
+            else:
+                solo.append((worker, [position]))
+        shards = list(by_worker.items()) + solo
 
         histories: Dict[int, Tuple[str, ...]] = {}
         if self._inline is not None:
-            for worker, positions in by_worker.items():
-                payload = ([normalized[p] for p in positions], None)
+            for worker, positions in shards:
                 self._dispatched.labels(worker).inc(len(positions))
+                budget = normalized[positions[0]].deadline_ms
+                start = time.monotonic()
                 self._inline_fire()
-                reply = handle_message(self._inline, "solve", payload)
-                self._consume_solve(reply, worker, positions, normalized, answered)
-            for position in solo:
-                self._dispatched.labels(0).inc()
-                self._solve_inline_solo(position, normalized, answered)
+                reply = handle_message(
+                    self._inline, "solve", ([normalized[p] for p in positions], None)
+                )
+                elapsed_ms = (time.monotonic() - start) * 1000.0
+                if budget is not None and elapsed_ms > budget:
+                    # Nothing inline can be preempted, so a missed budget is
+                    # enforced after the fact, under the same policy as the
+                    # pool's (error / degrade / partial).
+                    (position,) = positions
+                    self._apply_deadline(
+                        position, normalized[position], elapsed_ms, 1, answered
+                    )
+                else:
+                    self._consume_solve(
+                        reply, worker, positions, normalized, answered, fills
+                    )
         else:
             root_context = (
                 (root.trace_id, root.span_id) if isinstance(root, Span) else None
@@ -948,9 +988,6 @@ class QueryService:
             ops: Dict[int, _PendingOp] = {}
             op_positions: Dict[int, List[int]] = {}
             start = time.monotonic()
-            shards = list(by_worker.items()) + [
-                (self._worker_for(normalized[p].instance_id), [p]) for p in solo
-            ]
             for worker, positions in shards:
                 self._dispatched.labels(worker).inc(len(positions))
                 # Only the single-request ops of ``solo`` carry a budget.
@@ -976,7 +1013,7 @@ class QueryService:
                 if outcome[0] == "reply":
                     _, worker, reply, attempts = outcome
                     self._consume_solve(
-                        reply, worker, positions, normalized, answered, attempts
+                        reply, worker, positions, normalized, answered, fills, attempts
                     )
                 elif outcome[0] == "timeout":
                     _, elapsed_ms, attempts = outcome
@@ -1006,32 +1043,42 @@ class QueryService:
         if failures and on_error == "raise":
             self._raise_failures(failures, histories)
 
+        # A representative's result is returned as built; a coalesced
+        # duplicate shares its answer, described for its own spelling.
         results: List[ServiceResult] = []
         for position, source in enumerate(source_of):
-            base, message = answered[source]
+            base = answered[source][0]
+            if source == position:
+                results.append(base)
+                continue
             request = normalized[position]
-            request_id = request.request_id if request is not None else base.request_id
-            if base.result is None or source == position:
-                results.append(replace(base, request_id=request_id))
+            if base.result is None:
+                results.append(replace(base, request_id=request.request_id))
             else:
-                # The coalesced duplicate shares the computation but gets
-                # its own spelling's query class / minimization provenance
-                # (provenance only for auto requests — explicit methods
-                # never minimize and their keys never merge spellings).
-                copied = replace(base.result)
-                if request is not None:
-                    copied = requalify_result(
-                        copied, request.query, minimize=request.method == "auto"
-                    )
                 results.append(
                     replace(
                         base,
-                        result=copied,
-                        request_id=request_id,
+                        result=self._shared(base.result, request),
+                        request_id=request.request_id,
                         coalesced=True,
                     )
                 )
         return results
+
+    @staticmethod
+    def _shared(result: PHomResult, request: ServiceRequest) -> PHomResult:
+        """A copy of a shared answer, described for ``request``'s spelling.
+
+        Coalescing and the result cache both key on the query *core*, so a
+        shared answer may come from an equivalent query with another class
+        and minimization provenance; ``PHomResult`` is mutable, so every
+        sharer gets its own copy.  Only auto requests run the minimizing
+        route (explicit methods never minimize and their keys never merge
+        spellings), so only they carry minimization provenance.
+        """
+        return requalify_result(
+            replace(result), request.query, minimize=request.method == "auto"
+        )
 
     def _normalize(self, entry: RequestLike) -> ServiceRequest:
         if isinstance(entry, ServiceRequest):
@@ -1094,8 +1141,10 @@ class QueryService:
         positions: List[int],
         normalized: List[ServiceRequest],
         answered: Dict[int, Tuple[ServiceResult, str]],
+        fills: Dict[int, Tuple[int, Hashable]],
         attempts: int = 1,
     ) -> None:
+        """Record a worker's solve reply; its answers fill the result cache."""
         status, value = reply
         if status != "ok":
             raise ServiceError(f"worker {worker} failed a solve batch: {value}")
@@ -1106,22 +1155,27 @@ class QueryService:
         for position, outcome in zip(positions, value):
             request = normalized[position]
             if outcome[0] == "ok":
-                _, result, cached, duration_ms, timing = outcome
+                _, result, duration_ms, timing = outcome
                 answered[position] = (
                     ServiceResult(
                         result=result,
                         request_id=request.request_id,
                         worker=worker,
-                        cached=cached,
                         attempts=attempts,
                         duration_ms=duration_ms,
                         timing=timing,
                     ),
                     "",
                 )
+                cache_key = fills.get(position)
+                if cache_key is not None:
+                    # A copy: the caller may mutate the result it is handed.
+                    self._results[cache_key] = replace(result)
+                    if len(self._results) > self._result_cache_size:
+                        self._results.popitem(last=False)
                 if self.slow_query_ms is not None and duration_ms >= self.slow_query_ms:
                     self._record_slow_query(
-                        request, result, worker, duration_ms, cached, attempts
+                        request, result, worker, duration_ms, attempts
                     )
             else:
                 message = outcome[1]
@@ -1145,14 +1199,15 @@ class QueryService:
         result: PHomResult,
         worker: int,
         duration_ms: float,
-        cached: bool,
         attempts: int,
     ) -> None:
         """Append one slow-request record (bounded, newest last).
 
         The record carries the dispatch provenance an operator needs to see
         *why* the request was slow — which worker ran it, whether it was
-        retried, and which dichotomy route answered it.
+        retried, and which dichotomy route answered it.  Only computed
+        requests are recorded, so ``cached`` is always false: a result-cache
+        hit never enters the log.
         """
         self.slow_queries.append(
             {
@@ -1161,7 +1216,7 @@ class QueryService:
                 "method": result.method,
                 "duration_ms": duration_ms,
                 "worker": worker,
-                "cached": cached,
+                "cached": False,
                 "attempts": attempts,
             }
         )
@@ -1287,30 +1342,6 @@ class QueryService:
         )
         return result
 
-    def _solve_inline_solo(
-        self,
-        position: int,
-        normalized: List[ServiceRequest],
-        answered: Dict[int, Tuple[ServiceResult, str]],
-    ) -> None:
-        """Inline-mode deadline handling: solve, then apply the policy.
-
-        Without a worker process there is nothing to preempt, so the
-        deadline is enforced *post hoc* — the answer is computed, its
-        elapsed time measured, and a miss is handled exactly like the pool
-        would (error / degrade / partial), keeping the two deployment
-        shapes semantically identical.
-        """
-        request = normalized[position]
-        start = time.monotonic()
-        self._inline_fire()
-        reply = handle_message(self._inline, "solve", ([request], None))
-        elapsed_ms = (time.monotonic() - start) * 1000.0
-        if elapsed_ms > request.deadline_ms:
-            self._apply_deadline(position, request, elapsed_ms, 1, answered)
-        else:
-            self._consume_solve(reply, 0, [position], normalized, answered)
-
     def _inline_fire(self) -> None:
         """Apply inline-honoured faults (delay) before an inline message."""
         injector = self._inline.fault_injector
@@ -1335,8 +1366,8 @@ class QueryService:
 
         The caller's registered instance object is updated too, so the local
         and worker-side views stay numerically identical; compiled plans on
-        the worker survive (they read the live table) while its cached
-        results for this instance are invalidated.
+        the worker survive (they read the live table), and the instance's
+        epoch is bumped, so its cached results are never matched again.
         """
         self._check_open()
         instance_id = self._resolve_instance_id(instance)
@@ -1352,6 +1383,8 @@ class QueryService:
         # fail without desynchronising the worker copy.
         local.set_probability(edge, probability)
         self._counters["updates"].inc()
+        # Stale the instance's cached answers before the owner changes.
+        self._epochs[instance_id] = self._epochs.get(instance_id, 0) + 1
         self._call(
             self._worker_for(instance_id),
             "update",
@@ -1444,6 +1477,7 @@ class QueryService:
             rejected=totals["rejected"],
             dispatched=dispatched,
             coalesced=totals["requests"] - dispatched,
+            cache_hits=totals["result_cache_hits"],
             batches=totals["batches"],
             updates=totals["updates"],
             restarts=totals["restarts"],

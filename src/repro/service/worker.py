@@ -6,10 +6,11 @@ answer requests fast:
 * the registered instances of its shard (shipped once, kept warm — the
   frozen instance graph accumulates memoised metadata, and the solver's
   :class:`~repro.plan.PlanCache` accumulates compiled plans);
-* one :class:`~repro.core.solver.PHomSolver` configured like the service;
-* a small LRU *result cache* keyed on the request coalesce key, so repeated
-  identical requests across batches skip even the arithmetic (invalidated
-  per instance on ``update_probability``).
+* one :class:`~repro.core.solver.PHomSolver` configured like the service.
+
+A worker only registers instances, applies updates and computes: which
+requests share an answer (coalescing, the result cache) is decided once,
+at the coordinator.
 
 The same class backs both deployment shapes: :func:`worker_loop` drives it
 from a child process (requests arrive on a queue, replies leave on a pipe
@@ -28,12 +29,10 @@ import pickle
 import re
 import time
 import warnings
-from collections import OrderedDict
-from dataclasses import replace
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.approx import ApproxParams
-from repro.core.solver import PHomResult, PHomSolver, requalify_result
+from repro.core.solver import PHomResult, PHomSolver
 from repro.exceptions import ServiceError
 from repro.obs.metrics import MetricsRegistry, counter_total
 from repro.obs.trace import Tracer, current_tracer, set_tracer
@@ -69,23 +68,20 @@ def route_for_method(method: str) -> str:
 
 
 class WorkerState:
-    """The per-shard serving state (instances, solver, result cache)."""
+    """The per-shard serving state (instances and solver)."""
 
     def __init__(
         self,
         worker_index: int,
         solver: PHomSolver,
         default_precision: str,
-        result_cache_size: int = 1024,
         fault_injector: Optional[FaultInjector] = None,
     ) -> None:
         self.worker_index = worker_index
         self.solver = solver
         self.default_precision = default_precision
-        self.result_cache_size = result_cache_size
         self.fault_injector = fault_injector
         self.instances: Dict[str, ProbabilisticGraph] = {}
-        self._result_cache: "OrderedDict[Hashable, PHomResult]" = OrderedDict()
         # The telemetry registry is the single source for the serving
         # counters: stats() derives its numbers from a snapshot, so the
         # stats view and the metrics view cannot disagree.
@@ -96,27 +92,21 @@ class WorkerState:
                 help,
             )
             for name, help in (
-                ("requests", "Requests handled by this worker (per shard)."),
+                ("requests", "Requests this worker computed (per shard)."),
                 ("solved", "Requests answered by running the solver."),
-                ("result_cache_hits", "Requests answered from the result cache."),
                 ("updates", "Probability updates applied to this shard."),
                 ("batch_evals", "evaluate_many batches run on this shard."),
             )
         }
         self._latency = self.metrics.histogram(
             "repro_request_duration_ms",
-            "Per-request wall time on this worker, by dichotomy route.",
+            "Wall time of each request this worker computed, by dichotomy route.",
             labelnames=("route",),
         )
         self._sampler_samples = self.metrics.counter(
             "repro_sampler_samples_total",
             "Karp-Luby samples drawn by this worker's samplers.",
         )
-        if self.solver.plan_cache is not None:
-            # Eviction hook: evicted structure is re-compilable, but knowing
-            # how often it happens tells the operator the cache is undersized.
-            self.solver.plan_cache.on_evict = self._on_plan_evict
-        self._plans_evicted_by_instance: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # operations
@@ -135,15 +125,13 @@ class WorkerState:
         for endpoints, probability in updates:
             instance.set_probability(endpoints, probability)
         self.instances[instance_id] = instance
-        self._invalidate_results(instance_id)
         return instance.graph.num_edges()
 
     def update(self, instance_id: str, endpoints: Tuple, probability) -> None:
-        """Apply one probability update and drop the instance's cached results."""
+        """Apply one probability update to the instance."""
         instance = self._instance(instance_id)
         instance.set_probability(endpoints, probability)
         self._counters["updates"].inc()
-        self._invalidate_results(instance_id)
 
     def warm(self, instance_id: str) -> int:
         """Pre-load the instance's stored plans into the plan cache.
@@ -194,14 +182,14 @@ class WorkerState:
     def solve_batch(
         self, requests: List[ServiceRequest]
     ) -> List[Tuple[str, Any]]:
-        """Answer a batch of (already coalesced) requests.
+        """Answer a batch of (already coalesced, cache-missed) requests.
 
         Returns one outcome per request, in order:
-        ``("ok", result, cached, duration_ms, timing)`` or
-        ``("error", message)`` — a failing request never poisons the rest
-        of the batch.  ``duration_ms`` is always measured; ``timing`` is
-        the per-phase span breakdown (``None`` unless the request ran
-        under an active trace).
+        ``("ok", result, duration_ms, timing)`` or ``("error", message)``
+        — a failing request never poisons the rest of the batch.
+        ``duration_ms`` is always measured; ``timing`` is the per-phase
+        span breakdown (``None`` unless the request ran under an active
+        trace).
         """
         outcomes: List[Tuple[str, Any]] = []
         tracer = current_tracer()
@@ -217,35 +205,29 @@ class WorkerState:
                         "injected solver fault (FaultPlan 'solver-error')"
                     )
                 with tracer.span("worker.solve") as span:
-                    result, cached = self._solve_one(request)
+                    result = self._solve_one(request)
                     if span:
                         span.attrs = {
                             "worker": self.worker_index,
                             "instance": request.instance_id,
                             "method": result.method,
-                            "cached": cached,
                         }
                 duration_ms = (time.perf_counter() - start) * 1000.0
-                self._observe(result, cached, duration_ms)
-                if span and cached:
-                    # A cache hit runs no sub-phases: its whole breakdown is
-                    # the solve span itself, no ring scan needed.
-                    timing: Optional[Dict[str, float]] = {
-                        "worker.solve": span.duration_ms
-                    }
-                else:
-                    timing = tracer.phase_totals(mark) or None
-                outcomes.append(("ok", result, cached, duration_ms, timing))
+                self._observe(result, duration_ms)
+                outcomes.append(
+                    ("ok", result, duration_ms, tracer.phase_totals(mark) or None)
+                )
             except Exception as exc:  # noqa: BLE001 - a bad request (wrong
                 # types included) must fail *that request*, never the batch
                 # or the worker process.
                 outcomes.append(("error", f"{type(exc).__name__}: {exc}"))
         return outcomes
 
-    def _observe(self, result: PHomResult, cached: bool, duration_ms: float) -> None:
+    def _observe(self, result: PHomResult, duration_ms: float) -> None:
         """Fold one answered request into the route histogram and counters."""
+        self._counters["solved"].inc()
         self._latency.labels(route_for_method(result.method)).observe(duration_ms)
-        if not cached and result.method in PHomSolver.SAMPLING_METHODS:
+        if result.method in PHomSolver.SAMPLING_METHODS:
             match = _SAMPLES_RE.search(result.notes or "")
             if match:
                 self._sampler_samples.inc(int(match.group(1)))
@@ -268,9 +250,6 @@ class WorkerState:
             "worker": self.worker_index,
             "instances": sorted(self.instances),
             "plan_cache": plan_stats,
-            "plan_evictions_by_instance": dict(self._plans_evicted_by_instance),
-            "result_cache_size": len(self._result_cache),
-            "result_cache_capacity": self.result_cache_size,
             "metrics": snapshot,
             **{
                 name: int(counter_total(snapshot, f"repro_worker_{name}_total"))
@@ -290,44 +269,8 @@ class WorkerState:
                 f"{self.worker_index}"
             ) from None
 
-    def _solve_one(self, request: ServiceRequest) -> Tuple[PHomResult, bool]:
+    def _solve_one(self, request: ServiceRequest) -> PHomResult:
         instance = self._instance(request.instance_id)
-        cacheable = (
-            self.result_cache_size > 0 and request.cacheable(self.default_precision)
-        )
-        key = request.coalesce_key(self.default_precision) if cacheable else None
-        if key is not None:
-            hit = self._result_cache.get(key)
-            if hit is not None:
-                self._result_cache.move_to_end(key)
-                self._counters["result_cache_hits"].inc()
-                # Hand out a copy so callers mutating a result cannot poison
-                # the cache (PHomResult is a mutable dataclass), re-described
-                # for this request's spelling (the cache key is the query
-                # *core*, so the hit may come from an equivalent query with
-                # a different class and minimization provenance).
-                return (
-                    requalify_result(
-                        replace(hit),
-                        request.query,
-                        # only auto requests ran the minimizing route (and
-                        # only their cache keys merge spellings), so only
-                        # they may carry minimization provenance
-                        self.solver.minimize_queries and request.method == "auto",
-                    ),
-                    True,
-                )
-        result = self._dispatch(request, instance)
-        self._counters["solved"].inc()
-        if key is not None:
-            self._result_cache[key] = replace(result)
-            while len(self._result_cache) > self.result_cache_size:
-                self._result_cache.popitem(last=False)
-        return result, False
-
-    def _dispatch(
-        self, request: ServiceRequest, instance: ProbabilisticGraph
-    ) -> PHomResult:
         solver = self.solver
         needs_params = request.may_sample(self.default_precision)
         saved = solver.approx_params
@@ -354,21 +297,6 @@ class WorkerState:
         finally:
             if needs_params:
                 solver.approx_params = saved
-
-    def _invalidate_results(self, instance_id: str) -> None:
-        stale = [key for key in self._result_cache if key[0] == instance_id]
-        for key in stale:
-            del self._result_cache[key]
-
-    def _on_plan_evict(self, key, plan) -> None:
-        # The cache key pairs the canonical query form with id(instance);
-        # resolve the id back to the registered name when possible.
-        for name, instance in self.instances.items():
-            if instance is plan.instance:
-                self._plans_evicted_by_instance[name] = (
-                    self._plans_evicted_by_instance.get(name, 0) + 1
-                )
-                return
 
 
 def handle_message(state: WorkerState, op: str, payload: Any) -> Tuple[str, Any]:
@@ -410,7 +338,6 @@ def worker_loop(
     reply_pipe,
     solver: PHomSolver,
     default_precision: str,
-    result_cache_size: int,
     fault_plan: Optional[FaultPlan] = None,
     incarnation: int = 0,
     trace_enabled: bool = False,
@@ -445,13 +372,7 @@ def worker_loop(
     # sink handle, sampling RNG and all.
     tracer = Tracer(sample_rate=0.0) if trace_enabled else None
     set_tracer(tracer)
-    state = WorkerState(
-        worker_index,
-        solver,
-        default_precision,
-        result_cache_size=result_cache_size,
-        fault_injector=injector,
-    )
+    state = WorkerState(worker_index, solver, default_precision, fault_injector=injector)
     while True:
         message = request_queue.get()
         if message is None:

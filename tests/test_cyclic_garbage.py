@@ -252,8 +252,8 @@ def serving_routes() -> Dict[str, Route]:
 
 def exercise_service(service: QueryService, routes: Dict[str, Route]) -> None:
     """Registration, submit_many (twice: the second is answered from the
-    result cache), evaluate_many and update_probability, then an answer
-    after the update.  Registering fresh instances first makes every pass
+    coordinator's result cache), evaluate_many and update_probability, then
+    an answer after the update.  Registering fresh instances first makes every pass
     compile its plans again, as a cold worker does."""
     registered(service, routes)
     requests = service_requests(routes)
@@ -311,6 +311,47 @@ class TestService:
             pickle.dumps((0, 7, (status, outcomes)), pickle.HIGHEST_PROTOCOL)
 
         assert cyclic_garbage(solve_frame) == []
+
+
+class TestServiceLifetime:
+    """A closed service is freed by reference count: no cycle holds it.
+
+    Each pass creates, serves and closes its own service (or worker
+    state), so the service itself, its solvers, plan caches, registries
+    and result cache are checked along with the requests."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"num_workers": 0}, {"num_workers": 0, "state_dir": True}, {"num_workers": 1}],
+        ids=["inline", "inline-durable", "pooled-coordinator"],
+    )
+    def test_service(self, options, tmp_path):
+        routes = serving_routes()
+        passes = iter(range(2))
+
+        def lifetime():
+            kwargs = dict(options, epsilon=0.3, delta=0.2)
+            if kwargs.pop("state_dir", False):
+                kwargs["state_dir"] = str(tmp_path / f"state-{next(passes)}")
+            with QueryService(**kwargs) as service:
+                exercise_service(service, routes)
+
+        assert cyclic_garbage(lifetime) == []
+
+    def test_worker_state(self):
+        routes = serving_routes()
+
+        def lifetime():
+            state = WorkerState(0, PHomSolver(epsilon=0.3, delta=0.2), "exact")
+            for instance_id, (_text, snapshot, _kwargs) in sorted(routes.items()):
+                assert handle_message(state, "register", (instance_id, snapshot, ()))[0] == "ok"
+            status, outcomes = handle_message(
+                state, "solve", (service_requests(routes), None)
+            )
+            assert status == "ok" and all(outcome[0] == "ok" for outcome in outcomes)
+            assert handle_message(state, "stats", None)[0] == "ok"
+
+        assert cyclic_garbage(lifetime) == []
 
 
 def test_the_guard_sees_a_cycle_and_restores_the_collector():

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,8 @@ from repro.graphs.serialization import probabilistic_graph_to_dict, graph_to_dic
 from repro.plan import PlanCache
 from repro.probability.prob_graph import ProbabilisticGraph
 from repro.service import (
+    Fault,
+    FaultPlan,
     QueryService,
     ServiceRequest,
     run_jsonl_session,
@@ -51,6 +54,13 @@ def trace_queries(seed: int, count: int = 20):
 @pytest.fixture
 def inline_service():
     with QueryService(num_workers=0) as service:
+        yield service
+
+
+@pytest.fixture(params=[0, 1], ids=["inline", "pool"])
+def service(request):
+    """An inline service and a 1-worker pool: the result cache is the same."""
+    with QueryService(num_workers=request.param) as service:
         yield service
 
 
@@ -109,29 +119,6 @@ class TestInlineService:
         assert second.coalesced
         assert second.probability == first.probability
 
-    def test_result_cache_hits_across_batches(self, inline_service):
-        instance = build_instance(5)
-        instance_id = inline_service.register_instance(instance)
-        query = trace_queries(9, 1)[0]
-        cold = inline_service.submit(query, instance_id)
-        warm = inline_service.submit(query, instance_id)
-        assert not cold.cached and warm.cached
-        assert warm.probability == cold.probability
-        assert inline_service.stats().result_cache_hits() == 1
-
-    def test_update_probability_invalidates_results(self, inline_service):
-        instance = build_instance(6)
-        instance_id = inline_service.register_instance(instance)
-        query = trace_queries(11, 1)[0]
-        before = inline_service.submit(query, instance_id)
-        edge = instance.uncertain_edges()[0]
-        inline_service.update_probability(instance_id, edge, "1/2")
-        # The caller-side registered object is updated too.
-        assert str(instance.probability(edge)) == "1/2"
-        after = inline_service.submit(query, instance_id)
-        assert not after.cached
-        assert after.probability == PHomSolver().solve(query, instance).probability
-
     def test_bad_update_is_rejected_atomically(self, inline_service):
         instance = build_instance(7)
         instance_id = inline_service.register_instance(instance)
@@ -161,16 +148,6 @@ class TestInlineService:
                     ServiceRequest(empty, instance_id, request_id="r-good"),
                 ]
             )
-
-    def test_pinned_seed_approx_is_reproducible_and_cached(self, inline_service):
-        workload = intractable_workload(8, rng=21)
-        instance_id = inline_service.register_instance(workload.instance)
-        kwargs = dict(precision="approx", epsilon=0.2, delta=0.1, seed=99)
-        first = inline_service.submit(workload.query, instance_id, **kwargs)
-        second = inline_service.submit(workload.query, instance_id, **kwargs)
-        assert first.method == "karp-luby"
-        assert float(first) == float(second)
-        assert second.cached
 
     def test_service_level_sampling_contract_is_inherited(self):
         workload = intractable_workload(8, rng=23)
@@ -214,14 +191,6 @@ class TestInlineService:
         assert results[1].probability == inline_service.submit("R(x, y)", instance_id).probability
         with pytest.raises(QueryParseError):
             inline_service.submit_many(batch)
-
-    def test_unseeded_approx_is_never_cached(self, inline_service):
-        workload = intractable_workload(8, rng=22)
-        instance_id = inline_service.register_instance(workload.instance)
-        kwargs = dict(precision="approx", epsilon=0.2, delta=0.1)
-        first = inline_service.submit(workload.query, instance_id, **kwargs)
-        second = inline_service.submit(workload.query, instance_id, **kwargs)
-        assert not first.cached and not second.cached
 
     def test_stats_expose_per_worker_plan_cache(self, inline_service):
         instance = build_instance(9)
@@ -275,6 +244,146 @@ class TestInlineService:
             with pytest.raises(ServiceError, match="must be a string"):
                 service.register_instance(build_instance(68), 6)
             assert service._instances == {}
+
+
+class TestResultCache:
+    """The coordinator's result cache, inline and pooled."""
+
+    def test_result_cache_hits_across_batches(self, service):
+        instance = build_instance(5)
+        instance_id = service.register_instance(instance)
+        query = trace_queries(9, 1)[0]
+        cold = service.submit(query, instance_id)
+        warm = service.submit(query, instance_id)
+        assert not cold.cached and warm.cached
+        assert warm.probability == cold.probability
+        assert service.stats().result_cache_hits() == 1
+
+    def test_update_probability_invalidates_results(self, service):
+        instance = build_instance(6)
+        instance_id = service.register_instance(instance)
+        query = trace_queries(11, 1)[0]
+        before = service.submit(query, instance_id)
+        edge = instance.uncertain_edges()[0]
+        service.update_probability(instance_id, edge, "1/2")
+        # The caller-side registered object is updated too.
+        assert str(instance.probability(edge)) == "1/2"
+        after = service.submit(query, instance_id)
+        assert not after.cached
+        assert after.probability == PHomSolver().solve(query, instance).probability
+
+    def test_pinned_seed_approx_is_reproducible_and_cached(self, service):
+        workload = intractable_workload(8, rng=21)
+        instance_id = service.register_instance(workload.instance)
+        kwargs = dict(precision="approx", epsilon=0.2, delta=0.1, seed=99)
+        first = service.submit(workload.query, instance_id, **kwargs)
+        second = service.submit(workload.query, instance_id, **kwargs)
+        assert first.method == "karp-luby"
+        assert float(first) == float(second)
+        assert second.cached
+
+    def test_unseeded_approx_is_never_cached(self, service):
+        workload = intractable_workload(8, rng=22)
+        instance_id = service.register_instance(workload.instance)
+        kwargs = dict(precision="approx", epsilon=0.2, delta=0.1)
+        first = service.submit(workload.query, instance_id, **kwargs)
+        second = service.submit(workload.query, instance_id, **kwargs)
+        assert not first.cached and not second.cached
+
+    def test_register_replacing_an_id_makes_the_next_request_a_miss(self, service):
+        first, second = build_instance(86), build_instance(87)
+        query = "R(x, y), S(y, z)"  # 21/64 on the first, 3/4 on the second
+        service.register_instance(first, "shared")
+        service.submit(query, "shared")
+        assert service.submit(query, "shared").cached
+        service.register_instance(second, "shared")
+        after = service.submit(query, "shared")
+        assert not after.cached
+        fresh = PHomSolver().solve(query, second)
+        assert after.probability == fresh.probability
+        assert after.method == fresh.method
+        assert service.submit(query, "shared").cached
+
+    def test_a_hit_reads_the_contract_fields(self, service):
+        instance_id = service.register_instance(build_instance(86))
+        query = "R(x, y), S(y, z)"
+        cold = service.submit(query, instance_id, request_id="cold")
+        hit = service.submit(query, instance_id, request_id="warm")
+        assert not cold.cached and hit.cached
+        assert hit.request_id == "warm"
+        assert hit.worker == service._worker_for(instance_id)
+        assert hit.attempts == 1 and hit.timing is None
+        assert isinstance(hit.duration_ms, float) and hit.duration_ms >= 0.0
+        assert not (hit.coalesced or hit.degraded or hit.timed_out)
+        assert hit.error is None and hit.error_class is None
+        assert hit.probability == cold.probability == Fraction(21, 64)
+        assert hit.result is not cold.result
+
+    def test_a_hit_is_a_copy_the_caller_may_mutate(self, service):
+        instance_id = service.register_instance(build_instance(89))
+        query = "R(x, y), S(y, z)"
+        expected = service.submit(query, instance_id).probability
+        assert expected == Fraction(3, 8)
+        for _ in range(2):
+            hit = service.submit(query, instance_id)
+            assert hit.cached and hit.probability == expected
+            hit.result.probability = 0
+
+    def test_pooled_hit_never_reaches_the_worker(self):
+        with QueryService(num_workers=1) as service:
+            instance_id = service.register_instance(build_instance(5))
+            query = "S(x, y), R(y, z)"
+            service.submit(query, instance_id)
+            before = service.stats().workers[0]["requests"]
+            hit = service.submit(query, instance_id)
+            stats = service.stats()
+        assert hit.cached
+        assert stats.workers[0]["requests"] == before == 1
+        # ``dispatched`` counts the hit on its owner's row, so coalesced
+        # still equals requests minus dispatched.
+        assert stats.workers[0]["dispatched"] == stats.dispatched == 2
+        assert stats.result_cache_hits() == 1 and stats.coalesced == 0
+
+    def test_the_cache_survives_a_worker_restart(self):
+        instance = build_instance(41)
+        query, other = "R(x, y), S(y, z)", "R(x, y)"
+        # The kill fires on the worker's third message (register, solve,
+        # solve): the second query's op dies with the worker and is retried.
+        plan = FaultPlan(faults=(Fault(kind="kill", after_messages=2),), seed=19)
+        with QueryService(
+            num_workers=1, fault_plan=plan, seed=19, backoff_base=0.01
+        ) as service:
+            instance_id = service.register_instance(instance)
+            first = service.submit(query, instance_id)
+            retried = service.submit(other, instance_id)
+            again = service.submit(query, instance_id)
+            stats = service.stats()
+        assert stats.restarts == 1 and retried.attempts == 2
+        assert again.cached
+        assert again.probability == first.probability == Fraction(71, 128)
+
+    @pytest.mark.parametrize("policy", ["degrade", "partial"])
+    def test_deadline_outcomes_never_become_hits(self, policy):
+        # The delay fires once, on the first solve (the register is the
+        # worker's first message), so only the first request misses.
+        plan = FaultPlan(
+            faults=(Fault(kind="delay", seconds=0.25, after_messages=1),), seed=5
+        )
+        with QueryService(num_workers=0, fault_plan=plan) as service:
+            instance_id = service.register_instance(build_instance(92))
+            query = "S(x, y), R(y, z)"
+            missed, computed, hit = [
+                service.submit(
+                    query, instance_id, deadline_ms=100.0, on_deadline=policy
+                )
+                for _ in range(3)
+            ]
+            stats = service.stats()
+        assert missed.degraded if policy == "degrade" else missed.timed_out
+        assert not computed.cached and not computed.degraded
+        assert hit.cached and hit.probability == computed.probability
+        assert computed.probability == Fraction(199, 256)
+        assert stats.deadline_hits == 1 and stats.result_cache_hits() == 1
 
 
 class TestMultiprocessService:
@@ -604,9 +713,8 @@ class TestPicklableArtifacts:
 
 
 class TestPlanCacheEvictions:
-    def test_eviction_counter_and_hook(self):
-        evicted = []
-        cache = PlanCache(maxsize=1, on_evict=lambda key, plan: evicted.append(key))
+    def test_eviction_counter(self):
+        cache = PlanCache(maxsize=1)
         instance = build_instance(73)
         solver = PHomSolver()
         solver._plan_cache = cache
@@ -615,6 +723,5 @@ class TestPlanCacheEvictions:
         stats = cache.stats
         assert stats["compiles"] == 2
         assert stats["evictions"] == 1
-        assert len(evicted) == 1
         assert stats["size"] == 1
         assert stats["maxsize"] == 1

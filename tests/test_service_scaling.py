@@ -18,6 +18,7 @@ import weakref
 
 import pytest
 
+from repro.bench_service import check_service_thresholds
 from repro.core.solver import PHomSolver
 from repro.graphs.classes import GraphClass
 from repro.service import QueryService, ServiceRequest
@@ -162,7 +163,7 @@ class TestRoutingEquivalence:
             ids = [service.register_instance(inst) for inst in instances]
             first = service.submit_many(skewed_batch(ids, trace_queries(73, 6)))
             # Rebuild the queries from the same seed: equal coalesce keys,
-            # different objects — the workers' result caches answer, and
+            # different objects — the service's result cache answers, and
             # each result describes the spelling actually submitted.
             second = service.submit_many(skewed_batch(ids, trace_queries(73, 6)))
         assert not any(r.error for r in first) and not any(r.error for r in second)
@@ -183,6 +184,35 @@ class TestRoutingEquivalence:
             gc.collect()
             assert [graph() for graph in graphs] == [None] * len(graphs)
         assert not any(result.error for result in results)
+
+
+class TestCounterInvariantGate:
+    """``bench_service``'s gate: the coordinator's counters must not depend
+    on the worker count of the replay."""
+
+    @staticmethod
+    def report(hits_at_two_workers):
+        counters = {"coalesced": 90, "dispatched": 210, "result_cache_hits": 163}
+        return {
+            "summary": {
+                "exact_bit_identical": True,
+                "approx_seed_reproducible": True,
+                "speedup_at_max_workers": 1.0,
+                "max_workers": 2,
+            },
+            "modes": {
+                "solve_many_single_process": {"seconds": 1.0},
+                "service_1_workers": counters,
+                "service_2_workers": dict(
+                    counters, result_cache_hits=hits_at_two_workers
+                ),
+            },
+        }
+
+    def test_equal_counters_pass_and_diverging_ones_fail(self):
+        check_service_thresholds(self.report(163))
+        with pytest.raises(AssertionError, match="result_cache_hits differs"):
+            check_service_thresholds(self.report(162))
 
 
 class TestBatchStatsHygiene:
