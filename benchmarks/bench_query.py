@@ -18,7 +18,8 @@ service-trace verification that ``canonical_query_key`` coalesces
 syntactically distinct queries with equal cores, the per-shape cost of
 ``query_core`` against the generic fold search, and the per-shape cost of
 ``parse_query`` on plain atom lists against the recursive-descent parser.
-The ``--min-minimization-speedup``, ``--min-core-speedup`` and
+Every row is timed by :func:`repro.bench.time_sides`.  The
+``--min-minimization-speedup``, ``--min-core-speedup`` and
 ``--min-parse-speedup`` flags turn regressions into a non-zero exit code,
 which CI uses as smoke gates.
 """

@@ -13,9 +13,11 @@ sampling subsystem across PRs: the wall-clock speedup of the Karp–Luby
 ``(ε, δ)`` estimator over exhaustive possible-world enumeration on layered
 intractable instances (up to ``2^20`` worlds in the full run), the achieved
 relative error under a pinned seed, and the accuracy-vs-samples convergence
-curves of both the importance sampler and the naive world sampler.  The
-``--min-sampling-speedup`` / ``--max-epsilon-ratio`` flags turn regressions
-into a non-zero exit code, which CI uses as a smoke gate.
+curves of both the importance sampler and the naive world sampler.  Both
+sides of the speedup are timed in one round of
+:func:`repro.bench.time_sides`.  The ``--min-sampling-speedup`` /
+``--max-epsilon-ratio`` flags turn regressions into a non-zero exit code,
+which CI uses as a smoke gate.
 """
 
 from __future__ import annotations

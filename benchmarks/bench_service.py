@@ -48,7 +48,7 @@ order-alternated rounds, and the report captures the throughput ratio
 stream validated) plus per-route latency histograms (exact-dp, ddnnf,
 karp-luby, tape-batch) from the telemetry registry.
 ``--min-obs-overhead-ratio 0.95`` turns more than 5% tracing overhead
-into a non-zero exit code — the CI observability smoke gate — and
+into a non-zero exit code and
 ``--trace-out PATH`` keeps the traced replay's span JSONL so
 ``repro trace --validate`` can re-check the same artifact.
 
@@ -57,8 +57,10 @@ records a ``restart_recovery`` section: a cold replay populates a state
 directory, a warm restart from it must recompile zero plans with
 bit-identical answers, and a seeded disk-fault matrix (torn-write,
 truncate-tail, bit-flip, enospc, store-bit-flip) must be fully detected
-and recovered — any violation is a non-zero exit code, which CI uses as
-the warm-restart smoke gate.
+and recovered — any violation is a non-zero exit code.
+
+CI's service smoke step runs the suite once with every flag above and
+then ``repro trace --validate`` on the ``--trace-out`` artifact.
 """
 
 from __future__ import annotations

@@ -1,43 +1,23 @@
-"""Hot-path benchmark: repeated queries against a shared probabilistic instance.
+"""What the benchmark suites share: the seed, the float contract, the timer.
 
-The ROADMAP's target workload is a server answering *many* queries against
-the *same* instance.  This module measures exactly that, across the three
-tractable dispatch routes of the paper, in four configurations:
-
-* ``per_call_cold`` — the seed behaviour: every call rebuilds the instance
-  object and a fresh solver, so class recognition, connectivity, edge
-  ordering and the probability tables are recomputed from scratch per query
-  (the seed had no caching whatsoever, so this models its per-call cost);
-* ``per_call_cached`` — one shared solver and instance; the structural
-  metadata caches introduced by this subsystem are warm after the first
-  call;
-* ``solve_many_exact`` — the batch API with the exact Fraction backend;
-* ``solve_many_float`` — the batch API with the float backend, the
-  fastest configuration that still meets a 1e-9 agreement contract.
-
-Each run cross-checks the answers: every cached/batched exact result must be
-*bit-identical* to the cold baseline, and every float result must agree with
-exact to within ``1e-9``.  Results are written to ``BENCH_hotpaths.json`` so
-the repository carries a recorded performance trajectory across PRs.
-
-Run it with ``repro bench`` or ``python benchmarks/bench_hotpaths.py``.
+Every suite (:mod:`repro.bench_plans`, :mod:`repro.bench_query`,
+:mod:`repro.bench_sampling`, :mod:`repro.bench_service` and
+``benchmarks/store_corruption_gate.py``) draws its workloads from
+:data:`BENCH_SEED` through :func:`_rng`, checks float answers against exact
+ones within :data:`FLOAT_TOLERANCE` and records its ``BENCH_*.json`` report
+through :func:`write_report`.  The plan, query and sampling suites time
+every side of every row through :func:`time_sides`, so each gate is read
+one way: the best sample of one side over the best sample of the other.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import platform
+import statistics
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
-
-from repro.core.solver import PHomSolver
-from repro.graphs.classes import GraphClass
-from repro.graphs.digraph import DiGraph
-from repro.probability.prob_graph import ProbabilisticGraph
-from repro.workloads.generators import attach_random_probabilities, make_instance, make_query
-from repro import __version__
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 #: Seed shared with the paper-table benchmarks (PODS 2017 conference dates).
 BENCH_SEED = 20170514
@@ -46,196 +26,76 @@ BENCH_SEED = 20170514
 FLOAT_TOLERANCE = 1e-9
 
 
-@dataclass
-class BenchWorkload:
-    """One repeated-query workload: a shared instance and a batch of queries."""
-
-    name: str
-    description: str
-    instance: ProbabilisticGraph
-    queries: List[DiGraph]
-
-
 def _rng(offset: int):
     import random
 
     return random.Random(BENCH_SEED + offset)
 
 
-def build_workloads(instance_size: int, num_queries: int) -> List[BenchWorkload]:
-    """The three repeated-query workloads, one per tractable dispatch route."""
-    workloads: List[BenchWorkload] = []
+@dataclass(frozen=True)
+class Timing:
+    """One side's timed calls: ``samples`` in seconds, in the order they ran.
 
-    # Labeled 1WP queries on a downward tree (Proposition 4.10).
-    rng = _rng(1)
-    dwt = make_instance(GraphClass.DOWNWARD_TREE, True, instance_size, rng)
-    workloads.append(
-        BenchWorkload(
-            name="labeled-dwt",
-            description=f"labeled 1WP queries on a {instance_size}-vertex downward tree",
-            instance=attach_random_probabilities(dwt, rng),
-            queries=[
-                make_query(GraphClass.ONE_WAY_PATH, True, 2 + (i % 3), rng)
-                for i in range(num_queries)
-            ],
-        )
-    )
+    ``result`` is what the side's last timed call returned, so a row that
+    times one call by design (a cold solve, a brute force) reads its answer
+    from the call it timed.
+    """
 
-    # Connected labeled queries on a two-way path (Proposition 4.11).
-    rng = _rng(2)
-    two_wp = make_instance(GraphClass.TWO_WAY_PATH, True, max(instance_size // 2, 4), rng)
-    workloads.append(
-        BenchWorkload(
-            name="connected-2wp",
-            description=(
-                f"connected labeled queries on a {max(instance_size // 2, 4)}-edge two-way path"
-            ),
-            instance=attach_random_probabilities(two_wp, rng),
-            queries=[
-                make_query(GraphClass.TWO_WAY_PATH, True, 2 + (i % 2), rng)
-                for i in range(num_queries)
-            ],
-        )
-    )
+    samples: Tuple[float, ...]
+    result: object = None
 
-    # Unlabeled ⊔DWT queries on a disconnected union of downward trees
-    # (Propositions 3.6 / 5.5 + Lemma 3.7): exercises the shared component
-    # split of the batch API.
-    rng = _rng(3)
-    union_dwt = make_instance(GraphClass.UNION_DOWNWARD_TREE, False, instance_size, rng)
-    workloads.append(
-        BenchWorkload(
-            name="unlabeled-union-dwt",
-            description=(
-                f"unlabeled tree queries on a {instance_size}-vertex union of downward trees"
-            ),
-            instance=attach_random_probabilities(union_dwt, rng),
-            queries=[
-                make_query(GraphClass.DOWNWARD_TREE, False, 2 + (i % 3), rng)
-                for i in range(num_queries)
-            ],
-        )
-    )
-    return workloads
+    @property
+    def best(self) -> float:
+        return min(self.samples)
+
+    @property
+    def median(self) -> float:
+        return statistics.median(self.samples)
+
+    @property
+    def iqr(self) -> float:
+        """The interquartile range of the samples (0 for a single sample)."""
+        if len(self.samples) < 2:
+            return 0.0
+        first, _, third = statistics.quantiles(self.samples, n=4, method="inclusive")
+        return third - first
 
 
-def _rebuild_instance(instance: ProbabilisticGraph) -> ProbabilisticGraph:
-    """A cache-cold copy of the instance (fresh graph, fresh probability table)."""
-    return ProbabilisticGraph(instance.graph.copy(), instance.probabilities())
+def time_sides(
+    sides: Mapping[str, Callable[..., object]],
+    rounds: int = 1,
+    warm: bool = False,
+    prepare: Optional[Mapping[str, Callable[[], object]]] = None,
+) -> Dict[str, Timing]:
+    """Time every side once per round, the sides interleaved; one :class:`Timing` each.
 
-
-def _time(fn: Callable[[], object], repeat: int) -> float:
-    start = time.perf_counter()
-    for _ in range(repeat):
-        fn()
-    return time.perf_counter() - start
-
-
-def run_workload(workload: BenchWorkload, repeat: int) -> Dict[str, object]:
-    """Time the four configurations on one workload and cross-check answers."""
-    queries = workload.queries
-    instance = workload.instance
-    calls = len(queries) * repeat
-
-    # Baseline: seed-style cold state on every call.
-    def per_call_cold() -> List:
-        results = []
-        for query in queries:
-            cold = _rebuild_instance(instance)
-            results.append(PHomSolver().solve(query, cold).probability)
-        return results
-
-    baseline = per_call_cold()
-    cold_seconds = _time(per_call_cold, repeat)
-
-    # Shared solver + instance: warm metadata caches.
-    solver = PHomSolver()
-    cached = [solver.solve(q, instance).probability for q in queries]
-    cached_seconds = _time(
-        lambda: [solver.solve(q, instance) for q in queries], repeat
-    )
-
-    batch_exact = [r.probability for r in solver.solve_many(queries, instance)]
-    batch_exact_seconds = _time(lambda: solver.solve_many(queries, instance), repeat)
-
-    batch_float = [
-        r.probability for r in solver.solve_many(queries, instance, precision="float")
-    ]
-    batch_float_seconds = _time(
-        lambda: solver.solve_many(queries, instance, precision="float"), repeat
-    )
-
-    # Correctness contract: exact modes are bit-identical, float is 1e-9-close.
-    if cached != baseline or batch_exact != baseline:
-        raise AssertionError(f"exact results diverged on workload {workload.name}")
-    for exact_value, float_value in zip(baseline, batch_float):
-        if abs(float(exact_value) - float_value) > FLOAT_TOLERANCE:
-            raise AssertionError(
-                f"float backend diverged by more than {FLOAT_TOLERANCE} "
-                f"on workload {workload.name}"
-            )
-
-    def mode(seconds: float) -> Dict[str, float]:
-        return {
-            "seconds": round(seconds, 6),
-            "ops_per_sec": round(calls / seconds, 2) if seconds > 0 else float("inf"),
-        }
-
-    return {
-        "name": workload.name,
-        "description": workload.description,
-        "num_queries": len(queries),
-        "repeat": repeat,
-        "instance_vertices": instance.graph.num_vertices(),
-        "instance_edges": instance.graph.num_edges(),
-        "modes": {
-            "per_call_cold": mode(cold_seconds),
-            "per_call_cached": mode(cached_seconds),
-            "solve_many_exact": mode(batch_exact_seconds),
-            "solve_many_float": mode(batch_float_seconds),
-        },
-        "speedup_vs_cold": {
-            "per_call_cached": round(cold_seconds / cached_seconds, 2),
-            "solve_many_exact": round(cold_seconds / batch_exact_seconds, 2),
-            "solve_many_float": round(cold_seconds / batch_float_seconds, 2),
-        },
-        "float_max_abs_error": max(
-            (abs(float(e) - f) for e, f in zip(baseline, batch_float)), default=0.0
-        ),
-    }
-
-
-def run_benchmarks(
-    instance_size: int = 60,
-    num_queries: int = 40,
-    repeat: int = 3,
-) -> Dict[str, object]:
-    """Run every workload and return the full benchmark report."""
-    workload_reports = [
-        run_workload(workload, repeat)
-        for workload in build_workloads(instance_size, num_queries)
-    ]
-    overall = min(w["speedup_vs_cold"]["solve_many_float"] for w in workload_reports)
-    return {
-        "benchmark": "hotpaths",
-        "version": __version__,
-        "python": platform.python_version(),
-        "config": {
-            "instance_size": instance_size,
-            "num_queries": num_queries,
-            "repeat": repeat,
-            "seed": BENCH_SEED,
-            "float_tolerance": FLOAT_TOLERANCE,
-        },
-        "workloads": workload_reports,
-        "summary": {
-            "min_solve_many_float_speedup_vs_seed_per_call": overall,
-            "contract": (
-                "exact results bit-identical to per-call baseline; "
-                f"float within {FLOAT_TOLERANCE}"
-            ),
-        },
-    }
+    Each round runs every side once, in the order of ``sides`` on even
+    rounds and in reverse on odd ones, so the side that goes first
+    alternates and a slow spell of the machine falls on every side.  With
+    ``warm``, an untimed call of the same side precedes each timed call, so
+    no side runs on caches another side left behind.  A side named in
+    ``prepare`` is called with the value of its preparation, made afresh
+    for every call (the warm one too) and off the clock: a cold plan copy,
+    a fresh parse.
+    """
+    prepare = prepare or {}
+    names = list(sides)
+    samples: Dict[str, list] = {name: [] for name in names}
+    results: Dict[str, object] = {}
+    for index in range(rounds):
+        for name in names if index % 2 == 0 else reversed(names):
+            run, setup = sides[name], prepare.get(name)
+            # With ``warm`` the side runs twice and only the second call
+            # counts.  The store inside the timing frees the previous result
+            # there, so each call pays for freeing one result, as a call
+            # that drops its own result does.
+            for _ in range(2 if warm else 1):
+                args = (setup(),) if setup else ()
+                start = time.perf_counter()
+                results[name] = run(*args)
+                elapsed = time.perf_counter() - start
+            samples[name].append(elapsed)
+    return {name: Timing(tuple(samples[name]), results.get(name)) for name in names}
 
 
 def write_report(report: Dict[str, object], path: str) -> None:
@@ -260,23 +120,3 @@ def write_report(report: Dict[str, object], path: str) -> None:
         if os.path.exists(temporary):
             os.remove(temporary)
         raise
-
-
-def format_report(report: Dict[str, object]) -> str:
-    """A terse human-readable rendering of the report."""
-    lines = [f"hotpath benchmark (seed {report['config']['seed']})"]
-    for workload in report["workloads"]:
-        lines.append(f"  {workload['name']}: {workload['description']}")
-        for name, numbers in workload["modes"].items():
-            lines.append(
-                f"    {name:<18} {numbers['ops_per_sec']:>12.1f} solves/sec"
-            )
-        lines.append(
-            "    speedup vs cold    "
-            + ", ".join(
-                f"{k}={v}x" for k, v in workload["speedup_vs_cold"].items()
-            )
-        )
-    summary = report["summary"]["min_solve_many_float_speedup_vs_seed_per_call"]
-    lines.append(f"  minimum solve_many(float) speedup vs seed-style per-call: {summary}x")
-    return "\n".join(lines)

@@ -28,13 +28,13 @@ module measures exactly that, plus the incremental single-edge update path:
 * ``exact_evaluate`` — per workload (one dispatch route each), one exact
   evaluation on the object graph versus one replay of the plan's tape on
   integer registers, plus the lowering time that replay amortises;
-* ``first_exact`` — per workload, what a cold plan's first exact answer
-  costs: lowering plus the first integer replay (which builds the replay's
-  exponent program) versus one exact evaluation on the object graph;
-* ``cold_exact`` — per workload, a cold plan's first exact answer as a
-  solve now gives it, the kernels run once on scaled integers (the direct
-  pass of ``plan.evaluate``), versus lowering plus the first integer
-  replay;
+* ``first_exact`` — per workload, what a plan's second exact answer
+  costs, the first that lowers it: lowering plus the first integer replay
+  (which builds the replay's exponent program) versus one exact evaluation
+  on the object graph;
+* ``cold_exact`` — per workload, a cold plan's first exact answer, the
+  kernels run once on scaled integers (the direct pass of
+  ``plan.evaluate``), versus lowering plus the first integer replay;
 * ``interval_match`` — on the connected-2wp workload, Proposition 4.11's
   structural phase per query and instance component: the bitset interval
   matcher of ``compile_connected_on_2wp`` versus the same sweep deciding
@@ -42,22 +42,25 @@ module measures exactly that, plus the incremental single-edge update path:
 
 Every configuration is cross-checked: plan results must be *bit-identical*
 to the one-shot API in exact mode and within ``1e-9`` of exact in float
-mode.  Results are written to ``BENCH_plans.json``; run it with
-``repro bench plans`` or ``python benchmarks/bench_plans.py``.
+mode.  Every side of every row is timed by :func:`repro.bench.time_sides`
+in interleaved rounds whose first side alternates, and every speedup is
+the best round of one side over the best round of the other; only
+``plan_reuse`` precedes each timed call with an untimed one, and the
+``incremental`` row times one round.  Results are written to
+``BENCH_plans.json``; run it with ``repro bench plans`` or
+``python benchmarks/bench_plans.py``.
 """
 
 from __future__ import annotations
 
 import copy
+import os
 import platform
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
-# Seed, float contract, rng and report serialisation are shared with the
-# hot-path benchmark so the two recorded artefacts can never desynchronise.
-from repro.bench import BENCH_SEED, FLOAT_TOLERANCE, _rng, write_report
+from repro.bench import BENCH_SEED, FLOAT_TOLERANCE, _rng, time_sides, write_report
 from repro.core.labeled_2wp import (
     TwoWayPathSkeleton,
     _shortest_match_lengths,
@@ -164,12 +167,6 @@ def _drift_schedule(
     return schedule
 
 
-def _time(fn: Callable[[], object]) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
-
-
 def _object_graph(plan: CompiledPlan, overrides=None, context=EXACT):
     """The plan's answer from its kernels run on numbers, never its tape."""
     return plan._evaluate_with(plan._probability_table(overrides, context), context)
@@ -188,21 +185,20 @@ def measure_exact_evaluate(
 ) -> Tuple[Dict[str, object], Dict[str, object], Dict[str, object]]:
     """The exact evaluate layer of one route: object graph, integer tape, direct pass.
 
-    For every distinct tractable plan, each repeat times, in turn, one
-    exact object-graph evaluation, the first exact ``evaluate`` of a cold
-    copy of the plan (the direct pass, which runs the kernels once on
-    scaled integers), the lowering of a fresh tape followed by its first
-    integer replay, and a steady-state replay of that tape.  The timings
-    alternate within each repeat, so a slow spell of the machine falls on
-    both sides of every ratio.  The one "lowering + first replay" timing
-    feeds both rows that compare against it, and each timing keeps its
-    best of ``repeats``.  Returns the ``exact_evaluate`` row
-    (steady-state replay and lowering against the object graph), the
-    ``first_exact`` row (lowering plus first replay against the object
-    graph) and the ``cold_exact`` row (the direct pass against lowering
-    plus first replay).  The plans are left untouched (their own tapes
-    are not replaced), and every answer must be bit-identical to the
-    object graph before anything is recorded.
+    For every distinct tractable plan, ``repeats`` interleaved rounds time
+    four sides: one exact object-graph evaluation, the lowering of a fresh
+    tape followed by its first integer replay, the first exact
+    ``evaluate`` of a cold copy of the plan (the direct pass, which runs
+    the kernels once on scaled integers; the copy is made off the clock),
+    and a replay of a tape lowered before the rounds.  The lowering alone,
+    which no gate reads, is timed after them in rounds of its own.  Each
+    side keeps its best round.  Returns the ``exact_evaluate`` row (steady
+    replay and lowering against the object graph), the ``first_exact`` row
+    (lowering plus first replay against the object graph) and the
+    ``cold_exact`` row (the direct pass against lowering plus first
+    replay).  The plans are left untouched (their own tapes are not
+    replaced), and the last answer of every side must be bit-identical to
+    the object graph before anything is recorded.
     """
     table = EXACT.instance_probabilities(instance)
     graph_us: List[float] = []
@@ -212,31 +208,38 @@ def measure_exact_evaluate(
     direct_us: List[float] = []
     distinct = {id(plan): plan for plan in plans if isinstance(plan, ComponentPlan)}
     for plan in distinct.values():
-        want = _object_graph(plan)
-        graph, lowered, first, steady, direct = [], [], [], [], []
-        for _ in range(repeats):
-            graph.append(_time(lambda: _object_graph(plan)))
-            cold = _cold_copy(plan)
-            start = time.perf_counter()
-            answer = cold.evaluate(precision=EXACT)
-            direct.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            tape = compile_plan_tape(plan)
-            middle = time.perf_counter()
-            value = tape.evaluate(table, EXACT)
-            first.append(time.perf_counter() - start)
-            lowered.append(middle - start)
-            steady.append(_time(lambda: tape.evaluate(table, EXACT)))
-            if value != want or answer != want or type(answer) is not type(want):
-                raise AssertionError(
-                    f"integer tape replay or direct pass diverged from the object "
-                    f"graph ({plan.method})"
-                )
-        graph_us.append(min(graph) * 1e6)
-        lower_ms.append(min(lowered) * 1e3)
-        first_us.append(min(first) * 1e6)
-        tape_us.append(min(steady) * 1e6)
-        direct_us.append(min(direct) * 1e6)
+        tape = compile_plan_tape(plan)
+        # The object graph's Fraction arithmetic slows whichever side runs
+        # right after it, so it sits at an end of the order: on odd rounds
+        # it follows itself, and lowering follows the direct pass.
+        timings = time_sides(
+            {
+                "graph": lambda: _object_graph(plan),
+                "first": lambda: compile_plan_tape(plan).evaluate(table, EXACT),
+                "direct": lambda cold: cold.evaluate(precision=EXACT),
+                "steady": lambda: tape.evaluate(table, EXACT),
+            },
+            rounds=repeats,
+            prepare={"direct": lambda: _cold_copy(plan)},
+        )
+        lowering = time_sides({"lower": lambda: compile_plan_tape(plan)}, rounds=repeats)
+        want = timings["graph"].result
+        answer = timings["direct"].result
+        if (
+            timings["first"].result != want
+            or timings["steady"].result != want
+            or answer != want
+            or type(answer) is not type(want)
+        ):
+            raise AssertionError(
+                f"integer tape replay or direct pass diverged from the object "
+                f"graph ({plan.method})"
+            )
+        graph_us.append(timings["graph"].best * 1e6)
+        lower_ms.append(lowering["lower"].best * 1e3)
+        first_us.append(timings["first"].best * 1e6)
+        tape_us.append(timings["steady"].best * 1e6)
+        direct_us.append(timings["direct"].best * 1e6)
     count = max(len(graph_us), 1)
 
     def ratio(slow: List[float], fast: List[float]) -> float:
@@ -299,11 +302,12 @@ def measure_interval_match(
 ) -> Dict[str, object]:
     """Per query and instance component: bitset interval matching vs the X-property sweep.
 
-    Times (best of ``repeats``, alternating) one ``compile_connected_on_2wp``
-    against :func:`_x_property_compile` on the component's graph.  Both run
-    warm, as a serving instance does: the bitset route's label masks are
-    memoised on the graph after the first compile, and the X-property
-    route's subpath graphs are built before timing.  The two skeletons
+    Times (best of ``repeats`` interleaved rounds) one
+    ``compile_connected_on_2wp`` against :func:`_x_property_compile` on the
+    component's graph.  Both run warm, as a serving instance does: the
+    bitset route's label masks are memoised on the graph after the first
+    compile, and the X-property route's subpath graphs are built before
+    timing.  The two skeletons
     must be identical before anything is recorded.
     """
     bitset_us: List[float] = []
@@ -318,12 +322,15 @@ def measure_interval_match(
                 raise AssertionError(
                     "bitset interval matching diverged from the X-property sweep"
                 )
-            reference, bitset = [], []
-            for _ in range(repeats):
-                reference.append(_time(lambda: _x_property_compile(query, graph, subpaths)))
-                bitset.append(_time(lambda: compile_connected_on_2wp(query, graph)))
-            x_property_us.append(min(reference) * 1e6)
-            bitset_us.append(min(bitset) * 1e6)
+            timings = time_sides(
+                {
+                    "x_property": lambda: _x_property_compile(query, graph, subpaths),
+                    "bitset": lambda: compile_connected_on_2wp(query, graph),
+                },
+                rounds=repeats,
+            )
+            x_property_us.append(timings["x_property"].best * 1e6)
+            bitset_us.append(timings["bitset"].best * 1e6)
     count = max(len(bitset_us), 1)
     return {
         "pairs": len(bitset_us),
@@ -349,10 +356,10 @@ def run_plan_workload(workload: PlanWorkload, rounds: int) -> Dict[str, object]:
             instance.set_probability(edge, probability)
 
     # Structural phase: compile once per distinct query (through the cache).
-    compile_seconds = _time(
-        lambda: [plan_solver.compile(query, instance) for query in queries]
-    )
-    plans = [plan_solver.compile(query, instance) for query in queries]
+    compiled = time_sides(
+        {"compile": lambda: [plan_solver.compile(query, instance) for query in queries]}
+    )["compile"]
+    compile_seconds, plans = compiled.best, compiled.result
 
     # Correctness contract, checked on every drift round before timing:
     # exact plan results bit-identical to the plan's kernels on Fractions
@@ -386,18 +393,12 @@ def run_plan_workload(workload: PlanWorkload, rounds: int) -> Dict[str, object]:
             for plan in plans:
                 plan.evaluate(precision="float")
 
-    # Best of seven per side, the two sides alternating so a slow spell of
-    # the machine falls on both: at smoke sizes one pass of plan_run takes
-    # under a millisecond and can absorb a whole GC pause.  Each timed pass
+    # Best of seven rounds: at smoke sizes one pass of plan_run takes under
+    # a millisecond and can absorb a whole GC pause.  Each timed pass
     # follows an untimed pass of its own side, so neither side runs on
     # caches the other one left behind.
-    baseline_passes, plan_passes = [], []
-    for _ in range(7):
-        baseline_run()
-        baseline_passes.append(_time(baseline_run))
-        plan_run()
-        plan_passes.append(_time(plan_run))
-    baseline_seconds, plan_seconds = min(baseline_passes), min(plan_passes)
+    reuse = time_sides({"solve_many": baseline_run, "plan": plan_run}, rounds=7, warm=True)
+    baseline_seconds, plan_seconds = reuse["solve_many"].best, reuse["plan"].best
     evaluations = rounds * len(queries)
     speedup = baseline_seconds / plan_seconds if plan_seconds > 0 else float("inf")
     exact_evaluate, first_exact, cold_exact = measure_exact_evaluate(plans, instance)
@@ -490,8 +491,8 @@ def run_incremental_benchmark(instance_size: int, updates: int) -> Dict[str, obj
         for edge, probability in schedule:
             plan.update(edge, probability, precision=precision)
 
-    full_seconds = _time(full_run)
-    incremental_seconds = _time(lambda: incremental_run("float"))
+    stream = time_sides({"full": full_run, "float": lambda: incremental_run("float")})
+    full_seconds, incremental_seconds = stream["full"].best, stream["float"].best
     speedup = (
         full_seconds / incremental_seconds if incremental_seconds > 0 else float("inf")
     )
@@ -502,7 +503,7 @@ def run_incremental_benchmark(instance_size: int, updates: int) -> Dict[str, obj
         instance.set_probability(edge, probability)
         if plan.update(edge, probability, precision="exact") != _object_graph(plan):
             raise AssertionError("exact plan.update diverged from the plan's kernels")
-    exact_seconds = _time(lambda: incremental_run("exact"))
+    exact_seconds = time_sides({"exact": lambda: incremental_run("exact")})["exact"].best
     return {
         "description": (
             f"single-edge updates on a {graph.num_vertices()}-vertex polytree, "
@@ -570,7 +571,7 @@ def measure_live(
     plan.  Each change sets one uncertain edge to ``k/8`` (the serving
     denominators).  Before timing, the live answer after every change must
     equal a full replay of the tape over the live table, bit for bit and in
-    type.  Timed rounds alternate the two sides.
+    type.  Each side keeps its best of ``repeats`` interleaved rounds.
     """
     instance = workload.instance
     plan = PHomSolver(**workload.solver_kwargs).compile(workload.queries[0], instance)
@@ -612,11 +613,8 @@ def measure_live(
                     f"live {precision} plan.evaluate diverged from a full tape "
                     f"replay on {workload.name}"
                 )
-        live_seconds, full_seconds = [], []
-        for _ in range(repeats):
-            full_seconds.append(_time(full_run))
-            live_seconds.append(_time(live_run))
-        live_best, full_best = min(live_seconds), min(full_seconds)
+        timings = time_sides({"full": full_run, "live": live_run}, rounds=repeats)
+        live_best, full_best = timings["live"].best, timings["full"].best
         row[precision] = {
             "full_replay_us": round(full_best / changes * 1e6, 2),
             "catch_up_us": round(live_best / changes * 1e6, 2),
@@ -702,20 +700,17 @@ def run_tape_benchmark(
     curve = []
     for batch_size in batch_sizes:
         subset = batch[:batch_size]
-        repeats = 3
-        baseline_seconds = min(
-            _time(
-                lambda: [
-                    plan.evaluate(overrides, precision="float")
-                    for overrides in subset
-                ]
-            )
-            for _ in range(repeats)
+        timings = time_sides(
+            {
+                "evaluate": lambda: [
+                    plan.evaluate(overrides, precision="float") for overrides in subset
+                ],
+                "evaluate_many": lambda: plan.evaluate_many(subset, precision="float"),
+            },
+            rounds=3,
         )
-        tape_seconds = min(
-            _time(lambda: plan.evaluate_many(subset, precision="float"))
-            for _ in range(repeats)
-        )
+        baseline_seconds = timings["evaluate"].best
+        tape_seconds = timings["evaluate_many"].best
         speedup = baseline_seconds / tape_seconds if tape_seconds > 0 else float("inf")
         curve.append(
             {
@@ -735,12 +730,14 @@ def run_tape_benchmark(
         raise AssertionError(
             "float evaluate_many on repeated lanes differs from per-lane evaluate"
         )
-    distinct_seconds = min(
-        _time(lambda: plan.evaluate_many(batch, precision="float")) for _ in range(3)
+    lanes = time_sides(
+        {
+            "distinct": lambda: plan.evaluate_many(batch, precision="float"),
+            "repeated": lambda: plan.evaluate_many(repeated, precision="float"),
+        },
+        rounds=3,
     )
-    repeated_seconds = min(
-        _time(lambda: plan.evaluate_many(repeated, precision="float")) for _ in range(3)
-    )
+    distinct_seconds, repeated_seconds = lanes["distinct"].best, lanes["repeated"].best
     return {
         "description": (
             f"batched tape re-evaluation on a {graph.num_vertices()}-vertex "
@@ -782,6 +779,7 @@ def run_plan_benchmarks(
         "benchmark": "plans",
         "version": __version__,
         "python": platform.python_version(),
+        "cpus": os.cpu_count() or 1,
         "config": {
             "instance_size": instance_size,
             "num_queries": num_queries,
@@ -899,7 +897,7 @@ def check_plan_thresholds(
         )
 
 
-#: Serialise the report to disk — same format as the hot-path benchmark.
+#: Serialise the report to disk — the writer every suite shares.
 write_plan_report = write_report
 
 

@@ -22,32 +22,37 @@ its homomorphic core sits in a polynomial one.  This suite measures what the
   :func:`repro.plan.canonical_query_key` merges the variants (distinct
   computations == distinct cores, not distinct spellings);
 * ``core_fast_path`` — per query shape (2WP, single-label DWT, 1WP), the
-  mean cost of :func:`repro.query.query_core` on fresh parses (class
+  cost per query of :func:`repro.query.query_core` on fresh parses (class
   recognition included) against the generic fold search
-  (:func:`repro.query.minimize.fold_search_core`) on the same queries; the
-  canonical keys of the two cores are asserted equal on every query;
+  (:func:`repro.query.minimize.fold_search_core`) on the same queries, each
+  in its best round; the canonical keys of the two cores are asserted
+  equal on every query;
 * ``parse_fast_path`` — per query shape (3-atom 2WP, 4-atom unlabeled
   tree, 12-atom 1WP), the cost of :func:`repro.query.parse_query`, whose
   one-pass scan reads these plain atom lists, against the recursive-descent
   parser on the same texts; the two IRs (spans included) are asserted equal
   on every text.
 
-Results are written to ``BENCH_query.json``; run with ``repro bench query``
-or ``python benchmarks/bench_query.py``.  ``--min-minimization-speedup``,
+Every side of every row is timed by :func:`repro.bench.time_sides`.  Cold
+solves and the steady-state loops of ``overhead`` take one round; the
+other sides take interleaved rounds whose first side alternates.  Every
+speedup is the best round of one side over the best round of the other,
+and ``overhead``'s parse and minimize times are medians.  Results are
+written to ``BENCH_query.json``; run with ``repro bench query`` or
+``python benchmarks/bench_query.py``.  ``--min-minimization-speedup``,
 ``--min-core-speedup`` and ``--min-parse-speedup`` turn regressions into a
 non-zero exit code (the CI smoke gates).
 """
 
 from __future__ import annotations
 
+import os
 import platform
-import statistics
-import time
 import warnings
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench import BENCH_SEED, write_report
+from repro.bench import BENCH_SEED, time_sides, write_report
 from repro.approx import make_rng
 from repro.core.solver import PHomSolver
 from repro.exceptions import IntractableFallbackWarning
@@ -77,7 +82,7 @@ SMOKE_REDUNDANCY = 3
 OVERHEAD_CALLS = 200
 SMOKE_OVERHEAD_CALLS = 50
 #: Fresh parses behind ``parse_seconds`` and ``minimize_seconds``: each is
-#: the median over this many calls (one cold call swings with the machine).
+#: the median over this many rounds (one cold call swings with the machine).
 OVERHEAD_TIMINGS = 25
 
 #: Coalescing trace shape: distinct cores x spelling variants x repetitions.
@@ -129,12 +134,6 @@ def _non_path_dwt_instance(size: int, rng) -> object:
             return attach_random_probabilities(graph, rng, certain_fraction=0.2)
 
 
-def _timed(callable_):
-    start = time.perf_counter()
-    value = callable_()
-    return value, time.perf_counter() - start
-
-
 def run_query_benchmarks(
     instance_sizes: Optional[Sequence[int]] = None,
     seed: int = BENCH_SEED,
@@ -162,31 +161,38 @@ def run_query_benchmarks(
         query = workload.query
         core = query_core(query)
 
-        # Unminimized exact oracle: the dispatcher as it was before this
-        # frontend existed, brute-forcing the #P-hard cell.
+        # One cold solve per side, each on a fresh solver, so minimization
+        # and plan compile are paid inside the timing: the unminimized
+        # exact oracle (the dispatcher as it was before this frontend
+        # existed, brute-forcing the #P-hard cell), unminimized sampling
+        # (the cell's other route without the frontend) and the minimized
+        # dispatch.
         plain = PHomSolver(minimize_queries=False)
+        sampler = PHomSolver(
+            minimize_queries=False, precision="approx",
+            epsilon=0.1, delta=0.05, seed=seed,
+        )
+        minimizing = PHomSolver()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntractableFallbackWarning)
-            oracle_result, brute_seconds = _timed(lambda: plain.solve(query, instance))
+            timings = time_sides(
+                {
+                    "brute_force": lambda: plain.solve(query, instance),
+                    "karp_luby": lambda: sampler.solve(query, instance),
+                    "minimized": lambda: minimizing.solve(query, instance),
+                }
+            )
+        oracle_result = timings["brute_force"].result
+        sampled_result = timings["karp_luby"].result
+        minimized_result = timings["minimized"].result
+        brute_seconds = timings["brute_force"].best
+        sampling_seconds = timings["karp_luby"].best
+        minimized_seconds = timings["minimized"].best
         if oracle_result.method != "brute-force-worlds":
             raise AssertionError(
                 f"expected the unminimized dispatcher to brute-force the "
                 f"redundant query, got {oracle_result.method!r}"
             )
-
-        # Unminimized sampling: what PR 3 offered for this cell.
-        sampler = PHomSolver(
-            minimize_queries=False, precision="approx",
-            epsilon=0.1, delta=0.05, seed=seed,
-        )
-        sampled_result, sampling_seconds = _timed(lambda: sampler.solve(query, instance))
-
-        # Minimized dispatch (fresh solver: minimization and plan compile
-        # are both paid inside the timing).
-        minimizing = PHomSolver()
-        minimized_result, minimized_seconds = _timed(
-            lambda: minimizing.solve(query, instance)
-        )
         if minimized_result.method == "brute-force-worlds":
             raise AssertionError(
                 "expected the minimizing dispatcher to reach a polynomial route"
@@ -234,6 +240,7 @@ def run_query_benchmarks(
             "version": __version__,
             "python": platform.python_version(),
             "platform": platform.platform(),
+            "cpus": os.cpu_count() or 1,
             "seed": seed,
             "smoke": smoke,
             "redundancy": redundancy,
@@ -257,33 +264,33 @@ def _overhead_measurements(calls: int, seed: int, smoke: bool) -> Dict[str, obje
     text = "r1 -[R]-> q1, R(q0, q1), S(q1, q2), S(r2, q2)"
     instance = _non_path_dwt_instance(8 if smoke else 12, rng)
 
-    parse_times, minimize_times = [], []
-    for _ in range(OVERHEAD_TIMINGS):
-        # The core is memoised on the graph, so each minimize call gets a
-        # fresh parse.
-        graph, seconds = _timed(lambda: parse_query_graph(text))
-        parse_times.append(seconds)
-        _core, seconds = _timed(lambda: query_core(graph))
-        minimize_times.append(seconds)
+    # The core is memoised on the graph, so each minimize call gets a
+    # fresh parse.
+    frontend = time_sides(
+        {"parse": lambda: parse_query_graph(text), "minimize": query_core},
+        rounds=OVERHEAD_TIMINGS,
+        prepare={"minimize": lambda: parse_query_graph(text)},
+    )
 
     solver = PHomSolver()
-    _first, cold_seconds = _timed(lambda: solver.solve(text, instance))
-    start = time.perf_counter()
-    for _ in range(calls):
-        solver.solve(text, instance)  # re-parses; hits the plan cache
-    string_call_seconds = (time.perf_counter() - start) / calls
+    cold_seconds = time_sides({"cold": lambda: solver.solve(text, instance)})["cold"].best
     shared = parse_query_graph(text)
     solver.solve(shared, instance)  # warm the memoised core on the object
-    start = time.perf_counter()
-    for _ in range(calls):
-        solver.solve(shared, instance)
-    graph_call_seconds = (time.perf_counter() - start) / calls
+    steady = time_sides(
+        {
+            # Re-parses on every call; hits the plan cache.
+            "string": lambda: [solver.solve(text, instance) for _ in range(calls)],
+            "graph": lambda: [solver.solve(shared, instance) for _ in range(calls)],
+        }
+    )
+    string_call_seconds = steady["string"].best / calls
+    graph_call_seconds = steady["graph"].best / calls
     return {
         "query": text,
         "calls": calls,
         "timings": OVERHEAD_TIMINGS,
-        "parse_seconds": statistics.median(parse_times),
-        "minimize_seconds": statistics.median(minimize_times),
+        "parse_seconds": frontend["parse"].median,
+        "minimize_seconds": frontend["minimize"].median,
         "cold_solve_seconds": cold_seconds,
         "string_steady_seconds_per_call": string_call_seconds,
         "graph_steady_seconds_per_call": graph_call_seconds,
@@ -383,11 +390,20 @@ def _core_fast_path(seed: int, smoke: bool) -> List[Dict[str, object]]:
                 )
             if query_core(query) is not query:
                 folded += 1
-        fast = fold = 0.0
-        for _ in range(rounds):
-            fast += _core_seconds(texts, query_core)
-            fold += _core_seconds(texts, fold_search_core)
-        calls = rounds * len(texts)
+        # Each round minimizes fresh parses, made off the clock: the core
+        # is memoised on the graph.
+        timings = time_sides(
+            {
+                "query_core": lambda graphs: [query_core(graph) for graph in graphs],
+                "fold_search": lambda graphs: [fold_search_core(graph) for graph in graphs],
+            },
+            rounds=rounds,
+            prepare=dict.fromkeys(
+                ("query_core", "fold_search"),
+                lambda: [parse_query_graph(text) for text in texts],
+            ),
+        )
+        fast, fold = timings["query_core"].best, timings["fold_search"].best
         rows.append(
             {
                 "shape": shape,
@@ -396,24 +412,13 @@ def _core_fast_path(seed: int, smoke: bool) -> List[Dict[str, object]]:
                 "queries": len(texts),
                 "folded": folded,
                 "rounds": rounds,
-                "query_core_us": fast / calls * 1e6,
-                "fold_search_us": fold / calls * 1e6,
+                "query_core_us": fast / len(texts) * 1e6,
+                "fold_search_us": fold / len(texts) * 1e6,
                 "speedup": fold / fast if fast else None,
                 "keys_equal": True,
             }
         )
     return rows
-
-
-def _core_seconds(texts: Sequence[str], minimize) -> float:
-    """Total time of ``minimize`` over fresh parses of ``texts``."""
-    total = 0.0
-    for text in texts:
-        graph = parse_query_graph(text)
-        start = time.perf_counter()
-        minimize(graph)
-        total += time.perf_counter() - start
-    return total
 
 
 def _parse_fast_path(seed: int, smoke: bool) -> List[Dict[str, object]]:
@@ -434,10 +439,14 @@ def _parse_fast_path(seed: int, smoke: bool) -> List[Dict[str, object]]:
                 raise AssertionError(
                     f"parse_query and the recursive-descent parser disagree on {text!r}"
                 )
-        scan = full = float("inf")
-        for _ in range(rounds):
-            scan = min(scan, _parse_seconds(texts, parse_query))
-            full = min(full, _parse_seconds(texts, lambda text: _Parser(text).parse()))
+        timings = time_sides(
+            {
+                "parse_query": lambda: [parse_query(text) for text in texts],
+                "recursive_descent": lambda: [_Parser(text).parse() for text in texts],
+            },
+            rounds=rounds,
+        )
+        scan, full = timings["parse_query"].best, timings["recursive_descent"].best
         rows.append(
             {
                 "shape": shape,
@@ -452,14 +461,6 @@ def _parse_fast_path(seed: int, smoke: bool) -> List[Dict[str, object]]:
             }
         )
     return rows
-
-
-def _parse_seconds(texts: Sequence[str], parse) -> float:
-    """Total time of ``parse`` over ``texts``."""
-    start = time.perf_counter()
-    for text in texts:
-        parse(text)
-    return time.perf_counter() - start
 
 
 def check_query_thresholds(

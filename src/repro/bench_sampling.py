@@ -16,7 +16,9 @@ instances:
   possible-world sampler at a ladder of fixed sample budgets, showing the
   ``1/√N`` convergence and the importance sampler's advantage.
 
-Results are written to ``BENCH_sampling.json``; run with
+Both sides of a ``speedup`` row are timed in one round of
+:func:`repro.bench.time_sides`: at 20 edges the brute force alone takes
+minutes.  Results are written to ``BENCH_sampling.json``; run with
 ``repro bench sampling`` or ``python benchmarks/bench_sampling.py``.  The
 ``--min-sampling-speedup`` / ``--max-epsilon-ratio`` flags turn regressions
 into a non-zero exit code (the CI smoke gate).
@@ -24,15 +26,17 @@ into a non-zero exit code (the CI smoke gate).
 
 from __future__ import annotations
 
+import os
 import platform
-import time
+import warnings
 from typing import Dict, List, Optional, Sequence
 
-# Seed and report serialisation are shared with the other benchmark suites so
-# the recorded artefacts cannot desynchronise.
-from repro.bench import BENCH_SEED, write_report
+# Seed, timer and report serialisation are shared with the other benchmark
+# suites so the recorded artefacts cannot desynchronise.
+from repro.bench import BENCH_SEED, time_sides, write_report
 from repro.approx import ApproxParams, naive_phom_estimate
 from repro.core.solver import PHomSolver
+from repro.exceptions import IntractableFallbackWarning
 from repro.plan import FallbackPlan
 from repro.workloads.generators import intractable_workload
 from repro import __version__
@@ -56,20 +60,15 @@ CURVE_EDGES = 16
 SMOKE_CURVE_EDGES = 10
 
 
-def _brute_force_seconds(solver: PHomSolver, workload) -> Dict[str, float]:
-    """One exact float-backend brute-force evaluation, timed."""
-    import warnings
-
-    from repro.exceptions import IntractableFallbackWarning
-
+def _brute_force(workload) -> float:
+    """One exact float-backend brute-force evaluation."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntractableFallbackWarning)
-        start = time.perf_counter()
-        exact = float(
-            solver.probability(workload.query, workload.instance, method="brute-force-worlds")
+        return float(
+            PHomSolver(precision="float").probability(
+                workload.query, workload.instance, method="brute-force-worlds"
+            )
         )
-        elapsed = time.perf_counter() - start
-    return {"exact": exact, "seconds": elapsed}
 
 
 def run_sampling_benchmarks(
@@ -91,24 +90,24 @@ def run_sampling_benchmarks(
         # Moderate edge probabilities (≤ 6/16) keep the union event away
         # from saturation, so the recorded relative errors are meaningful.
         workload = intractable_workload(edges, rng=seed + edges, max_numerator=6)
-        exact_solver = PHomSolver(precision="float")
-        brute = _brute_force_seconds(exact_solver, workload)
-
         approx_solver = PHomSolver(
             precision="approx", epsilon=epsilon, delta=delta, seed=seed
         )
-        start = time.perf_counter()
-        result = approx_solver.solve(workload.query, workload.instance)
-        approx_seconds = time.perf_counter() - start
+        timings = time_sides(
+            {
+                "brute_force": lambda: _brute_force(workload),
+                "karp_luby": lambda: approx_solver.solve(workload.query, workload.instance),
+            }
+        )
+        exact, result = timings["brute_force"].result, timings["karp_luby"].result
+        brute_seconds, approx_seconds = timings["brute_force"].best, timings["karp_luby"].best
         if result.method != "karp-luby":
             raise AssertionError(
                 f"expected the dispatcher to sample the intractable workload, "
                 f"got method {result.method!r}"
             )
         estimate = float(result.probability)
-        relative_error = (
-            abs(estimate - brute["exact"]) / brute["exact"] if brute["exact"] else estimate
-        )
+        relative_error = abs(estimate - exact) / exact if exact else estimate
         plan = approx_solver.compile(workload.query, workload.instance)
         rows.append(
             {
@@ -117,16 +116,16 @@ def run_sampling_benchmarks(
                 "lineage_clauses": len(plan.lineage().clauses)
                 if isinstance(plan, FallbackPlan)
                 else None,
-                "exact": brute["exact"],
+                "exact": exact,
                 "estimate": estimate,
                 "relative_error": relative_error,
                 "epsilon": epsilon,
                 "delta": delta,
                 "within_epsilon": relative_error <= epsilon,
                 "notes": result.notes,
-                "brute_force_seconds": brute["seconds"],
+                "brute_force_seconds": brute_seconds,
                 "approx_seconds": approx_seconds,
-                "speedup": brute["seconds"] / approx_seconds if approx_seconds else None,
+                "speedup": brute_seconds / approx_seconds if approx_seconds else None,
             }
         )
     # Accuracy-vs-samples curve on a *rare-event* instance (probabilities
@@ -135,8 +134,7 @@ def run_sampling_benchmarks(
     # earns its keep — naive sampling barely ever sees a satisfying world.
     curve_edges = SMOKE_CURVE_EDGES if smoke else CURVE_EDGES
     workload = intractable_workload(curve_edges, rng=seed, max_numerator=2)
-    exact_solver = PHomSolver(precision="float")
-    exact = _brute_force_seconds(exact_solver, workload)["exact"]
+    exact = _brute_force(workload)
     solver = PHomSolver(precision="approx", epsilon=epsilon, delta=delta, seed=seed)
     plan = solver.compile(workload.query, workload.instance)
     points: List[Dict[str, object]] = []
@@ -162,6 +160,7 @@ def run_sampling_benchmarks(
             "version": __version__,
             "python": platform.python_version(),
             "platform": platform.platform(),
+            "cpus": os.cpu_count() or 1,
             "seed": seed,
             "epsilon": epsilon,
             "delta": delta,

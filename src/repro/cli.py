@@ -25,8 +25,8 @@ The subcommands mirror what a user typically wants:
   a serving session (:mod:`repro.obs`): Prometheus text from a metrics
   snapshot, a span tree from a JSONL trace, and a live per-route serving
   dashboard;
-* ``repro bench [hotpaths|plans|sampling|service|query]`` — run a benchmark
-  suite and record its ``BENCH_*.json`` report.
+* ``repro bench {plans,sampling,service,query}`` — run a benchmark suite
+  and record its ``BENCH_*.json`` report.
 
 The module is also importable: :func:`main` takes an ``argv`` list and
 returns an exit code, which is how the test suite exercises it.
@@ -339,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = subparsers.add_parser(
         "bench",
         help=(
-            "run a benchmark suite: 'hotpaths' (default, records BENCH_hotpaths.json), "
+            "run a benchmark suite: "
             "'plans' (compiled query plans, records BENCH_plans.json), "
             "'sampling' (Karp-Luby vs brute force, records BENCH_sampling.json), "
             "'service' (parallel serving layer, records BENCH_service.json) or "
@@ -347,22 +347,16 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench.add_argument(
-        "suite", nargs="?",
-        choices=["hotpaths", "plans", "sampling", "service", "query"],
-        default="hotpaths",
-        help="which benchmark suite to run (default: hotpaths)",
+        "suite", choices=["plans", "sampling", "service", "query"],
+        help="which benchmark suite to run",
     )
     bench.add_argument(
         "--instance-size", type=int, default=60,
-        help="instance size knob for the benchmark workloads",
+        help="plans: instance size knob for the benchmark workloads",
     )
     bench.add_argument(
         "--queries", type=int, default=40,
-        help="number of queries per repeated-query workload",
-    )
-    bench.add_argument(
-        "--repeat", type=int, default=3,
-        help="hotpaths: number of timed repetitions per configuration",
+        help="plans: number of queries per workload",
     )
     bench.add_argument(
         "--rounds", type=int, default=5,
@@ -524,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--output", default=None,
         help=(
             "where to write the JSON report ('-' to skip writing; defaults to "
-            "BENCH_hotpaths.json / BENCH_plans.json per suite)"
+            "BENCH_<suite>.json, e.g. BENCH_plans.json)"
         ),
     )
     bench.add_argument(
@@ -1017,31 +1011,13 @@ def _finish_bench(report, what, check, format_report, write_report, output, out,
 
 
 def _run_bench(args, out, err) -> int:
-    if args.suite == "plans":
-        return _run_bench_plans(args, out, err)
-    if args.suite == "sampling":
-        return _run_bench_sampling(args, out, err)
-    if args.suite == "service":
-        return _run_bench_service(args, out, err)
-    if args.suite == "query":
-        return _run_bench_query(args, out, err)
-    from repro.bench import format_report, run_benchmarks, write_report
-
-    if args.smoke:
-        instance_size, queries, repeat = 12, 6, 1
-    else:
-        instance_size, queries, repeat = args.instance_size, args.queries, args.repeat
-    try:
-        report = run_benchmarks(
-            instance_size=instance_size, num_queries=queries, repeat=repeat
-        )
-    except AssertionError as exc:
-        err.write(f"error: benchmark cross-check failed: {exc}\n")
-        return 1
-    return _finish_bench(
-        report, "hotpath", lambda: None, format_report, write_report,
-        args.output or "BENCH_hotpaths.json", out, err,
-    )
+    runner = {
+        "plans": _run_bench_plans,
+        "sampling": _run_bench_sampling,
+        "service": _run_bench_service,
+        "query": _run_bench_query,
+    }[args.suite]
+    return runner(args, out, err)
 
 
 def _run_bench_plans(args, out, err) -> int:

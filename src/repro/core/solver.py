@@ -382,9 +382,10 @@ class PHomSolver:
         Returns one :class:`PHomResult` per query, identical to calling
         :meth:`solve` in a loop — but the instance-side work (class
         recognition, connectivity, the component split and its probability
-        tables) is performed once and shared across the whole batch, which
-        is the intended entry point for serving many queries against the
-        same probabilistic instance.
+        tables) is memoised on the instance by the first query that needs
+        it and shared across the whole batch, which is the intended entry
+        point for serving many queries against the same probabilistic
+        instance.
 
         Equivalent queries (equal canonical form, see
         :func:`repro.plan.canonical_query_key` — under the default
@@ -394,21 +395,6 @@ class PHomSolver:
         duplicates receive copies of its result.
         """
         queries = [as_query_graph(query) for query in queries]
-        if queries:
-            # Warm the shared instance-side caches once, outside the loop,
-            # so the first query does not pay for them alone (the values are
-            # memoised on the frozen instance graph / the instance itself).
-            graph = instance.graph
-            if graph.num_vertices() > 0:
-                graph_class_of(graph)
-                for cls in (
-                    GraphClass.UNION_TWO_WAY_PATH,
-                    GraphClass.UNION_DOWNWARD_TREE,
-                    GraphClass.UNION_POLYTREE,
-                ):
-                    graph_in_class(graph, cls)
-                if not graph.is_weakly_connected():
-                    instance.connected_components()
         solved: Dict[object, PHomResult] = {}
         results: List[PHomResult] = []
         # Explicit (non-auto) methods dispatch on the query exactly as

@@ -105,26 +105,28 @@ class TestSolveCommand:
 
 class TestBenchCommand:
     def test_bench_smoke_without_writing(self):
-        code, out, _err = run_cli(["bench", "--smoke", "--output", "-"])
+        code, out, _err = run_cli(["bench", "query", "--smoke", "--output", "-"])
         assert code == 0
-        assert "hotpath benchmark" in out
-        assert "solve_many_float" in out
+        assert "query frontend benchmark" in out
+        assert "parse 2WP (3 atoms)" in out
         assert "report written" not in out
 
     def test_bench_writes_report(self, tmp_path):
         target = tmp_path / "bench.json"
-        code, out, _err = run_cli(["bench", "--smoke", "--output", str(target)])
+        code, out, _err = run_cli(["bench", "query", "--smoke", "--output", str(target)])
         assert code == 0
-        assert target.exists()
+        assert f"report written to {target}" in out
         import json
 
         report = json.loads(target.read_text())
-        assert report["benchmark"] == "hotpaths"
-        assert {w["name"] for w in report["workloads"]} == {
-            "labeled-dwt", "connected-2wp", "unlabeled-union-dwt"
-        }
-        for workload in report["workloads"]:
-            assert workload["float_max_abs_error"] <= 1e-9
+        assert report["suite"] == "query"
+        assert [row["shape"] for row in report["parse_fast_path"]] == ["2WP", "DWT", "1WP"]
+        assert all(row["exact_equal"] for row in report["minimization"])
+
+    def test_bench_requires_a_suite(self):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["bench", "--smoke", "--output", "-"])
+        assert exit_info.value.code == 2
 
     def test_failed_gate_prints_the_report_and_writes_no_file(self, tmp_path):
         target = tmp_path / "query.json"

@@ -21,6 +21,7 @@ from repro.numeric import EXACT, FAST, resolve_context
 from repro.probability.prob_graph import ProbabilisticGraph
 from repro.core.solver import PHomSolver, phom_probability
 from repro.workloads import workload_for_cell
+from repro.workloads.generators import attach_random_probabilities, make_instance, make_query
 
 TOLERANCE = 1e-9
 
@@ -38,11 +39,31 @@ TRACTABLE_CELLS = [
 ]
 
 
+#: Routes that serve many queries against one shared instance: labeled 1WP
+#: queries on a downward tree (Prop 4.10), connected labeled queries on a
+#: two-way path (Prop 4.11) and unlabeled tree queries on a union of
+#: downward trees (Props 3.6 / 5.5 with Lemma 3.7).
+BATCH_ROUTES = {
+    "labeled-dwt": (GraphClass.ONE_WAY_PATH, GraphClass.DOWNWARD_TREE, True),
+    "connected-2wp": (GraphClass.TWO_WAY_PATH, GraphClass.TWO_WAY_PATH, True),
+    "unlabeled-union-dwt": (GraphClass.DOWNWARD_TREE, GraphClass.UNION_DOWNWARD_TREE, False),
+}
+
+
 def _workload(query_class, instance_class, labeled, seed, query_size=3, instance_size=12):
     return workload_for_cell(
         query_class, instance_class, labeled, query_size, instance_size,
         rng=random.Random(seed),
     )
+
+
+def _route_batch(route):
+    """A shared instance and six distinct queries of ``route``, the first repeated."""
+    query_class, instance_class, labeled = BATCH_ROUTES[route]
+    rng = random.Random(1)
+    instance = attach_random_probabilities(make_instance(instance_class, labeled, 12, rng), rng)
+    queries = [make_query(query_class, labeled, 2 + index % 3, rng) for index in range(6)]
+    return instance, queries + queries[:1]
 
 
 class TestFloatAgreesWithExact:
@@ -151,16 +172,31 @@ class TestSolveMany:
         assert [r.probability for r in batch] == [r.probability for r in singles]
         assert [r.method for r in batch] == [r.method for r in singles]
 
-    def test_exact_batch_is_bit_identical_to_cold_solver(self):
-        workload = _workload(GraphClass.TWO_WAY_PATH, GraphClass.TWO_WAY_PATH, True, 31)
-        queries = [workload.query] * 3
-        batch = PHomSolver().solve_many(queries, workload.instance)
-        cold_instance = ProbabilisticGraph(
-            workload.instance.graph.copy(), workload.instance.probabilities()
-        )
-        cold = PHomSolver().solve(workload.query, cold_instance)
-        for result in batch:
-            assert result.probability == cold.probability
+    @pytest.mark.parametrize("route", BATCH_ROUTES)
+    def test_exact_batch_is_bit_identical_to_cold_solver(self, route):
+        instance, queries = _route_batch(route)
+        batch = [r.probability for r in PHomSolver().solve_many(queries, instance)]
+        # Every query against a rebuilt instance and a fresh solver: no
+        # memoised instance metadata and no cached plan.
+        cold = [
+            PHomSolver().solve(
+                query, ProbabilisticGraph(instance.graph.copy(), instance.probabilities())
+            ).probability
+            for query in queries
+        ]
+        assert batch == cold
+        assert all(isinstance(p, Fraction) for p in batch)
+        assert any(0 < p < 1 for p in batch)
+
+    @pytest.mark.parametrize("route", BATCH_ROUTES)
+    def test_float_batch_is_within_tolerance_of_exact(self, route):
+        instance, queries = _route_batch(route)
+        solver = PHomSolver()
+        exact = [r.probability for r in solver.solve_many(queries, instance)]
+        fast = [r.probability for r in solver.solve_many(queries, instance, precision="float")]
+        assert all(isinstance(p, float) for p in fast)
+        assert all(abs(float(e) - f) <= TOLERANCE for e, f in zip(exact, fast))
+        assert any(0 < p < 1 for p in exact)
 
     def test_empty_batch(self):
         workload = _workload(GraphClass.ONE_WAY_PATH, GraphClass.DOWNWARD_TREE, True, 41)

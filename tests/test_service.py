@@ -66,13 +66,13 @@ def service(request):
 
 class TestInlineService:
     def test_submit_matches_solver_exactly(self, inline_service):
-        instance = build_instance(1)
+        instance = build_instance(20)
         solver = PHomSolver()
-        for seed in (3, 4):
+        for seed in (30, 35):
             for query in trace_queries(seed, 6):
                 expected = solver.solve(query, instance)
                 got = inline_service.submit(query, instance)
-                assert got.probability == expected.probability
+                assert got.probability == expected.probability != 0
                 assert got.method == expected.method
 
     def test_mixed_precision_in_one_batch(self, inline_service):
@@ -97,10 +97,10 @@ class TestInlineService:
     def test_duplicates_coalesce_before_dispatch(self, inline_service):
         instance = build_instance(3)
         instance_id = inline_service.register_instance(instance)
-        query = trace_queries(7, 1)[0]
+        query = "R(x, y), S(y, z)"
         results = inline_service.submit_many([(query, instance_id)] * 5)
         assert len(results) == 5
-        assert len({str(r.probability) for r in results}) == 1
+        assert [r.probability for r in results] == [Fraction(1, 2)] * 5
         assert [r.coalesced for r in results] == [False, True, True, True, True]
         stats = inline_service.stats()
         assert stats.requests == 5
@@ -167,7 +167,7 @@ class TestInlineService:
     def test_partial_failures_can_be_returned_instead_of_raised(self, inline_service):
         instance = build_instance(91)
         instance_id = inline_service.register_instance(instance)
-        good_query = trace_queries(93, 1)[0]
+        good_query = "R(x, y), S(y, z)"
         results = inline_service.submit_many(
             [
                 ServiceRequest(good_query, instance_id, request_id="ok"),
@@ -176,7 +176,8 @@ class TestInlineService:
             on_error="return",
         )
         assert results[0].error is None
-        assert results[0].probability == PHomSolver().solve(good_query, instance).probability
+        expected = PHomSolver().solve(good_query, instance).probability
+        assert results[0].probability == expected == Fraction(1, 4)
         assert results[1].error is not None and results[1].result is None
         with pytest.raises(ServiceError, match="bad"):
             results[1].probability
@@ -202,15 +203,16 @@ class TestInlineService:
         assert worker["instances"] == ["instance-0"]
 
     def test_replacing_an_instance_id_serves_the_new_instance(self, inline_service):
-        first = build_instance(81)
-        second = build_instance(82)
-        query = trace_queries(83, 1)[0]
+        first = build_instance(5)
+        second = build_instance(6)
+        query = "R(x, y), S(y, z)"
         inline_service.register_instance(first, "shared")
         before = inline_service.submit(query, "shared")
         inline_service.register_instance(second, "shared")
         after = inline_service.submit(query, "shared")
         assert not after.cached
         assert after.probability == PHomSolver().solve(query, second).probability
+        assert (before.probability, after.probability) == (Fraction(1, 4), Fraction(47, 64))
         # The displaced object is no longer known by identity: submitting it
         # registers it fresh under a new id instead of answering from "shared".
         again = inline_service.submit(query, first)
@@ -219,19 +221,21 @@ class TestInlineService:
     def test_inline_worker_holds_its_own_copy(self, inline_service):
         instance = build_instance(85)
         instance_id = inline_service.register_instance(instance)
-        query = trace_queries(87, 1)[0]
+        query = trace_queries(87, 1)[0]  # R(q0, q1), R(q1, q2), R(q2, q3)
         baseline = inline_service.submit(query, instance_id)
+        assert baseline.probability == Fraction(1, 4)
         # A direct mutation of the caller's object must not leak into the
         # worker shard (same semantics as a process pool): answers only
-        # change through update_probability.
-        edge = instance.uncertain_edges()[0]
-        original = instance.probability(edge)
-        instance.set_probability(edge, "1/16" if str(original) != "1/16" else "1/8")
+        # change through update_probability.  This R edge (1/4) moves the
+        # answer.
+        edge = instance.uncertain_edges()[1]
+        instance.set_probability(edge, "1/16")
         unchanged = inline_service.submit(query, instance_id)
         assert unchanged.probability == baseline.probability
         inline_service.update_probability(instance_id, edge, instance.probability(edge))
         updated = inline_service.submit(query, instance_id)
         assert updated.probability == PHomSolver().solve(query, instance).probability
+        assert updated.probability == Fraction(1, 16)
 
     def test_closed_service_rejects_work(self):
         service = QueryService(num_workers=0)
@@ -252,25 +256,27 @@ class TestResultCache:
     def test_result_cache_hits_across_batches(self, service):
         instance = build_instance(5)
         instance_id = service.register_instance(instance)
-        query = trace_queries(9, 1)[0]
+        query = "R(x, y), S(y, z)"
         cold = service.submit(query, instance_id)
         warm = service.submit(query, instance_id)
         assert not cold.cached and warm.cached
-        assert warm.probability == cold.probability
+        assert warm.probability == cold.probability == Fraction(1, 4)
         assert service.stats().result_cache_hits() == 1
 
     def test_update_probability_invalidates_results(self, service):
         instance = build_instance(6)
         instance_id = service.register_instance(instance)
-        query = trace_queries(11, 1)[0]
+        query = "R(x, y), S(y, z)"
         before = service.submit(query, instance_id)
-        edge = instance.uncertain_edges()[0]
+        assert before.probability == Fraction(47, 64)
+        edge = instance.uncertain_edges()[7]  # an R edge at 5/8 that moves the answer
         service.update_probability(instance_id, edge, "1/2")
         # The caller-side registered object is updated too.
         assert str(instance.probability(edge)) == "1/2"
         after = service.submit(query, instance_id)
         assert not after.cached
         assert after.probability == PHomSolver().solve(query, instance).probability
+        assert after.probability == Fraction(11, 16)
 
     def test_pinned_seed_approx_is_reproducible_and_cached(self, service):
         workload = intractable_workload(8, rng=21)
@@ -388,7 +394,7 @@ class TestResultCache:
 
 class TestMultiprocessService:
     def test_exact_answers_bit_identical_to_solve_many(self):
-        instances = [build_instance(s) for s in (31, 32, 33)]
+        instances = [build_instance(s) for s in (20, 110, 116)]
         queries = trace_queries(35, 15)
         solver = PHomSolver()
         with QueryService(num_workers=2) as service:
@@ -399,7 +405,7 @@ class TestMultiprocessService:
             results = service.submit_many(requests)
             for position, query in enumerate(queries):
                 expected = solver.solve(query, instances[position % 3])
-                assert results[position].probability == expected.probability
+                assert results[position].probability == expected.probability != 0
 
     def test_affinity_is_stable_and_spreads_instances(self):
         with QueryService(num_workers=2) as service:
@@ -414,14 +420,15 @@ class TestMultiprocessService:
 
     def test_update_reaches_the_owning_worker(self):
         instance = build_instance(41)
-        query = trace_queries(43, 1)[0]
+        query = "R(x, y), S(y, z)"
         with QueryService(num_workers=2) as service:
             instance_id = service.register_instance(instance)
-            service.submit(query, instance_id)
-            edge = instance.uncertain_edges()[0]
+            before = service.submit(query, instance_id)
+            edge = instance.uncertain_edges()[1]  # an R edge at 1/2 that moves the answer
             service.update_probability(instance_id, edge, "1/3")
             got = service.submit(query, instance_id)
             assert got.probability == PHomSolver().solve(query, instance).probability
+        assert (before.probability, got.probability) == (Fraction(71, 128), Fraction(13, 32))
 
     def test_pinned_seed_estimate_identical_across_worker_counts(self):
         workload = intractable_workload(8, rng=45)
