@@ -42,13 +42,14 @@ overhead, degraded-answer accuracy); ``--max-recovery-ms`` gates on the
 recorded worst-case restart latency.
 
 Every run also records an ``observability`` section: the trace is
-replayed untraced and at trace sample rate 1.0 in interleaved,
-order-alternated rounds, and the report captures the throughput ratio
-(two noise-floor estimators, answers asserted bit-identical, the span
+replayed through an untraced and a rate-1.0 traced inline service side by
+side, tick by tick with the first arm alternating, over 30 rounds, and
+the report captures the median ratio of the arms' process CPU times with
+its 95% interval and half-width (answers asserted bit-identical, the span
 stream validated) plus per-route latency histograms (exact-dp, ddnnf,
 karp-luby, tape-batch) from the telemetry registry.
-``--min-obs-overhead-ratio 0.95`` turns more than 5% tracing overhead
-into a non-zero exit code and
+``--min-obs-overhead-ratio 0.95`` turns a median below 0.95, or a
+half-width of 0.05 or more, into a non-zero exit code and
 ``--trace-out PATH`` keeps the traced replay's span JSONL so
 ``repro trace --validate`` can re-check the same artifact.
 

@@ -42,6 +42,7 @@ import os
 import pickle
 import platform
 import shutil
+import statistics
 import tempfile
 import time
 import warnings
@@ -51,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.bench import BENCH_SEED, _rng, write_report
 from repro.core.solver import PHomSolver
 from repro.obs.metrics import histogram_quantile, merge_snapshots
-from repro.obs.trace import read_trace, validate_trace
+from repro.obs.trace import NULL_TRACER, read_trace, set_tracer, validate_trace
 from repro.graphs.classes import GraphClass
 from repro.graphs.digraph import DiGraph
 from repro.persist import PlanStore
@@ -871,35 +872,160 @@ def _route_latency_section(snapshot: Dict[str, object]) -> Dict[str, object]:
     return {"buckets_ms": bounds, "routes": routes}
 
 
-def _tick_floor_ms(rounds: List[List[float]]) -> float:
-    """Sum of per-tick minimum latencies across several replay rounds.
+#: Rounds of the tracing-overhead measurement (each runs both arms once),
+#: the coverage of the interval around its median ratio, and the largest
+#: half-width that interval may have for the gate to read the median.
+OBS_ROUNDS = 30
+OBS_CONFIDENCE = 0.95
+OBS_MAX_HALF_WIDTH = 0.05
 
-    Per-tick minima filter scheduler jitter tick by tick instead of
-    requiring one fully clean replay, so the sum estimates the noise-free
-    cost of the whole trace far more tightly than a single wall time.
+
+def _median_interval_rank(n: int, confidence: float) -> int:
+    """The rank ``k`` of the distribution-free interval for a median.
+
+    ``[x_(k), x_(n-k+1)]`` of ``n`` sorted samples covers the median with
+    probability ``1 - 2 P(Binomial(n, 1/2) < k)``; ``k`` is the largest
+    rank that keeps that at least ``confidence`` (1 when none does).
     """
-    return sum(min(column) for column in zip(*rounds))
+    k, below = 1, 1  # below = sum of C(n, i) for i < k + 1
+    while k < (n + 1) // 2:
+        below += math.comb(n, k)
+        if 1.0 - 2.0 * below / 2.0 ** n < confidence:
+            break
+        k += 1
+    return k
+
+
+def overhead_interval(
+    untraced_cpu: Sequence[float], traced_cpu: Sequence[float]
+) -> Dict[str, float]:
+    """Tracing overhead from paired per-round CPU times of the two arms.
+
+    Round ``i`` gives the ratio ``untraced_cpu[i] / traced_cpu[i]`` — traced
+    throughput over untraced, 1.0 meaning tracing is free.  The estimate is
+    the median ratio, with a distribution-free :data:`OBS_CONFIDENCE`
+    interval for the median (order statistics of the ratios), so one
+    stalled round widens nothing.  Process CPU time ignores the time other
+    tenants hold the CPU, and pairing the arms within a round cancels slow
+    drift.
+    """
+    if len(untraced_cpu) != len(traced_cpu) or len(untraced_cpu) < 2:
+        raise ValueError("need at least two rounds of paired CPU times")
+    ratios = sorted(u / t for u, t in zip(untraced_cpu, traced_cpu))
+    n = len(ratios)
+    k = _median_interval_rank(n, OBS_CONFIDENCE)
+    low, high = ratios[k - 1], ratios[n - k]
+    middle = n // 2
+    median = ratios[middle] if n % 2 else (ratios[middle - 1] + ratios[middle]) / 2.0
+    return {
+        "rounds": n,
+        "overhead_ratio": median,
+        "ratio_low": low,
+        "ratio_high": high,
+        "half_width": (high - low) / 2.0,
+        "confidence": OBS_CONFIDENCE,
+    }
+
+
+def check_obs_overhead(overhead: Dict[str, float], min_ratio: float) -> None:
+    """Raise AssertionError when tracing costs more than ``min_ratio`` allows.
+
+    ``overhead`` holds the fields of :func:`overhead_interval` (the
+    report's ``observability.overhead`` section does).  The gate fails
+    when the interval's half-width reaches :data:`OBS_MAX_HALF_WIDTH` (too
+    noisy a measurement to judge either way), and otherwise when the
+    median ratio lies below ``min_ratio`` (tracing keeps less than that
+    share of untraced throughput).
+    """
+    half_width = overhead["half_width"]
+    if half_width >= OBS_MAX_HALF_WIDTH:
+        raise AssertionError(
+            f"the tracing-overhead interval is too wide to judge: half-width "
+            f"{half_width:.4f} over {overhead['rounds']} rounds, at most "
+            f"{OBS_MAX_HALF_WIDTH} allowed"
+        )
+    if overhead["overhead_ratio"] < min_ratio:
+        raise AssertionError(
+            f"tracing at sample rate 1.0 kept only {overhead['overhead_ratio']:.4f}x "
+            f"of the untraced throughput ({overhead['confidence']:.0%} interval "
+            f"{overhead['ratio_low']:.4f}-{overhead['ratio_high']:.4f}), below "
+            f"the required {min_ratio}x"
+        )
+
+
+def replay_paired(
+    trace: ServiceTrace, trace_path: str, round_index: int = 0
+) -> Tuple[Tuple[float, float], Tuple[List, List], Dict]:
+    """One round of the tracing-overhead measurement.
+
+    Replays the trace through two inline services side by side, one
+    untraced and one at trace sample rate 1.0, tick by tick: each tick runs
+    on both, the first arm alternating from tick to tick (and from round to
+    round), so both arms see the same machine at the same moment.  The
+    process-wide tracer of the traced service is installed only while its
+    own ticks run.  Returns each arm's process CPU time over its ticks
+    (request construction, updates and ``submit_many``), each arm's
+    answers, and the traced service's metrics snapshot.
+    """
+    cpu = [0.0, 0.0]
+    answers: Tuple[List, List] = ([], [])
+    services = (
+        QueryService(num_workers=0),
+        QueryService(num_workers=0, trace_sample_rate=1.0, trace_path=trace_path),
+    )
+    # The traced service installed its tracer at construction: keep it
+    # aside and hand it back only for the traced arm's work.
+    tracers = (NULL_TRACER, set_tracer(NULL_TRACER))
+    try:
+        for arm, service in enumerate(services):
+            set_tracer(tracers[arm])
+            instances = _fresh_instances(trace)
+            for instance_id in sorted(instances):
+                service.register_instance(instances[instance_id], instance_id)
+        for tick_index, tick in enumerate(trace.ticks):
+            update = trace.updates.get(tick_index)
+            first = (round_index + tick_index) % 2
+            for arm in (first, 1 - first):
+                set_tracer(tracers[arm])
+                start = time.process_time()
+                if update is not None:
+                    services[arm].update_probability(*update)
+                results = services[arm].submit_many(
+                    [
+                        ServiceRequest(
+                            query=request.query,
+                            instance_id=request.instance_id,
+                            precision=request.precision,
+                        )
+                        for request in tick
+                    ]
+                )
+                cpu[arm] += time.process_time() - start
+                answers[arm].extend(result.probability for result in results)
+        snapshot = services[1].metrics_snapshot()
+    finally:
+        set_tracer(tracers[1])
+        services[1].close()  # restores the tracer it replaced
+        services[0].close()
+    return (cpu[0], cpu[1]), answers, snapshot
 
 
 def run_obs_scenario(
-    trace: ServiceTrace, trace_out: Optional[str] = None, rounds: int = 4
+    trace: ServiceTrace, trace_out: Optional[str] = None
 ) -> Dict[str, object]:
     """Measure full-rate tracing overhead and collect per-route latency.
 
-    Replays the main trace inline untraced and at trace sample rate 1.0,
-    interleaved over ``rounds`` rounds, alternating which arm goes first
-    each round so slow clock drift (CPU frequency scaling) cancels
-    instead of consistently penalising one arm.  A single replay is fast
-    enough that machine noise would dominate any one measurement, so the
-    recorded ``overhead_ratio`` — traced throughput over untraced
-    throughput, 1.0 meaning free, gated by ``--min-obs-overhead-ratio``
-    — is the better of two floor estimators: best whole-replay wall time
-    per arm, and the summed per-tick minima (:func:`_tick_floor_ms`).  A
-    real regression depresses both floors together; uncorrelated noise
-    rarely does.  Answers must stay bit-identical and the emitted span
-    stream must validate — no orphan parents, no duplicate span ids.
-    The trace JSONL is kept at ``trace_out`` when given, so CI can run
-    ``repro trace --validate`` on the same artifact.
+    Runs :data:`OBS_ROUNDS` rounds of :func:`replay_paired`: the main
+    trace through an untraced and a traced inline service, interleaved
+    tick by tick with the first arm alternating, each arm timed in this
+    process's CPU time.
+    :func:`overhead_interval` turns the per-round ratios into the recorded
+    ``overhead_ratio`` (the median) and its interval, which
+    ``--min-obs-overhead-ratio`` gates (:func:`check_obs_overhead`).
+    Answers must stay bit-identical and the emitted span stream must
+    validate — no orphan parents, no duplicate span ids.  The trace JSONL
+    is kept at ``trace_out`` when given, so CI can run ``repro trace
+    --validate`` on the same artifact.
     """
     cleanup = trace_out is None
     if trace_out is None:
@@ -908,70 +1034,43 @@ def run_obs_scenario(
     else:
         path = trace_out
     try:
-        plain_seconds = math.inf
-        traced_seconds = math.inf
-        plain_ticks: List[List[float]] = []
-        traced_ticks: List[List[float]] = []
-        plain_answers: Optional[List] = None
-        stats: Dict = {}
-        traced_answers: Optional[List] = None
-
-        def run_plain() -> None:
-            nonlocal plain_seconds, plain_answers
-            seconds, answers, _stats = replay_service(trace, 0)
-            plain_seconds = min(plain_seconds, seconds)
-            plain_ticks.append(_stats["tick_latencies_ms"])
-            if plain_answers is None:
-                plain_answers = answers
-
-        def run_traced() -> None:
-            nonlocal traced_seconds, traced_answers, stats
+        plain_cpu: List[float] = []
+        traced_cpu: List[float] = []
+        for index in range(OBS_ROUNDS):
             # Truncate between rounds so the validated artifact holds
             # exactly one replay's spans.
             open(path, "w").close()
-            seconds, answers, stats = replay_service(
-                trace, 0,
-                trace_sample_rate=1.0, trace_path=path, collect_metrics=True,
+            (plain, traced), (plain_answers, traced_answers), snapshot = replay_paired(
+                trace, path, index
             )
-            traced_seconds = min(traced_seconds, seconds)
-            traced_ticks.append(stats["tick_latencies_ms"])
-            traced_answers = answers
-
-        for i in range(max(2, rounds)):
-            first, second = (run_plain, run_traced) if i % 2 == 0 else (
-                run_traced, run_plain
-            )
-            first()
-            second()
-        if traced_answers != plain_answers:
-            raise AssertionError(
-                "traced replay answers diverged from the untraced run"
-            )
+            if traced_answers != plain_answers:
+                raise AssertionError(
+                    "traced replay answers diverged from the untraced run"
+                )
+            plain_cpu.append(plain)
+            traced_cpu.append(traced)
         records = read_trace(path)
         problems = validate_trace(records)
         if problems:
             raise AssertionError(
                 f"emitted trace failed validation: {problems[:3]}"
             )
-        snapshot = merge_snapshots(
-            [stats["metrics_snapshot"], _route_mix_snapshot()]
-        )
+        snapshot = merge_snapshots([snapshot, _route_mix_snapshot()])
     finally:
         if cleanup:
             os.remove(path)
     roots = sum(1 for record in records if record["parent"] is None)
-    wall_ratio = plain_seconds / traced_seconds
-    floor_ratio = _tick_floor_ms(plain_ticks) / _tick_floor_ms(traced_ticks)
+    interval = overhead_interval(plain_cpu, traced_cpu)
     return {
         "overhead": {
             "sample_rate": 1.0,
             "requests": trace.num_requests(),
-            "rounds": max(2, rounds),
-            "untraced_seconds": round(plain_seconds, 4),
-            "traced_seconds": round(traced_seconds, 4),
-            "wall_ratio": round(wall_ratio, 4),
-            "tick_floor_ratio": round(floor_ratio, 4),
-            "overhead_ratio": round(max(wall_ratio, floor_ratio), 4),
+            "untraced_cpu_seconds": round(statistics.median(plain_cpu), 4),
+            "traced_cpu_seconds": round(statistics.median(traced_cpu), 4),
+            **{
+                name: round(value, 4) if isinstance(value, float) else value
+                for name, value in interval.items()
+            },
             "bit_identical": True,
         },
         "trace": {
@@ -1037,7 +1136,7 @@ def run_service_benchmarks(
 
     scaling = measure_throughput_vs_workers(smoke, worker_counts)
     approx = check_approx_reproducibility(worker_counts)
-    observability = run_obs_scenario(trace, trace_out=trace_out, rounds=8)
+    observability = run_obs_scenario(trace, trace_out=trace_out)
     max_workers = max(worker_counts)
     recovery: Optional[Dict[str, object]] = None
     if faults:
@@ -1183,24 +1282,6 @@ def check_service_thresholds(
                     f"{ratio}x the 1-worker run, below the required "
                     f"{min_worker_scaling}x"
                 )
-    observability = report.get("observability")
-    if observability is not None:
-        if not observability["trace"]["valid"]:
-            raise AssertionError("the emitted trace failed validation")
-        if not observability["overhead"]["bit_identical"]:
-            raise AssertionError("traced answers diverged from untraced")
-        if min_obs_overhead_ratio > 0:
-            ratio = observability["overhead"]["overhead_ratio"]
-            if ratio < min_obs_overhead_ratio:
-                raise AssertionError(
-                    f"tracing at sample rate 1.0 kept only {ratio}x of the "
-                    f"untraced throughput, below the required "
-                    f"{min_obs_overhead_ratio}x"
-                )
-    elif min_obs_overhead_ratio > 0:
-        raise AssertionError(
-            "--min-obs-overhead-ratio requires the observability section"
-        )
     recovery = report.get("service_recovery")
     if recovery is not None:
         if recovery["lost_requests"] != 0:
@@ -1237,6 +1318,19 @@ def check_service_thresholds(
                 raise AssertionError(
                     f"recovery from the injected {case['kind']} fault failed"
                 )
+    # Last, so a noisy overhead reading never hides the verdicts above.
+    observability = report.get("observability")
+    if observability is not None:
+        if not observability["trace"]["valid"]:
+            raise AssertionError("the emitted trace failed validation")
+        if not observability["overhead"]["bit_identical"]:
+            raise AssertionError("traced answers diverged from untraced")
+        if min_obs_overhead_ratio > 0:
+            check_obs_overhead(observability["overhead"], min_obs_overhead_ratio)
+    elif min_obs_overhead_ratio > 0:
+        raise AssertionError(
+            "--min-obs-overhead-ratio requires the observability section"
+        )
 
 
 #: Serialise the report to disk — same format as the other benchmarks.
@@ -1291,7 +1385,10 @@ def format_service_report(report: Dict[str, object]) -> str:
         overhead = observability["overhead"]
         lines.append(
             f"  tracing at rate {overhead['sample_rate']}: "
-            f"{overhead['overhead_ratio']}x of untraced throughput, "
+            f"{overhead['overhead_ratio']}x of untraced throughput "
+            f"(CPU time, {overhead['rounds']} rounds, "
+            f"{overhead['confidence']:.0%} interval {overhead['ratio_low']}-"
+            f"{overhead['ratio_high']}, half-width {overhead['half_width']}), "
             f"{observability['trace']['spans']} span(s) emitted and validated"
         )
         routes = observability["route_latency_ms"]["routes"]

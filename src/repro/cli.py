@@ -503,8 +503,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--min-obs-overhead-ratio", type=float, default=0.0,
         help=(
             "service: fail when the traced replay (trace sample rate 1.0) "
-            "keeps less than this ratio of the untraced throughput "
-            "(0.95 = at most 5%% overhead)"
+            "keeps less than this ratio of the untraced throughput: the "
+            "median per-round CPU-time ratio lies below it, or its interval "
+            "is too wide to judge (0.95 = at most 5%% overhead)"
         ),
     )
     bench.add_argument(

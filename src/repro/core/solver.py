@@ -16,7 +16,7 @@ regenerate the tables.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -37,7 +37,8 @@ from repro.obs.trace import current_tracer
 from repro.probability.brute_force import brute_force_phom, brute_force_phom_over_matches
 from repro.probability.prob_graph import ProbabilisticGraph
 from repro.query.minimize import (
-    normalize as normalize_query,
+    MINIMIZATION_NOTE_PREFIX,
+    normal_form,
     query_core,
     validate_query_graph,
 )
@@ -81,43 +82,43 @@ PrecisionLike = Union[str, NumericContext, None]
 #: (``"R(x, y), S(y, z)"``, parsed by :mod:`repro.query`).
 QueryLike = Union[DiGraph, str]
 
-#: Marker prefix of the minimization provenance in ``PHomResult.notes``
-#: (produced by :meth:`repro.query.NormalizedQuery.describe`).
-MINIMIZATION_NOTE_PREFIX = "query minimized to its homomorphic core"
-
 
 def requalify_result(
     result: "PHomResult", query: DiGraph, minimize: bool = True
 ) -> "PHomResult":
-    """Re-describe a (possibly shared) result for the query actually asked.
+    """A copy of a (possibly shared) result, described for the query asked.
 
     Core-keyed deduplication — :meth:`PHomSolver.solve_many`, the plan
     cache, and the serving layer's coalescing and result cache — lets one
     computation answer several *equivalent* queries.  The probability,
     method and proposition are shared by construction, but the reported
     ``query_class`` and the minimization provenance belong to the
-    individual spelling: this strips any previous spelling's minimization
-    note, restores ``query_class`` to the class of ``query`` as written,
-    and (when ``minimize``) appends ``query``'s own fold provenance.
-    Mutates and returns ``result``.
+    individual spelling: the copy drops any previous spelling's
+    minimization note, reports the class of ``query`` as written, and (when
+    ``minimize``) appends ``query``'s own fold provenance.  Both come from
+    the spelling's :class:`~repro.query.minimize.QueryNormalForm`, so the
+    copy is one constructor call.  ``result`` is left untouched.
     """
     notes = result.notes
     index = notes.find(MINIMIZATION_NOTE_PREFIX)
     if index != -1:
         notes = notes[:index].rstrip().rstrip(";")
-    result.query_class = graph_class_of(query)
     if minimize:
-        try:
-            info = normalize_query(query)
-        except ClassConstraintError:
-            # Degenerate (self-loop-only) queries answered by an explicit
-            # enumeration/sampling method carry no minimization provenance.
-            info = None
-        if info is not None and info.changed:
-            note = info.describe()
-            notes = f"{notes}; {note}" if notes else note
-    result.notes = notes
-    return result
+        form = normal_form(query)
+        query_class = form.query_class
+        if form.note:
+            notes = f"{notes}; {form.note}" if notes else form.note
+    else:
+        query_class = graph_class_of(query)
+    return PHomResult(
+        result.probability,
+        result.method,
+        result.proposition,
+        query_class,
+        result.instance_class,
+        result.labeled,
+        notes,
+    )
 
 
 #: The error for #P-hard cells when neither brute force nor sampling may run.
@@ -402,6 +403,10 @@ class PHomSolver:
         # result there — only the minimizing auto route may dedupe on cores.
         dedupe_on_cores = self.minimize_queries and method == "auto"
         for query in queries:
+            if method == "auto":
+                # A degenerate spelling fails as solve fails it, even when an
+                # equivalent valid spelling is already solved.
+                validate_query_graph(query)
             key = canonical_query_key(query, minimize=dedupe_on_cores)
             cached = solved.get(key)
             if cached is None:
@@ -412,9 +417,7 @@ class PHomSolver:
                 # A copy of the shared computation, re-described for *this*
                 # spelling (its own query class and, on the minimizing auto
                 # route only, its own minimization provenance).
-                results.append(
-                    requalify_result(replace(cached), query, dedupe_on_cores)
-                )
+                results.append(requalify_result(cached, query, dedupe_on_cores))
         return results
 
     #: Explicit method names answered by the samplers (float estimates with
@@ -585,10 +588,9 @@ class PHomSolver:
                 # Approx mode: the #P-hard cell is answered by the Karp–Luby
                 # sampler over the plan's match lineage, not by enumeration.
                 estimate = plan.estimate(params=approx)
-                result = self._plan_result(plan, estimate.value)
-                result.method = "karp-luby"
-                result.notes = estimate.describe()
-                return self._annotate_minimization(result, query)
+                return self._annotate_minimization(
+                    plan, estimate.value, query, "karp-luby", estimate.describe()
+                )
             if not self.allow_brute_force:
                 # Reached on approx-mode solvers answering an exact per-call
                 # precision override; cached-plan cross-talk is already
@@ -602,30 +604,39 @@ class PHomSolver:
             probability = plan.evaluate(precision=context, _warn=False)
         else:
             probability = plan.evaluate(precision=context)
-        return self._annotate_minimization(self._plan_result(plan, probability), query)
+        return self._annotate_minimization(plan, probability, query)
 
-    def _annotate_minimization(self, result: PHomResult, query: DiGraph) -> PHomResult:
-        """Report a minimized solve against the *original* query.
+    def _annotate_minimization(
+        self,
+        plan: CompiledPlan,
+        probability: Number,
+        query: DiGraph,
+        method: Optional[str] = None,
+        notes: Optional[str] = None,
+    ) -> PHomResult:
+        """The result of an auto solve, reported against the *original* query.
 
-        The plan (and therefore ``result``) describes the homomorphic core
-        the dispatcher actually ran on; when minimization changed the query,
-        the result's ``query_class`` is restored to the class of the query
-        as written and the fold provenance is appended to ``notes``.
+        The plan describes the homomorphic core the dispatcher actually ran
+        on; a minimizing solver reports the ``query_class`` of the query as
+        written and appends its fold provenance to ``notes``, both read off
+        the query's :class:`~repro.query.minimize.QueryNormalForm`.
+        ``method`` and ``notes`` default to the plan's.
         """
-        if not self.minimize_queries:
-            return result
-        return requalify_result(result, query, minimize=True)
-
-    @staticmethod
-    def _plan_result(plan: CompiledPlan, probability: Number) -> PHomResult:
+        query_class = plan.query_class
+        notes = plan.notes if notes is None else notes
+        if self.minimize_queries:
+            form = normal_form(query)
+            query_class = form.query_class
+            if form.note:
+                notes = f"{notes}; {form.note}" if notes else form.note
         return PHomResult(
-            probability=probability,
-            method=plan.method,
-            proposition=plan.proposition,
-            query_class=plan.query_class,
-            instance_class=plan.instance_class,
-            labeled=plan.labeled,
-            notes=plan.notes,
+            probability,
+            plan.method if method is None else method,
+            plan.proposition,
+            query_class,
+            plan.instance_class,
+            plan.labeled,
+            notes,
         )
 
     # ------------------------------------------------------------------

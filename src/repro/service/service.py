@@ -47,15 +47,17 @@ import random
 import time
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.approx import ApproxParams
 from repro.core.solver import PHomResult, PHomSolver, requalify_result
 from repro.exceptions import (
+    ClassConstraintError,
     DeadlineExceededError,
     QueryParseError,
+    ReproError,
     ServiceError,
     ServiceUnavailableError,
 )
@@ -64,6 +66,7 @@ from repro.obs.metrics import MetricsRegistry, counter_total, counter_value, mer
 from repro.obs.trace import NULL_TRACER, Span, Tracer, set_tracer
 from repro.persist import PlanStore, WriteAheadLog
 from repro.probability.prob_graph import ProbabilisticGraph
+from repro.query.minimize import validate_query_graph
 from repro.service.faults import DiskFaultInjector, FaultPlan, epsilon_for_budget
 from repro.service.requests import ServiceRequest, ServiceResult
 from repro.service.worker import WorkerState, handle_message, worker_loop
@@ -878,24 +881,30 @@ class QueryService:
         for position, entry in enumerate(requests):
             try:
                 normalized.append(self._normalize(entry))
-            except (ServiceError, QueryParseError) as exc:
-                if on_error == "raise":
+            except (ServiceError, QueryParseError, ClassConstraintError) as exc:
+                # A degenerate auto spelling fails as the solver fails it:
+                # with the worker's "Type: detail" message, and in the raising
+                # mode through the batch's ServiceError below.
+                degenerate = isinstance(exc, ClassConstraintError)
+                if on_error == "raise" and not degenerate:
                     raise
                 # A request that cannot even be normalised (unknown instance,
-                # bad entry shape, unparsable query text) becomes an error
-                # outcome in place.
+                # bad entry shape, unparsable query text, a degenerate auto
+                # spelling, a sampling contract outside (0, 1)) becomes an
+                # error outcome in place.
                 normalized.append(None)
                 request_id = (
                     entry.request_id if isinstance(entry, ServiceRequest) else None
                 )
+                message = f"{type(exc).__name__}: {exc}" if degenerate else str(exc)
                 answered[position] = (
                     ServiceResult(
                         result=None,
                         request_id=request_id,
-                        error=str(exc),
+                        error=message,
                         error_class=type(exc).__name__,
                     ),
-                    str(exc),
+                    message,
                 )
         # Entries that failed normalization never reach a worker; counting
         # them as requests would inflate dedupe_hit_rate's denominator.
@@ -1044,7 +1053,8 @@ class QueryService:
             self._raise_failures(failures, histories)
 
         # A representative's result is returned as built; a coalesced
-        # duplicate shares its answer, described for its own spelling.
+        # duplicate shares its answer (or its failure), described for its
+        # own spelling.
         results: List[ServiceResult] = []
         for position, source in enumerate(source_of):
             base = answered[source][0]
@@ -1052,17 +1062,24 @@ class QueryService:
                 results.append(base)
                 continue
             request = normalized[position]
-            if base.result is None:
-                results.append(replace(base, request_id=request.request_id))
-            else:
-                results.append(
-                    replace(
-                        base,
-                        result=self._shared(base.result, request),
-                        request_id=request.request_id,
-                        coalesced=True,
-                    )
+            results.append(
+                ServiceResult(
+                    result=(
+                        None if base.result is None else self._shared(base.result, request)
+                    ),
+                    request_id=request.request_id,
+                    worker=base.worker,
+                    cached=base.cached,
+                    coalesced=True,
+                    error=base.error,
+                    error_class=base.error_class,
+                    attempts=base.attempts,
+                    degraded=base.degraded,
+                    timed_out=base.timed_out,
+                    duration_ms=base.duration_ms,
+                    timing=base.timing,
                 )
+            )
         return results
 
     @staticmethod
@@ -1076,11 +1093,22 @@ class QueryService:
         route (explicit methods never minimize and their keys never merge
         spellings), so only they carry minimization provenance.
         """
-        return requalify_result(
-            replace(result), request.query, minimize=request.method == "auto"
-        )
+        return requalify_result(result, request.query, minimize=request.method == "auto")
 
     def _normalize(self, entry: RequestLike) -> ServiceRequest:
+        """The request ``entry`` stands for, checked before it is keyed.
+
+        An auto request's spelling is validated here, once: a degenerate
+        (self-loop-only) one raises
+        :class:`~repro.exceptions.ClassConstraintError`, whatever its batch
+        or the result cache hold.  A request that may sample gets the
+        service's (ε, δ, seed) defaults resolved into it, so coalesce keys,
+        cacheability and the worker all see one concrete contract, and a
+        contract :class:`~repro.approx.ApproxParams` rejects (ε or δ outside
+        (0, 1)) raises :class:`~repro.exceptions.ServiceError`.  Any other
+        request is returned as given: it never samples, and a deadline
+        degrade falls back to the service's δ and seed itself.
+        """
         if isinstance(entry, ServiceRequest):
             if entry.instance_id not in self._instances:
                 raise ServiceError(
@@ -1097,18 +1125,30 @@ class QueryService:
                 "submit_many entries must be ServiceRequest objects or "
                 "(query, instance) pairs"
             )
-        # Resolve the service-level sampling defaults into the request, so
-        # coalesce keys, cacheability and the worker all see one concrete
-        # (ε, δ, seed) contract.
+        if request.method == "auto":
+            validate_query_graph(request.query)
+        if not request.may_sample(self.default_precision):
+            return request
+        try:
+            params = ApproxParams(
+                self.default_epsilon if request.epsilon is None else request.epsilon,
+                self.default_delta if request.delta is None else request.delta,
+                self.default_seed if request.seed is None else request.seed,
+            )
+        except (ReproError, TypeError) as exc:
+            raise ServiceError(str(exc)) from exc
         if request.epsilon is None or request.delta is None or request.seed is None:
-            request = replace(
-                request,
-                epsilon=(
-                    request.epsilon if request.epsilon is not None
-                    else self.default_epsilon
-                ),
-                delta=request.delta if request.delta is not None else self.default_delta,
-                seed=request.seed if request.seed is not None else self.default_seed,
+            request = ServiceRequest(
+                query=request.query,
+                instance_id=request.instance_id,
+                method=request.method,
+                precision=request.precision,
+                epsilon=params.epsilon,
+                delta=params.delta,
+                seed=params.seed,
+                request_id=request.request_id,
+                deadline_ms=request.deadline_ms,
+                on_deadline=request.on_deadline,
             )
         return request
 
@@ -1170,7 +1210,15 @@ class QueryService:
                 cache_key = fills.get(position)
                 if cache_key is not None:
                     # A copy: the caller may mutate the result it is handed.
-                    self._results[cache_key] = replace(result)
+                    self._results[cache_key] = PHomResult(
+                        result.probability,
+                        result.method,
+                        result.proposition,
+                        result.query_class,
+                        result.instance_class,
+                        result.labeled,
+                        result.notes,
+                    )
                     if len(self._results) > self._result_cache_size:
                         self._results.popitem(last=False)
                 if self.slow_query_ms is not None and duration_ms >= self.slow_query_ms:

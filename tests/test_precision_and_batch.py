@@ -14,7 +14,12 @@ from fractions import Fraction
 
 import pytest
 
-from repro.exceptions import GraphError, IntractableFallbackWarning, ReproError
+from repro.exceptions import (
+    ClassConstraintError,
+    GraphError,
+    IntractableFallbackWarning,
+    ReproError,
+)
 from repro.graphs.classes import GraphClass, graph_class_of
 from repro.graphs.digraph import DiGraph, Edge
 from repro.numeric import EXACT, FAST, resolve_context
@@ -201,6 +206,28 @@ class TestSolveMany:
     def test_empty_batch(self):
         workload = _workload(GraphClass.ONE_WAY_PATH, GraphClass.DOWNWARD_TREE, True, 41)
         assert PHomSolver().solve_many([], workload.instance) == []
+
+    @pytest.mark.parametrize(
+        "texts",
+        [["R(x, x), R(x, y)", "R(x, x)"], ["R(x, x)", "R(x, x), R(x, y)"]],
+        ids=["mixed-first", "loop-first"],
+    )
+    def test_a_self_loop_spelling_fails_as_solve_fails_it(self, texts):
+        # The self-loop-only spelling shares its core with the mixed one.
+        graph = DiGraph(edges=[("a", "a", "R"), ("a", "b", "R")])
+        instance = ProbabilisticGraph(graph, {("a", "a"): "1/2", ("a", "b"): "1/3"})
+        solver = PHomSolver()
+        with pytest.raises(ClassConstraintError, match="self-loop"):
+            solver.solve("R(x, x)", instance)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ClassConstraintError, match="self-loop"):
+                solver.solve_many(texts, instance)
+            (mixed,) = solver.solve_many(["R(x, x), R(x, y)"], instance)
+        assert mixed.probability == Fraction(1, 2)
+        # explicit methods never classify, so they answer it
+        explicit = solver.solve_many(texts, instance, method="brute-force-worlds")
+        assert [r.probability for r in explicit] == [Fraction(1, 2)] * 2
 
 
 class TestEdgeOrdering:

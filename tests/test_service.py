@@ -11,13 +11,14 @@ from __future__ import annotations
 import io
 import json
 import pickle
+import warnings
 from fractions import Fraction
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.core.solver import PHomSolver
-from repro.exceptions import GraphError, QueryParseError, ServiceError
+from repro.exceptions import ClassConstraintError, GraphError, QueryParseError, ServiceError
 from repro.graphs.builders import one_way_path
 from repro.graphs.classes import GraphClass
 from repro.graphs.digraph import DiGraph, Edge
@@ -390,6 +391,116 @@ class TestResultCache:
         assert hit.cached and hit.probability == computed.probability
         assert computed.probability == Fraction(199, 256)
         assert stats.deadline_hits == 1 and stats.result_cache_hits() == 1
+
+
+def self_loop_instance() -> ProbabilisticGraph:
+    """R-edges a -> a (1/2) and a -> b (1/3)."""
+    graph = DiGraph(edges=[("a", "a", "R"), ("a", "b", "R")])
+    return ProbabilisticGraph(graph, {("a", "a"): "1/2", ("a", "b"): "1/3"})
+
+
+class TestRequestValidation:
+    """Checks made once per request, before it is keyed: inline and pooled."""
+
+    LOOP, MIXED = "R(x, x)", "R(x, x), R(x, y)"
+
+    def loop_error(self):
+        with pytest.raises(ClassConstraintError) as caught:
+            PHomSolver().solve(self.LOOP, self_loop_instance())
+        return f"ClassConstraintError: {caught.value}"
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["loop-first", "mixed-first"])
+    def test_a_self_loop_spelling_fails_in_any_batch_order(self, service, order):
+        instance = self_loop_instance()
+        instance_id = service.register_instance(instance, "loops")
+        texts = [(self.LOOP, self.MIXED)[i] for i in order]
+        outcomes = service.submit_many(
+            [ServiceRequest(text, instance_id) for text in texts], on_error="return"
+        )
+        by_text = dict(zip(texts, outcomes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert PHomSolver().solve(self.MIXED, instance).probability == Fraction(1, 2)
+        assert by_text[self.MIXED].probability == Fraction(1, 2)
+        assert not by_text[self.MIXED].coalesced
+        failed = by_text[self.LOOP]
+        assert failed.result is None and not failed.coalesced
+        assert failed.error_class == "ClassConstraintError"
+        assert failed.error == self.loop_error()
+        stats = service.stats()
+        assert (stats.requests, stats.rejected, stats.coalesced) == (1, 1, 0)
+
+    def test_a_self_loop_spelling_is_never_a_cache_hit(self, service):
+        instance_id = service.register_instance(self_loop_instance(), "loops")
+        assert service.submit(self.MIXED, instance_id).probability == Fraction(1, 2)
+        outcome = service.submit_many(
+            [ServiceRequest(self.LOOP, instance_id)], on_error="return"
+        )[0]
+        assert outcome.result is None and not outcome.cached
+        assert outcome.error == self.loop_error()
+        assert service.stats().result_cache_hits() == 0
+
+    def test_raising_mode_still_raises_a_service_error(self, service):
+        instance_id = service.register_instance(self_loop_instance(), "loops")
+        with pytest.raises(ServiceError, match="#0: ClassConstraintError: the query"):
+            service.submit_many(
+                [ServiceRequest(self.LOOP, instance_id), ServiceRequest(self.MIXED, instance_id)]
+            )
+
+    def test_explicit_methods_still_answer_a_self_loop_spelling(self, service):
+        instance = self_loop_instance()
+        instance_id = service.register_instance(instance, "loops")
+        outcome = service.submit(self.LOOP, instance_id, method="brute-force-worlds")
+        expected = PHomSolver().solve(self.LOOP, instance, method="brute-force-worlds")
+        assert outcome.probability == expected.probability == Fraction(1, 2)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epsilon", 0.0), ("epsilon", -1.0), ("epsilon", float("nan")), ("delta", 2.0)],
+    )
+    def test_a_bad_sampling_contract_fails_before_dispatch(self, service, field, value):
+        workload = intractable_workload(6, rng=31)
+        instance_id = service.register_instance(workload.instance, "hard")
+        request = ServiceRequest(
+            workload.query, instance_id, precision="approx", seed=5, **{field: value}
+        )
+        outcome = service.submit_many([request], on_error="return")[0]
+        assert outcome.result is None and outcome.error_class == "ServiceError"
+        assert outcome.error == f"{field} must lie in (0, 1), got {value!r}"
+        assert service.stats().dispatched == 0
+        with pytest.raises(ServiceError, match=f"{field} must lie in"):
+            service.submit_many([request])
+        # an exact request ignores the sampling fields
+        exact = ServiceRequest(workload.query, instance_id, **{field: value})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert service.submit_many([exact])[0].result is not None
+
+    def test_a_non_numeric_sampling_contract_fails_in_place(self, service):
+        workload = intractable_workload(6, rng=31)
+        instance_id = service.register_instance(workload.instance, "hard")
+        request = ServiceRequest(
+            workload.query, instance_id, precision="approx", epsilon="0.1"
+        )
+        outcome = service.submit_many([request], on_error="return")[0]
+        assert outcome.result is None and outcome.error_class == "ServiceError"
+        assert service.stats().dispatched == 0
+
+    @pytest.mark.parametrize("workers", [0, 1], ids=["inline", "pool"])
+    def test_a_failed_coalesced_duplicate_reads_coalesced(self, workers):
+        workload = intractable_workload(6, rng=32)
+        with QueryService(num_workers=workers, allow_brute_force=False) as service:
+            instance_id = service.register_instance(workload.instance, "hard")
+            outcomes = service.submit_many(
+                [ServiceRequest(workload.query, instance_id, request_id=f"r{i}") for i in range(2)],
+                on_error="return",
+            )
+            assert service.stats().coalesced == 1
+        first, second = outcomes
+        assert first.error_class == second.error_class == "ClassConstraintError"
+        assert first.error == second.error
+        assert (first.request_id, second.request_id) == ("r0", "r1")
+        assert not first.coalesced and second.coalesced
 
 
 class TestMultiprocessService:

@@ -12,8 +12,17 @@ from __future__ import annotations
 
 import io
 import json
+import random
 
 import pytest
+
+from repro.bench_service import (
+    build_service_trace,
+    check_obs_overhead,
+    check_service_thresholds,
+    overhead_interval,
+    run_obs_scenario,
+)
 
 from repro.cli import main as cli_main
 from repro.core.solver import PHomSolver
@@ -404,3 +413,92 @@ class TestObsCli:
         )
         assert code == 0
         assert "exact-dp" in out
+
+
+class TestOverheadEstimator:
+    """The tracing-overhead gate of the service benchmark, on synthetic arms.
+
+    Each round pairs one untraced and one traced CPU time; the machine's
+    speed drifts between rounds and each arm carries 1% noise.
+    """
+
+    @staticmethod
+    def arms(slowdown, rounds=20, noise=0.01, seed=5):
+        rng = random.Random(seed)
+        untraced, traced = [], []
+        for _ in range(rounds):
+            base = rng.uniform(0.08, 0.12)  # drift between rounds
+            untraced.append(base * (1 + rng.uniform(-noise, noise)))
+            traced.append(base * slowdown * (1 + rng.uniform(-noise, noise)))
+        return untraced, traced
+
+    def test_equal_arms_pass(self):
+        overhead = overhead_interval(*self.arms(1.0))
+        assert overhead["ratio_low"] <= 1.0 <= overhead["ratio_high"]
+        assert overhead["half_width"] < 0.02
+        check_obs_overhead(overhead, 0.95)
+
+    @pytest.mark.parametrize("slowdown", [1.07, 1.10])
+    def test_a_slower_traced_arm_fails(self, slowdown):
+        overhead = overhead_interval(*self.arms(slowdown))
+        assert overhead["overhead_ratio"] < 0.95
+        with pytest.raises(AssertionError, match="below the required 0.95x"):
+            check_obs_overhead(overhead, 0.95)
+
+    def test_the_median_is_gated_not_the_interval_high_end(self):
+        # 7% overhead at the median, spread so the interval reaches 0.95
+        untraced = [1.0] * 30
+        traced = [1.0 / (0.88 + 0.11 * i / 29) for i in range(30)]
+        overhead = overhead_interval(untraced, traced)
+        assert overhead["overhead_ratio"] == pytest.approx(0.935)
+        assert overhead["ratio_high"] > 0.95 and overhead["half_width"] < 0.05
+        with pytest.raises(AssertionError, match="below the required 0.95x"):
+            check_obs_overhead(overhead, 0.95)
+
+    def test_a_stalled_round_does_not_widen_the_interval(self):
+        untraced, traced = self.arms(1.0)
+        clean = overhead_interval(untraced, traced)
+        traced[3] *= 4  # one round stalled by another tenant
+        stalled = overhead_interval(untraced, traced)
+        assert stalled["half_width"] < 0.02
+        check_obs_overhead(stalled, 0.95)
+        assert abs(stalled["overhead_ratio"] - clean["overhead_ratio"]) < 0.01
+
+    def test_too_noisy_a_measurement_fails(self):
+        overhead = overhead_interval(*self.arms(1.0, noise=0.3))
+        assert overhead["half_width"] >= 0.05
+        with pytest.raises(AssertionError, match="too wide"):
+            check_obs_overhead(overhead, 0.95)
+
+    def test_the_interval_is_the_median_order_statistics(self):
+        untraced = [1.0] * 20
+        traced = [1.0 / (0.80 + 0.01 * i) for i in range(20)]
+        overhead = overhead_interval(untraced, traced)
+        # ranks 6 and 15 of 20 cover the median with probability 95.9%
+        assert overhead["ratio_low"] == pytest.approx(0.85)
+        assert overhead["ratio_high"] == pytest.approx(0.94)
+        assert overhead["overhead_ratio"] == pytest.approx(0.895)
+        assert overhead["rounds"] == 20
+
+    def test_the_benchmark_gate_reads_the_recorded_section(self, tmp_path):
+        trace = build_service_trace(1, 4, 12, 6, 1.1, size_factor=0.5)
+        observability = run_obs_scenario(trace, str(tmp_path / "spans.jsonl"))
+        overhead = observability["overhead"]
+        assert overhead["rounds"] == 30 and overhead["bit_identical"]
+        assert overhead["ratio_low"] <= overhead["overhead_ratio"] <= overhead["ratio_high"]
+        report = {
+            "summary": {
+                "exact_bit_identical": True,
+                "approx_seed_reproducible": True,
+                "speedup_at_max_workers": 1.0,
+                "max_workers": 1,
+            },
+            "modes": {},
+        }
+        check_service_thresholds(dict(report, observability=observability))
+        slow = dict(overhead, overhead_ratio=0.9, half_width=0.01)
+        with pytest.raises(AssertionError, match="below the required 0.95x"):
+            check_service_thresholds(
+                dict(report, observability=dict(observability, overhead=slow)),
+                min_obs_overhead_ratio=0.95,
+            )
