@@ -13,6 +13,7 @@ as
                                      [--min-interval-match-speedup U]
                                      [--min-live-speedup T]
                                      [--min-repeated-lane-speedup S]
+                                     [--min-what-if-speedup W]
 
 or through the CLI as ``repro bench plans``.  The recorded artefact,
 ``BENCH_plans.json``, is checked into the repository root and tracks the
@@ -29,7 +30,9 @@ Proposition 4.11's bitset interval matching versus the X-property sweep,
 a live ``plan.evaluate()`` catch-up after one ``set_probability``
 versus a full tape replay (the ``live`` row), and a batch of 256 lanes
 drawn from 8 tables versus 256 distinct lanes (the tape row's
-``repeated`` point).  Every row is timed by :func:`repro.bench.time_sides`.
+``repeated`` point), and a one-lane what-if ``plan.evaluate`` on the
+``live`` row's union instance versus a full tape replay of the same
+table (the ``what_if`` row).  Every row is timed by :func:`repro.bench.time_sides`.
 The ``--min-*-speedup`` flags turn regressions into a non-zero exit code,
 which CI uses as a smoke gate.
 """

@@ -19,6 +19,10 @@ module measures exactly that, plus the incremental single-edge update path:
   ``instance.set_probability`` followed by ``plan.evaluate()``, which
   catches the plan's live session up with the change, versus the same
   change followed by a full tape replay, in exact and float mode;
+* ``what_if`` — on the ``live`` row's union instance, a one-lane override
+  ``plan.evaluate(probabilities=...)``, which starts from the plan's live
+  session, versus a full tape replay of the same table, in exact and float
+  mode;
 * ``tape_batch`` — a batch of probability valuations answered in one
   vectorized pass over the plan's flat tape
   (:meth:`repro.plan.CompiledPlan.evaluate_many`, see :mod:`repro.tape`)
@@ -624,6 +628,73 @@ def measure_live(
     return row
 
 
+#: Edges a ``what_if`` lane overrides, as in the repository benchmark's
+#: what-if calls.
+WHAT_IF_OVERRIDES = 3
+
+
+def measure_what_if(workload: PlanWorkload, repeats: int = 20) -> Dict[str, object]:
+    """A one-lane override ``plan.evaluate`` vs ``PlanTape.evaluate`` of the same table.
+
+    The lane sets :data:`WHAT_IF_OVERRIDES` uncertain edges to ``k/16``
+    (keyed by endpoints, as serving requests are) on the plan of the
+    workload's first query, whose live session is bound first, as on a
+    hot serving plan.  The other side replays the whole tape over the live
+    table with the same overrides applied, built afresh for every call
+    and off the clock.  Before timing, the two answers must be
+    bit-identical (``repr`` and type) in each precision, and so must the
+    last answers of the timed calls.
+    """
+    instance = workload.instance
+    plan = PHomSolver(**workload.solver_kwargs).compile(workload.queries[0], instance)
+    tape = plan.tape()
+    rng = _rng(29)
+    edges = instance.uncertain_edges() or instance.edges()
+    overrides = {
+        (edge.source, edge.target): Fraction(rng.randint(1, 15), 16)
+        for edge in rng.sample(edges, min(WHAT_IF_OVERRIDES, len(edges)))
+    }
+    row: Dict[str, object] = {
+        "name": workload.name,
+        "description": workload.description,
+        "tape_ops": tape.num_ops(),
+        "overrides": len(overrides),
+    }
+    for precision in ("exact", "float"):
+        context = resolve_context(precision)
+
+        def full_table() -> Dict[Edge, object]:
+            table = dict(context.instance_probabilities(instance))
+            for (source, target), value in overrides.items():
+                table[instance.graph.get_edge(source, target)] = context.convert(value)
+            return table
+
+        plan.evaluate(precision=context)
+        answers = [plan.evaluate(overrides, context), tape.evaluate(full_table(), context)]
+        timings = time_sides(
+            {
+                "full": lambda table: tape.evaluate(table, context),
+                "what_if": lambda: plan.evaluate(overrides, context),
+            },
+            rounds=repeats,
+            prepare={"full": full_table},
+        )
+        answers += [timings["what_if"].result, timings["full"].result]
+        if len({(type(value), repr(value)) for value in answers}) != 1:
+            raise AssertionError(
+                f"{precision} what-if plan.evaluate diverged from a full tape "
+                f"replay of the same table on {workload.name}"
+            )
+        what_if_best, full_best = timings["what_if"].best, timings["full"].best
+        row[precision] = {
+            "full_replay_us": round(full_best * 1e6, 2),
+            "what_if_us": round(what_if_best * 1e6, 2),
+            "speedup": round(full_best / what_if_best, 2) if what_if_best > 0 else float("inf"),
+        }
+    row["bit_identical"] = True
+    return row
+
+
 def run_live_benchmark(instance_size: int, changes: int) -> Dict[str, object]:
     """The ``live`` row: every route's workload plus the union instance."""
     routes = [
@@ -774,6 +845,7 @@ def run_plan_benchmarks(
     ]
     incremental = run_incremental_benchmark(max(instance_size // 2, 6), updates)
     live = run_live_benchmark(instance_size, updates)
+    what_if = measure_what_if(_live_union_workload())
     tape_batch = run_tape_benchmark(instance_size)
     return {
         "benchmark": "plans",
@@ -791,6 +863,7 @@ def run_plan_benchmarks(
         "workloads": workload_reports,
         "incremental": incremental,
         "live": live,
+        "what_if": what_if,
         "tape": tape_batch,
         "summary": {
             "min_plan_reuse_speedup": min(
@@ -800,6 +873,7 @@ def run_plan_benchmarks(
             "live_union_speedup": min(
                 live["union"][precision]["speedup"] for precision in ("exact", "float")
             ),
+            "what_if_speedup": what_if["float"]["speedup"],
             "tape_batched_speedup": tape_batch["batched_speedup"],
             "repeated_lane_speedup": tape_batch["repeated"]["speedup"],
             "min_exact_tape_speedup": min(
@@ -836,6 +910,7 @@ def check_plan_thresholds(
     min_interval_match_speedup: float = 0.0,
     min_live_speedup: float = 0.0,
     min_repeated_lane_speedup: float = 0.0,
+    min_what_if_speedup: float = 0.0,
 ) -> None:
     """Raise AssertionError when a recorded speedup falls below a threshold."""
     summary = report["summary"]
@@ -894,6 +969,13 @@ def check_plan_thresholds(
             f"a float batch drawn from {REPEATED_TABLES} tables is {repeated}x "
             f"faster than the same number of distinct lanes, below the required "
             f"{min_repeated_lane_speedup}x"
+        )
+    what_if = summary["what_if_speedup"]
+    if what_if < min_what_if_speedup:
+        raise AssertionError(
+            f"a float what-if plan.evaluate on the union instance is {what_if}x "
+            f"faster than a full tape replay of the same table, below the "
+            f"required {min_what_if_speedup}x"
         )
 
 
@@ -954,6 +1036,16 @@ def format_plan_report(report: Dict[str, object]) -> str:
                 for precision in ("exact", "float")
             )
         )
+    what_if = report["what_if"]
+    lines.append(
+        f"  what-if: {what_if['name']} ({what_if['tape_ops']} ops, "
+        f"{what_if['overrides']} overrides) "
+        + ", ".join(
+            f"{precision} {what_if[precision]['full_replay_us']} -> "
+            f"{what_if[precision]['what_if_us']} us ({what_if[precision]['speedup']}x)"
+            for precision in ("exact", "float")
+        )
+    )
     tape = report["tape"]
     lines.append(f"  tape: {tape['description']} ({tape['backend']} backend)")
     for point in tape["tape_batch"]:
@@ -995,5 +1087,9 @@ def format_plan_report(report: Dict[str, object]) -> str:
     lines.append(
         f"  live catch-up speedup over a full replay (union instance): "
         f"{summary['live_union_speedup']}x"
+    )
+    lines.append(
+        f"  float what-if speedup over a full replay (union instance): "
+        f"{summary['what_if_speedup']}x"
     )
     return "\n".join(lines)

@@ -428,6 +428,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench.add_argument(
+        "--min-what-if-speedup", type=float, default=0.0,
+        help=(
+            "plans: fail when a float one-lane what-if plan.evaluate on the "
+            "union instance is less than this many times faster than a full "
+            "tape replay of the same table"
+        ),
+    )
+    bench.add_argument(
         "--min-sampling-speedup", type=float, default=0.0,
         help=(
             "sampling: fail when the Karp-Luby speedup over brute force on the "
@@ -1057,6 +1065,7 @@ def _run_bench_plans(args, out, err) -> int:
             min_interval_match_speedup=args.min_interval_match_speedup,
             min_live_speedup=args.min_live_speedup,
             min_repeated_lane_speedup=args.min_repeated_lane_speedup,
+            min_what_if_speedup=args.min_what_if_speedup,
         ),
         format_plan_report, write_plan_report, args.output or "BENCH_plans.json", out, err,
     )

@@ -43,8 +43,13 @@ Plans capture *structure only*, so:
   nothing changed).  A session rebinds with one full replay when the
   bounded log no longer reaches back to it, and an exact session when a
   new denominator does not divide its ``D``.  Sessions are process-local:
-  pickles and :meth:`~CompiledPlan.rebind` drop them, and override tables
-  never touch them;
+  pickles and :meth:`~CompiledPlan.rebind` drop them.  Override tables
+  (``evaluate(probabilities=...)`` and :meth:`~CompiledPlan.evaluate_many`)
+  start from the live session of their precision: they read it, may bind
+  it or rebind it (an exact lane whose denominators do not divide ``D``,
+  and which replays only part of the tape, rebinds it over the lcm of the
+  live table and that lane), and never write its registers, so the live
+  answer after them replays nothing;
 * the what-if table of :meth:`~CompiledPlan.update` is a copy of the
   instance, seeded once, which a session of its own follows exactly as the
   live sessions follow the instance: later ``set_probability`` changes to
@@ -78,7 +83,7 @@ from repro.obs.trace import current_tracer
 from repro.probability.brute_force import brute_force_phom
 from repro.probability.prob_graph import ProbabilisticGraph, as_probability
 from repro.query.minimize import normal_form, spelling_key
-from repro.tape import ScaledContext, TapeEvaluator, compile_plan_tape
+from repro.tape import ScaledContext, TapeEvaluator, _require_mapping, compile_plan_tape
 
 PrecisionLike = Union[str, NumericContext, None]
 
@@ -194,28 +199,22 @@ class CompiledPlan:
         when it has no tape: the session binds on its first call, and later
         calls replay only the operations downstream of the edges set since
         the previous call (see the invalidation contract in
-        :mod:`repro.plan`).  An override table replays the whole tape as
-        a batch of one lane over the live table (exact mode on integer
-        registers, see :meth:`evaluate_many`) and never touches the
-        sessions.  The ``plan.evaluate`` span records the ``path`` taken
-        (``direct``, ``bind``, ``catch_up`` or, with overrides, ``replay``)
-        and, on the tape paths, the ``ops`` replayed.
+        :mod:`repro.plan`).  An override table is one lane started from
+        that session, caught up first: a copy of its registers takes the
+        overridden inputs and replays the operations reading them, or the
+        whole tape when those are more than
+        :data:`~repro.tape.FULL_REPLAY_FRACTION` of it (see
+        :meth:`evaluate_many`).  A lane reads the session and may bind or
+        rebind it, never writes its registers, so a live call after it
+        replays nothing.  The ``plan.evaluate`` span records the ``path``
+        taken (``direct``, ``bind``, ``catch_up`` or, with overrides,
+        ``replay``) and, on the tape paths, the ``ops`` replayed.
         """
         with current_tracer().span("plan.evaluate") as span:
             if span:
                 span.attrs["method"] = self.method
             context = self._context(precision)
-            sessions = self._live_sessions
-            if probabilities is not None:
-                tape = self.tape()
-                lanes, _assignment = tape._distinct_lanes(
-                    [self._resolve_overrides(probabilities, context)]
-                )
-                (value,) = tape._run_lanes(
-                    context.instance_probabilities(self.instance), lanes, context
-                )
-                path, ops = "replay", tape.num_ops()
-            elif sessions is None and self._tape is None:
+            if probabilities is None and self._live_sessions is None and self._tape is None:
                 # Score, select, then build: a first live call runs the
                 # kernels, and only a plan used again is lowered.
                 self._live_sessions = {}
@@ -223,18 +222,29 @@ class CompiledPlan:
                 if span:
                     span.attrs["path"] = "direct"
                 return value
-            else:
-                if sessions is None:
-                    sessions = self._live_sessions = {}
-                session = sessions.get(context.name)
-                if session is None:
-                    session = sessions[context.name] = TapeEvaluator(self.tape())
-                value = session.follow(self.instance, context)
-                path, ops = session.path, session.replayed
+            tape = self.tape()
+            if probabilities is not None:
+                lane = tape._lane(probabilities, self.instance, context.convert)
+            session = self._live_session(context)
+            value = session.follow(self.instance, context)
+            path, ops = session.path, session.replayed
+            if probabilities is not None:
+                (value,), replayed = tape._run_lanes(session, [lane])
+                path, ops = "replay", ops + replayed
             if span:
                 span.attrs["path"] = path
                 span.attrs["ops"] = ops
             return value
+
+    def _live_session(self, context: NumericContext) -> TapeEvaluator:
+        """The live session of ``context``'s precision (made on first use, not followed)."""
+        sessions = self._live_sessions
+        if sessions is None:
+            sessions = self._live_sessions = {}
+        session = sessions.get(context.name)
+        if session is None:
+            session = sessions[context.name] = TapeEvaluator(self.tape())
+        return session
 
     def _evaluate_direct(self, context: NumericContext) -> Number:
         """The kernels run once over the live table, without a tape."""
@@ -296,10 +306,13 @@ class CompiledPlan:
         resolved once however often it repeats, and entries that set the
         edges the tape reads to the same values (``None`` and ``{}``,
         ``Edge`` and ``(source, target)`` keys, equal mappings) share one
-        lane and one result object.  The ``tape.evaluate`` span records
-        the entries in ``batch`` and the lanes run in ``distinct``.
-        Exact-mode results are bit-identical to looped :meth:`evaluate`
-        calls, and float results equal them.
+        lane and one result object.  Every lane starts from the
+        precision's live session, caught up first, as an override table of
+        :meth:`evaluate` does; several float lanes run one vectorized pass
+        seeded from its input registers.  The ``tape.evaluate`` span
+        records the entries in ``batch`` and the lanes run in
+        ``distinct``.  Exact-mode results are bit-identical to looped
+        :meth:`evaluate` calls, and float results equal them.
         """
         batches = list(batches)
         context = self._context(precision)
@@ -308,25 +321,16 @@ class CompiledPlan:
             if span:
                 span.attrs["batch"] = len(batches)
                 span.attrs["method"] = self.method
-            # Deltas against the live table, not full per-valuation copies:
-            # the per-entry setup cost scales with the overridden edges.
-            resolved: Dict[int, Optional[Dict[Edge, Number]]] = {}
-            deltas = []
-            for entry, overrides in enumerate(batches):
-                key = id(overrides)
-                if key not in resolved:
-                    resolved[key] = (
-                        None
-                        if overrides is None
-                        else self._resolve_overrides(overrides, context, entry)
-                    )
-                deltas.append(resolved[key])
-            lanes, assignment = tape._distinct_lanes(deltas)
+            lanes, assignment = tape._distinct_lanes(
+                batches, self.instance, context.convert
+            )
             if span:
                 span.attrs["distinct"] = len(lanes)
-            values = tape._run_lanes(
-                context.instance_probabilities(self.instance), lanes, context
-            )
+            if not lanes:
+                return []
+            session = self._live_session(context)
+            session.follow(self.instance, context)
+            values, _replayed = tape._run_lanes(session, lanes)
             return [values[lane] for lane in assignment]
 
     def update(
@@ -424,21 +428,15 @@ class CompiledPlan:
         return table
 
     def _resolve_overrides(
-        self, overrides: Any, context: NumericContext, entry: Optional[int] = None
+        self, overrides: Any, context: NumericContext
     ) -> Dict[Edge, Number]:
         """An override mapping keyed by instance edges, values in ``context``.
 
         Keys resolve through the instance (``Edge`` or ``(source, target)``)
-        and values validate as probabilities.  ``entry`` is the mapping's
-        position in an :meth:`evaluate_many` batch, named by the
-        :class:`PlanError` raised when ``overrides`` is not a mapping.
+        and values validate as probabilities; a non-mapping raises
+        :class:`PlanError`.
         """
-        if not isinstance(overrides, Mapping):
-            where = "probabilities" if entry is None else f"batch entry {entry}"
-            raise PlanError(
-                f"{where} must be a mapping of edges to probabilities (or None), "
-                f"got {type(overrides).__name__}"
-            )
+        _require_mapping(overrides, "probabilities")
         resolve, convert = self.instance._resolve_edge, context.convert
         return {
             resolve(key): convert(as_probability(value))

@@ -102,6 +102,11 @@ class ServiceRequest:
             # Frozen dataclass: parse the query-language string in place so
             # every consumer (coalescing, sharding, the workers) sees a graph.
             object.__setattr__(self, "query", as_query_graph(self.query))
+        elif not isinstance(self.query, DiGraph):
+            raise ServiceError(
+                "a request's query must be a DiGraph or a query-language "
+                f"string, got {type(self.query).__name__}"
+            )
         if self.precision is not None and self.precision not in PRECISIONS:
             raise ServiceError(
                 f"unknown precision {self.precision!r}; expected one of {PRECISIONS}"

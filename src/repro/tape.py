@@ -21,16 +21,18 @@ parallel arrays
 Evaluation is a single non-recursive loop — no gate dispatch, no dict
 hashing, no recursion — and :meth:`PlanTape.evaluate_many` answers a whole
 batch of probability valuations in one structural pass.  Every stateless
-evaluation but :meth:`PlanTape.evaluate` (one full table: the scalar
-replay itself) — :meth:`PlanTape.evaluate_many`, and a plan's override
-tables and batches — runs as lanes over one base table, and the
-executor is picked from the lanes in one place, never by the caller:
-one lane, or exact mode, replays the scalar loop per lane; a
-float batch vectorizes each operation across its lanes, on numpy when
-:func:`repro.numeric.numpy_module` returns it and on stdlib lists
-otherwise.  Override batches (:meth:`repro.plan.CompiledPlan.evaluate_many`)
-run once per distinct valuation, and their executor is picked from the
-distinct count.
+evaluation but :meth:`PlanTape.evaluate` (one full table: one full pass
+itself) — :meth:`PlanTape.evaluate_many`, and a plan's override tables
+and batches — runs as lanes over one base register file: a plan's live
+:class:`TapeEvaluator` session, or one pass over the first table of
+:meth:`PlanTape.evaluate_many`.  The executor is picked from the lanes in
+one place, never by the caller: one lane, or exact mode, runs each lane
+on a copy of the base registers, replaying only the operations its
+inputs reach; a float batch vectorizes each operation across its lanes,
+on numpy when :func:`repro.numeric.numpy_module` returns it and on
+stdlib lists otherwise.  Override batches
+(:meth:`repro.plan.CompiledPlan.evaluate_many`) run once per distinct
+valuation, and their executor is picked from the distinct count.
 
 Exact mode replays on plain Python integers instead of
 :class:`~fractions.Fraction` registers: with ``D`` the lcm of the input
@@ -91,15 +93,16 @@ True
 from __future__ import annotations
 
 from array import array
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import PlanError
 from repro.graphs.digraph import Edge
 from repro.numeric import Number, NumericContext, numpy_module, resolve_context
 from repro.obs.trace import current_tracer
-from repro.probability.prob_graph import ProbabilisticGraph
+from repro.probability.prob_graph import ProbabilisticGraph, as_probability
 
 #: Opcodes of the tape instruction set.  ``COMPL`` is the semiring
 #: complement ``dst = 1 - lhs`` (``rhs`` unused); the rest are binary.
@@ -121,10 +124,24 @@ _X_MUL, _X_ADD, _X_ADD_L, _X_ADD_R, _X_COMPL = range(5)
 _ZERO_SLOT, _ONE_SLOT = 0, 1
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
-#: A session replays the whole tape instead of an input's sub-program when
-#: the sub-program holds more than this fraction of the tape's ops: the
-#: indexed loop costs about 1.5x the zip loop per op.
+#: A session or lane replays the whole tape instead of its inputs'
+#: sub-programs when they hold more than this fraction of the tape's ops:
+#: the indexed loop costs about 1.5x the zip loop per op.
 FULL_REPLAY_FRACTION = 0.5
+
+
+def _as_fraction(value: Any) -> Fraction:
+    """``value`` as an exact register input: a Fraction is used as it is."""
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def _require_mapping(overrides: Any, where: str) -> None:
+    """Raise :class:`PlanError` naming ``where`` unless ``overrides`` is a mapping."""
+    if not isinstance(overrides, Mapping):
+        raise PlanError(
+            f"{where} must be a mapping of edges to probabilities (or None), "
+            f"got {type(overrides).__name__}"
+        )
 
 
 class _TapeBuilder:
@@ -251,15 +268,19 @@ class PlanTape:
 
     #: Derived data, built lazily and dropped from pickles: the level
     #: segments of the numpy lanes (:meth:`_packed_segments`) and their
-    #: numpy index arrays (:meth:`_index_segments`), the edge -> input
-    #: position map, the exact replay's integer program
+    #: numpy index arrays (:meth:`_index_segments`), the edge and
+    #: endpoints -> input position maps, the exact replay's integer program
     #: (:meth:`_scaled_program`) and the per-input sub-programs of the
-    #: sessions (:meth:`_sub_programs`).  Class-level defaults, so tapes
-    #: pickled without a field still load.
-    _DERIVED = ("_segments", "_np_segments", "_input_index", "_scaled", "_programs")
+    #: sessions and lanes (:meth:`_sub_programs`).  Class-level defaults,
+    #: so tapes pickled without a field still load.
+    _DERIVED = (
+        "_segments", "_np_segments", "_input_index", "_endpoint_index", "_scaled",
+        "_programs",
+    )
     _segments = None
     _np_segments = None
     _input_index: Optional[Dict[Edge, int]] = None
+    _endpoint_index: Optional[Dict[Tuple[Hashable, Hashable], int]] = None
     _scaled = None
     _programs: Optional[List[Optional[array]]] = None
 
@@ -382,15 +403,14 @@ class PlanTape:
             }
         return self._input_index
 
-    def _load(self, inputs: Sequence[Any], context: NumericContext) -> List[Any]:
-        """Initial register file: constants plus converted input probabilities."""
-        convert = context.convert
-        values: List[Any] = [None] * self.num_slots
-        for slot, value in self.consts:
-            values[slot] = convert(value)
-        for (_edge, slot), value in zip(self.inputs, inputs):
-            values[slot] = convert(value)
-        return values
+    def _endpoint_positions(self) -> Dict[Tuple[Hashable, Hashable], int]:
+        """``(source, target)`` -> the position of that edge in :attr:`inputs` (memoised)."""
+        if self._endpoint_index is None:
+            self._endpoint_index = {
+                (edge.source, edge.target): position
+                for position, (edge, _slot) in enumerate(self.inputs)
+            }
+        return self._endpoint_index
 
     def _run(self, values: List[Any]) -> None:
         """Replay the whole tape over a scalar register file, in place."""
@@ -448,7 +468,9 @@ class PlanTape:
         """The ops reading any of the inputs ``positions``, ascending.
 
         ``None`` means "replay the whole tape": one input's sub-program, or
-        their union, is longer than :data:`FULL_REPLAY_FRACTION` of it.
+        the summed length of several, is longer than
+        :data:`FULL_REPLAY_FRACTION` of it, so no union is built that the
+        full replay would beat.
         """
         every = self._sub_programs()
         programs = [every[position] for position in positions]
@@ -456,30 +478,67 @@ class PlanTape:
             return None
         if len(programs) == 1:
             return programs[0]
-        union = sorted(set().union(*programs))
-        if len(union) > FULL_REPLAY_FRACTION * len(self.opcodes):
+        if sum(map(len, programs)) > FULL_REPLAY_FRACTION * len(self.opcodes):
             return None
-        return union
+        return sorted(set().union(*programs))
+
+    def _replay_inputs(
+        self,
+        registers: List[Any],
+        powers: Optional[List[int]],
+        updated: Mapping[int, Any],
+        program: Optional[Sequence[int]],
+    ) -> int:
+        """Write ``updated``'s inputs and replay ``program``, in place.
+
+        ``registers`` and ``powers`` are a register file of :meth:`_pass`;
+        ``updated`` maps input positions to values in its precision (exact
+        values are Fractions whose denominators divide ``D``), and
+        ``program`` is their :meth:`_catch_up_program` (``None``: the whole
+        tape).  Returns how many operations ran.
+        """
+        inputs = self.inputs
+        if powers is None:
+            for position, value in updated.items():
+                registers[inputs[position][1]] = value
+            if program is None:
+                self._run(registers)
+            else:
+                self._run_indexed(registers, program)
+        else:
+            den = powers[1]
+            for position, value in updated.items():
+                registers[inputs[position][1]] = value.numerator * (den // value.denominator)
+            if program is None:
+                self._run_exact(registers, powers)
+            else:
+                self._run_exact_indexed(registers, powers, program)
+        return self.num_ops() if program is None else len(program)
 
     def _pass(
-        self, inputs: Sequence[Any], context: NumericContext
+        self, inputs: Sequence[Any], context: NumericContext, den: int = 1
     ) -> Tuple[List[Any], Optional[List[int]]]:
         """One full pass: the register file and, in exact mode, the powers of ``D``.
 
         Float registers hold the context's numbers, and the powers are
         ``None``.  Exact registers are integers: register ``X`` of a slot
         with exponent ``e`` stands for ``X / D**e``, where ``D`` (the
-        powers' second entry) is the lcm of the input denominators (see
-        :meth:`_scaled_program`), so no operation pays a gcd.  A
-        :class:`TapeEvaluator` session keeps both.
+        powers' second entry) is the lcm of ``den`` and the input
+        denominators (see :meth:`_scaled_program`), so no operation pays a
+        gcd.  A :class:`TapeEvaluator` session keeps both.
         """
         if context.name != "exact":
-            values = self._load(inputs, context)
+            convert = context.convert
+            values: List[Any] = [None] * self.num_slots
+            for slot, value in self.consts:
+                values[slot] = convert(value)
+            for (_edge, slot), value in zip(self.inputs, inputs):
+                values[slot] = convert(value)
             self._run(values)
             return values, None
         top = self._scaled_program()[3]
-        values = [v if isinstance(v, Fraction) else Fraction(v) for v in inputs]
-        den = lcm(*[value.denominator for value in values])
+        values = [_as_fraction(value) for value in inputs]
+        den = lcm(den, *[value.denominator for value in values])
         powers = [1] * (top + 1)
         for k in range(1, top + 1):
             powers[k] = powers[k - 1] * den
@@ -579,10 +638,9 @@ class PlanTape:
         """One valuation: replay the tape over a full edge-probability table.
 
         ``probabilities`` must cover every edge in :attr:`inputs`.  One
-        table needs no lanes, so this is the scalar replay itself, the
-        executor :meth:`_run_lanes` picks for one lane, without its span:
-        on integer registers in exact mode, bit-identical to the
-        object-graph evaluator.
+        table needs no lanes, so this is one full pass, without a span: on
+        integer registers in exact mode, bit-identical to the object-graph
+        evaluator.
         """
         context = resolve_context(precision)
         return self._root(*self._pass(self._inputs_of(probabilities), context))
@@ -595,19 +653,24 @@ class PlanTape:
         """A batch of valuations in one structural pass over the tape.
 
         Each entry of ``tables`` is a full edge-probability table (as in
-        :meth:`evaluate`); the result list is index-aligned with it.  Every
-        table runs as its own lane of :meth:`_run_lanes` over the first
-        table, rewriting the inputs where it holds another value object,
-        so the executor is picked as for any other batch of lanes.  Unlike
+        :meth:`evaluate`); the result list is index-aligned with it.  One
+        full pass over the first table is the base, and every table runs
+        as its own lane of :meth:`_run_lanes` over it, rewriting the inputs
+        where it holds another value object, so the executor is picked as
+        for any other batch of lanes.  Unlike
         :meth:`repro.plan.CompiledPlan.evaluate_many`, equal tables are not
         coalesced: a batch of ``n`` tables runs ``n`` lanes.
         """
         if not tables:
             return []
+        context = resolve_context(precision)
+        convert = _as_fraction if context.name == "exact" else context.convert
+        base = TapeEvaluator(self)
+        base._bind(tables[0], context)
         shared = self._inputs_of(tables[0])
         lanes = [
             tuple(
-                (position, value)
+                (position, convert(value))
                 for position, (value, first) in enumerate(
                     zip(self._inputs_of(table), shared)
                 )
@@ -615,62 +678,97 @@ class PlanTape:
             )
             for table in tables
         ]
-        return self._run_lanes(tables[0], lanes, resolve_context(precision))
+        return self._run_lanes(base, lanes)[0]
+
+    def _lane(
+        self,
+        overrides: Any,
+        instance: ProbabilisticGraph,
+        convert: Callable[[Any], Number],
+        where: str = "probabilities",
+    ) -> Tuple[Tuple[int, Any], ...]:
+        """One override mapping as the lane it sets: ``(input position, value)`` pairs.
+
+        The pairs cover the mapping's edges this tape reads, in position
+        order, with values validated as probabilities and converted by
+        ``convert``.  A ``(source, target)`` key of an input edge resolves
+        through the memoised endpoints map; every other key (an
+        :class:`Edge`, an edge the tape never reads) resolves through
+        ``instance``, so each key and value is validated either way, and
+        the last key of a duplicated edge wins.  A non-mapping raises
+        :class:`~repro.exceptions.PlanError` naming it as ``where``.
+        """
+        _require_mapping(overrides, where)
+        if not overrides:
+            return ()
+        by_endpoints = self._endpoint_positions()
+        pairs: Dict[int, Any] = {}
+        for key, value in overrides.items():
+            position = by_endpoints.get(key) if type(key) is tuple else None
+            if position is None:
+                position = self._input_positions().get(instance._resolve_edge(key))
+            value = as_probability(value)
+            if position is not None:
+                pairs[position] = convert(value)
+        return tuple(sorted(pairs.items()))
 
     def _distinct_lanes(
-        self, overrides: Sequence[Optional[Mapping[Edge, Number]]]
+        self,
+        overrides: Sequence[Optional[Mapping]],
+        instance: ProbabilisticGraph,
+        convert: Callable[[Any], Number],
     ) -> Tuple[List[Tuple[Tuple[int, Any], ...]], List[int]]:
         """Coalesce a batch of override mappings into its distinct lanes.
 
-        Returns the distinct lanes, each the ``(input position, value)``
-        pairs of one mapping's edges the tape reads, in position order, and
-        for every batch entry the index of its lane.  A mapping object is
-        read once however often it repeats, and entries with the same
-        pairs (``None`` and ``{}`` included) share a lane.
+        Returns the distinct lanes (:meth:`_lane`) and, for every batch
+        entry, the index of its lane.  A mapping object is read once
+        however often it repeats, and entries with the same pairs
+        (``None`` and ``{}`` included) share a lane.
         """
-        positions = self._input_positions()
         lanes: Dict[Tuple[Tuple[int, Any], ...], int] = {}
         seen: Dict[int, int] = {}
         assignment = []
-        for delta in overrides:
+        for entry, delta in enumerate(overrides):
             index = seen.get(id(delta))
             if index is None:
-                pairs = []
-                if delta:
-                    for edge, value in delta.items():
-                        position = positions.get(edge)
-                        if position is not None:
-                            pairs.append((position, value))
-                    pairs.sort()
-                index = seen[id(delta)] = lanes.setdefault(tuple(pairs), len(lanes))
+                pairs = (
+                    () if delta is None
+                    else self._lane(delta, instance, convert, f"batch entry {entry}")
+                )
+                index = seen[id(delta)] = lanes.setdefault(pairs, len(lanes))
             assignment.append(index)
         return list(lanes), assignment
 
     def _run_lanes(
         self,
-        base: Mapping[Edge, Number],
+        base: "TapeEvaluator",
         lanes: Sequence[Tuple[Tuple[int, Any], ...]],
-        context: NumericContext,
-    ) -> List[Number]:
-        """One answer per lane, over the full edge-probability table ``base``.
+    ) -> Tuple[List[Number], int]:
+        """One answer per lane over ``base``'s register file, and the ops replayed.
 
         Every stateless evaluation of lanes runs here; only
-        :meth:`evaluate`, one full table, calls the scalar replay itself.
-        A lane is the ``(input position, value)`` pairs it rewrites in
-        ``base``'s inputs (:meth:`_distinct_lanes` builds them from
-        override mappings), so the per-lane setup cost scales with the
-        rewritten inputs instead of the instance size.  The executor is
-        read off the lanes, here and nowhere else: one lane, or exact
-        mode, runs the scalar replay per lane; several float lanes run
-        vectorized, on numpy when :func:`repro.numeric.numpy_module`
+        :meth:`evaluate`, one full table, runs a pass itself.  ``base`` is a
+        bound :class:`TapeEvaluator`: a plan's live session, caught up, or
+        the pass over the first table of :meth:`evaluate_many`.  A lane is
+        the ``(input position, value)`` pairs it rewrites in ``base``'s
+        inputs (:meth:`_lane` builds them from override mappings), with
+        values in ``base``'s precision, so a lane pays for the inputs it
+        rewrites and the operations they reach, never for re-reading a
+        table.  ``base``'s registers are read, never written, though an
+        exact lane may rebind it (:meth:`_run_lane`).
+
+        The executor is read off the lanes, here and nowhere else: one
+        lane, or exact mode, runs the scalar lane per lane; several float
+        lanes run one vectorized pass seeded from ``base``'s constant and
+        input slots, on numpy when :func:`repro.numeric.numpy_module`
         returns it and on stdlib lists otherwise.  The ``tape.run`` span
         records the executor in its ``backend`` attribute (``"scalar"``,
         ``"numpy"`` or ``"stdlib"``) and the lanes in ``batch``.
         """
         batch = len(lanes)
         if batch == 0:
-            return []
-        scalar = batch == 1 or context.name == "exact"
+            return [], 0
+        scalar = batch == 1 or base.context.name == "exact"
         np = None if scalar else numpy_module()
         with current_tracer().span("tape.run") as span:
             if span:
@@ -678,33 +776,68 @@ class PlanTape:
                     "scalar" if scalar else "stdlib" if np is None else "numpy"
                 )
                 span.attrs["batch"] = batch
-            shared = self._inputs_of(base)
             if scalar:
-                results = []
+                results, replayed = [], 0
                 for pairs in lanes:
-                    lane_inputs = list(shared) if pairs else shared
-                    for position, value in pairs:
-                        lane_inputs[position] = value
-                    results.append(self._root(*self._pass(lane_inputs, context)))
-                return results
-            convert = context.convert
+                    value, ops = self._run_lane(base, pairs)
+                    results.append(value)
+                    replayed += ops
+                return results, replayed
+            live = base._registers
             slots = [slot for _edge, slot in self.inputs]
-            seeds = [*self.consts, *zip(slots, shared)]
+            seeds = [slot for slot, _value in self.consts] + slots
             if np is not None:
                 registers = np.empty((self.num_slots, batch), dtype=float)
-                for slot, value in seeds:
-                    registers[slot] = convert(value)
+                registers[seeds] = np.array([live[slot] for slot in seeds])[:, None]
                 for lane, pairs in enumerate(lanes):
                     for position, value in pairs:
-                        registers[slots[position], lane] = convert(value)
-                return self._replay_segments(np, registers)
+                        registers[slots[position], lane] = value
+                return self._replay_segments(np, registers), self.num_ops()
             values: List[Any] = [None] * self.num_slots
-            for slot, value in seeds:
-                values[slot] = [convert(value)] * batch
+            for slot in seeds:
+                values[slot] = [live[slot]] * batch
             for lane, pairs in enumerate(lanes):
                 for position, value in pairs:
-                    values[slots[position]][lane] = convert(value)
-            return self._replay_lanes(values)
+                    values[slots[position]][lane] = value
+            return self._replay_lanes(values), self.num_ops()
+
+    def _run_lane(
+        self, base: "TapeEvaluator", pairs: Tuple[Tuple[int, Any], ...]
+    ) -> Tuple[Number, int]:
+        """One lane on a copy of ``base``'s registers: its answer and the ops replayed.
+
+        A lane that rewrites nothing answers ``base``'s root.  Otherwise the
+        copy takes the lane's inputs and replays their catch-up program, or
+        the whole tape when that is shorter (:meth:`_catch_up_program`).
+        An exact lane whose denominators do not all divide ``base``'s ``D``
+        first rebinds ``base`` over the lcm of its table and that lane, so
+        ``D`` grows only as far as the lane in hand needs, and later lanes
+        like it replay their programs only; one that replays the whole tape
+        anyway runs one pass over its own inputs instead and leaves
+        ``base`` as it is.
+        """
+        if not pairs:
+            return base._root, 0
+        updated = dict(pairs)
+        program = self._catch_up_program(updated)
+        rebound = 0
+        powers = base._powers
+        if powers is not None and any(
+            powers[1] % value.denominator for value in updated.values()
+        ):
+            if program is None:
+                inputs = self._inputs_of(base._table)
+                for position, value in pairs:
+                    inputs[position] = value
+                return self._root(*self._pass(inputs, base.context)), self.num_ops()
+            base._bind(
+                base._table, base.context,
+                lcm(*[value.denominator for value in updated.values()]),
+            )
+            powers, rebound = base._powers, self.num_ops()
+        registers = base._registers.copy()
+        replayed = self._replay_inputs(registers, powers, updated, program)
+        return self._root(registers, powers), rebound + replayed
 
     # -- vectorized-lane internals -------------------------------------
     def _replay_segments(self, np, registers) -> List[float]:
@@ -814,10 +947,11 @@ class TapeEvaluator:
     Later calls rewrite the input slots of the edges the instance logged
     since, and replay only the operations transitively reading them: the
     per-input sub-programs memoised on the tape
-    (:meth:`PlanTape._sub_programs`), merged in tape order.  A merged
-    program longer than :data:`FULL_REPLAY_FRACTION` of the tape replays
+    (:meth:`PlanTape._sub_programs`), merged in tape order.  Sub-programs
+    longer together than :data:`FULL_REPLAY_FRACTION` of the tape replay
     the whole tape instead.  A plan keeps one session per precision on its
-    live instance (:meth:`repro.plan.CompiledPlan.evaluate`) and one on its
+    live instance (:meth:`repro.plan.CompiledPlan.evaluate`), from which
+    its override lanes start (:meth:`PlanTape._run_lanes`), and one on its
     what-if copy (:meth:`repro.plan.CompiledPlan.update`), which rebinds
     when it is called in the other precision.
 
@@ -828,19 +962,24 @@ class TapeEvaluator:
     :class:`~fractions.Fraction` per answer, at the root.  A change whose
     denominator does not divide ``D`` rebinds the session from the
     instance's table, one full replay with a fresh ``D``, as when the
-    change log no longer reaches back.  The root is one normalised
-    Fraction either way, so exact answers are bit-identical to a full
-    replay.
+    change log no longer reaches back; an exact lane whose denominators do
+    not divide ``D``, and which replays only part of the tape, rebinds it
+    over the lcm of the table and that lane.
+    The root is one normalised Fraction either way, so exact answers are
+    bit-identical to a full replay.
     """
 
     def __init__(self, tape: PlanTape) -> None:
         self.tape = tape
         self.context: Optional[NumericContext] = None
         #: The register file and powers of ``D`` of :meth:`PlanTape._pass`
-        #: (the powers are ``None`` in float), and the root they hold.
+        #: (the powers are ``None`` in float), the root they hold and the
+        #: table they were bound over (an instance's live view, or the
+        #: first table of :meth:`PlanTape.evaluate_many`).
         self._registers: Optional[List[Any]] = None
         self._powers: Optional[List[int]] = None
         self._root: Any = None
+        self._table: Optional[Mapping[Edge, Number]] = None
         #: The instance and the version :meth:`follow` last caught up to.
         self._instance: Optional[ProbabilisticGraph] = None
         self._version = 0
@@ -869,51 +1008,42 @@ class TapeEvaluator:
         table = instance.probabilities_view()
         if changes is not None:
             positions = self.tape._input_positions()
-            updated: Dict[int, Fraction] = {}
+            powers = self._powers
+            convert = context.convert if powers is None else None
+            updated: Dict[int, Any] = {}
             for edge in changes:
                 position = positions.get(edge)
                 if position is not None:
-                    updated[position] = table[edge]
+                    value = table[edge]
+                    updated[position] = value if convert is None else convert(value)
             if not updated:
                 self.path, self.replayed = "catch_up", 0
                 return self._root
-            powers = self._powers
             if powers is None or not any(
                 powers[1] % value.denominator for value in updated.values()
             ):
                 return self._apply(updated)
-        tape = self.tape
-        self.context = context
-        self._registers, self._powers = tape._pass(tape._inputs_of(table), context)
-        self._root = tape._root(self._registers, self._powers)
-        self.path, self.replayed = "bind", tape.num_ops()
+        self._bind(table, context)
         return self._root
 
-    def _apply(self, updated: Dict[int, Fraction]) -> Number:
+    def _bind(
+        self, table: Mapping[Edge, Number], context: NumericContext, den: int = 1
+    ) -> None:
+        """One full pass over ``table``; exact ``D`` is the lcm of ``den`` and its inputs."""
+        tape = self.tape
+        self.context, self._table = context, table
+        self._registers, self._powers = tape._pass(tape._inputs_of(table), context, den)
+        self._root = tape._root(self._registers, self._powers)
+        self.path, self.replayed = "bind", tape.num_ops()
+
+    def _apply(self, updated: Dict[int, Any]) -> Number:
         """Write the inputs at ``updated``'s positions and replay what reads them."""
         tape = self.tape
-        inputs = tape.inputs
-        registers, powers = self._registers, self._powers
-        program = tape._catch_up_program(updated)
-        if powers is None:
-            convert = self.context.convert
-            for position, value in updated.items():
-                registers[inputs[position][1]] = convert(value)
-            if program is None:
-                tape._run(registers)
-            else:
-                tape._run_indexed(registers, program)
-        else:
-            den = powers[1]
-            for position, value in updated.items():
-                registers[inputs[position][1]] = value.numerator * (den // value.denominator)
-            if program is None:
-                tape._run_exact(registers, powers)
-            else:
-                tape._run_exact_indexed(registers, powers, program)
-        self._root = tape._root(registers, powers)
+        self.replayed = tape._replay_inputs(
+            self._registers, self._powers, updated, tape._catch_up_program(updated)
+        )
+        self._root = tape._root(self._registers, self._powers)
         self.path = "catch_up"
-        self.replayed = tape.num_ops() if program is None else len(program)
         return self._root
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

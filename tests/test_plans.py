@@ -452,6 +452,9 @@ class TestBenchPlansSmoke:
         report = json.loads(target.read_text())
         assert report["benchmark"] == "plans"
         assert report["summary"]["min_plan_reuse_speedup"] >= 1.0
+        what_if = report["what_if"]
+        assert what_if["name"] == "union-dwt" and what_if["bit_identical"]
+        assert report["summary"]["what_if_speedup"] == what_if["float"]["speedup"]
         assert {w["name"] for w in report["workloads"]} == {
             "labeled-dwt", "connected-2wp", "unlabeled-polytree-ddnnf"
         }

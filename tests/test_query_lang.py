@@ -333,8 +333,20 @@ def _forbidden_fold_search(query):
     raise AssertionError(f"fold search ran on {format_query(query)}")
 
 
-def _forbidden_core(query):
+def _forbidden_core(query, *_form):
     raise AssertionError(f"core recomputed for {format_query(query)}")
+
+
+#: Every function of ``repro.query.minimize`` that computes a core: the
+#: normal form (which runs the fold search), the fold search itself, and
+#: the build of a path core from its normal form.
+CORE_COMPUTATIONS = ("_normal_form", "fold_search_core", "_compute_core")
+
+
+def forbid_core_computations(monkeypatch):
+    """Make any further core computation fail the test."""
+    for name in CORE_COMPUTATIONS:
+        monkeypatch.setattr(minimize_module, name, _forbidden_core)
 
 
 #: Queries that already are cores: a 1WP, a 2WP, a labeled star (fold search).
@@ -355,13 +367,15 @@ FOLDING_TEXTS = (
 
 class TestCoreMemo:
     """``query_core`` memoises a marker for "this graph is its own core",
-    never the graph itself, and ``normalize`` memoises only its verdict."""
+    never the graph itself, and ``normalize`` memoises only its verdict.
+    After the first call, no core computation runs again: not the normal
+    form, not the fold search, not a path core's build."""
 
     @pytest.mark.parametrize("text", CORE_TEXTS)
     def test_a_core_is_returned_as_itself(self, text, monkeypatch):
         query = parse_query_graph(text)
         assert query_core(query) is query
-        monkeypatch.setattr(minimize_module, "_compute_core", _forbidden_core)
+        forbid_core_computations(monkeypatch)
         assert query_core(query) is query
 
     @pytest.mark.parametrize("text", FOLDING_TEXTS)
@@ -369,7 +383,7 @@ class TestCoreMemo:
         query = parse_query_graph(text)
         core = query_core(query)
         assert core is not query and core.frozen
-        monkeypatch.setattr(minimize_module, "_compute_core", _forbidden_core)
+        forbid_core_computations(monkeypatch)
         assert query_core(core) is core
         assert query_core(query_core(query)) is core
 

@@ -486,6 +486,36 @@ class TestRequestValidation:
         assert outcome.result is None and outcome.error_class == "ServiceError"
         assert service.stats().dispatched == 0
 
+    @pytest.mark.parametrize(
+        "query", [7, None, 2.5, ["R(x, y)"]], ids=["int", "none", "float", "list"]
+    )
+    def test_a_query_neither_text_nor_graph_is_a_service_error(self, query):
+        kind = type(query).__name__
+        with pytest.raises(
+            ServiceError, match=f"DiGraph or a query-language string, got {kind}$"
+        ):
+            ServiceRequest(query=query, instance_id="i")
+
+    def test_a_query_neither_text_nor_graph_fails_in_place(self, service):
+        instance = build_instance(91)
+        instance_id = service.register_instance(instance, "i")
+        batch = [
+            ("R(x, y)", instance_id),
+            (7, instance_id),
+            ServiceRequest("R(x, y), S(y, z)", instance_id),
+        ]
+        outcomes = service.submit_many(batch, on_error="return")
+        failed = outcomes[1]
+        assert failed.result is None and failed.error_class == "ServiceError"
+        assert failed.error.endswith("got int")
+        solver = PHomSolver()
+        assert outcomes[0].probability == solver.solve("R(x, y)", instance).probability
+        assert outcomes[2].probability == solver.solve("R(x, y), S(y, z)", instance).probability
+        stats = service.stats()
+        assert (stats.requests, stats.rejected) == (2, 1)
+        with pytest.raises(ServiceError, match="got int"):
+            service.submit_many(batch)
+
     @pytest.mark.parametrize("workers", [0, 1], ids=["inline", "pool"])
     def test_a_failed_coalesced_duplicate_reads_coalesced(self, workers):
         workload = intractable_workload(6, rng=32)

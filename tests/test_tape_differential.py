@@ -19,6 +19,7 @@ import random
 import warnings
 import zlib
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -42,7 +43,7 @@ from repro.graphs.generators import random_disjoint_union
 from repro.persist import PlanStore, instance_digest
 from repro.plan import ComponentPlan, ConstantPlan, FallbackPlan
 from repro.probability.brute_force import brute_force_phom
-from repro.probability.prob_graph import CHANGE_LOG_LIMIT, ProbabilisticGraph
+from repro.probability.prob_graph import CHANGE_LOG_LIMIT, ProbabilisticGraph, as_probability
 from repro.service import QueryService, ServiceRequest
 from repro.tape import (
     OP_COMPL,
@@ -667,7 +668,7 @@ class TestCoalescedLanes:
         assert (run["backend"], run["batch"]) == ("scalar", 1)
 
     def test_lanes_differing_only_in_unread_edges_coalesce(self):
-        workload, plan, _rng = dispatch_plan(0)
+        workload, _plan, _rng = dispatch_plan(0)
         # A query over a label the instance lacks compiles to a constant
         # plan, whose tape reads no edge: every override is unread.
         constant = PHomSolver().compile(one_way_path(["Z"], prefix="q"), workload.instance)
@@ -678,12 +679,25 @@ class TestCoalescedLanes:
         assert all(value is got[0] for value in got)
         (run,) = span_attrs(records, "tape.run")
         assert (run["backend"], run["batch"]) == ("scalar", 1)
-        # On a tape with inputs, an edge outside them drops out of its lane.
-        tape = plan.tape()
+        # On a tape with inputs, an instance edge outside them drops out of
+        # its lane, while an edge outside the instance is still rejected.
+        # (A tape follows any instance holding its edges, as a session does.)
+        path_edges = [("a", "b", "R"), ("b", "c", "S")]
+        tape = PHomSolver().compile(
+            one_way_path(["R", "S"]), ProbabilisticGraph(DiGraph(edges=path_edges))
+        ).tape()
+        graph = DiGraph(edges=path_edges + [("x", "y", "T")])
+        instance = ProbabilisticGraph(graph)
         first = tape.inputs[0][0]
+        unread = graph.get_edge("x", "y")
+        assert unread not in dict(tape.inputs)
+        lanes = [{first: 0.25}, {first: 0.25, unread: 0.5}, {("x", "y"): 0.75}, None]
+        assert tape._distinct_lanes(lanes, instance, float) == (
+            [((0, 0.25),), ()], [0, 0, 1, 1]
+        )
         foreign = Edge("tape-test-x", "tape-test-y", "R")
-        lanes = [{first: 0.25}, {first: 0.25, foreign: 0.5}, {foreign: 0.75}, None]
-        assert tape._distinct_lanes(lanes) == ([((0, 0.25),), ()], [0, 0, 1, 1])
+        with pytest.raises(GraphError):
+            tape._distinct_lanes([{foreign: 0.5}], instance, float)
 
     @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
     def test_numpy_and_stdlib_lanes_agree_bitwise(self, index, monkeypatch):
@@ -1085,10 +1099,23 @@ class TestLiveCatchUp:
         value, path, ops = evaluate_traced(plan)
         assert path == "catch_up" and 0 < ops <= tape.num_ops()
         assert value == fresh_exact(workload.query, workload.instance)
-        # Overrides replay the whole tape and never touch the sessions.
-        _value, path, ops = evaluate_traced(plan, {edges[0]: "1/9"})
-        assert (path, ops) == ("replay", tape.num_ops())
+        # An override lane starts from the live session and never writes
+        # its registers.  9 does not divide D: a lane whose program replays
+        # the whole tape runs one pass of its own; a shorter one first
+        # rebinds the session over the lcm of the live table and the lane.
+        position = 0
+        program = tape._catch_up_program([position])
+        first_ops = tape.num_ops() if program is None else tape.num_ops() + len(program)
+        value, path, ops = evaluate_traced(plan, {edges[position]: "1/9"})
+        assert (path, ops) == ("replay", first_ops)
+        assert value == object_graph(plan, {edges[position]: "1/9"})
         assert evaluate_traced(plan)[1:] == ("catch_up", 0)
+        value, path, ops = evaluate_traced(plan, {edges[position]: "2/9"})
+        assert (path, ops) == ("replay", tape.num_ops() if program is None else len(program))
+        assert value == object_graph(plan, {edges[position]: "2/9"})
+        assert evaluate_traced(plan) == (
+            fresh_exact(workload.query, workload.instance), "catch_up", 0
+        )
 
     def test_change_log_overflow_rebinds(self):
         workload, plan, rng = dispatch_plan(0)
@@ -1327,8 +1354,9 @@ class TestDirectFirstEvaluation:
         _value, records = traced(lambda: plan.evaluate({edge: "1/3"}))
         (attrs,) = span_attrs(records, "plan.evaluate")
         assert attrs["path"] == "replay" and plan.has_tape()
-        # Lowered by the override call, the plan binds on its first live call.
-        assert evaluate_traced(plan)[1] == "bind"
+        # The override call lowered the plan and bound its session, which
+        # the lane never writes: the first live call replays nothing.
+        assert evaluate_traced(plan)[1:] == ("catch_up", 0)
 
     def test_traced_cold_solve_emits_a_direct_span_and_no_lowering(self):
         workload, _plan, _rng = dispatch_plan(0)
@@ -1715,3 +1743,201 @@ class TestLoweringOnReuse:
         solver.solve(query, instance)
         stats = solver.plan_cache.stats
         assert (stats["compiles"], stats["hits"], stats["tape_compiles"]) == (1, 3, 1)
+
+
+# ----------------------------------------------------------------------
+# lanes start from the live session
+# ----------------------------------------------------------------------
+def lane_oracle(fresh_tape, instance, overrides, precision):
+    """A fresh full table's answer: the live table with ``overrides`` applied.
+
+    ``fresh_tape`` belongs to a plan of its own, so no session or memo of
+    the plan under test takes part; a later key for an edge wins.
+    """
+    context = resolve_context(precision)
+    table = dict(context.instance_probabilities(instance))
+    for key, value in (overrides or {}).items():
+        edge = key if isinstance(key, Edge) else instance.graph.get_edge(*key)
+        table[edge] = context.convert(as_probability(value))
+    return fresh_tape.evaluate(table, context)
+
+
+def assert_same_answer(got, want, precision):
+    """Exact answers equal, float answers bit for bit (``repr``)."""
+    assert type(got) is type(want)
+    if precision == "exact":
+        assert got == want
+    else:
+        assert repr(got) == repr(want)
+
+
+def random_overrides(instance, rng):
+    """One to three edges of ``instance``, keyed by ``Edge`` or by endpoints."""
+    edges = instance.edges()
+    return {
+        edge if rng.random() < 0.5 else (edge.source, edge.target): random_probability(rng)
+        for edge in rng.sample(edges, min(len(edges), rng.randint(1, 3)))
+    }
+
+
+class TestLaneRunner:
+    """Override lanes start from the plan's live session for their precision.
+
+    Every answer is checked against a full table replayed on a fresh
+    plan's tape; the live call after lanes must replay nothing."""
+
+    @staticmethod
+    def fresh_tape(index, workload):
+        return compile_plan_tape(
+            cold_plan(workload.query, workload.instance, DISPATCH_ROUTES[index][4])
+        )
+
+    @staticmethod
+    def assert_lanes(plan, fresh, batch, precision):
+        got = plan.evaluate_many(batch, precision=precision)
+        for overrides, value in zip(batch, got):
+            want = lane_oracle(fresh, plan.instance, overrides, precision)
+            assert_same_answer(value, want, precision)
+
+    @staticmethod
+    def assert_live_replays_nothing(plan, fresh, precision):
+        value, path, ops = evaluate_traced(plan, precision=precision)
+        assert (path, ops) == ("catch_up", 0)
+        assert_same_answer(value, lane_oracle(fresh, plan.instance, None, precision), precision)
+
+    @pytest.mark.parametrize("lanes", ["numpy", "stdlib"])
+    @pytest.mark.parametrize("precision", ["exact", "float"])
+    @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
+    def test_interleaved_stream_matches_fresh_full_tables(
+        self, index, precision, lanes, monkeypatch
+    ):
+        if lanes == "stdlib":
+            monkeypatch.setattr(repro_numeric, "_numpy_cache", None)
+        elif repro_numeric.numpy_module() is None:
+            pytest.skip("numpy is not importable in this environment")
+        workload, plan, rng = dispatch_plan(index)
+        fresh = self.fresh_tape(index, workload)
+        instance = workload.instance
+        edges = instance.edges()
+        executors = set()
+        for step in range(12):
+            for _ in range(rng.choice((0, 1, 2))):
+                instance.set_probability(rng.choice(edges), random_probability(rng))
+            if step % 4 == 0:
+                value, path, _ops = evaluate_traced(plan, precision=precision)
+                assert path in ("bind", "catch_up")
+                assert_same_answer(value, lane_oracle(fresh, instance, None, precision), precision)
+            overrides = random_overrides(instance, rng)
+            value, path, _ops = evaluate_traced(plan, overrides, precision)
+            assert path == "replay"
+            assert_same_answer(
+                value, lane_oracle(fresh, instance, overrides, precision), precision
+            )
+            one, two, three = (random_overrides(instance, rng) for _ in range(3))
+            batch = [
+                [one],                                   # one lane
+                [one, two, three],                       # several distinct lanes
+                [None, one, {}, one, dict(one), two, one],  # repeated, None and {}
+            ][step % 3]
+            _values, records = traced(lambda: self.assert_lanes(plan, fresh, batch, precision))
+            executors.update(run["backend"] for run in span_attrs(records, "tape.run"))
+            self.assert_live_replays_nothing(plan, fresh, precision)
+        vectorized = {"scalar", lanes} if precision == "float" else {"scalar"}
+        assert executors == vectorized
+
+    @pytest.mark.parametrize("precision", ["exact", "float"])
+    @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
+    def test_the_last_key_of_an_edge_wins(self, index, precision):
+        workload, plan, _rng = dispatch_plan(index)
+        fresh = self.fresh_tape(index, workload)
+        edge = plan.tape().inputs[-1][0]
+        endpoints = (edge.source, edge.target)
+        tuple_last = {edge: Fraction(1, 3), endpoints: "2/7"}
+        edge_last = {endpoints: "2/7", edge: Fraction(1, 3)}
+        for overrides, value in ((tuple_last, Fraction(2, 7)), (edge_last, Fraction(1, 3))):
+            want = lane_oracle(fresh, workload.instance, {edge: value}, precision)
+            assert_same_answer(plan.evaluate(overrides, precision), want, precision)
+            for got in plan.evaluate_many([overrides, {edge: value}], precision=precision):
+                assert_same_answer(got, want, precision)
+        self.assert_live_replays_nothing(plan, fresh, precision)
+
+    @pytest.mark.parametrize("precision", ["exact", "float"])
+    def test_overrides_the_tape_never_reads_still_validate(self, precision):
+        workload, _plan, _rng = dispatch_plan(0)
+        instance = workload.instance
+        # A query over a label the instance lacks compiles to a constant
+        # plan: its tape reads no edge, so every override is unread.
+        constant = PHomSolver().compile(one_way_path(["Z"], prefix="q"), instance)
+        assert constant.tape().num_inputs() == 0
+        edge = instance.edges()[0]
+        zero = resolve_context(precision).zero
+        for overrides in ({edge: "1/3"}, {(edge.source, edge.target): Fraction(2, 7)}):
+            assert_same_answer(constant.evaluate(overrides, precision), zero, precision)
+            assert constant.evaluate_many([overrides, None], precision=precision) == [zero] * 2
+        with pytest.raises(ProbabilityError):
+            constant.evaluate({edge: "3/2"}, precision)
+        with pytest.raises(GraphError):
+            constant.evaluate({Edge("tape-test-x", "tape-test-y", "R"): "1/2"}, precision)
+        with pytest.raises(GraphError):
+            constant.evaluate_many([None, {("tape-test-x", "tape-test-y"): "1/2"}], precision)
+        with pytest.raises(GraphError):
+            constant.evaluate({Edge(edge.source, edge.target, "not-its-label"): "1/2"})
+
+    def test_exact_lanes_outside_d(self):
+        # A lane with a short catch-up program rebinds the session once, over
+        # the lcm of the live table and that lane only; one that replays the
+        # whole tape runs one pass of its own and leaves the session alone.
+        kinds = set()
+        for index in range(len(DISPATCH_ROUTES)):
+            workload, plan, _rng = dispatch_plan(index)
+            fresh = self.fresh_tape(index, workload)
+            instance, tape = workload.instance, plan.tape()
+            plan.evaluate()
+            session = plan._live_sessions["exact"]
+
+            def live_den():
+                return lcm(*[instance.probability(e).denominator for e, _ in tape.inputs])
+
+            for position, (edge, _slot) in enumerate(tape.inputs):
+                short = tape._catch_up_program([position]) is not None
+                if short in kinds:
+                    continue
+                kinds.add(short)
+                for prime in (97, 89):
+                    before = session._powers[1]
+                    assert before % prime
+                    value, path, ops = evaluate_traced(plan, {edge: Fraction(1, prime)})
+                    assert path == "replay"
+                    want = lane_oracle(fresh, instance, {edge: Fraction(1, prime)}, "exact")
+                    assert_same_answer(value, want, "exact")
+                    if short:
+                        # D grows to what this lane needs, not by every lane so far.
+                        assert session._powers[1] == lcm(live_den(), prime)
+                        assert ops == tape.num_ops() + len(tape._catch_up_program([position]))
+                    else:
+                        assert session._powers[1] == before and ops == tape.num_ops()
+                    self.assert_live_replays_nothing(plan, fresh, "exact")
+                if short:
+                    # The widened D serves live catch-ups: 89 divides it.
+                    instance.set_probability(edge, Fraction(3, 89))
+                    value, path, ops = evaluate_traced(plan)
+                    assert path == "catch_up" and ops > 0
+                    assert_same_answer(value, fresh_exact(workload.query, instance), "exact")
+                    self.assert_live_replays_nothing(plan, fresh, "exact")
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize("precision", ["exact", "float"])
+    @pytest.mark.parametrize("index", range(len(DISPATCH_ROUTES)))
+    def test_change_log_overflow_between_lanes(self, index, precision):
+        workload, plan, rng = dispatch_plan(index)
+        fresh = self.fresh_tape(index, workload)
+        instance = workload.instance
+        batch = [random_overrides(instance, rng) for _ in range(3)]
+        self.assert_lanes(plan, fresh, batch, precision)
+        for _ in range(CHANGE_LOG_LIMIT + 3):
+            instance.set_probability(rng.choice(instance.edges()), random_probability(rng))
+        version = plan._live_sessions[precision]._version
+        assert instance.changes_since(version) is None
+        self.assert_lanes(plan, fresh, batch, precision)
+        assert plan._live_sessions[precision]._version == instance.version
+        self.assert_live_replays_nothing(plan, fresh, precision)
