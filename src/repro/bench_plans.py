@@ -631,9 +631,11 @@ def measure_live(
 #: Edges a ``what_if`` lane overrides, as in the repository benchmark's
 #: what-if calls.
 WHAT_IF_OVERRIDES = 3
+#: Interleaved rounds per precision of the ``what_if`` row.
+WHAT_IF_ROUNDS = 20
 
 
-def measure_what_if(workload: PlanWorkload, repeats: int = 20) -> Dict[str, object]:
+def measure_what_if(workload: PlanWorkload) -> Dict[str, object]:
     """A one-lane override ``plan.evaluate`` vs ``PlanTape.evaluate`` of the same table.
 
     The lane sets :data:`WHAT_IF_OVERRIDES` uncertain edges to ``k/16``
@@ -676,7 +678,7 @@ def measure_what_if(workload: PlanWorkload, repeats: int = 20) -> Dict[str, obje
                 "full": lambda table: tape.evaluate(table, context),
                 "what_if": lambda: plan.evaluate(overrides, context),
             },
-            rounds=repeats,
+            rounds=WHAT_IF_ROUNDS,
             prepare={"full": full_table},
         )
         answers += [timings["what_if"].result, timings["full"].result]

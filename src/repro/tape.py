@@ -266,18 +266,15 @@ class PlanTape:
     :meth:`evaluate` does.
     """
 
-    #: Derived data, built lazily and dropped from pickles: the level
-    #: segments of the numpy lanes (:meth:`_packed_segments`) and their
-    #: numpy index arrays (:meth:`_index_segments`), the edge and
-    #: endpoints -> input position maps, the exact replay's integer program
-    #: (:meth:`_scaled_program`) and the per-input sub-programs of the
-    #: sessions and lanes (:meth:`_sub_programs`).  Class-level defaults,
-    #: so tapes pickled without a field still load.
+    #: Derived data, built lazily and dropped from pickles: the numpy
+    #: lanes' level segments as index arrays (:meth:`_index_segments`), the
+    #: edge and endpoints -> input position maps, the exact replay's
+    #: integer program (:meth:`_scaled_program`) and the per-input
+    #: sub-programs of the sessions and lanes (:meth:`_sub_programs`).
+    #: Class-level defaults, so tapes pickled without a field still load.
     _DERIVED = (
-        "_segments", "_np_segments", "_input_index", "_endpoint_index", "_scaled",
-        "_programs",
+        "_np_segments", "_input_index", "_endpoint_index", "_scaled", "_programs",
     )
-    _segments = None
     _np_segments = None
     _input_index: Optional[Dict[Edge, int]] = None
     _endpoint_index: Optional[Dict[Tuple[Hashable, Hashable], int]] = None
@@ -345,7 +342,7 @@ class PlanTape:
         }
 
     def _packed_segments(self) -> Tuple[Tuple[int, array, array, array], ...]:
-        """The ops grouped into data-independent level segments (memoised).
+        """The ops grouped into data-independent level segments.
 
         A slot's *level* is 0 for constants and inputs and
         ``1 + max(operand levels)`` for op destinations, so all operations
@@ -355,25 +352,22 @@ class PlanTape:
         packs.  This is what keeps the numpy lanes' fixed cost
         proportional to the tape's *depth* (a few dozen segments) instead
         of its length (thousands of ops).  The slot lists are ``array("I")``
-        objects, which numpy indexes through the buffer protocol.
+        objects; only their numpy copies are kept (:meth:`_index_segments`),
+        so this runs once per tape.
         """
-        if self._segments is None:
-            level = [0] * self.num_slots
-            groups: Dict[Tuple[int, int], Tuple[int, array, array, array]] = {}
-            for opcode, dst, a, b in zip(self.opcodes, self.dsts, self.lhs, self.rhs):
-                depth = 1 + (level[a] if opcode == OP_COMPL else max(level[a], level[b]))
-                level[dst] = depth
-                segment = groups.get((depth, opcode))
-                if segment is None:
-                    segment = (opcode, array("I"), array("I"), array("I"))
-                    groups[(depth, opcode)] = segment
-                segment[1].append(dst)
-                segment[2].append(a)
-                segment[3].append(b)
-            self._segments = tuple(
-                segment for _key, segment in sorted(groups.items())
-            )
-        return self._segments
+        level = [0] * self.num_slots
+        groups: Dict[Tuple[int, int], Tuple[int, array, array, array]] = {}
+        for opcode, dst, a, b in zip(self.opcodes, self.dsts, self.lhs, self.rhs):
+            depth = 1 + (level[a] if opcode == OP_COMPL else max(level[a], level[b]))
+            level[dst] = depth
+            segment = groups.get((depth, opcode))
+            if segment is None:
+                segment = (opcode, array("I"), array("I"), array("I"))
+                groups[(depth, opcode)] = segment
+            segment[1].append(dst)
+            segment[2].append(a)
+            segment[3].append(b)
+        return tuple(segment for _key, segment in sorted(groups.items()))
 
     def _index_segments(self, np) -> Tuple[Tuple[int, Any, Any, Any], ...]:
         """:meth:`_packed_segments` with numpy ``intp`` index arrays (memoised).
@@ -491,7 +485,7 @@ class PlanTape:
     ) -> int:
         """Write ``updated``'s inputs and replay ``program``, in place.
 
-        ``registers`` and ``powers`` are a register file of :meth:`_pass`;
+        ``registers`` and ``powers`` are a register file of :meth:`_load`;
         ``updated`` maps input positions to values in its precision (exact
         values are Fractions whose denominators divide ``D``), and
         ``program`` is their :meth:`_catch_up_program` (``None``: the whole
@@ -515,17 +509,17 @@ class PlanTape:
                 self._run_exact_indexed(registers, powers, program)
         return self.num_ops() if program is None else len(program)
 
-    def _pass(
+    def _load(
         self, inputs: Sequence[Any], context: NumericContext, den: int = 1
     ) -> Tuple[List[Any], Optional[List[int]]]:
-        """One full pass: the register file and, in exact mode, the powers of ``D``.
+        """A register file holding the constants and ``inputs``, no op replayed yet.
 
-        Float registers hold the context's numbers, and the powers are
-        ``None``.  Exact registers are integers: register ``X`` of a slot
-        with exponent ``e`` stands for ``X / D**e``, where ``D`` (the
-        powers' second entry) is the lcm of ``den`` and the input
-        denominators (see :meth:`_scaled_program`), so no operation pays a
-        gcd.  A :class:`TapeEvaluator` session keeps both.
+        Returns the registers and, in exact mode, the powers of ``D`` (in
+        float, ``None``).  Float registers hold the context's numbers.
+        Exact registers are integers: register ``X`` of a slot with
+        exponent ``e`` stands for ``X / D**e``, where ``D`` (the powers'
+        second entry) is the lcm of ``den`` and the input denominators (see
+        :meth:`_scaled_program`), so no operation pays a gcd.
         """
         if context.name != "exact":
             convert = context.convert
@@ -534,10 +528,9 @@ class PlanTape:
                 values[slot] = convert(value)
             for (_edge, slot), value in zip(self.inputs, inputs):
                 values[slot] = convert(value)
-            self._run(values)
             return values, None
         top = self._scaled_program()[3]
-        values = [_as_fraction(value) for value in inputs]
+        values = [v if isinstance(v, Fraction) else Fraction(v) for v in inputs]
         den = lcm(den, *[value.denominator for value in values])
         powers = [1] * (top + 1)
         for k in range(1, top + 1):
@@ -547,11 +540,21 @@ class PlanTape:
             registers[slot] = value.numerator * den
         for (_edge, slot), value in zip(self.inputs, values):
             registers[slot] = value.numerator * (den // value.denominator)
-        self._run_exact(registers, powers)
+        return registers, powers
+
+    def _pass(
+        self, inputs: Sequence[Any], context: NumericContext, den: int = 1
+    ) -> Tuple[List[Any], Optional[List[int]]]:
+        """One full pass over :meth:`_load`'s register file; returns it and the powers."""
+        registers, powers = self._load(inputs, context, den)
+        if powers is None:
+            self._run(registers)
+        else:
+            self._run_exact(registers, powers)
         return registers, powers
 
     def _root(self, registers: List[Any], powers: Optional[List[int]]) -> Number:
-        """The root of a :meth:`_pass` register file; exact: one normalised Fraction."""
+        """The root of a replayed register file; exact: one normalised Fraction."""
         if powers is None:
             return registers[self.root]
         return Fraction(registers[self.root], powers[self._scaled_program()[2]])
@@ -653,20 +656,22 @@ class PlanTape:
         """A batch of valuations in one structural pass over the tape.
 
         Each entry of ``tables`` is a full edge-probability table (as in
-        :meth:`evaluate`); the result list is index-aligned with it.  One
-        full pass over the first table is the base, and every table runs
-        as its own lane of :meth:`_run_lanes` over it, rewriting the inputs
-        where it holds another value object, so the executor is picked as
-        for any other batch of lanes.  Unlike
-        :meth:`repro.plan.CompiledPlan.evaluate_many`, equal tables are not
-        coalesced: a batch of ``n`` tables runs ``n`` lanes.
+        :meth:`evaluate`); the result list is index-aligned with it.  The
+        first table is the base, and every table runs as its own lane of
+        :meth:`_run_lanes` over it, rewriting the inputs where it holds
+        another value object, so the executor is picked as for any other
+        batch of lanes.  The base is loaded, not replayed: scalar lanes
+        replay it once first, vectorized lanes read only its constant and
+        input slots, so a float batch of several tables replays the tape
+        once.  Unlike :meth:`repro.plan.CompiledPlan.evaluate_many`, equal
+        tables are not coalesced: a batch of ``n`` tables runs ``n`` lanes.
         """
         if not tables:
             return []
         context = resolve_context(precision)
         convert = _as_fraction if context.name == "exact" else context.convert
         base = TapeEvaluator(self)
-        base._bind(tables[0], context)
+        base._load(tables[0], context)
         shared = self._inputs_of(tables[0])
         lanes = [
             tuple(
@@ -748,8 +753,9 @@ class PlanTape:
 
         Every stateless evaluation of lanes runs here; only
         :meth:`evaluate`, one full table, runs a pass itself.  ``base`` is a
-        bound :class:`TapeEvaluator`: a plan's live session, caught up, or
-        the pass over the first table of :meth:`evaluate_many`.  A lane is
+        :class:`TapeEvaluator`: a plan's live session, caught up, or the
+        first table of :meth:`evaluate_many`, loaded and replayed here only
+        if the lanes run scalar.  A lane is
         the ``(input position, value)`` pairs it rewrites in ``base``'s
         inputs (:meth:`_lane` builds them from override mappings), with
         values in ``base``'s precision, so a lane pays for the inputs it
@@ -777,6 +783,8 @@ class PlanTape:
                 )
                 span.attrs["batch"] = batch
             if scalar:
+                if base._root is None:
+                    base._replay()
                 results, replayed = [], 0
                 for pairs in lanes:
                     value, ops = self._run_lane(base, pairs)
@@ -972,10 +980,11 @@ class TapeEvaluator:
     def __init__(self, tape: PlanTape) -> None:
         self.tape = tape
         self.context: Optional[NumericContext] = None
-        #: The register file and powers of ``D`` of :meth:`PlanTape._pass`
-        #: (the powers are ``None`` in float), the root they hold and the
-        #: table they were bound over (an instance's live view, or the
-        #: first table of :meth:`PlanTape.evaluate_many`).
+        #: The register file and powers of ``D`` of :meth:`PlanTape._load`
+        #: (the powers are ``None`` in float), the root they hold (``None``
+        #: until :meth:`_replay`) and the table they were loaded from (an
+        #: instance's live view, or the first table of
+        #: :meth:`PlanTape.evaluate_many`).
         self._registers: Optional[List[Any]] = None
         self._powers: Optional[List[int]] = None
         self._root: Any = None
@@ -1030,11 +1039,24 @@ class TapeEvaluator:
         self, table: Mapping[Edge, Number], context: NumericContext, den: int = 1
     ) -> None:
         """One full pass over ``table``; exact ``D`` is the lcm of ``den`` and its inputs."""
+        self._load(table, context, den)
+        self._replay()
+
+    def _load(
+        self, table: Mapping[Edge, Number], context: NumericContext, den: int = 1
+    ) -> None:
+        """Load ``table``'s constants and inputs (:meth:`PlanTape._load`), replaying nothing."""
         tape = self.tape
         self.context, self._table = context, table
-        self._registers, self._powers = tape._pass(tape._inputs_of(table), context, den)
+        self._registers, self._powers = tape._load(tape._inputs_of(table), context, den)
+        self._root = None
+
+    def _replay(self) -> None:
+        """Replay the whole tape over the loaded registers."""
+        tape = self.tape
+        self.replayed = tape._replay_inputs(self._registers, self._powers, {}, None)
         self._root = tape._root(self._registers, self._powers)
-        self.path, self.replayed = "bind", tape.num_ops()
+        self.path = "bind"
 
     def _apply(self, updated: Dict[int, Any]) -> Number:
         """Write the inputs at ``updated``'s positions and replay what reads them."""
